@@ -75,6 +75,9 @@ type ctx = {
   fdd : Pc_predicate.Fdd.compiled option;
       (** diagram precompiled from the full PC set (server bound cache);
           only consulted by the [Cells.Fdd] strategy *)
+  warm : (B.t -> answer option) option;
+      (** a warm engine's missing-partition COUNT/SUM answer, tried
+          before the full path *)
 }
 
 (* Raised when a stage cannot produce any sound value within budget (the
@@ -158,6 +161,11 @@ type info = {
   l : float;  (** min value; -inf possible *)
 }
 
+(* How one PC's frequency range enters the program: not at all (no
+   in-query cell), as the box of its only cell, or as rows over its
+   cells plus a consumption column ([-1] when the program carries none). *)
+type cover = Uncovered | Single of int | Rows of int
+
 type prepared = {
   sub : Pc_set.t;
       (** the PCs whose predicate overlaps the query region — the only
@@ -165,21 +173,53 @@ type prepared = {
           non-overlapping ψ is vacuously negated inside the region) *)
   infos : info array;
   cons : S.constr list;  (** PC frequency constraints over cell variables *)
+  covers : cover array;  (** per PC of [sub] *)
+  kl : int array;  (** per PC of [sub]: its effective lower bound *)
   vbounds : (int * float * float) list;
-      (** per-cell box bounds folded out of single-cell covering rows: a
-          PC covering exactly one cell constrains that cell's variable
-          alone, which the bounded-variable simplex handles without a
-          tableau row *)
+      (** sparse variable boxes at the consumption the program was built
+          for: the folded single-cell covers and the pinned consumption
+          columns *)
   v_hi : float array;  (** dense upper bounds (infinity when unbounded) *)
-  all_kl_zero : bool;
 }
 
 exception Found_infeasible
 
+(* Box every variable under per-PC consumption [consumed] (all zero on
+   the cold path), as the residual PC set {[(kl−c)⁺ ∧ ku', ku' = (ku−c)⁺]}
+   would: a single-cell cover bounds its cell to [(kl−c)⁺, (ku−c)⁺]; a
+   consumption column is pinned to [min(c, ku)], which turns its rows
+   into exactly the residual ones; an uncovered PC's lower bound must be
+   met by consumption alone. Only boxes change with consumption, so a
+   warm re-solve stays a pure bound change. False when some box is empty
+   (no instance exists). *)
+let rebox prep ~consumed ~lo ~hi =
+  Array.fill lo 0 (Array.length lo) 0.;
+  Array.fill hi 0 (Array.length hi) infinity;
+  let ok = ref true in
+  Array.iteri
+    (fun j cover ->
+      let c = consumed.(j) and kl = prep.kl.(j) in
+      let ku = (Pc_set.get prep.sub j).Pc.freq_hi in
+      match cover with
+      | Uncovered -> if kl > c then ok := false
+      | Single i ->
+          hi.(i) <- Float.min hi.(i) (float_of_int (max 0 (ku - c)));
+          lo.(i) <- Float.max lo.(i) (float_of_int (max 0 (kl - c)));
+          if lo.(i) > hi.(i) then ok := false
+      | Rows w when w >= 0 ->
+          lo.(w) <- float_of_int (min c ku);
+          hi.(w) <- lo.(w)
+      | Rows _ -> ())
+    prep.covers;
+  !ok
+
 (* Build the allocation problem for a query. [agg_attr = None] is COUNT
-   (unit coefficients). Returns [Error Infeasible] when the constraint
-   system provably admits no instance. *)
-let prepare ~ctx set (query : Q.t) : (prepared, answer) result =
+   (unit coefficients). With [consumed], every multi-cell cover also
+   carries a consumption column and the boxes are those of that
+   consumption; without, there are no such columns and consumption is
+   zero. Returns [Error Infeasible] when the constraint system provably
+   admits no instance. *)
+let prepare ~ctx ?consumed set (query : Q.t) : (prepared, answer) result =
   let opts = ctx.opts in
   let qpred = query.Q.where_ in
   try
@@ -242,44 +282,62 @@ let prepare ~ctx set (query : Q.t) : (prepared, answer) result =
     in
     let n_pcs = Pc_set.size set in
     let n_cells = Array.length infos in
+    (* each PC's covering cells, in descending cell order *)
+    let covering = Array.make n_pcs [] in
+    Array.iteri
+      (fun i inf -> List.iter (fun j -> covering.(j) <- i :: covering.(j)) inf.active)
+      infos;
+    let kl = Array.init n_pcs (fun j -> effective_kl qpred (Pc_set.get set j)) in
+    let n_vars = ref n_cells in
     let cons = ref [] in
-    let v_lo = Array.make n_cells 0. in
-    let v_hi = Array.make n_cells infinity in
-    let all_kl_zero = ref true in
-    for j = 0 to n_pcs - 1 do
-      let pc = Pc_set.get set j in
-      let covering = ref [] in
-      Array.iteri
-        (fun i inf -> if List.mem j inf.active then covering := (i, 1.) :: !covering)
-        infos;
-      let kl' = effective_kl qpred pc in
-      if kl' > 0 then all_kl_zero := false;
-      match !covering with
-      | [] -> if kl' > 0 then raise Found_infeasible
-      | [ (i, _) ] ->
-          (* single-cell cover: a pure box bound on x_i, no constraint row *)
-          v_hi.(i) <- Float.min v_hi.(i) (float_of_int pc.Pc.freq_hi);
-          if kl' > 0 then v_lo.(i) <- Float.max v_lo.(i) (float_of_int kl');
-          if v_lo.(i) > v_hi.(i) then raise Found_infeasible
-      | coeffs ->
-          cons := S.c_le coeffs (float_of_int pc.Pc.freq_hi) :: !cons;
-          if kl' > 0 then cons := S.c_ge coeffs (float_of_int kl') :: !cons
-    done;
-    let vbounds = ref [] in
-    for i = n_cells - 1 downto 0 do
-      if v_lo.(i) > 0. || Float.is_finite v_hi.(i) then
-        vbounds := (i, v_lo.(i), v_hi.(i)) :: !vbounds
-    done;
-    Ok
+    let covers =
+      Array.init n_pcs (fun j ->
+          match covering.(j) with
+          | [] -> Uncovered
+          | [ i ] -> Single i
+          | cells ->
+              let w = if Option.is_none consumed then -1 else (incr n_vars; !n_vars - 1) in
+              let coeffs = List.map (fun i -> (i, 1.)) cells in
+              let coeffs = if w >= 0 then (w, 1.) :: coeffs else coeffs in
+              cons :=
+                S.c_le coeffs (float_of_int (Pc_set.get set j).Pc.freq_hi) :: !cons;
+              if kl.(j) > 0 then
+                cons := S.c_ge coeffs (float_of_int kl.(j)) :: !cons;
+              Rows w)
+    in
+    let v_lo = Array.make !n_vars 0. in
+    let v_hi = Array.make !n_vars infinity in
+    let prep =
       {
         sub = set;
         infos;
         cons = !cons;
-        vbounds = !vbounds;
+        covers;
+        kl;
+        vbounds = [];
         v_hi;
-        all_kl_zero = !all_kl_zero;
       }
+    in
+    let consumed = Option.value consumed ~default:(Array.make n_pcs 0) in
+    if not (rebox prep ~consumed ~lo:v_lo ~hi:v_hi) then raise Found_infeasible;
+    let vbounds = ref [] in
+    for i = !n_vars - 1 downto 0 do
+      if v_lo.(i) > 0. || Float.is_finite v_hi.(i) then
+        vbounds := (i, v_lo.(i), v_hi.(i)) :: !vbounds
+    done;
+    Ok { prep with vbounds = !vbounds }
   with Found_infeasible -> Error Infeasible
+
+(* Σ coeffs·x as a sparse objective; zero coefficients are dropped. *)
+let objective coeffs =
+  Array.to_list (Array.mapi (fun i c -> (i, c)) coeffs)
+  |> List.filter (fun (_, c) -> c <> 0.)
+
+(* The empty instance minimizes COUNT/SUM: no lower bound forces a row
+   and no row can contribute a negative value. *)
+let empty_minimizes prep ~is_count =
+  Array.for_all (fun k -> k = 0) prep.kl
+  && (is_count || Array.for_all (fun inf -> inf.l >= 0.) prep.infos)
 
 (* ------------------------------------------------------------------ *)
 (* MILP plumbing                                                       *)
@@ -354,12 +412,8 @@ type side = { value : float; exact : bool }
    the direction; infinities in coefficients must be resolved first.
    A starved solve (not even a dual bound) degrades the whole ladder. *)
 let optimize ~ctx ~maximize ~var_bounds cons coeffs =
-  let n = Array.length coeffs in
-  let objective =
-    Array.to_list (Array.mapi (fun i c -> (i, c)) coeffs)
-    |> List.filter (fun (_, c) -> c <> 0.)
-  in
-  match milp ~ctx ~maximize ~objective ~var_bounds cons n with
+  let objective = objective coeffs in
+  match milp ~ctx ~maximize ~objective ~var_bounds cons (Array.length coeffs) with
   | M.Infeasible -> Error Infeasible
   | M.Unbounded ->
       Ok { value = (if maximize then infinity else neg_infinity); exact = true }
@@ -382,10 +436,7 @@ let sum_like ~ctx prep ~is_count =
       else optimize ~ctx ~maximize:true ~var_bounds:prep.vbounds prep.cons coeffs
     in
     let lo_result =
-      if
-        prep.all_kl_zero
-        && (is_count || Array.for_all (fun inf -> inf.l >= 0.) prep.infos)
-      then (* the empty instance minimizes *) Ok { value = 0.; exact = true }
+      if empty_minimizes prep ~is_count then Ok { value = 0.; exact = true }
       else begin
         let coeffs, unbounded =
           resolve_infinite ~ctx prep (fun inf -> inf.l)
@@ -410,8 +461,7 @@ let sum_like ~ctx prep ~is_count =
    per-cell upper bound among cells that can host a row (paper §4.2); the
    bottom is what an adversary minimizing the maximum can reach — every
    forced constraint still pins rows somewhere. *)
-let extremal ~ctx (query : Q.t) prep ~is_max =
-  let set = prep.sub in
+let extremal ~ctx prep ~is_max =
   let hosts =
     Array.to_list (Array.mapi (fun i inf -> (i, inf)) prep.infos)
     |> List.filter (fun (i, _) -> cell_can_host ~ctx prep i 1)
@@ -419,16 +469,13 @@ let extremal ~ctx (query : Q.t) prep ~is_max =
   match hosts with
   | [] -> Empty
   | _ ->
-      let qpred = query.Q.where_ in
       let values_of f = List.map (fun (_, inf) -> f inf) hosts in
       let best = if is_max then Pc_util.Stat.maximum else Pc_util.Stat.minimum in
       let worst = if is_max then Pc_util.Stat.minimum else Pc_util.Stat.maximum in
       let principal = best (Array.of_list (values_of (fun inf -> if is_max then inf.u else inf.l))) in
       (* Adversarial other side. *)
       let forced =
-        List.filter
-          (fun j -> effective_kl qpred (Pc_set.get set j) > 0)
-          (List.init (Pc_set.size set) Fun.id)
+        List.filter (fun j -> prep.kl.(j) > 0) (List.init (Array.length prep.kl) Fun.id)
       in
       let other_side =
         match forced with
@@ -474,31 +521,23 @@ let extremal ~ctx (query : Q.t) prep ~is_max =
 (* AVG via binary search (paper §4.2)                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Decide whether the maximal reachable average is >= r, where the
-   instance may be combined with a certain partition contributing
-   [c_count] rows and [c_sum] total. Uses the MILP upper bound, which is
-   sound (can only overstate reachability, widening the range). *)
-let avg_reachable_above ~ctx prep ~c_count ~c_sum r =
+(* Decide whether the maximal reachable average is >= r ([above]), or
+   the minimal one <= r, where the instance may be combined with a
+   certain partition contributing [c_count] rows and [c_sum] total. Uses
+   the MILP bound, which is sound (can only overstate reachability,
+   widening the range). *)
+let avg_reachable ~ctx prep ~c_count ~c_sum ~above r =
   let n = Array.length prep.infos in
-  let coeffs = Array.map (fun inf -> inf.u -. r) prep.infos in
+  let coeffs = Array.map (fun inf -> (if above then inf.u else inf.l) -. r) prep.infos in
   let cons =
     if c_count >= 1. then prep.cons
     else S.c_ge (List.init n (fun i -> (i, 1.))) 1. :: prep.cons
   in
-  match optimize ~ctx ~maximize:true ~var_bounds:prep.vbounds cons coeffs with
+  match optimize ~ctx ~maximize:above ~var_bounds:prep.vbounds cons coeffs with
   | Error _ -> false
-  | Ok { value; _ } -> value >= (r *. c_count) -. c_sum -. 1e-9
-
-let avg_reachable_below ~ctx prep ~c_count ~c_sum r =
-  let n = Array.length prep.infos in
-  let coeffs = Array.map (fun inf -> inf.l -. r) prep.infos in
-  let cons =
-    if c_count >= 1. then prep.cons
-    else S.c_ge (List.init n (fun i -> (i, 1.))) 1. :: prep.cons
-  in
-  match optimize ~ctx ~maximize:false ~var_bounds:prep.vbounds cons coeffs with
-  | Error _ -> false
-  | Ok { value; _ } -> value <= (r *. c_count) -. c_sum +. 1e-9
+  | Ok { value; _ } ->
+      if above then value >= (r *. c_count) -. c_sum -. 1e-9
+      else value <= (r *. c_count) -. c_sum +. 1e-9
 
 let binary_search ~reachable ~lo ~hi ~dir =
   (* [dir = `Up]: find sup { r | reachable r }, assuming reachable lo and
@@ -550,13 +589,13 @@ let avg_bounds ~ctx prep ~c_count ~c_sum =
       if u_unbounded then infinity
       else
         binary_search
-          ~reachable:(avg_reachable_above ~ctx prep ~c_count ~c_sum)
+          ~reachable:(avg_reachable ~ctx prep ~c_count ~c_sum ~above:true)
           ~lo:search_lo0 ~hi:(search_hi0 +. 1e-6) ~dir:`Up
     and lo =
       if l_unbounded then neg_infinity
       else
         binary_search
-          ~reachable:(avg_reachable_below ~ctx prep ~c_count ~c_sum)
+          ~reachable:(avg_reachable ~ctx prep ~c_count ~c_sum ~above:false)
           ~lo:(search_lo0 -. 1e-6) ~hi:search_hi0 ~dir:`Down
     in
     if lo > hi +. 1e-6 then
@@ -679,13 +718,15 @@ module Greedy = struct
              (Float.max lo hi))
 
   (* Threshold test for AVG: can the (possibly certain-combined) average
-     reach at least / at most r? *)
-  let reach_above cells ~c_count ~c_sum r =
+     reach at least ([above]) / at most r? Below is above mirrored:
+     negating the values and the threshold is exact in floating point. *)
+  let reach cells ~c_count ~c_sum ~above r =
+    let sign = if above then 1. else -1. in
     let total = ref 0. and allocated = ref false and best_single = ref neg_infinity in
     List.iter
       (fun c ->
         if c.ku >= 1 then begin
-          let w = c.u -. r in
+          let w = sign *. ((if above then c.u else c.l) -. r) in
           if w > 0. then begin
             total := !total +. (float_of_int c.ku *. w);
             allocated := true
@@ -697,33 +738,10 @@ module Greedy = struct
           if w > !best_single then best_single := w
         end)
       cells;
-    if c_count >= 1. then !total >= (r *. c_count) -. c_sum -. 1e-9
+    if c_count >= 1. then !total >= (sign *. ((r *. c_count) -. c_sum)) -. 1e-9
     else begin
       let v = if !allocated then !total else !best_single in
       v >= -1e-9
-    end
-
-  let reach_below cells ~c_count ~c_sum r =
-    let total = ref 0. and allocated = ref false and best_single = ref infinity in
-    List.iter
-      (fun c ->
-        if c.ku >= 1 then begin
-          let w = c.l -. r in
-          if w < 0. then begin
-            total := !total +. (float_of_int c.ku *. w);
-            allocated := true
-          end
-          else if c.kl >= 1 then begin
-            total := !total +. (float_of_int c.kl *. w);
-            allocated := true
-          end;
-          if w < !best_single then best_single := w
-        end)
-      cells;
-    if c_count >= 1. then !total <= (r *. c_count) -. c_sum +. 1e-9
-    else begin
-      let v = if !allocated then !total else !best_single in
-      v <= 1e-9
     end
 
   let avg cells ~c_count ~c_sum =
@@ -747,14 +765,14 @@ module Greedy = struct
           let lo_unbounded = Array.exists (fun l -> l = neg_infinity) ls in
           let hi =
             binary_search
-              ~reachable:(reach_above cells ~c_count ~c_sum)
+              ~reachable:(reach cells ~c_count ~c_sum ~above:true)
               ~lo:lo0 ~hi:(hi0 +. 1e-6) ~dir:`Up
           in
           let lo =
             if lo_unbounded then neg_infinity
             else
               binary_search
-                ~reachable:(reach_below cells ~c_count ~c_sum)
+                ~reachable:(reach cells ~c_count ~c_sum ~above:false)
                 ~lo:(lo0 -. 1e-6) ~hi:hi0 ~dir:`Down
           in
           Range
@@ -884,23 +902,36 @@ end
 
 let use_greedy_path ~opts set = opts.use_greedy && Pc_set.is_disjoint set
 
+(* The warm engine's answer, when the caller supplied one. *)
+let warm_answer ~ctx (query : Q.t) =
+  match (ctx.warm, query.Q.agg) with
+  | Some f, (Q.Count | Q.Sum _) -> (
+      match f ctx.budget with
+      | Some (Range r) as a when not (r.Range.lo_exact && r.Range.hi_exact) ->
+          (* a truncated MILP underneath: dual bounds, as on the ladder *)
+          ctx.trace.relaxed <- true;
+          a
+      | a -> a)
+  | _ -> None
+
 (* Full-strength bound over the missing partition (exact MILP, degrading
    in place to dual bounds / admitted cells). Raises on starvation. *)
 let missing_bound_exn ~ctx set (query : Q.t) =
   let opts = ctx.opts in
-  if use_greedy_path ~opts set then
-    Greedy.bound ~opts set query ~c_count:0. ~c_sum:0.
-  else begin
-    match prepare ~ctx set query with
-    | Error a -> a
-    | Ok prep -> (
-        match query.Q.agg with
-        | Q.Count -> sum_like ~ctx prep ~is_count:true
-        | Q.Sum _ -> sum_like ~ctx prep ~is_count:false
-        | Q.Avg _ -> avg_bounds ~ctx prep ~c_count:0. ~c_sum:0.
-        | Q.Max _ -> extremal ~ctx query prep ~is_max:true
-        | Q.Min _ -> extremal ~ctx query prep ~is_max:false)
-  end
+  match warm_answer ~ctx query with
+  | Some a -> a
+  | None when use_greedy_path ~opts set ->
+      Greedy.bound ~opts set query ~c_count:0. ~c_sum:0.
+  | None -> (
+      match prepare ~ctx set query with
+      | Error a -> a
+      | Ok prep -> (
+          match query.Q.agg with
+          | Q.Count -> sum_like ~ctx prep ~is_count:true
+          | Q.Sum _ -> sum_like ~ctx prep ~is_count:false
+          | Q.Avg _ -> avg_bounds ~ctx prep ~c_count:0. ~c_sum:0.
+          | Q.Max _ -> extremal ~ctx prep ~is_max:true
+          | Q.Min _ -> extremal ~ctx prep ~is_max:false))
 
 let is_decompose_guard msg =
   String.length msg >= 16 && String.sub msg 0 16 = "Cells.decompose:"
@@ -1030,13 +1061,15 @@ let provenance_counter = function
   | Early_stopped -> c_early
   | Trivial -> c_trivial
 
-let bound_budgeted ?(opts = default_opts) ?budget ?certain ?fdd set
+let new_trace () = { relaxed = false; early = false; trivial = false; admitted = 0 }
+
+let bound_budgeted ?(opts = default_opts) ?budget ?certain ?fdd ?warm set
     (query : Q.t) =
   let budget = match budget with Some b -> b | None -> B.unlimited () in
   let u0 = B.usage budget in
   let t0 = Pc_util.Clock.now () in
-  let trace = { relaxed = false; early = false; trivial = false; admitted = 0 } in
-  let ctx = { opts; budget; trace; fdd } in
+  let trace = new_trace () in
+  let ctx = { opts; budget; trace; fdd; warm } in
   let compute () =
     let answer =
       match certain with
@@ -1093,3 +1126,46 @@ let bound ?opts set query = (bound_budgeted ?opts set query).answer
 
 let bound_with_certain ?opts set ~certain query =
   (bound_budgeted ?opts ~certain set query).answer
+
+(* ------------------------------------------------------------------ *)
+(* The allocation program for a warm engine                            *)
+(* ------------------------------------------------------------------ *)
+
+type allocation = prepared
+
+type program = {
+  alloc : allocation;
+  cells : int;
+  hi : S.problem;
+  lo : S.problem option;
+}
+
+let program ?(tighten = true) ?(budget = B.unlimited ()) ~fdd set (query : Q.t) =
+  let opts = { default_opts with strategy = Cells.Fdd; tighten } in
+  let ctx = { opts; budget; trace = new_trace (); fdd = Some fdd; warm = None } in
+  match prepare ~ctx ~consumed:(Array.make (Pc_set.size set) 0) set query with
+  | Error _ -> None
+  | Ok prep ->
+      let lo_zero = empty_minimizes prep ~is_count:(Q.agg_attr query = None) in
+      let finite f = Array.for_all (fun inf -> Float.is_finite (f inf)) prep.infos in
+      let problem maximize f =
+        {
+          S.n_vars = Array.length prep.v_hi;
+          maximize;
+          objective = objective (Array.map f prep.infos);
+          constraints = prep.cons;
+          var_bounds = [];
+        }
+      in
+      if not (finite (fun inf -> inf.u) && (lo_zero || finite (fun inf -> inf.l)))
+      then None
+      else
+        Some
+          {
+            alloc = prep;
+            cells = Array.length prep.infos;
+            hi = problem true (fun inf -> inf.u);
+            lo = (if lo_zero then None else Some (problem false (fun inf -> inf.l)));
+          }
+
+let rebox p = rebox p.alloc

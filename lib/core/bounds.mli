@@ -96,6 +96,7 @@ val bound_budgeted :
   ?budget:Pc_budget.Budget.t ->
   ?certain:Pc_data.Relation.t ->
   ?fdd:Pc_predicate.Fdd.compiled ->
+  ?warm:(Pc_budget.Budget.t -> answer option) ->
   Pc_set.t ->
   Pc_query.Query.t ->
   outcome
@@ -111,7 +112,13 @@ val bound_budgeted :
     [opts.strategy = Cells.Fdd]; under that strategy the set-level
     predicate pushdown is skipped so diagram indices stay aligned with
     the set — semantics-preserving, since non-overlapping PCs never
-    reach a live cell. *)
+    reach a live cell.
+
+    [warm] supplies the missing-partition COUNT/SUM range from a warm
+    engine ({!Incremental.rebound}), charging its solves to the budget it
+    is given. It is tried first; [None] falls back to the full path. The
+    certain-partition shift, provenance and stats are computed as for
+    any other answer. *)
 
 val bound : ?opts:opts -> Pc_set.t -> Pc_query.Query.t -> answer
 (** Range of the aggregate over the missing partition only
@@ -130,31 +137,44 @@ val bound_with_certain :
 val can_be_empty : Pc_set.t -> Pc_query.Query.t -> bool
 (** No frequency lower bound forces a row into the query region. *)
 
-(** {2 Cell-level building blocks}
+(** {2 The allocation program for a warm engine}
 
-    Exported for {!Incremental}, which rebuilds the same allocation LP
-    once and then maintains it across ingestion under pure variable-bound
-    changes. The semantics are exactly those the internal preparation
-    uses; see the implementation comments for the soundness notes. *)
+    The COUNT/SUM program the full path solves, from the same builder,
+    kept by {!Incremental} across ingestion. Per-PC consumption enters
+    only through variable boxes ({!rebox}), so re-solving under new
+    consumption is a pure bound change. *)
 
-val effective_kl : Pc_predicate.Pred.t -> Pc.t -> int
-(** Frequency lower bound enforceable under query pushdown: a PC's
-    missing rows may hide outside the query region unless its predicate
-    is wholly contained in it (checked by SAT), so kl is only usable in
-    that case. *)
+type allocation
 
-val cell_value_interval :
-  tighten:bool ->
+type program = {
+  alloc : allocation;
+  cells : int;  (** in-query inhabitable cells: variables [0, cells) *)
+  hi : Pc_lp.Simplex.problem;
+      (** maximize Σ u_i x_i; its variables are the cells, then the
+          consumption columns; [var_bounds] is empty (see {!rebox}) *)
+  lo : Pc_lp.Simplex.problem option;
+      (** minimize Σ l_i x_i over the same rows; [None] when the empty
+          instance minimizes *)
+}
+
+val program :
+  ?tighten:bool ->
+  ?budget:Pc_budget.Budget.t ->
+  fdd:Pc_predicate.Fdd.compiled ->
   Pc_set.t ->
-  Pc_predicate.Pred.t ->
-  int list ->
-  string ->
-  Pc_interval.Interval.t option
-(** Value interval for rows of the cell [active] on one attribute (the
-    paper's U_i(a)/L_i(a)), optionally clipped by the predicate/query
-    box; [None] when no row can exist in the cell at all. *)
+  Pc_query.Query.t ->
+  program option
+(** The program of a COUNT/SUM [query] over [set] with cells read from
+    [fdd] (compiled from exactly [set]), charging the decomposition to
+    [budget] (default: unlimited; exhaustion raises
+    {!Pc_budget.Budget.Exhausted}). [None] when the system is
+    infeasible at zero consumption or an objective coefficient is
+    infinite: both need the full path's analysis. *)
 
-val cell_inhabitable :
-  tighten:bool -> Pc_set.t -> Pc_predicate.Pred.t -> int list -> bool
-(** Can a row exist in this cell: every constrained attribute keeps a
-    non-empty value range. *)
+val rebox :
+  program -> consumed:int array -> lo:float array -> hi:float array -> bool
+(** Fill the dense variable boxes [lo], [hi] (length [hi.n_vars]) for
+    per-PC consumption [consumed] (length = PC-set size): each PC covering
+    several cells has a consumption column pinned to [min(c, ku)]; a PC
+    covering one cell bounds it to [[(kl−c)⁺, (ku−c)⁺]]. [false] when
+    some box is empty: no instance is consistent with the constraints. *)

@@ -1,6 +1,6 @@
-module I = Pc_interval.Interval
 module Fdd = Pc_predicate.Fdd
 module S = Pc_lp.Simplex
+module M = Pc_milp.Milp
 module Q = Pc_query.Query
 module Counter = Pc_obs.Registry.Counter
 
@@ -10,12 +10,7 @@ let c_cold = Counter.make "incr.rebounds_cold"
 
 type t = {
   n_pcs : int;
-  n_cells : int;
-  n_vars : int;  (* cells, then one w per covered PC *)
-  w_of_pc : int array;  (* -1: no in-query cover, consumption is moot *)
-  ku : float array;  (* per-PC cap, the clamp for w *)
-  prob_hi : S.problem;
-  prob_lo : S.problem option;  (* [None]: the lower bound is constantly 0 *)
+  program : Bounds.program;
   lo_vec : float array;
   hi_vec : float array;
   mutable snap_hi : S.snapshot option;
@@ -25,166 +20,86 @@ type t = {
 let supported (query : Q.t) =
   match query.Q.agg with Q.Count | Q.Sum _ -> true | _ -> false
 
-let n_cells t = t.n_cells
+let n_cells t = t.program.Bounds.cells
 
-let create ?(tighten = true) ~fdd set (query : Q.t) =
-  let qpred = query.Q.where_ in
+let create ?tighten ?budget ~fdd set (query : Q.t) =
   let n_pcs = Pc_set.size set in
   if (not (supported query)) || Fdd.n_preds fdd <> n_pcs then None
-  else begin
-    let actives =
-      Fdd.cells ~query:qpred fdd
-      |> List.filter (Bounds.cell_inhabitable ~tighten set qpred)
-      |> Array.of_list
-    in
-    let n_cells = Array.length actives in
-    let agg_attr = Q.agg_attr query in
-    (* per-cell objective coefficients (u for the hi side, l for the lo) *)
-    let coeff =
-      Array.map
-        (fun active ->
-          match agg_attr with
-          | None -> (1., 1.)
-          | Some a -> (
-              match Bounds.cell_value_interval ~tighten set qpred active a with
-              | None -> (0., 0.)
-              | Some iv -> (I.hi_float iv, I.lo_float iv)))
-        actives
-    in
-    let covers = Array.make n_pcs [] in
-    Array.iteri
-      (fun i active -> List.iter (fun j -> covers.(j) <- i :: covers.(j)) active)
-      actives;
-    let w_of_pc = Array.make n_pcs (-1) in
-    let ku = Array.make n_pcs 0. in
-    let n_vars = ref n_cells in
-    let cons = ref [] in
-    let all_kl_zero = ref true in
-    let out_of_scope = ref false in
-    for j = 0 to n_pcs - 1 do
-      let pc = Pc_set.get set j in
-      ku.(j) <- float_of_int pc.Pc.freq_hi;
-      let kl = Bounds.effective_kl qpred pc in
-      if kl > 0 then all_kl_zero := false;
-      match covers.(j) with
-      | [] ->
-          (* an enforceable lower bound with nowhere to place rows makes
-             the query infeasible regardless of consumption; leave the
-             diagnosis to the full path *)
-          if kl > 0 then out_of_scope := true
-      | cover ->
-          let w = !n_vars in
-          incr n_vars;
-          w_of_pc.(j) <- w;
-          let coeffs = (w, 1.) :: List.map (fun i -> (i, 1.)) cover in
-          cons := S.c_le coeffs ku.(j) :: !cons;
-          if kl > 0 then cons := S.c_ge coeffs (float_of_int kl) :: !cons
-    done;
-    let is_count = agg_attr = None in
-    let lo_const_zero =
-      !all_kl_zero && (is_count || Array.for_all (fun (_, l) -> l >= 0.) coeff)
-    in
-    (* infinite coefficients need the can-host analysis of the full
-       path; an engine restricted to finite objectives stays a pure
-       bounds-only LP *)
-    if Array.exists (fun (u, _) -> not (Float.is_finite u)) coeff then
-      out_of_scope := true;
-    if
-      (not lo_const_zero)
-      && Array.exists (fun (_, l) -> not (Float.is_finite l)) coeff
-    then out_of_scope := true;
-    if !out_of_scope then None
-    else begin
-      let objective side =
-        List.filter
-          (fun (_, c) -> c <> 0.)
-          (List.init n_cells (fun i ->
-               let u, l = coeff.(i) in
-               (i, if side = `Hi then u else l)))
-      in
-      let problem maximize obj =
-        {
-          S.n_vars = !n_vars;
-          maximize;
-          objective = obj;
-          constraints = !cons;
-          var_bounds = [];
-        }
-      in
-      let lo_vec = Array.make !n_vars 0. in
-      let hi_vec = Array.make !n_vars infinity in
-      (* w boxes start at zero consumption; [rebound] re-pins them *)
-      Array.iter (fun w -> if w >= 0 then hi_vec.(w) <- 0.) w_of_pc;
-      Counter.incr c_engines;
-      Some
+  else
+    Option.map
+      (fun program ->
+        Counter.incr c_engines;
+        let n_vars = program.Bounds.hi.S.n_vars in
         {
           n_pcs;
-          n_cells;
-          n_vars = !n_vars;
-          w_of_pc;
-          ku;
-          prob_hi = problem true (objective `Hi);
-          prob_lo =
-            (if lo_const_zero then None
-             else Some (problem false (objective `Lo)));
-          lo_vec;
-          hi_vec;
+          program;
+          lo_vec = Array.make n_vars 0.;
+          hi_vec = Array.make n_vars infinity;
           snap_hi = None;
           snap_lo = None;
-        }
-    end
-  end
+        })
+      (Bounds.program ?tighten ?budget ~fdd set query)
 
 let integral_cells t (sol : S.solution) =
-  let ok = ref true in
-  for i = 0 to t.n_cells - 1 do
-    let x = sol.S.values.(i) in
-    if Float.abs (x -. Float.round x) > 1e-6 *. Float.max 1. (Float.abs x)
-    then ok := false
-  done;
-  !ok
+  let integral x = Float.abs (x -. Float.round x) <= 1e-6 *. Float.max 1. (Float.abs x) in
+  Array.for_all integral (Array.sub sol.S.values 0 (n_cells t))
 
 type side_result = Value of float * bool | Side_infeasible | Starved
 
-let solve_side t prob snap =
+let unbounded (prob : S.problem) =
+  Value ((if prob.S.maximize then infinity else neg_infinity), true)
+
+(* A fractional LP optimum is only a dual bound: branch and bound on the
+   same problem under the current boxes proves the integral optimum, as
+   the full path does. *)
+let solve_milp ?budget t prob =
+  let var_bounds =
+    List.init (Array.length t.lo_vec) (fun i -> (i, t.lo_vec.(i), t.hi_vec.(i)))
+  in
+  match
+    M.solve ?budget ~node_limit:Bounds.default_opts.Bounds.node_limit
+      { prob with S.var_bounds }
+  with
+  | M.Optimal r -> Value (r.M.bound, r.M.exact)
+  | M.Unbounded -> unbounded prob
+  | M.Infeasible -> Side_infeasible
+  | M.Stopped _ -> Starved
+
+let solve_side ?budget t prob snap =
   (match snap with None -> Counter.incr c_cold | Some _ -> Counter.incr c_warm);
   let bounds = (t.lo_vec, t.hi_vec) in
   let outcome, snap' =
     match snap with
-    | Some s -> S.solve_from ~snapshot:s ~bounds prob
-    | None -> S.solve_snapshot ~bounds prob
+    | Some s -> S.solve_from ?budget ~snapshot:s ~bounds prob
+    | None -> S.solve_snapshot ?budget ~bounds prob
   in
   let r =
     match outcome with
-    | S.Optimal sol -> Value (sol.S.objective_value, integral_cells t sol)
-    | S.Unbounded ->
-        Value ((if prob.S.maximize then infinity else neg_infinity), true)
+    | S.Optimal sol when integral_cells t sol ->
+        Value (sol.S.objective_value, true)
+    | S.Optimal _ -> solve_milp ?budget t prob
+    | S.Unbounded -> unbounded prob
     | S.Infeasible -> Side_infeasible
     | S.Stopped _ -> Starved
   in
   (r, snap')
 
-let rebound t ~consumed =
+let rebound ?budget t ~consumed =
+  let p = t.program in
   if Array.length consumed <> t.n_pcs then None
-  else if t.n_cells = 0 then
+  else if not (Bounds.rebox p ~consumed ~lo:t.lo_vec ~hi:t.hi_vec) then
+    Some Bounds.Infeasible
+  else if p.Bounds.cells = 0 then
     (* no cell overlaps the query: the missing-side aggregate is 0 *)
     Some (Bounds.Range (Range.make ~lo_exact:true ~hi_exact:true 0. 0.))
   else begin
-    Array.iteri
-      (fun j w ->
-        if w >= 0 then begin
-          let c = Float.min (float_of_int consumed.(j)) t.ku.(j) in
-          t.lo_vec.(w) <- c;
-          t.hi_vec.(w) <- c
-        end)
-      t.w_of_pc;
-    let hi_r, snap_hi = solve_side t t.prob_hi t.snap_hi in
+    let hi_r, snap_hi = solve_side ?budget t p.Bounds.hi t.snap_hi in
     t.snap_hi <- snap_hi;
     let lo_r =
-      match t.prob_lo with
+      match p.Bounds.lo with
       | None -> Value (0., true)
       | Some prob ->
-          let r, snap_lo = solve_side t prob t.snap_lo in
+          let r, snap_lo = solve_side ?budget t prob t.snap_lo in
           t.snap_lo <- snap_lo;
           r
     in

@@ -1,7 +1,10 @@
 module Pred = Pc_predicate.Pred
 module Box = Pc_predicate.Box
 
-type t = { arr : Pc.t array; disjoint : bool Lazy.t }
+(* [disjoint] is computed on first use. Pool domains may race on it:
+   both compute the same value, where a shared [Lazy.t] would raise
+   [CamlinternalLazy.Undefined] in the loser. *)
+type t = { arr : Pc.t array; disjoint : bool option Atomic.t }
 
 let compute_disjoint arr =
   let n = Array.length arr in
@@ -24,7 +27,7 @@ let compute_disjoint arr =
 
 let of_array arr =
   let arr = Array.copy arr in
-  { arr; disjoint = lazy (compute_disjoint arr) }
+  { arr; disjoint = Atomic.make None }
 
 let make pcs = of_array (Array.of_list pcs)
 let pcs t = Array.to_list t.arr
@@ -43,7 +46,13 @@ let closed_over rel t =
   in
   Pc_data.Relation.fold (fun acc row -> acc && covered row) true rel
 
-let is_disjoint t = Lazy.force t.disjoint
+let is_disjoint t =
+  match Atomic.get t.disjoint with
+  | Some d -> d
+  | None ->
+      let d = compute_disjoint t.arr in
+      Atomic.set t.disjoint (Some d);
+      d
 
 let attrs t =
   Array.to_list t.arr

@@ -360,6 +360,31 @@ let handle_load t v =
                   ("certain_rows", J.Num (float_of_int n_rows));
                 ]))
 
+(* Re-bound [query] on the dataset's engine, built on first use; both
+   are charged to the request's [budget]. *)
+let warm_rebound t ds ~fdd query ~budget ~consumed =
+  let ekey =
+    Cache.key ~digest:"engine" ~query ~missing_only:false ~timeout_ms:None
+  in
+  Mutex.lock ds.engines_mu;
+  Fun.protect
+    ~finally:(fun () -> Mutex.unlock ds.engines_mu)
+    (fun () ->
+      let eng =
+        match Hashtbl.find_opt ds.engines ekey with
+        | Some e -> e
+        | None ->
+            if Hashtbl.length ds.engines >= max_engines then
+              Hashtbl.reset ds.engines;
+            let e =
+              Pc_core.Incremental.create ~tighten:t.cfg.opts.Bounds.tighten
+                ~budget ~fdd ds.set query
+            in
+            Hashtbl.add ds.engines ekey e;
+            e
+      in
+      Option.bind eng (Pc_core.Incremental.rebound ~budget ~consumed))
+
 let handle_bound t pend v =
   match str_field v "query" with
   | None -> Rjson (err_value "bad-request" "bound: missing string field \"query\"")
@@ -475,102 +500,32 @@ let handle_bound t pend v =
                          the budgeted ladder's degradation contract
                          (timeout_ms 0 must still answer trivial with
                          deadline_hit, not exact). Anything else (or a
-                         starved engine) falls through likewise. *)
+                         starved engine) takes the full path. *)
+                      let incremental = ref false in
                       let warm =
                         match ds.fdd with
                         | Some fdd
                           when level = Admission.Full && timeout_ms = None
                                && Pc_core.Incremental.supported query ->
-                            let ekey =
-                              Cache.key ~digest:"engine" ~query
-                                ~missing_only:false ~timeout_ms:None
-                            in
-                            Mutex.lock ds.engines_mu;
-                            Fun.protect
-                              ~finally:(fun () -> Mutex.unlock ds.engines_mu)
-                              (fun () ->
-                                let eng =
-                                  match Hashtbl.find_opt ds.engines ekey with
-                                  | Some e -> e
-                                  | None ->
-                                      if Hashtbl.length ds.engines >= max_engines
-                                      then Hashtbl.reset ds.engines;
-                                      let e =
-                                        Pc_core.Incremental.create
-                                          ~tighten:t.cfg.opts.Bounds.tighten
-                                          ~fdd ds.set query
-                                      in
-                                      Hashtbl.add ds.engines ekey e;
-                                      e
+                            Some
+                              (fun budget ->
+                                let a =
+                                  warm_rebound t ds ~fdd query ~budget
+                                    ~consumed:st.Stream.consumed
                                 in
-                                match eng with
-                                | None -> None
-                                | Some e ->
-                                    Option.map
-                                      (fun a ->
-                                        (a, Pc_core.Incremental.n_cells e))
-                                      (Pc_core.Incremental.rebound e
-                                         ~consumed:st.Stream.consumed))
+                                incremental := Option.is_some a;
+                                a)
                         | _ -> None
                       in
-                      let t_solve0 = Pc_util.Clock.now () in
-                      let outcome, incremental =
-                        match warm with
-                        | Some (missing, n_cells) ->
-                            Counter.incr c_incr_bounds;
-                            Atomic.incr t.n_incremental;
-                            (* the certain-partition shift, as in
-                               [Bounds.bound_with_certain] *)
-                            let answer =
-                              match (missing, certain) with
-                              | Bounds.Range r, Some c ->
-                                  let sel = Q.selection c query in
-                                  let shift =
-                                    match query.Q.agg with
-                                    | Q.Sum a ->
-                                        if Pc_data.Relation.cardinality sel = 0
-                                        then 0.
-                                        else
-                                          Pc_util.Stat.sum
-                                            (Pc_data.Relation.column sel a)
-                                    | _ ->
-                                        float_of_int
-                                          (Pc_data.Relation.cardinality sel)
-                                  in
-                                  Bounds.Range (Pc_core.Range.shift r shift)
-                              | a, _ -> a
-                            in
-                            let exact =
-                              match answer with
-                              | Bounds.Range r ->
-                                  r.Pc_core.Range.lo_exact
-                                  && r.Pc_core.Range.hi_exact
-                              | Bounds.Empty | Bounds.Infeasible -> true
-                            in
-                            let provenance =
-                              if exact then Bounds.Exact else Bounds.Relaxed
-                            in
-                            let stats =
-                              {
-                                Bounds.provenance;
-                                rungs =
-                                  (if exact then [ Bounds.Exact ]
-                                   else [ Bounds.Exact; Bounds.Relaxed ]);
-                                cells = n_cells;
-                                sat_calls = 0;
-                                admitted_unchecked = 0;
-                                milp_nodes = 0;
-                                lp_iterations = 0;
-                                elapsed = Pc_util.Clock.now () -. t_solve0;
-                                deadline_hit = false;
-                              }
-                            in
-                            ({ Bounds.answer; stats }, true)
-                        | None ->
-                            ( Bounds.bound_budgeted ~opts:t.cfg.opts ~budget
-                                ?certain ?fdd:ds.fdd st.Stream.residual query,
-                              false )
+                      let outcome =
+                        Bounds.bound_budgeted ~opts:t.cfg.opts ~budget ?certain
+                          ?fdd:ds.fdd ?warm st.Stream.residual query
                       in
+                      let incremental = !incremental in
+                      if incremental then begin
+                        Counter.incr c_incr_bounds;
+                        Atomic.incr t.n_incremental
+                      end;
                       let s = outcome.Bounds.stats in
                       let degraded = s.Bounds.provenance <> Bounds.Exact in
                       pend.p_rungs <-

@@ -17,9 +17,10 @@
     active set names the PCs whose missing-row budget it consumes. The
     {e residual} PC set replaces each frequency range [kl, ku] with
     [(kl − c)⁺ ∧ ku', ku' = (ku − c)⁺] for consumption [c] — the
-    constraint system the full bound path solves after ingestion, and
-    provably the same system {!Pc_core.Incremental} maintains under
-    pure bound changes.
+    constraint system the full bound path solves after ingestion. A
+    {!Pc_core.Incremental} engine takes the raw [consumed] vector
+    instead and reaches the same system by pure bound changes on the
+    program it built once.
 
     Retraction is by batch id and restores the budget: consumption is
     subtracted and the certain relation rebuilt from the base load plus

@@ -387,28 +387,123 @@ let test_server_append_invalidation () =
   C.close c;
   stop s
 
+(* Load [constraints] as dataset [name] over a live connection. *)
+let load c ~name constraints =
+  let _, l =
+    req c
+      (J.to_string
+         (J.Obj
+            [
+              ("op", J.Str "load");
+              ("name", J.Str name);
+              ("constraints", J.Str constraints);
+            ]))
+  in
+  Alcotest.(check bool) ("load " ^ name) true (ok l)
+
+let num_at path v =
+  match
+    List.fold_left (fun acc k -> Option.bind acc (J.member k)) (Some v) path
+  with
+  | Some n -> Option.value (J.to_num n) ~default:nan
+  | None -> Alcotest.failf "reply without %s" (String.concat "." path)
+
+let incremental v = J.member "incremental" v = Some (J.Bool true)
+
+let provenance v = Option.bind (J.member "provenance" v) J.to_str
+
+(* A warm reply's stats are measured, not assumed: the first COUNT bound
+   on an overlapping set is the engine's cold LP solve, so it reports
+   the pivots it took. *)
+let test_server_warm_stats () =
+  let ((srv, _) as s) = start () in
+  let c = C.connect ~host:"127.0.0.1" ~port:(S.port srv) in
+  load c ~name:"over"
+    "constraint t1:\n\
+    \  utc between 11.0 and 12.0 => price in [0.99, 129.99], count [50, 100];\n\
+     constraint t2:\n\
+    \  utc between 11.0 and 13.0 => price in [0.99, 149.99], count [75, 125];\n";
+  let _, v =
+    req c {|{"op":"bound","query":"SELECT COUNT(*)","dataset":"over"}|}
+  in
+  Alcotest.(check bool) "answered by the engine" true (incremental v);
+  Alcotest.(check bool) "cold solve reports its pivots" true
+    (num_at [ "stats"; "iters" ] v > 0.);
+  C.close c;
+  stop s
+
+(* Five 2-D boxes whose COUNT lower side has a fractional LP optimum
+   (3.5) above an integral one (4): the engine must branch and bound to
+   answer exactly, and the exact reply is then cacheable. *)
+let fractional_set =
+  "constraint p0:\n\
+  \  x between 2 and 4 and y between 1 and 2 => v in [0, 100], count [2, 2];\n\
+   constraint p1:\n\
+  \  x between 1 and 2 and y between 0 and 5 => v in [0, 100], count [2, 4];\n\
+   constraint p2:\n\
+  \  x between 5 and 8 and y between 1 and 4 => v in [0, 100], count [1, 3];\n\
+   constraint p3:\n\
+  \  x between 2 and 7 and y between 4 and 5 => v in [0, 100], count [1, 3];\n\
+   constraint p4:\n\
+  \  x between 4 and 6 and y between 0 and 3 => v in [0, 100], count [1, 2];\n"
+
+let test_server_fractional_exact () =
+  let ((srv, _) as s) = start () in
+  let c = C.connect ~host:"127.0.0.1" ~port:(S.port srv) in
+  load c ~name:"frac" fractional_set;
+  let q = {|{"op":"bound","query":"SELECT COUNT(*)","dataset":"frac"}|} in
+  let r1, v1 = req c q in
+  Alcotest.(check bool) "answered by the engine" true (incremental v1);
+  Alcotest.(check (option string)) "exact" (Some "exact") (provenance v1);
+  Alcotest.(check (float 1e-6)) "integral lower bound" 4. (fst (range v1));
+  let hits v = num_at [ "cache"; "hits" ] v in
+  let _, st1 = req c {|{"op":"stats"}|} in
+  let r2, _ = req c q in
+  let _, st2 = req c {|{"op":"stats"}|} in
+  Alcotest.(check string) "repeat is byte-identical" r1 r2;
+  Alcotest.(check (float 0.)) "repeat is a cache hit" (hits st1 +. 1.) (hits st2);
+  C.close c;
+  stop s
+
 (* --------------------- incremental ≡ from-scratch --------------------- *)
 
-(* Random overlapping 1-attribute sets (the shape that defeats the
-   disjoint fast path and exercises the LP), random append/retract
-   schedules, and after EVERY operation: the warm engine's rebound must
-   equal Bounds.bound on the snapshot's residual set. *)
+(* Random overlapping sets, then random append/retract schedules, and
+   after EVERY operation: the warm engine's rebound must equal
+   Bounds.bound on the snapshot's residual set, exactness flags
+   included. Half the sets are 1-D intervals on [x] (the shape that
+   defeats the disjoint fast path and exercises the LP); their rows are
+   totally unimodular, so the LP optimum is always integral. The other
+   half are 2-D boxes on [x] and [y], whose LP optimum can be
+   fractional, so the engine's branch-and-bound step is exercised too. *)
 
 let random_overlap_set rng n =
+  let interval () =
+    let lo = Pc_util.Rng.uniform rng ~lo:0. ~hi:(6. *. float_of_int n) in
+    let w = Pc_util.Rng.uniform rng ~lo:20. ~hi:50. in
+    (lo, lo +. w)
+  in
+  let two_d = Pc_util.Rng.int rng 2 = 0 in
   let pcs =
     List.init n (fun i ->
-        let lo = Pc_util.Rng.uniform rng ~lo:0. ~hi:(6. *. float_of_int n) in
-        let w = Pc_util.Rng.uniform rng ~lo:20. ~hi:50. in
+        let x_lo, x_hi = interval () in
+        let box =
+          if two_d then
+            let y_lo, y_hi = interval () in
+            [ Atom.between "x" x_lo x_hi; Atom.between "y" y_lo y_hi ]
+          else [ Atom.between "x" x_lo x_hi ]
+        in
         let kl = Pc_util.Rng.int rng 3 in
         mk
           ~name:(Printf.sprintf "p%d" i)
-          [ Atom.between "x" lo (lo +. w) ]
+          box
           [ ("v", I.closed 0. 100.) ]
           (kl, kl + 1 + Pc_util.Rng.int rng 8))
   in
   Pc_set.make pcs
 
-let schema_xv = Schema.of_names [ ("x", Schema.Numeric); ("v", Schema.Numeric) ]
+let schema_xyv =
+  Schema.of_names
+    [ ("x", Schema.Numeric); ("y", Schema.Numeric); ("v", Schema.Numeric) ]
 
 let answers_close warm scratch =
   let rel a b =
@@ -418,6 +513,8 @@ let answers_close warm scratch =
   match (warm, scratch) with
   | Some (Bounds.Range r1), Bounds.Range r2 ->
       rel r1.Range.lo r2.Range.lo && rel r1.Range.hi r2.Range.hi
+      && r1.Range.lo_exact = r2.Range.lo_exact
+      && r1.Range.hi_exact = r2.Range.hi_exact
   | Some Bounds.Empty, Bounds.Empty -> true
   | Some Bounds.Infeasible, Bounds.Infeasible -> true
   | _ -> false
@@ -425,7 +522,7 @@ let answers_close warm scratch =
 let prop_incremental_matches_scratch =
   QCheck.Test.make
     ~name:"warm rebound ≡ from-scratch bound on every schedule prefix"
-    ~count:30
+    ~count:200
     QCheck.(int_bound 100_000)
     (fun seed ->
       let rng = Pc_util.Rng.create seed in
@@ -442,11 +539,18 @@ let prop_incremental_matches_scratch =
           let opts =
             { Bounds.default_opts with Bounds.strategy = Cells.Fdd }
           in
+          let coord () =
+            V.Num
+              (Pc_util.Rng.uniform rng ~lo:(-10.)
+                 ~hi:((6. *. float_of_int n) +. 60.))
+          in
           let steps = 2 + Pc_util.Rng.int rng 6 in
           let ok = ref true in
-          for _ = 1 to steps do
+          (* step 0 is the engine's cold solve at zero consumption *)
+          for step = 0 to steps do
             let live = Stream.batches stream in
-            (if live <> [] && Pc_util.Rng.int rng 4 = 0 then
+            (if step = 0 then ()
+             else if live <> [] && Pc_util.Rng.int rng 4 = 0 then
                let id, _ = List.nth live (Pc_util.Rng.int rng (List.length live)) in
                match Stream.retract stream ~batch_id:id with
                | Ok _ -> ()
@@ -456,14 +560,11 @@ let prop_incremental_matches_scratch =
                  List.init
                    (1 + Pc_util.Rng.int rng 3)
                    (fun _ ->
-                     [|
-                       V.Num
-                         (Pc_util.Rng.uniform rng ~lo:(-10.)
-                            ~hi:((6. *. float_of_int n) +. 60.));
-                       V.Num (Pc_util.Rng.uniform rng ~lo:0. ~hi:100.);
-                     |])
+                     let x = coord () in
+                     let y = coord () in
+                     [| x; y; V.Num (Pc_util.Rng.uniform rng ~lo:0. ~hi:100.) |])
                in
-               match Stream.append stream (Batch.of_rows schema_xv rows) with
+               match Stream.append stream (Batch.of_rows schema_xyv rows) with
                | Ok _ -> ()
                | Error e -> Alcotest.failf "append: %s" e);
             let snap = Stream.snapshot stream in
@@ -501,6 +602,10 @@ let () =
         [
           tc "append evicts only affected entries" `Quick
             test_server_append_invalidation;
+          tc "warm reply reports its solver stats" `Quick
+            test_server_warm_stats;
+          tc "fractional LP answered exact and cached" `Quick
+            test_server_fractional_exact;
         ] );
       ("oracle", [ QCheck_alcotest.to_alcotest prop_incremental_matches_scratch ]);
     ]
