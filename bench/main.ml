@@ -135,7 +135,7 @@ let fig8_run ~cells ~with_dense =
     if not with_dense then None
     else begin
       let (d_out, d_piv), d_ns =
-        time (fun () -> Pc_lp.Dense_tableau.solve_stats p)
+        time (fun () -> Dense_tableau.solve_stats p)
       in
       (match d_out with
       | Pc_lp.Simplex.Optimal _ -> ()

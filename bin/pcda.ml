@@ -265,8 +265,12 @@ let bound_cmd =
             match (csv, missing_only) with
             | Some path, false ->
                 let certain = read_csv path in
-                Ok
-                  (Pc_core.Bounds.bound_budgeted ~opts ~budget:b ~certain set
+                Result.map
+                  (fun () ->
+                    Pc_core.Bounds.bound_budgeted ~opts ~budget:b ~certain set
+                      query)
+                  (Pc_query.Query.check_schema
+                     (Pc_data.Relation.schema certain)
                      query)
             | _, _ -> Ok (Pc_core.Bounds.bound_budgeted ~opts ~budget:b set query)
           with

@@ -25,7 +25,8 @@
    bound-flip pivots, structured [Stopped] outcomes, the post-solve
    self-check, and the dual-simplex warm start that falls back to a cold
    solve on any numeric doubt. The pre-rework dense tableau survives as
-   {!Dense_tableau}, the qcheck oracle this file is tested against. *)
+   the test oracle [test/oracle/dense_tableau.ml], which the qcheck
+   properties pit this file against. *)
 
 module B = Pc_budget.Budget
 module Counter = Pc_obs.Registry.Counter

@@ -16,8 +16,9 @@
     drift). FTRAN/BTRAN run over Bigarray-backed work vectors
     ({!Pc_util.Fvec}). Pricing is devex over a maintained candidate list,
     with a switch to Bland's rule after a stall, which guarantees
-    termination. The pre-rework dense tableau survives as
-    {!Dense_tableau}, the oracle the rewrite is property-tested against
+    termination. The pre-rework dense tableau survives as the test
+    oracle [test/oracle/dense_tableau.ml], which the rewrite is
+    property-tested against
     (see DESIGN.md, "Sparse revised simplex & basis factorization").
 
     {!solve_snapshot} additionally returns an opaque basis {!snapshot};

@@ -65,13 +65,26 @@ let parse_one string =
   | [ pc ] -> pc
   | pcs -> failwith (Printf.sprintf "expected one constraint, found %d" (List.length pcs))
 
+(* The shortest of %.15g / %.16g / %.17g that reads back bit-equal
+   (%.17g always does): a printed bound must never come back narrower. *)
+let float_to_dsl x =
+  let exact s = Int64.equal (Int64.bits_of_float (float_of_string s)) (Int64.bits_of_float x) in
+  let s15 = Printf.sprintf "%.15g" x in
+  if exact s15 then s15
+  else
+    let s16 = Printf.sprintf "%.16g" x in
+    if exact s16 then s16 else Printf.sprintf "%.17g" x
+
 let atom_to_dsl = function
   | Pc_predicate.Atom.Num_range (a, iv) -> begin
+      let f = float_to_dsl in
       match (I.lo_value iv, I.hi_value iv) with
-      | Some lo, Some _ when I.is_singleton iv -> Printf.sprintf "%s = %g" a lo
-      | Some lo, Some hi -> Printf.sprintf "%s between %g and %g" a lo hi
-      | Some lo, None -> Printf.sprintf "%s >= %g" a lo
-      | None, Some hi -> Printf.sprintf "%s <= %g" a hi
+      | Some lo, Some hi
+        when I.is_singleton iv && Float.sign_bit lo = Float.sign_bit hi ->
+          Printf.sprintf "%s = %s" a (f lo)
+      | Some lo, Some hi -> Printf.sprintf "%s between %s and %s" a (f lo) (f hi)
+      | Some lo, None -> Printf.sprintf "%s >= %s" a (f lo)
+      | None, Some hi -> Printf.sprintf "%s <= %s" a (f hi)
       | None, None -> "true"
     end
   | Pc_predicate.Atom.Cat_eq (a, s) -> Printf.sprintf "%s = '%s'" a s
@@ -97,7 +110,9 @@ let to_dsl (pc : Pc_core.Pc.t) =
         String.concat " and "
           (List.map
              (fun (a, iv) ->
-               Printf.sprintf "%s in [%g, %g]" a (I.lo_float iv) (I.hi_float iv))
+               Printf.sprintf "%s in [%s, %s]" a
+                 (float_to_dsl (I.lo_float iv))
+                 (float_to_dsl (I.hi_float iv)))
              vs)
   in
   Printf.sprintf "constraint %s %s => %s, count [%d, %d];" pc.Pc_core.Pc.name

@@ -17,6 +17,32 @@ let agg_attr t =
   | Count -> None
   | Sum a | Avg a | Min a | Max a -> Some a
 
+let check_schema schema t =
+  let module S = Pc_data.Schema in
+  let needs =
+    (match agg_attr t with Some a -> [ (a, S.Numeric) ] | None -> [])
+    @ List.map
+        (fun atom ->
+          ( Pc_predicate.Atom.attr atom,
+            match atom with
+            | Pc_predicate.Atom.Num_range _ -> S.Numeric
+            | _ -> S.Categorical ))
+        t.where_
+  in
+  let kind_name = function S.Numeric -> "numeric" | S.Categorical -> "categorical" in
+  match
+    List.find_opt
+      (fun (a, k) -> (not (S.mem schema a)) || S.kind schema a <> k)
+      needs
+  with
+  | None -> Ok ()
+  | Some (a, _) when not (S.mem schema a) ->
+      Error (Printf.sprintf "unknown attribute %S in query" a)
+  | Some (a, k) ->
+      Error
+        (Printf.sprintf "attribute %S is %s, the query needs it %s" a
+           (kind_name (S.kind schema a)) (kind_name k))
+
 let selection rel t =
   let schema = Relation.schema rel in
   Relation.filter (fun row -> Pred.eval schema t.where_ row) rel

@@ -16,6 +16,12 @@ val max_ : ?where_:Pc_predicate.Pred.t -> string -> t
 val agg_attr : t -> string option
 (** The aggregated attribute; [None] for COUNT. *)
 
+val check_schema : Pc_data.Schema.t -> t -> (unit, string) result
+(** [Error] naming the first attribute the query reads that [schema]
+    lacks or holds with the wrong kind: the aggregated attribute and
+    range atoms need a numeric attribute, categorical atoms a
+    categorical one. {!eval} raises on such a query. *)
+
 val eval : Pc_data.Relation.t -> t -> float option
 (** Ground-truth evaluation. COUNT and SUM of an empty selection are [0.];
     AVG/MIN/MAX of an empty selection are [None]. *)

@@ -10,10 +10,12 @@
     Robustness contract, which the chaos tests pin:
 
     - {b Per-request crash isolation.} A malformed line, an unknown op,
-      a parse error, or {e any} exception escaping a handler produces a
-      structured [{"ok":false,"error":{...}}] reply on that connection;
-      nothing ever unwinds past the request loop, kills a sibling
-      connection, or kills the process.
+      a parse error, a query attribute the certain rows lack, or {e any}
+      exception escaping a handler (code ["internal"]) produces a
+      structured [{"ok":false,"error":{...}}] reply on that connection,
+      counted as one error and recorded in the flight ring like any
+      other request; nothing ever unwinds past the request loop, kills
+      a sibling connection, or kills the process.
     - {b Per-request deadlines.} Every [bound] runs under a
       {!Pc_budget.Budget.t} started from the server's base spec, the
       request's [timeout_ms], and the admission level — monotonic-clock
@@ -31,11 +33,15 @@
       injected SAT failures/stalls, simplex doubt, clock skew and torn
       client sockets must all degrade or drop a single request or
       connection, never the server.
-    - {b Live telemetry} ({!Telemetry}, [Pc_obs.Window]): every request
-      gets a monotonically increasing id and materializes one record
-      (admission verdict, cache outcome, ladder rungs, SAT calls /
-      pivots / nodes, latency) into the always-on flight recorder and
-      the sliding SLO windows. The [telemetry] op serves windowed
+    - {b Live telemetry} ({!Telemetry}): every request line gets a
+      monotonically increasing id and produces one immutable record —
+      returned by its handler beside the reply (admission verdict,
+      cache outcome, the ladder's stats, warm-path flag, ingest outcome,
+      error code) and completed with its latency once the reply is
+      written. {!Telemetry.Sink.observe} is the only consumer: it feeds
+      the always-on flight recorder, the sliding SLO windows, the
+      request histograms, the registry counters and the per-instance
+      totals the [stats] op reports. The [telemetry] op serves windowed
       qps / p50 / p99 / error-rate / degraded-fraction / cache-hit-rate
       (1 s / 10 s / 60 s), a Prometheus-style text exposition
       ([{"view": "prometheus"}]), and the flight dump

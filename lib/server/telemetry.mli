@@ -1,32 +1,47 @@
-(** Request-scoped telemetry: per-request records, the flight recorder,
-    and the Prometheus-style text exposition.
+(** Request-scoped telemetry: the per-request record, the one sink that
+    consumes it, the flight recorder, and the Prometheus-style text
+    exposition.
 
-    Every request the server answers materializes one compact {!record}
-    — its monotonically increasing id, what it asked, how admission and
-    the degradation ladder treated it, and what it cost. Records feed
-    two sinks: the {!Flight} ring (always on, bounded, dumped as JSON on
-    crash / drain / demand) and the windowed SLO monitor
-    ([Pc_obs.Window], fed by the server directly).
+    Every request line the server answers produces exactly one
+    immutable {!record}: the handler returns it beside its reply with
+    the facts it learned (dataset digest, admission level, cache
+    outcome, the ladder's stats, the warm-path flag, the ingest outcome,
+    the error code), and the connection loop adds the id, completion
+    time and latency measured around the reply write. {!Sink.observe} is
+    then the only code that turns a record into telemetry: the {!Flight}
+    ring, the windowed SLO monitor ([Pc_obs.Window]), the
+    [server.request_ns] / [ingest.ns] histograms, the registry counters
+    and the per-instance totals the [stats] and [telemetry] ops read.
 
     See DESIGN.md, "Live telemetry & flight recorder". *)
+
+type ingest =
+  | Appended of int  (** a published append batch and its row count *)
+  | Retracted  (** a published retraction *)
 
 type record = {
   id : int;  (** server-wide monotonically increasing request id *)
   t_s : float;  (** completion wall-clock time (unix seconds) *)
-  op : string;
-  dataset : string;  (** dataset content digest ([""] for non-[bound] ops) *)
-  admission : string;  (** admission level name ([""] when not admitted) *)
-  rungs : string list;
-      (** the degradation-ladder walk ([Pc_core.Bounds.stats.rungs]) *)
-  provenance : string;  (** final rung ([""] for non-[bound] ops) *)
-  cache : string;  (** ["hit"], ["miss"], or ["uncached"] *)
-  sat_calls : int;
-  pivots : int;  (** simplex iterations *)
-  cells : int;
-  nodes : int;  (** branch-and-bound nodes *)
-  latency_ns : int;
-  error : string option;  (** error code when the reply was an error *)
+  op : string;  (** the request's ["op"] field ([""] when absent) *)
+  dataset : string;  (** dataset content digest ([""] until resolved) *)
+  admission : Admission.level option;  (** [None] when not admitted *)
+  cache : Pc_obs.Window.cache_outcome;
+  stats : Pc_core.Bounds.stats option;
+      (** the degradation ladder's stats, for a computed [bound] *)
+  incremental : bool;  (** answered by the warm incremental engine *)
+  ingest : ingest option;
+  latency_ns : int;  (** request line read to reply written *)
+  error : string option;
+      (** error code when the reply was an error, or ["send-failed"]
+          when a reply could not be delivered *)
 }
+
+val request : id:int -> record
+(** The record of a request that has learned nothing yet: no op, no
+    dataset, uncached, no stats, zero latency, no error. *)
+
+val degraded : record -> bool
+(** The request computed an answer below the [Exact] rung. *)
 
 val record_json : record -> Pc_obs.Json.value
 
@@ -59,6 +74,40 @@ module Flight : sig
   (** The dump artifact:
       [{"schema": "pcda-flight/1", "reason": ..., "capacity": ...,
         "pushed": ..., "records": [...]}] — always valid JSON. *)
+end
+
+(** The one consumer of request records, one per server instance. *)
+module Sink : sig
+  type t
+
+  val create : flight_capacity:int -> t
+
+  val next_id : t -> int
+  (** Claim the next request id: 1, 2, … per instance. *)
+
+  val observe : t -> record -> unit
+  (** Push the record into the flight ring and the SLO window, feed the
+      [server.request_ns] histogram (and [ingest.ns] for [append] /
+      [retract] requests, at the same boundary), and bump the registry
+      counters and per-instance totals the record implies. *)
+
+  val flight : t -> Flight.t
+  val window : t -> Pc_obs.Window.t
+
+  val last_id : t -> int
+  (** The last request id claimed: the instance's [requests] total. *)
+
+  val totals_json :
+    t ->
+    live:(string * Pc_obs.Json.value) list ->
+    ingest:bool ->
+    (string * Pc_obs.Json.value) list
+  (** The per-instance totals as the [stats] and [telemetry] replies
+      print them: [requests], [errors] (error replies and failed
+      sends) and [degraded], then the caller's [live] gauges, then
+      [cache] ([hits] / [misses]) and [admission] (admitted requests per
+      level name), and with [ingest] the [ingest] block ([batches],
+      [rows], [retracts], [incremental_bounds]). *)
 end
 
 val prometheus :

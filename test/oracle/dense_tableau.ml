@@ -5,7 +5,7 @@
    problem/outcome types, so agreement between them is evidence, not
    tautology. *)
 
-module S = Simplex
+module S = Pc_lp.Simplex
 
 type vstat = Vbasic | Vlower | Vupper
 

@@ -1,7 +1,7 @@
 (** The pre-revised dense-tableau simplex, retained as a reference oracle.
 
     This is the bounded-variable two-phase primal simplex that
-    {!Simplex} used before it was reworked into a sparse revised
+    {!Pc_lp.Simplex} used before it was reworked into a sparse revised
     simplex: a dense [float array array] tableau holding [B⁻¹A], full
     Gauss–Jordan pivots (O(mn) each), Dantzig pricing with a Bland
     fallback on stall. Cold solves only — no warm starts, no budgets,
@@ -17,16 +17,16 @@
     - [bench --baseline]'s Fig. 8 disjoint-partition scaling micro,
       which records dense-vs-revised wall time and pivot counts.
 
-    Answers use {!Simplex}'s problem/outcome types so callers compare
+    Answers use {!Pc_lp.Simplex}'s problem/outcome types so callers compare
     outcomes directly. The same post-solve self-check semantics apply:
     an optimal answer that fails residual checks degrades to
     [Stopped (Numeric _)]. *)
 
-val solve : Simplex.problem -> Simplex.outcome
+val solve : Pc_lp.Simplex.problem -> Pc_lp.Simplex.outcome
 (** Cold two-phase dense-tableau solve. Raises [Invalid_argument] on
-    malformed input, exactly as {!Simplex.solve} does. *)
+    malformed input, exactly as {!Pc_lp.Simplex.solve} does. *)
 
-val solve_stats : Simplex.problem -> Simplex.outcome * int
+val solve_stats : Pc_lp.Simplex.problem -> Pc_lp.Simplex.outcome * int
 (** Like {!solve}, additionally returning the pivot count (phase 1 +
     phase 2, bound flips included) — the denominator of the bench's
     pivot-weighted time comparison. *)

@@ -228,6 +228,95 @@ let prop_query_roundtrip =
       done;
       !ok && parsed.Q.agg = built.Q.agg)
 
+(* Printing a PC and parsing it back must give the same PC, bit for bit:
+   a value cap that came back even one ulp narrower would make the
+   reloaded set's SUM upper bound unsound. Closed numeric ranges and
+   rays, categorical = / in, over magnitudes %g used to truncate. *)
+let prop_pc_dsl_roundtrip =
+  let special =
+    [ 1234564.; 0.1; 1e300; -1e300; 1e-300; -1e-300; -0.0; 0.0; 1. /. 3. ]
+  in
+  let gen_float =
+    QCheck.Gen.(
+      frequency
+        [
+          (2, oneofl special);
+          (1, float_bound_inclusive 2e6);
+          (1, map (fun x -> ldexp x (-30)) (float_bound_inclusive 1.));
+          (1, map Int64.float_of_bits ui64);
+        ]
+      |> map (fun x -> if Float.is_finite x then x else 0.5))
+  in
+  let gen_range =
+    QCheck.Gen.(
+      let* a = gen_float and* b = gen_float in
+      return (Float.min a b, Float.max a b))
+  in
+  let gen_num_atom attr =
+    QCheck.Gen.(
+      let* lo, hi = gen_range in
+      oneofl
+        [
+          Atom.between attr lo hi;
+          Atom.num_eq attr lo;
+          Atom.at_least attr lo;
+          Atom.at_most attr hi;
+        ])
+  in
+  let gen_word = QCheck.Gen.oneofl [ "Chicago"; "New York"; "x"; "a_b"; "7" ] in
+  let gen_cat_atom attr =
+    QCheck.Gen.(
+      oneof
+        [
+          map (fun w -> Atom.cat_eq attr w) gen_word;
+          map
+            (fun ws -> Atom.Cat_in (attr, List.sort_uniq compare ws))
+            (list_size (1 -- 3) gen_word);
+        ])
+  in
+  let gen_pc =
+    QCheck.Gen.(
+      let* num = list_size (0 -- 2) (oneofl [ "a"; "b" ]) in
+      let num = List.sort_uniq compare num in
+      let* num_atoms = flatten_l (List.map gen_num_atom num) in
+      let* cat = bool in
+      let* cat_atoms = if cat then map (fun a -> [ a ]) (gen_cat_atom "c") else return [] in
+      let* values =
+        flatten_l
+          (List.map
+             (fun attr -> map (fun (lo, hi) -> (attr, I.closed lo hi)) gen_range)
+             [ "v"; "w" ])
+      in
+      let* n_values = 0 -- 2 in
+      let* kl = 0 -- 50 and* dk = 0 -- 50 in
+      return
+        (Pc_core.Pc.make ~name:"p" ~pred:(num_atoms @ cat_atoms)
+           ~values:(List.filteri (fun i _ -> i < n_values) values)
+           ~freq:(kl, kl + dk) ()))
+  in
+  let bits = Int64.bits_of_float in
+  let same_interval a b =
+    I.equal a b
+    && bits (I.lo_float a) = bits (I.lo_float b)
+    && bits (I.hi_float a) = bits (I.hi_float b)
+  in
+  let same_atom x y =
+    match (x, y) with
+    | Atom.Num_range (a, i), Atom.Num_range (b, j) -> a = b && same_interval i j
+    | _ -> Atom.equal x y
+  in
+  QCheck.Test.make ~name:"to_dsl then parse is the identity" ~count:500
+    (QCheck.make ~print:Pc_parser.to_dsl gen_pc) (fun pc ->
+      let back = Pc_parser.parse_one (Pc_parser.to_dsl pc) in
+      List.length pc.Pc_core.Pc.pred = List.length back.Pc_core.Pc.pred
+      && List.for_all2 same_atom pc.Pc_core.Pc.pred back.Pc_core.Pc.pred
+      && List.length pc.Pc_core.Pc.values = List.length back.Pc_core.Pc.values
+      && List.for_all2
+           (fun (a, i) (b, j) -> a = b && same_interval i j)
+           pc.Pc_core.Pc.values back.Pc_core.Pc.values
+      && pc.Pc_core.Pc.freq_lo = back.Pc_core.Pc.freq_lo
+      && pc.Pc_core.Pc.freq_hi = back.Pc_core.Pc.freq_hi)
+
 let () =
   Alcotest.run "pc_parse"
     [
@@ -255,5 +344,6 @@ let () =
           tc "file" `Quick test_parse_pc_file;
           tc "errors" `Quick test_parse_pc_errors;
           tc "roundtrip" `Quick test_pc_roundtrip;
+          QCheck_alcotest.to_alcotest prop_pc_dsl_roundtrip;
         ] );
     ]

@@ -387,20 +387,26 @@ module T = Pc_server.Telemetry
 
 let mk_record id =
   {
-    T.id;
-    t_s = 1.5 +. float_of_int id;
+    (T.request ~id) with
+    T.t_s = 1.5 +. float_of_int id;
     op = "bound";
     dataset = "digest";
-    admission = "full";
-    rungs = [ "exact" ];
-    provenance = "exact";
-    cache = "miss";
-    sat_calls = 2;
-    pivots = 3;
-    cells = 4;
-    nodes = 0;
+    admission = Some A.Full;
+    cache = Pc_obs.Window.Miss;
+    stats =
+      Some
+        {
+          Pc_core.Bounds.provenance = Pc_core.Bounds.Exact;
+          rungs = [ Pc_core.Bounds.Exact ];
+          cells = 4;
+          sat_calls = 2;
+          admitted_unchecked = 0;
+          milp_nodes = 0;
+          lp_iterations = 3;
+          elapsed = 0.;
+          deadline_hit = false;
+        };
     latency_ns = 1_000 * id;
-    error = None;
   }
 
 let test_flight_ring_wraps () =
@@ -703,6 +709,194 @@ let test_chaos () =
   C.close c;
   stop s
 
+(* ----------------------------- accounting ----------------------------- *)
+
+(* A server with no preloaded dataset: every count it reports comes from
+   the requests a test sends it. *)
+let fresh () =
+  let srv = S.create { S.default_config with S.port = 0 } in
+  (srv, Thread.create S.run srv)
+
+let acct_dsl =
+  "constraint c1:\n  x between 0.0 and 10.0 => v in [0.0, 5.0], count [0, 3];\n"
+
+let load_line ~name ~csv =
+  J.to_string
+    (J.Obj
+       [
+         ("op", J.Str "load");
+         ("name", J.Str name);
+         ("constraints", J.Str acct_dsl);
+         ("csv", J.Str csv);
+       ])
+
+let flight_records c =
+  match
+    Option.bind
+      (J.member "flight" (req c {|{"op":"telemetry","view":"flight"}|}))
+      (J.member "records")
+  with
+  | Some (J.Arr records) -> records
+  | _ -> Alcotest.fail "flight view without records"
+
+let check_totals what st expected =
+  List.iter
+    (fun (path, n) ->
+      Alcotest.(check (option (float 0.)))
+        (what ^ " " ^ String.concat "." path)
+        (Some n) (jnum st path))
+    expected
+
+(* One fixed script on a fresh server, every per-instance total and every
+   flight record pinned exactly; a second server in the same process
+   starts from zero. *)
+let test_golden_accounting () =
+  let ((srv, _) as s) = fresh () in
+  let c = connect srv in
+  let bound = {|{"op":"bound","dataset":"g","query":"SELECT COUNT(*)"}|} in
+  let script =
+    [
+      {|{"op":"ping"}|};
+      load_line ~name:"g" ~csv:"x,v\n1,2\n";
+      bound;
+      bound;
+      {|{"op":"append","dataset":"g","csv":"x,v\n2,3\n4,1\n"}|};
+      {|{"op":"retract","dataset":"g","batch":0}|};
+      "this line is not json";
+    ]
+  in
+  Alcotest.(check (list bool)) "replies"
+    [ true; true; true; true; true; true; false ]
+    (List.map (fun line -> ok (req c line)) script);
+  let st = req c {|{"op":"stats"}|} in
+  check_totals "stats" st
+    [
+      ([ "requests" ], 8.);
+      ([ "errors" ], 1.);
+      ([ "degraded" ], 0.);
+      ([ "cache"; "hits" ], 1.);
+      ([ "cache"; "misses" ], 1.);
+      ([ "admission"; "full" ], 1.);
+      ([ "admission"; "floor-only" ], 0.);
+      ([ "ingest"; "batches" ], 1.);
+      ([ "ingest"; "rows" ], 2.);
+      ([ "ingest"; "retracts" ], 1.);
+      ([ "ingest"; "incremental_bounds" ], 1.);
+    ];
+  let summary r = (num r "id", str r "op", str r "cache", str r "error") in
+  Alcotest.(check
+              (list
+                 (pair
+                    (pair (option (float 0.)) (option string))
+                    (pair (option string) (option string)))))
+    "flight records"
+    (List.map
+       (fun (id, op, cache, error) ->
+         ((Some id, Some op), (Some cache, error)))
+       [
+         (1., "ping", "uncached", None);
+         (2., "load", "uncached", None);
+         (3., "bound", "miss", None);
+         (4., "bound", "hit", None);
+         (5., "append", "uncached", None);
+         (6., "retract", "uncached", None);
+         (7., "", "uncached", Some "bad-json");
+         (8., "stats", "uncached", None);
+       ])
+    (List.map
+       (fun r ->
+         let id, op, cache, error = summary r in
+         ((id, op), (cache, error)))
+       (flight_records c));
+  C.close c;
+  stop s;
+  let ((srv, _) as s) = fresh () in
+  let c = connect srv in
+  check_totals "second server" (req c {|{"op":"stats"}|})
+    [
+      ([ "requests" ], 1.);
+      ([ "errors" ], 0.);
+      ([ "degraded" ], 0.);
+      ([ "cache"; "hits" ], 0.);
+      ([ "cache"; "misses" ], 0.);
+      ([ "admission"; "full" ], 0.);
+      ([ "ingest"; "batches" ], 0.);
+      ([ "ingest"; "rows" ], 0.);
+      ([ "ingest"; "retracts" ], 0.);
+      ([ "ingest"; "incremental_bounds" ], 0.);
+    ];
+  Alcotest.(check (list (option (float 0.))))
+    "second server's flight ring holds only its own stats request"
+    [ Some 1. ]
+    (List.map (fun r -> num r "id") (flight_records c));
+  C.close c;
+  stop s
+
+(* A query naming an attribute the certain partition lacks, or holds as
+   text where a number is needed, is a structured error on a live
+   connection: counted, recorded, and the connection keeps serving. *)
+let test_bad_query_attribute () =
+  let ((srv, _) as s) = fresh () in
+  let c = connect srv in
+  Alcotest.(check bool) "load numeric" true
+    (ok (req c (load_line ~name:"g" ~csv:"x,v\n1,2\n")));
+  Alcotest.(check bool) "load text" true
+    (ok (req c (load_line ~name:"t" ~csv:"x,v\n1,a\n")));
+  List.iter
+    (fun (dataset, query) ->
+      let v =
+        req c
+          (J.to_string
+             (J.Obj
+                [
+                  ("op", J.Str "bound");
+                  ("dataset", J.Str dataset);
+                  ("query", J.Str query);
+                ]))
+      in
+      Alcotest.(check bool) (query ^ " rejected") false (ok v);
+      Alcotest.(check string) (query ^ " code") "bad-request" (err_code v))
+    [
+      ("g", "SELECT SUM(nope)");
+      ("g", "SELECT SUM(v) WHERE nope = 3");
+      ("t", "SELECT SUM(v)");
+    ];
+  Alcotest.(check bool) "connection still serving" true
+    (ok (req c {|{"op":"ping"}|}));
+  check_totals "stats" (req c {|{"op":"stats"}|}) [ ([ "errors" ], 3.) ];
+  let bound_errors =
+    List.filter_map
+      (fun r -> if str r "op" = Some "bound" then str r "error" else None)
+      (flight_records c)
+  in
+  Alcotest.(check (list string)) "each rejection recorded"
+    [ "bad-request"; "bad-request"; "bad-request" ]
+    bound_errors;
+  C.close c;
+  stop s
+
+(* [retract]'s batch id must be an integer in range: truncating 0.7
+   would retract batch 0, and 1e300 would report a bogus id. *)
+let test_retract_batch_id () =
+  let ((srv, _) as s) = fresh () in
+  let c = connect srv in
+  Alcotest.(check bool) "load" true
+    (ok (req c (load_line ~name:"default" ~csv:"x,v\n1,2\n")));
+  Alcotest.(check bool) "append" true
+    (ok (req c {|{"op":"append","csv":"x,v\n2,3\n"}|}));
+  List.iter
+    (fun batch ->
+      let v = req c (Printf.sprintf {|{"op":"retract","batch":%s}|} batch) in
+      Alcotest.(check bool) (batch ^ " rejected") false (ok v);
+      Alcotest.(check string) (batch ^ " code") "bad-request" (err_code v))
+    [ "0.7"; "1e300"; "-1"; "-0.5" ];
+  check_totals "nothing retracted" (req c {|{"op":"stats"}|})
+    [ ([ "ingest"; "retracts" ], 0.) ];
+  Alcotest.(check bool) "the live batch still retracts" true
+    (ok (req c {|{"op":"retract","batch":0}|}));
+  C.close c;
+  stop s
+
 let () =
   Alcotest.run "pc_server"
     [
@@ -736,4 +930,10 @@ let () =
         ] );
       ("drain", [ tc "artifacts flushed" `Quick test_drain_flushes_artifacts ]);
       ("chaos", [ tc "faults + 8 clients" `Quick test_chaos ]);
+      ( "accounting",
+        [
+          tc "golden script" `Quick test_golden_accounting;
+          tc "unknown query attribute" `Quick test_bad_query_attribute;
+          tc "retract batch id" `Quick test_retract_batch_id;
+        ] );
     ]
