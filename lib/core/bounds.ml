@@ -102,58 +102,59 @@ let effective_kl qpred (pc : Pc.t) =
     if escapes then 0 else pc.Pc.freq_lo
   end
 
-(* Value interval for rows of a cell on one attribute: the most
-   restrictive active value constraint (paper's U_i(a)/L_i(a)), optionally
-   clipped by the predicate/query box. Returns [None] when no row can
-   exist in the cell at all (empty value intersection). *)
-let cell_value_interval ~tighten set qpred active attr =
-  let from_values =
-    List.fold_left
-      (fun acc j ->
-        Option.bind acc (fun iv ->
-            I.intersect iv (Pc.value_interval (Pc_set.get set j) attr)))
-      (Some I.full) active
-  in
-  match from_values with
-  | None -> None
-  | Some iv ->
-      if not tighten then Some iv
-      else begin
-        let box =
-          List.fold_left
-            (fun acc j ->
-              Option.bind acc (fun b ->
-                  Box.add_pred b (Pc_set.get set j).Pc.pred))
-            (Box.add_pred Box.top qpred)
-            active
-        in
-        match box with
-        | None -> None (* cell region itself is empty (early-stop artifact) *)
-        | Some b -> I.intersect iv (Box.num_interval b attr)
-      end
+(* ------------------------------------------------------------------ *)
+(* Cell regions                                                        *)
+(* ------------------------------------------------------------------ *)
 
-(* Can a row exist in this cell: every constrained attribute must keep a
-   non-empty value range. *)
-let cell_inhabitable ~tighten set qpred active =
-  let attrs =
-    List.concat_map (fun j -> Pc.value_attrs (Pc_set.get set j)) active
-    |> List.sort_uniq String.compare
+type region = {
+  attrs : string array;  (** the set's value attributes *)
+  values : I.t array;  (** per attribute: the cell's [L_i(a), U_i(a)] *)
+  clip : Box.t option;  (** the cell's box, under [tighten] only *)
+}
+
+(* The region of the cell whose active PCs are [active], built once: per
+   value attribute of [set], the intersection of the active PCs' ν rows
+   (the paper's U_i(a)/L_i(a)) and, under [tighten], of the box of the
+   query predicate ([qbox], forced only then) and the active predicates.
+   [None] when no row can live in the cell: some attribute's range is
+   empty, or the box is (a cell [Cells.Early_stop] admitted unchecked). *)
+let region_in ~tighten set ~qbox active =
+  let attrs = Pc_set.value_attrs set in
+  let values = Array.make (Array.length attrs) I.full in
+  let meet k iv =
+    match I.intersect values.(k) iv with
+    | Some iv -> values.(k) <- iv
+    | None -> raise_notrace Exit
   in
-  List.for_all
-    (fun a -> Option.is_some (cell_value_interval ~tighten set qpred active a))
-    attrs
-  &&
-  (* guard against admitted-but-unsat cells from Early_stop *)
-  match attrs with
-  | _ :: _ -> true
-  | [] ->
-      (not tighten)
-      || Option.is_some
-           (List.fold_left
-              (fun acc j ->
-                Option.bind acc (fun b -> Box.add_pred b (Pc_set.get set j).Pc.pred))
-              (Box.add_pred Box.top qpred)
-              active)
+  try
+    List.iter (fun j -> Array.iteri meet (Pc_set.value_row set j)) active;
+    let clip =
+      if not tighten then None
+      else
+        match
+          List.fold_left
+            (fun acc j -> Option.bind acc (fun b -> Box.add_pred b (Pc_set.get set j).Pc.pred))
+            (Lazy.force qbox) active
+        with
+        | None -> raise_notrace Exit
+        | Some box ->
+            Array.iteri (fun k a -> meet k (Box.num_interval box a)) attrs;
+            Some box
+    in
+    Some { attrs; values; clip }
+  with Exit -> None
+
+let region ~tighten set qpred active =
+  region_in ~tighten set ~qbox:(lazy (Box.add_pred Box.top qpred)) active
+
+let region_interval r attr =
+  let rec find k =
+    if k = Array.length r.attrs then
+      match r.clip with None -> I.full | Some box -> Box.num_interval box attr
+    else if String.equal r.attrs.(k) attr then r.values.(k)
+    else find (k + 1)
+  in
+  find 0
 
 type info = {
   active : int list;
@@ -225,11 +226,10 @@ let prepare ~ctx ?consumed set (query : Q.t) : (prepared, answer) result =
   try
     (* A frequency lower bound on an unsatisfiable predicate is
        unsatisfiable as a system. *)
-    List.iter
-      (fun (pc : Pc.t) ->
-        if pc.Pc.freq_lo > 0 && not (Pred.satisfiable pc.Pc.pred) then
-          raise Found_infeasible)
-      (Pc_set.pcs set);
+    for i = 0 to Pc_set.size set - 1 do
+      if (Pc_set.get set i).Pc.freq_lo > 0 && Option.is_none (Pc_set.box set i) then
+        raise Found_infeasible
+    done;
     (* Predicate pushdown at the set level: only PCs overlapping the query
        region participate in the decomposition. Skipped under [Fdd] so the
        precompiled diagram's indices stay aligned with [set] — harmless,
@@ -238,13 +238,12 @@ let prepare ~ctx ?consumed set (query : Q.t) : (prepared, answer) result =
     let set =
       if qpred = Pred.tt || opts.strategy = Cells.Fdd then set
       else
-        Pc_set.make
-          (List.filter
-             (fun (pc : Pc.t) ->
-               match Box.of_pred pc.Pc.pred with
-               | None -> false
-               | Some b -> Option.is_some (Box.add_pred b qpred))
-             (Pc_set.pcs set))
+        Pc_set.filter
+          (fun i ->
+            match Pc_set.box set i with
+            | None -> false
+            | Some b -> Option.is_some (Box.add_pred b qpred))
+          set
     in
     let cells, cstats =
       Cells.decompose ~budget:ctx.budget ?fdd:ctx.fdd ~strategy:opts.strategy
@@ -254,29 +253,20 @@ let prepare ~ctx ?consumed set (query : Q.t) : (prepared, answer) result =
       ctx.trace.early <- true;
       ctx.trace.admitted <- ctx.trace.admitted + cstats.Cells.admitted_unchecked
     end;
-    let cells =
-      List.filter
-        (fun (c : Cells.cell) ->
-          cell_inhabitable ~tighten:opts.tighten set qpred c.Cells.active)
-        cells
-    in
     let agg_attr = Q.agg_attr query in
+    let qbox = lazy (Box.add_pred Box.top qpred) in
     let infos =
-      List.map
+      List.filter_map
         (fun (c : Cells.cell) ->
-          match agg_attr with
-          | None -> { active = c.Cells.active; u = 1.; l = 1. }
-          | Some a -> (
-              match
-                cell_value_interval ~tighten:opts.tighten set qpred c.Cells.active a
-              with
-              | None -> { active = c.Cells.active; u = 0.; l = 0. }
-              | Some iv ->
-                  {
-                    active = c.Cells.active;
-                    u = I.hi_float iv;
-                    l = I.lo_float iv;
-                  }))
+          let active = c.Cells.active in
+          Option.map
+            (fun r ->
+              match agg_attr with
+              | None -> { active; u = 1.; l = 1. }
+              | Some a ->
+                  let iv = region_interval r a in
+                  { active; u = I.hi_float iv; l = I.lo_float iv })
+            (region_in ~tighten:opts.tighten set ~qbox active))
         cells
       |> Array.of_list
     in
@@ -620,19 +610,18 @@ module Greedy = struct
 
   (* One gcell per PC overlapping the query region; [None] when the
      system is infeasible. Specialized to the one-PC-per-cell shape: the
-     PC's in-query region box is built once and reused for every
-     attribute, instead of routing through the generic cell machinery
-     (which allocates a singleton [Pc_set] and rebuilds the box per
-     attribute). *)
+     PC's in-query region box is its cached box conjoined with the query
+     once, and reused for every attribute. *)
   let prepare ~opts set (query : Q.t) =
     let qpred = query.Q.where_ in
     let agg_attr = Q.agg_attr query in
     try
       let cells =
         List.filter_map
-          (fun (pc : Pc.t) ->
+          (fun i ->
+            let pc = Pc_set.get set i in
             let region =
-              match Box.of_pred pc.Pc.pred with
+              match Pc_set.box set i with
               | None ->
                   if pc.Pc.freq_lo > 0 then raise Found_infeasible;
                   None
@@ -668,7 +657,7 @@ module Greedy = struct
                   in
                   Some { u; l; kl = effective_kl qpred pc; ku = pc.Pc.freq_hi }
                 end)
-          (Pc_set.pcs set)
+          (List.init (Pc_set.size set) Fun.id)
       in
       Ok cells
     with Found_infeasible -> Error Infeasible
@@ -827,9 +816,10 @@ module Trivial = struct
     let qpred = query.Q.where_ in
     let agg_attr = Q.agg_attr query in
     List.filter_map
-      (fun (pc : Pc.t) ->
+      (fun i ->
+        let pc = Pc_set.get set i in
         let overlaps =
-          match Box.of_pred pc.Pc.pred with
+          match Pc_set.box set i with
           | None -> true
           | Some b -> Option.is_some (Box.add_pred b qpred)
         in
@@ -847,7 +837,7 @@ module Trivial = struct
           let kl = if qpred = Pred.tt then pc.Pc.freq_lo else 0 in
           Some { u; l; ku = pc.Pc.freq_hi; kl }
         end)
-      (Pc_set.pcs set)
+      (List.init (Pc_set.size set) Fun.id)
 
   let range lo hi = Range (Range.make ~lo_exact:false ~hi_exact:false (Float.min lo hi) hi)
 

@@ -137,6 +137,31 @@ val bound_with_certain :
 val can_be_empty : Pc_set.t -> Pc_query.Query.t -> bool
 (** No frequency lower bound forces a row into the query region. *)
 
+(** {2 Cell regions}
+
+    What the allocation program knows about the rows of one cell
+    (paper §4.1): per value attribute, the intersection of the active
+    PCs' ν ranges, the paper's [\[L_i(a), U_i(a)\]]. Under [tighten] it
+    is also clipped by the box of the query predicate and the active
+    predicates. {!bound} builds one region per cell, from the PC set's
+    cached ν table ({!Pc_set.value_row}), and reads from it both whether
+    the cell is inhabitable and the aggregated attribute's range. *)
+
+type region
+
+val region :
+  tighten:bool -> Pc_set.t -> Pc_predicate.Pred.t -> int list -> region option
+(** [region ~tighten set qpred active] is the region of the cell whose
+    active PCs are the indices [active] of [set], within the query
+    predicate [qpred]. [None] when no row can live there: some value
+    attribute's range is empty or, under [tighten], the cell's box is
+    (a cell [Cells.Early_stop] admitted without a check can be). *)
+
+val region_interval : region -> string -> Pc_interval.Interval.t
+(** The range of one attribute over the cell's rows: [\[L_i(a), U_i(a)\]].
+    An attribute no active PC constrains is [Interval.full], clipped by
+    the cell's box under [tighten]. *)
+
 (** {2 The allocation program for a warm engine}
 
     The COUNT/SUM program the full path solves, from the same builder,

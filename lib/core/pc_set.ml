@@ -1,19 +1,58 @@
 module Pred = Pc_predicate.Pred
 module Box = Pc_predicate.Box
+module I = Pc_interval.Interval
 
-(* [disjoint] is computed on first use. Pool domains may race on it:
-   both compute the same value, where a shared [Lazy.t] would raise
-   [CamlinternalLazy.Undefined] in the loser. *)
-type t = { arr : Pc.t array; disjoint : bool option Atomic.t }
+(* Per-PC data every bound reads: each predicate's box, and a dense ν
+   table with one row per PC over the set's sorted value attributes
+   ([Interval.full] where a PC leaves an attribute free). *)
+type derived = {
+  boxes : Box.t option array;
+  attrs : string array;
+  rows : I.t array array;
+}
 
-let compute_disjoint arr =
-  let n = Array.length arr in
-  let boxes = Array.map (fun (pc : Pc.t) -> Box.of_pred pc.Pc.pred) arr in
+(* [disjoint] and [derived] are computed on first use. Pool domains may
+   race on them: both compute the same value, where a shared [Lazy.t]
+   would raise [CamlinternalLazy.Undefined] in the loser. *)
+type t = {
+  arr : Pc.t array;
+  disjoint : bool option Atomic.t;
+  derived : derived option Atomic.t;
+}
+
+let cached slot compute =
+  match Atomic.get slot with
+  | Some v -> v
+  | None ->
+      let v = compute () in
+      Atomic.set slot (Some v);
+      v
+
+let derived t =
+  cached t.derived (fun () ->
+      let attrs =
+        Array.to_list t.arr
+        |> List.concat_map Pc.value_attrs
+        |> List.sort_uniq String.compare |> Array.of_list
+      in
+      {
+        boxes = Array.map (fun (pc : Pc.t) -> Box.of_pred pc.Pc.pred) t.arr;
+        attrs;
+        rows = Array.map (fun pc -> Array.map (Pc.value_interval pc) attrs) t.arr;
+      })
+
+let box t i = (derived t).boxes.(i)
+let value_attrs t = (derived t).attrs
+let value_row t i = (derived t).rows.(i)
+
+let compute_disjoint t =
+  let n = Array.length t.arr in
+  let boxes = (derived t).boxes in
   let overlap i j =
     match boxes.(i) with
     | None -> false
     | Some bi -> (
-        match Box.add_pred bi arr.(j).Pc.pred with
+        match Box.add_pred bi t.arr.(j).Pc.pred with
         | Some _ -> true
         | None -> false)
   in
@@ -25,14 +64,19 @@ let compute_disjoint arr =
   in
   scan 0 1
 
-let of_array arr =
-  let arr = Array.copy arr in
-  { arr; disjoint = Atomic.make None }
+let fresh ?derived arr = { arr; disjoint = Atomic.make None; derived = Atomic.make derived }
 
-let make pcs = of_array (Array.of_list pcs)
+let of_array arr = fresh (Array.copy arr)
+let make pcs = fresh (Array.of_list pcs)
 let pcs t = Array.to_list t.arr
 let size t = Array.length t.arr
 let get t i = t.arr.(i)
+
+let filter f t =
+  let keep = List.filter f (List.init (size t) Fun.id) in
+  let pick a = Array.of_list (List.map (Array.get a) keep) in
+  let d = derived t in
+  fresh ~derived:{ d with boxes = pick d.boxes; rows = pick d.rows } (pick t.arr)
 
 let violations rel t =
   Array.to_list t.arr |> List.concat_map (Pc.violations rel)
@@ -46,13 +90,7 @@ let closed_over rel t =
   in
   Pc_data.Relation.fold (fun acc row -> acc && covered row) true rel
 
-let is_disjoint t =
-  match Atomic.get t.disjoint with
-  | Some d -> d
-  | None ->
-      let d = compute_disjoint t.arr in
-      Atomic.set t.disjoint (Some d);
-      d
+let is_disjoint t = cached t.disjoint (fun () -> compute_disjoint t)
 
 let attrs t =
   Array.to_list t.arr

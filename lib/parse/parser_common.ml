@@ -45,7 +45,28 @@ let expect_number st what =
       x
   | _ -> fail_expect st what
 
-(* A comparison atom: ident op literal (or BETWEEN / IN forms). *)
+(* '(' string (',' string)* ')' after IN / NOT IN. Numeric IN lists
+   degrade to a disjunction a conjunction cannot represent; only
+   categorical lists are supported. *)
+let parse_string_list st =
+  expect st Lexer.Lparen "( after IN";
+  let rec values acc =
+    match peek st with
+    | Lexer.String s -> begin
+        advance st;
+        match peek st with
+        | Lexer.Comma ->
+            advance st;
+            values (s :: acc)
+        | _ -> List.rev (s :: acc)
+      end
+    | _ -> fail_expect st "string in IN list"
+  in
+  let vs = values [] in
+  expect st Lexer.Rparen ") after IN list";
+  vs
+
+(* A comparison atom: ident op literal (or BETWEEN / IN / NOT IN forms). *)
 let parse_atom st =
   let attr = expect_ident st "attribute name" in
   match peek st with
@@ -87,30 +108,13 @@ let parse_atom st =
       let hi = expect_number st "upper BETWEEN bound" in
       if lo > hi then failwith "parse error: BETWEEN bounds inverted";
       Pc_predicate.Atom.between attr lo hi
-  | Lexer.Ident _ when keyword_matches "in" (peek st) -> begin
+  | Lexer.Ident _ when keyword_matches "in" (peek st) ->
       advance st;
-      expect st Lexer.Lparen "( after IN";
-      let rec values acc =
-        match peek st with
-        | Lexer.String s -> begin
-            advance st;
-            match peek st with
-            | Lexer.Comma ->
-                advance st;
-                values (s :: acc)
-            | _ -> List.rev (s :: acc)
-          end
-        | _ -> fail_expect st "string in IN list"
-      in
-      (* numeric IN lists degrade to a disjunction we cannot represent in a
-         conjunction; only categorical IN is supported *)
-      match peek st with
-      | Lexer.String _ ->
-          let vs = values [] in
-          expect st Lexer.Rparen ") after IN list";
-          Pc_predicate.Atom.Cat_in (attr, vs)
-      | _ -> fail_expect st "string values in IN list"
-    end
+      Pc_predicate.Atom.Cat_in (attr, parse_string_list st)
+  | Lexer.Ident _ when keyword_matches "not" (peek st) ->
+      advance st;
+      expect_keyword st "in";
+      Pc_predicate.Atom.Cat_not_in (attr, parse_string_list st)
   | _ -> fail_expect st "comparison operator"
 
 (* conjunction: TRUE | atom (AND atom)* *)

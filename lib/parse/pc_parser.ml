@@ -75,6 +75,10 @@ let float_to_dsl x =
     let s16 = Printf.sprintf "%.16g" x in
     if exact s16 then s16 else Printf.sprintf "%.17g" x
 
+(* A quoted literal; an embedded quote is doubled, as the lexer reads it. *)
+let string_to_dsl s = "'" ^ String.concat "''" (String.split_on_char '\'' s) ^ "'"
+let strings_to_dsl ss = String.concat ", " (List.map string_to_dsl ss)
+
 let atom_to_dsl = function
   | Pc_predicate.Atom.Num_range (a, iv) -> begin
       let f = float_to_dsl in
@@ -87,15 +91,11 @@ let atom_to_dsl = function
       | None, Some hi -> Printf.sprintf "%s <= %s" a (f hi)
       | None, None -> "true"
     end
-  | Pc_predicate.Atom.Cat_eq (a, s) -> Printf.sprintf "%s = '%s'" a s
-  | Pc_predicate.Atom.Cat_neq (a, s) -> Printf.sprintf "%s <> '%s'" a s
-  | Pc_predicate.Atom.Cat_in (a, ss) ->
-      Printf.sprintf "%s in (%s)" a
-        (String.concat ", " (List.map (Printf.sprintf "'%s'") ss))
+  | Pc_predicate.Atom.Cat_eq (a, s) -> Printf.sprintf "%s = %s" a (string_to_dsl s)
+  | Pc_predicate.Atom.Cat_neq (a, s) -> Printf.sprintf "%s <> %s" a (string_to_dsl s)
+  | Pc_predicate.Atom.Cat_in (a, ss) -> Printf.sprintf "%s in (%s)" a (strings_to_dsl ss)
   | Pc_predicate.Atom.Cat_not_in (a, ss) ->
-      (* not directly expressible; emit the complementary IN as a comment
-         marker so the failure is visible rather than silent *)
-      Printf.sprintf "%s <> '%s'" a (String.concat "|" ss)
+      Printf.sprintf "%s not in (%s)" a (strings_to_dsl ss)
 
 let to_dsl (pc : Pc_core.Pc.t) =
   let pred =

@@ -21,5 +21,7 @@ val parse : string -> Pc_core.Pc.t list
 val parse_one : string -> Pc_core.Pc.t
 
 val to_dsl : Pc_core.Pc.t -> string
-(** Render a PC back into parseable DSL text (round-trips through
-    {!parse_one} for PCs built from closed ranges). *)
+(** Render a PC back into parseable DSL text: {!parse_one} reads it back
+    as the same PC, bit for bit, for predicates of closed ranges, rays
+    and categorical [=], [<>], [in] and [not in] atoms (quotes inside a
+    string are doubled) and closed value ranges. *)

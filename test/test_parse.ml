@@ -231,7 +231,8 @@ let prop_query_roundtrip =
 (* Printing a PC and parsing it back must give the same PC, bit for bit:
    a value cap that came back even one ulp narrower would make the
    reloaded set's SUM upper bound unsound. Closed numeric ranges and
-   rays, categorical = / in, over magnitudes %g used to truncate. *)
+   rays over magnitudes %g used to truncate; categorical =, <>, in and
+   not in over words with quotes and '|' in them. *)
 let prop_pc_dsl_roundtrip =
   let special =
     [ 1234564.; 0.1; 1e300; -1e300; 1e-300; -1e-300; -0.0; 0.0; 1. /. 3. ]
@@ -263,15 +264,18 @@ let prop_pc_dsl_roundtrip =
           Atom.at_most attr hi;
         ])
   in
-  let gen_word = QCheck.Gen.oneofl [ "Chicago"; "New York"; "x"; "a_b"; "7" ] in
+  let gen_word =
+    QCheck.Gen.oneofl [ "Chicago"; "New York"; "x"; "a_b"; "7"; "x|y"; "O'Hare"; "" ]
+  in
   let gen_cat_atom attr =
     QCheck.Gen.(
+      let gen_words = map (List.sort_uniq compare) (list_size (1 -- 3) gen_word) in
       oneof
         [
           map (fun w -> Atom.cat_eq attr w) gen_word;
-          map
-            (fun ws -> Atom.Cat_in (attr, List.sort_uniq compare ws))
-            (list_size (1 -- 3) gen_word);
+          map (fun w -> Atom.Cat_neq (attr, w)) gen_word;
+          map (fun ws -> Atom.Cat_in (attr, ws)) gen_words;
+          map (fun ws -> Atom.Cat_not_in (attr, ws)) gen_words;
         ])
   in
   let gen_pc =
@@ -317,6 +321,24 @@ let prop_pc_dsl_roundtrip =
       && pc.Pc_core.Pc.freq_lo = back.Pc_core.Pc.freq_lo
       && pc.Pc_core.Pc.freq_hi = back.Pc_core.Pc.freq_hi)
 
+(* [not in] used to print as [a <> 'x|y'], which reads back as the
+   wider region [a <> "x|y"]: a reloaded summary then let rows with
+   [a = 'x'] satisfy the predicate. *)
+let test_not_in_roundtrip () =
+  let pc =
+    Pc_core.Pc.make ~name:"p"
+      ~pred:[ Atom.Cat_not_in ("branch", [ "x"; "y" ]) ]
+      ~values:[] ~freq:(0, 3) ()
+  in
+  let text = Pc_parser.to_dsl pc in
+  Alcotest.(check string) "printed" "constraint p branch not in ('x', 'y') => none, count [0, 3];" text;
+  let back = Pc_parser.parse_one text in
+  Alcotest.(check bool) "parses back to the same atom" true
+    (List.equal Atom.equal pc.Pc_core.Pc.pred back.Pc_core.Pc.pred);
+  let q = Pc_parse.Query_parser.parse "SELECT COUNT(*) WHERE branch NOT IN ('x')" in
+  Alcotest.(check bool) "query side" true
+    (List.equal Atom.equal q.Pc_query.Query.where_ [ Atom.Cat_not_in ("branch", [ "x" ]) ])
+
 let () =
   Alcotest.run "pc_parse"
     [
@@ -344,6 +366,7 @@ let () =
           tc "file" `Quick test_parse_pc_file;
           tc "errors" `Quick test_parse_pc_errors;
           tc "roundtrip" `Quick test_pc_roundtrip;
+          tc "not in roundtrip" `Quick test_not_in_roundtrip;
           QCheck_alcotest.to_alcotest prop_pc_dsl_roundtrip;
         ] );
     ]

@@ -593,6 +593,162 @@ let prop_tightness_sum =
       | Bounds.Range r -> Float.abs (r.Range.hi -. expected_hi) < 1e-6 *. Float.max 1. expected_hi
       | _ -> false)
 
+(* ------------------------- cell regions ----------------------------- *)
+
+(* Random overlapping sets on a small grid, so endpoints coincide and
+   their open/closed-ness decides. Predicates range over the numeric
+   [t], [v] (also a value attribute, so [tighten] clips it) and [z] (the
+   aggregate no PC's ν constrains) and the categorical [c]; each PC
+   constrains a random subset of the value attributes [v], [w]. *)
+module R = Pc_util.Rng
+
+let region_iv rng =
+  let a = float_of_int (R.int rng 8) and b = float_of_int (R.int rng 8) in
+  let lo = Float.min a b and hi = Float.max a b in
+  let side x = if R.bool rng then I.Closed x else I.Open x in
+  let lo = if R.int rng 5 = 0 then I.Neg_inf else side lo in
+  let hi = if R.int rng 5 = 0 then I.Pos_inf else side hi in
+  Option.value (I.make lo hi) ~default:(I.point a)
+
+let region_atom rng =
+  let word () = R.choose rng [| "a"; "b"; "c" |] in
+  let words () = List.sort_uniq compare (List.init (1 + R.int rng 2) (fun _ -> word ())) in
+  match R.int rng 7 with
+  | 0 -> Atom.cat_eq "c" (word ())
+  | 1 -> Atom.Cat_neq ("c", word ())
+  | 2 -> Atom.Cat_in ("c", words ())
+  | 3 -> Atom.Cat_not_in ("c", words ())
+  | k -> Atom.Num_range ([| "t"; "v"; "z" |].(k - 4), region_iv rng)
+
+let region_pred rng = List.init (R.int rng 3) (fun _ -> region_atom rng)
+
+let region_set rng =
+  Pc_set.make
+    (List.init
+       (2 + R.int rng 4)
+       (fun i ->
+         mk ~name:(Printf.sprintf "r%d" i) (region_pred rng)
+           (List.filter (fun _ -> R.bool rng) [ "v"; "w" ]
+           |> List.map (fun a -> (a, region_iv rng)))
+           (0, 1 + R.int rng 5)))
+
+let same_interval a b =
+  let bits = Int64.bits_of_float in
+  I.equal a b
+  && bits (I.lo_float a) = bits (I.lo_float b)
+  && bits (I.hi_float a) = bits (I.hi_float b)
+
+(* [Bounds.region] against the per-(cell × attribute) reference: the
+   same cells are inhabitable, and each attribute's range, [z] included,
+   is bit-identical. Checked on the set and on a [Pc_set.filter] subset
+   (whose cached ν rows must follow its own indices). *)
+let prop_region_matches_reference =
+  QCheck.Test.make ~name:"one region per cell matches the per-attribute reference"
+    ~count:300
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let rng = R.create seed in
+      let set = region_set rng in
+      let qpred = region_pred rng in
+      let tighten = R.bool rng in
+      let strategy =
+        R.choose rng [| Cells.Dfs_rewrite; Cells.Fdd; Cells.Early_stop (R.int rng 2) |]
+      in
+      let agrees set =
+        let cells, _ = Cells.decompose ~strategy ~query_pred:qpred set in
+        List.for_all
+          (fun (c : Cells.cell) ->
+            let active = c.Cells.active in
+            let inhabitable = Cell_region.cell_inhabitable ~tighten set qpred active in
+            match Bounds.region ~tighten set qpred active with
+            | None -> not inhabitable
+            | Some r ->
+                inhabitable
+                && List.for_all
+                     (fun a ->
+                       match Cell_region.cell_value_interval ~tighten set qpred active a with
+                       | Some iv -> same_interval iv (Bounds.region_interval r a)
+                       | None -> false)
+                     [ "v"; "w"; "z"; "t" ])
+          cells
+      in
+      let keep = Array.init (Pc_set.size set) (fun _ -> R.int rng 3 > 0) in
+      agrees set && agrees (Pc_set.filter (Array.get keep) set))
+
+(* ---------------------- cached predicate boxes ----------------------- *)
+
+(* A predicate no row satisfies ([utc] in [0,1] and in [5,6]). *)
+let unsat_pc kl =
+  mk ~name:"never" [ Atom.between "utc" 0. 1.; Atom.between "utc" 5. 6. ] [] (kl, 10)
+
+let disjoint_pcs =
+  [
+    mk ~name:"a" [ Atom.between "utc" 0. 10. ] [ ("price", I.closed 1. 5.) ] (1, 4);
+    mk ~name:"b" [ Atom.between "utc" 20. 30. ] [ ("price", I.closed 2. 9.) ] (0, 3);
+  ]
+
+let general = { Bounds.default_opts with Bounds.use_greedy = false }
+let starved () = Pc_budget.Budget.start (Pc_budget.Budget.spec ~cells:1 ())
+
+let test_unsat_kl_infeasible () =
+  let set = Pc_set.make (List.hd disjoint_pcs :: unsat_pc 2 :: List.tl disjoint_pcs) in
+  Alcotest.(check bool) "greedy path applies" true (Pc_set.is_disjoint set);
+  List.iter
+    (fun (label, query) ->
+      let infeasible a = Alcotest.(check bool) label true (a = Bounds.Infeasible) in
+      infeasible (Bounds.bound set query);
+      infeasible (Bounds.bound ~opts:general set query);
+      (* a budget that would send the ladder to the trivial rung: the
+         verdict comes first *)
+      infeasible (Bounds.bound_budgeted ~opts:general ~budget:(starved ()) set query).Bounds.answer)
+    [ ("count", Q.count ()); ("sum in window", Q.sum ~where_:[ Atom.between "utc" 2. 25. ] "price") ]
+
+(* With kl = 0 the unsatisfiable PC changes no answer of the greedy and
+   general paths. The trivial rung tests overlap by boxes only and keeps
+   a PC without one, which can only loosen its range. *)
+let test_unsat_kl0_skipped () =
+  let base = Pc_set.make disjoint_pcs in
+  let with_unsat = Pc_set.make (List.hd disjoint_pcs :: unsat_pc 0 :: List.tl disjoint_pcs) in
+  List.iter
+    (fun query ->
+      let same label f = Alcotest.(check bool) label true (f with_unsat = f base) in
+      same "greedy" (fun s -> Bounds.bound s query);
+      same "general" (fun s -> Bounds.bound ~opts:general s query);
+      let trivial s = Bounds.bound_budgeted ~opts:general ~budget:(starved ()) s query in
+      let b = trivial base and u = trivial with_unsat in
+      Alcotest.(check bool) "trivial rung" true
+        (b.Bounds.stats.Bounds.provenance = Bounds.Trivial
+        && u.Bounds.stats.Bounds.provenance = Bounds.Trivial);
+      let r = range_of u.Bounds.answer and rb = range_of b.Bounds.answer in
+      Alcotest.(check bool) "trivial rung only loosens" true
+        (r.Range.lo <= rb.Range.lo && rb.Range.hi <= r.Range.hi))
+    [ Q.count (); Q.sum "price"; Q.max_ ~where_:[ Atom.between "utc" 2. 25. ] "price" ]
+
+(* The pushdown drops [b1] and [b2] from the middle of the set; the
+   surviving PCs' boxes and ν rows must follow them to their new
+   indices. [Fdd] skips the pushdown, so it answers on the unfiltered
+   set. *)
+let test_pushdown_middle_alignment () =
+  let pcs =
+    [
+      mk ~name:"lo" [ Atom.between "utc" 0. 6. ] [ ("price", I.closed 1. 3.) ] (1, 4);
+      mk ~name:"b1" [ Atom.between "utc" 50. 60. ] [ ("price", I.closed 100. 200.) ] (0, 9);
+      mk ~name:"b2" [ Atom.between "utc" 70. 80. ] [ ("price", I.closed 300. 400.) ] (2, 7);
+      mk ~name:"mid" [ Atom.between "utc" 4. 10. ] [ ("price", I.closed 2. 8.) ] (0, 5);
+      mk ~name:"hi" [ Atom.between "utc" 8. 12.; Atom.between "price" 5. 7. ] [] (1, 2);
+    ]
+  in
+  let set = Pc_set.make pcs in
+  let where_ = [ Atom.between "utc" 3. 11. ] in
+  List.iter
+    (fun query ->
+      let pushed = Bounds.bound ~opts:general set query in
+      let unfiltered =
+        Bounds.bound ~opts:{ general with Bounds.strategy = Cells.Fdd } set query
+      in
+      Alcotest.(check bool) (Q.to_string query) true (pushed = unfiltered))
+    [ Q.count ~where_ (); Q.sum ~where_ "price"; Q.max_ ~where_ "price"; Q.avg ~where_ "price" ]
+
 let () =
   Alcotest.run "pc_core"
     [
@@ -623,7 +779,11 @@ let () =
           tc "min/max" `Quick test_min_max;
           tc "avg" `Quick test_avg;
           tc "with certain partition" `Quick test_bound_with_certain;
+          tc "unsatisfiable kl>0 is infeasible" `Quick test_unsat_kl_infeasible;
+          tc "unsatisfiable kl=0 is skipped" `Quick test_unsat_kl0_skipped;
+          tc "pushdown keeps indices aligned" `Quick test_pushdown_middle_alignment;
         ] );
+      ("regions", [ QCheck_alcotest.to_alcotest prop_region_matches_reference ]);
       ( "generate",
         [
           tc "corr partition" `Quick test_generate_corr_partition;
