@@ -701,11 +701,11 @@ let serve_baseline ~clients ~requests ~think_ms ~max_inflight path =
   let c_hits = Counter.make "cache.hits" in
   let c_misses = Counter.make "cache.misses" in
   let missing = Pc_synth.Sensor.generate (Pc_util.Rng.create 3) ~rows:2_000 in
-  (* Partition on the integer device attribute only: [to_dsl] rounds
-     float boundaries, so a float-bucketed partition (e.g. on [time])
-     does not round-trip disjoint through the [load] op and decomposing
-     the resulting accidentally-overlapping 50-PC set blows up
-     exponentially. Integer boundaries survive the round trip. *)
+  (* Partition on the integer device attribute only. [to_dsl] once
+     printed half-open float buckets as closed, so a partition on [time]
+     came back overlapping through the [load] op; it now round-trips
+     exact and disjoint, but the committed BENCH_serve.json was measured
+     on this [device] partition, so the workload stays as it is. *)
   let pcs =
     Pc_core.Generate.corr_partition missing ~attrs:[ "device" ] ~n:50 ()
   in

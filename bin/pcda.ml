@@ -226,9 +226,12 @@ let with_errors f =
 let print_answer = function
   | Pc_core.Bounds.Range r ->
       Printf.printf "%s\n" (Pc_core.Range.to_string r);
-      Printf.printf "  lower bound: %g%s\n" r.Pc_core.Range.lo
+      (* %g rounds to nearest: it could print an upper end below the
+         computed one *)
+      let num = Pc_util.Float_text.to_string in
+      Printf.printf "  lower bound: %s%s\n" (num r.Pc_core.Range.lo)
         (if r.Pc_core.Range.lo_exact then " (attained)" else "");
-      Printf.printf "  upper bound: %g%s\n" r.Pc_core.Range.hi
+      Printf.printf "  upper bound: %s%s\n" (num r.Pc_core.Range.hi)
         (if r.Pc_core.Range.hi_exact then " (attained)" else "")
   | Pc_core.Bounds.Empty ->
       print_endline

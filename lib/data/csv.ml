@@ -150,7 +150,7 @@ let write_string rel =
       let fields =
         Array.to_list row
         |> List.map (function
-             | Value.Num x -> Printf.sprintf "%.12g" x
+             | Value.Num x -> Pc_util.Float_text.to_string x
              | Value.Str s -> escape s)
       in
       Buffer.add_string buf (String.concat "," fields);

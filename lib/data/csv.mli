@@ -11,4 +11,7 @@ val read_string : ?schema:Schema.t -> string -> Relation.t
 val read_file : ?schema:Schema.t -> string -> Relation.t
 
 val write_string : Relation.t -> string
+(** Numbers print through {!Pc_util.Float_text.to_string}: reading the
+    text back with {!read_string} gives the same doubles, bit for bit. *)
+
 val write_file : string -> Relation.t -> unit

@@ -207,3 +207,12 @@ let pp ppf t =
   Format.fprintf ppf "%s%s, %s%s" lo_bracket lo_str hi_str hi_bracket
 
 let to_string t = Format.asprintf "%a" pp t
+
+let key { lo; hi } =
+  let ep = function
+    | Neg_inf -> "-inf"
+    | Pos_inf -> "+inf"
+    | Closed x -> Printf.sprintf "c%h" x
+    | Open x -> Printf.sprintf "o%h" x
+  in
+  Printf.sprintf "[%s,%s]" (ep lo) (ep hi)

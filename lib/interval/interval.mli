@@ -106,3 +106,9 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
+
+val key : t -> string
+(** A collision-free rendering for cache keys and dataset digests:
+    [\[c<x>,o<y>\]] with each value printed exactly ([%h]), [-inf] and
+    [+inf] for infinite ends. Equal keys imply equal intervals, bit for
+    bit. *)

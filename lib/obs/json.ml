@@ -2,126 +2,6 @@ exception Bad of int * string
 
 let fail i msg = raise (Bad (i, msg))
 
-let validate s =
-  let n = String.length s in
-  let peek i = if i < n then Some s.[i] else None in
-  let rec skip_ws i =
-    match peek i with
-    | Some (' ' | '\t' | '\n' | '\r') -> skip_ws (i + 1)
-    | _ -> i
-  in
-  let expect i c =
-    match peek i with
-    | Some c' when c' = c -> i + 1
-    | _ -> fail i (Printf.sprintf "expected %C" c)
-  in
-  let literal i word =
-    let l = String.length word in
-    if i + l <= n && String.sub s i l = word then i + l
-    else fail i ("expected " ^ word)
-  in
-  let is_digit c = c >= '0' && c <= '9' in
-  let rec digits i =
-    match peek i with Some c when is_digit c -> digits (i + 1) | _ -> i
-  in
-  let number i =
-    let i = match peek i with Some '-' -> i + 1 | _ -> i in
-    let i =
-      match peek i with
-      | Some '0' -> i + 1
-      | Some c when is_digit c -> digits (i + 1)
-      | _ -> fail i "expected digit"
-    in
-    let i =
-      match peek i with
-      | Some '.' ->
-          let j = digits (i + 1) in
-          if j = i + 1 then fail j "expected fraction digits" else j
-      | _ -> i
-    in
-    match peek i with
-    | Some ('e' | 'E') ->
-        let i = match peek (i + 1) with Some ('+' | '-') -> i + 2 | _ -> i + 1 in
-        let j = digits i in
-        if j = i then fail j "expected exponent digits" else j
-    | _ -> i
-  in
-  let string_lit i =
-    let i = expect i '"' in
-    let rec go i =
-      match peek i with
-      | None -> fail i "unterminated string"
-      | Some '"' -> i + 1
-      | Some '\\' -> (
-          match peek (i + 1) with
-          | Some ('"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't') -> go (i + 2)
-          | Some 'u' ->
-              if
-                i + 5 < n
-                && String.for_all
-                     (fun c ->
-                       is_digit c
-                       || (c >= 'a' && c <= 'f')
-                       || (c >= 'A' && c <= 'F'))
-                     (String.sub s (i + 2) 4)
-              then go (i + 6)
-              else fail i "bad \\u escape"
-          | _ -> fail i "bad escape")
-      | Some c when Char.code c < 0x20 -> fail i "control char in string"
-      | Some _ -> go (i + 1)
-    in
-    go i
-  in
-  let rec value i =
-    let i = skip_ws i in
-    match peek i with
-    | Some '{' -> obj (skip_ws (i + 1))
-    | Some '[' -> arr (skip_ws (i + 1))
-    | Some '"' -> string_lit i
-    | Some 't' -> literal i "true"
-    | Some 'f' -> literal i "false"
-    | Some 'n' -> literal i "null"
-    | Some ('-' | '0' .. '9') -> number i
-    | _ -> fail i "expected a JSON value"
-  and obj i =
-    match peek i with
-    | Some '}' -> i + 1
-    | _ ->
-        let rec members i =
-          let i = skip_ws i in
-          let i = string_lit i in
-          let i = expect (skip_ws i) ':' in
-          let i = skip_ws (value i) in
-          match peek i with
-          | Some ',' -> members (i + 1)
-          | Some '}' -> i + 1
-          | _ -> fail i "expected ',' or '}'"
-        in
-        members i
-  and arr i =
-    match peek i with
-    | Some ']' -> i + 1
-    | _ ->
-        let rec elems i =
-          let i = skip_ws (value i) in
-          match peek i with
-          | Some ',' -> elems (i + 1)
-          | Some ']' -> i + 1
-          | _ -> fail i "expected ',' or ']'"
-        in
-        elems i
-  in
-  match skip_ws (value 0) with
-  | i when i = n -> Ok ()
-  | i -> Error (Printf.sprintf "trailing garbage at offset %d" i)
-  | exception Bad (i, msg) -> Error (Printf.sprintf "%s at offset %d" msg i)
-
-let is_valid s = match validate s with Ok () -> true | Error _ -> false
-
-(* ------------------------------------------------------------------ *)
-(* Values                                                              *)
-(* ------------------------------------------------------------------ *)
-
 type value =
   | Null
   | Bool of bool
@@ -130,9 +10,6 @@ type value =
   | Arr of value list
   | Obj of (string * value) list
 
-(* The parser mirrors the validator's grammar; it is kept separate so
-   the validator stays a zero-allocation syntax check for big artifact
-   files while this builds a tree for small protocol lines. *)
 let parse s =
   let n = String.length s in
   let peek i = if i < n then Some s.[i] else None in
@@ -312,6 +189,8 @@ let parse s =
   | _, i -> Error (Printf.sprintf "trailing garbage at offset %d" (skip_ws i))
   | exception Bad (i, msg) -> Error (Printf.sprintf "%s at offset %d" msg i)
 
+let validate s = Result.map ignore (parse s)
+
 let escape_to buf str =
   Buffer.add_char buf '"';
   String.iter
@@ -334,10 +213,8 @@ let to_string v =
     | Null -> Buffer.add_string buf "null"
     | Bool b -> Buffer.add_string buf (if b then "true" else "false")
     | Num f ->
-        if not (Float.is_finite f) then Buffer.add_string buf "null"
-        else if Float.is_integer f && Float.abs f < 1e15 then
-          Buffer.add_string buf (Printf.sprintf "%.0f" f)
-        else Buffer.add_string buf (Printf.sprintf "%.12g" f)
+        Buffer.add_string buf
+          (if Float.is_finite f then Pc_util.Float_text.to_string f else "null")
     | Str str -> escape_to buf str
     | Arr vs ->
         Buffer.add_char buf '[';

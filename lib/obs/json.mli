@@ -1,25 +1,12 @@
-(** Minimal JSON syntax checker (no external dependencies).
+(** JSON values, one parser and one printer (no external
+    dependencies).
 
-    Used by tests and CI to assert that the artifacts this library emits
-    — Chrome traces, metrics dumps, workload summaries — are valid JSON
-    (RFC 8259: in particular [NaN] and [Infinity] are rejected, which is
-    exactly the bug class the emitters must avoid). It validates syntax
-    only; nothing is built. *)
-
-val validate : string -> (unit, string) result
-(** [Ok ()] when the whole input is one valid JSON value (surrounding
-    whitespace allowed); [Error msg] with a position otherwise. *)
-
-val is_valid : string -> bool
-
-(** {2 Values}
-
-    A concrete JSON tree, for the places that must {e read} JSON rather
-    than just emit it — the bound server's line-oriented request
-    protocol ([Pc_server]). The parser accepts exactly what {!validate}
-    accepts; the printer emits RFC 8259 output (non-finite numbers
-    become [null], the same policy as every other emitter in this
-    repository). *)
+    The bound server's line-oriented protocol ([Pc_server]) reads and
+    writes these values, and every JSON artifact — Chrome traces,
+    metrics dumps, workload summaries — is built as one and printed by
+    {!to_string}. The printer emits RFC 8259 output: non-finite numbers
+    become [null], never the [NaN] / [Infinity] tokens the parser
+    rejects. *)
 
 type value =
   | Null
@@ -34,8 +21,15 @@ val parse : string -> (value, string) result
     allowed). [\uXXXX] escapes are decoded to UTF-8; surrogate pairs are
     combined. *)
 
+val validate : string -> (unit, string) result
+(** [Ok ()] when the whole input is one valid JSON value — what tests
+    and CI assert of the artifacts; [Error msg] with a position
+    otherwise. *)
+
 val to_string : value -> string
-(** Compact single-line rendering; always valid JSON. *)
+(** Compact single-line rendering; always valid JSON. Numbers print
+    through {!Pc_util.Float_text.to_string}, so a finite [Num] parses
+    back bit-equal. *)
 
 (* -------- accessors (shape-checking helpers) -------- *)
 

@@ -168,27 +168,27 @@ let dump_text () =
   Buffer.contents b
 
 let dump_json () =
-  let b = Buffer.create 512 in
-  Buffer.add_string b "{\n  \"counters\": {";
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\n    \"%s\": %d" name v))
-    (counters ());
-  Buffer.add_string b "\n  },\n  \"histograms\": {";
-  List.iteri
-    (fun i h ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "\n    \"%s\": {\"count\": %d, \"sum_ns\": %d, \"min_ns\": %d, \
-            \"max_ns\": %d, \"mean_ns\": %.1f, \"p50_ns\": %.1f, \
-            \"p90_ns\": %.1f, \"p99_ns\": %.1f}"
-           (Histogram.name h) (Histogram.count h) (Histogram.sum_ns h)
-           (Histogram.min_ns h) (Histogram.max_ns h) (Histogram.mean_ns h)
-           (Histogram.percentile_ns h 50.)
-           (Histogram.percentile_ns h 90.)
-           (Histogram.percentile_ns h 99.)))
-    (histograms ());
-  Buffer.add_string b "\n  }\n}\n";
-  Buffer.contents b
+  let int n = Json.Num (float_of_int n) in
+  let histogram h =
+    let p q = Json.Num (Histogram.percentile_ns h q) in
+    ( Histogram.name h,
+      Json.Obj
+        [
+          ("count", int (Histogram.count h));
+          ("sum_ns", int (Histogram.sum_ns h));
+          ("min_ns", int (Histogram.min_ns h));
+          ("max_ns", int (Histogram.max_ns h));
+          ("mean_ns", Json.Num (Histogram.mean_ns h));
+          ("p50_ns", p 50.);
+          ("p90_ns", p 90.);
+          ("p99_ns", p 99.);
+        ] )
+  in
+  Json.to_string
+    (Json.Obj
+       [
+         ( "counters",
+           Json.Obj (List.map (fun (name, v) -> (name, int v)) (counters ())) );
+         ("histograms", Json.Obj (List.map histogram (histograms ())));
+       ])
+  ^ "\n"

@@ -113,45 +113,26 @@ let totals_by_name () =
   |> List.sort (fun (na, _, a) (nb, _, b) ->
          match Int64.compare b a with 0 -> String.compare na nb | n -> n)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_chrome_json () =
   let e = Atomic.get epoch in
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "[";
-  List.iteri
-    (fun i sp ->
-      if i > 0 then Buffer.add_char b ',';
-      let ts = Int64.to_float (Int64.sub sp.t0_ns e) /. 1e3 in
-      let dur = Int64.to_float sp.dur_ns /. 1e3 in
-      Buffer.add_string b
-        (Printf.sprintf
-           "\n{\"name\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%d,\"args\":{"
-           (json_escape sp.name) ts dur sp.domain);
-      List.iteri
-        (fun j (k, v) ->
-          if j > 0 then Buffer.add_char b ',';
-          Buffer.add_string b
-            (Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v)))
-        (("depth", string_of_int sp.depth) :: List.rev sp.attrs);
-      Buffer.add_string b "}}")
-    (spans ());
-  Buffer.add_string b "\n]\n";
-  Buffer.contents b
+  let us ns = Json.Num (Int64.to_float ns /. 1e3) in
+  let event sp =
+    Json.Obj
+      [
+        ("name", Json.Str sp.name);
+        ("ph", Json.Str "X");
+        ("ts", us (Int64.sub sp.t0_ns e));
+        ("dur", us sp.dur_ns);
+        ("pid", Json.Num 1.);
+        ("tid", Json.Num (float_of_int sp.domain));
+        ( "args",
+          Json.Obj
+            (List.map
+               (fun (k, v) -> (k, Json.Str v))
+               (("depth", string_of_int sp.depth) :: List.rev sp.attrs)) );
+      ]
+  in
+  Json.to_string (Json.Arr (List.map event (spans ()))) ^ "\n"
 
 let summary () =
   let totals = totals_by_name () in

@@ -117,14 +117,32 @@ let parse_atom st =
       Pc_predicate.Atom.Cat_not_in (attr, parse_string_list st)
   | _ -> fail_expect st "comparison operator"
 
+(* Conjoin [atom] onto [atoms]: a numeric range meets the first
+   earlier range on its attribute that it overlaps, so [a >= 1 and a < 5]
+   reads as the one range [1, 5) that [Pc_parser.to_dsl] printed that
+   way. Ranges that miss each other stay as written. *)
+let conj_atom atoms atom =
+  let module A = Pc_predicate.Atom in
+  match atom with
+  | A.Num_range (a, iv) ->
+      let rec meet = function
+        | [] -> [ atom ]
+        | (A.Num_range (b, jv) as first) :: rest when String.equal a b -> (
+            match Pc_interval.Interval.intersect jv iv with
+            | Some m -> A.Num_range (a, m) :: rest
+            | None -> first :: meet rest)
+        | first :: rest -> first :: meet rest
+      in
+      meet atoms
+  | _ -> atoms @ [ atom ]
+
 (* conjunction: TRUE | atom (AND atom)* *)
 let parse_conj st =
   if accept_keyword st "true" then Pc_predicate.Pred.tt
   else begin
     let rec atoms acc =
-      let atom = parse_atom st in
-      if accept_keyword st "and" then atoms (atom :: acc)
-      else List.rev (atom :: acc)
+      let acc = conj_atom acc (parse_atom st) in
+      if accept_keyword st "and" then atoms acc else acc
     in
     Pc_predicate.Pred.conj (atoms [])
   end

@@ -65,31 +65,33 @@ let parse_one string =
   | [ pc ] -> pc
   | pcs -> failwith (Printf.sprintf "expected one constraint, found %d" (List.length pcs))
 
-(* The shortest of %.15g / %.16g / %.17g that reads back bit-equal
-   (%.17g always does): a printed bound must never come back narrower. *)
-let float_to_dsl x =
-  let exact s = Int64.equal (Int64.bits_of_float (float_of_string s)) (Int64.bits_of_float x) in
-  let s15 = Printf.sprintf "%.15g" x in
-  if exact s15 then s15
-  else
-    let s16 = Printf.sprintf "%.16g" x in
-    if exact s16 then s16 else Printf.sprintf "%.17g" x
-
 (* A quoted literal; an embedded quote is doubled, as the lexer reads it. *)
 let string_to_dsl s = "'" ^ String.concat "''" (String.split_on_char '\'' s) ^ "'"
 let strings_to_dsl ss = String.concat ", " (List.map string_to_dsl ss)
 
+let num = Pc_util.Float_text.to_string
+
+(* Closed ranges print as [between] (or [=] for a point), anything else
+   as one comparison per finite end, strict for an open one:
+   [parse_conj] folds the pair back into one range. *)
 let atom_to_dsl = function
   | Pc_predicate.Atom.Num_range (a, iv) -> begin
-      let f = float_to_dsl in
-      match (I.lo_value iv, I.hi_value iv) with
-      | Some lo, Some hi
+      let cmp op x = Printf.sprintf "%s %s %s" a op (num x) in
+      match (iv.I.lo, iv.I.hi) with
+      | I.Closed lo, I.Closed hi
         when I.is_singleton iv && Float.sign_bit lo = Float.sign_bit hi ->
-          Printf.sprintf "%s = %s" a (f lo)
-      | Some lo, Some hi -> Printf.sprintf "%s between %s and %s" a (f lo) (f hi)
-      | Some lo, None -> Printf.sprintf "%s >= %s" a (f lo)
-      | None, Some hi -> Printf.sprintf "%s <= %s" a (f hi)
-      | None, None -> "true"
+          cmp "=" lo
+      | I.Closed lo, I.Closed hi ->
+          Printf.sprintf "%s between %s and %s" a (num lo) (num hi)
+      | lo, hi -> (
+          let ends closed strict = function
+            | I.Closed x -> [ cmp closed x ]
+            | I.Open x -> [ cmp strict x ]
+            | I.Neg_inf | I.Pos_inf -> []
+          in
+          match ends ">=" ">" lo @ ends "<=" "<" hi with
+          | [] -> "true"
+          | cmps -> String.concat " and " cmps)
     end
   | Pc_predicate.Atom.Cat_eq (a, s) -> Printf.sprintf "%s = %s" a (string_to_dsl s)
   | Pc_predicate.Atom.Cat_neq (a, s) -> Printf.sprintf "%s <> %s" a (string_to_dsl s)
@@ -111,8 +113,8 @@ let to_dsl (pc : Pc_core.Pc.t) =
           (List.map
              (fun (a, iv) ->
                Printf.sprintf "%s in [%s, %s]" a
-                 (float_to_dsl (I.lo_float iv))
-                 (float_to_dsl (I.hi_float iv)))
+                 (num (I.lo_float iv))
+                 (num (I.hi_float iv)))
              vs)
   in
   Printf.sprintf "constraint %s %s => %s, count [%d, %d];" pc.Pc_core.Pc.name

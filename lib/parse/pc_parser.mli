@@ -22,6 +22,9 @@ val parse_one : string -> Pc_core.Pc.t
 
 val to_dsl : Pc_core.Pc.t -> string
 (** Render a PC back into parseable DSL text: {!parse_one} reads it back
-    as the same PC, bit for bit, for predicates of closed ranges, rays
-    and categorical [=], [<>], [in] and [not in] atoms (quotes inside a
-    string are doubled) and closed value ranges. *)
+    as the same PC, bit for bit, for predicates with at most one range
+    per numeric attribute — closed, open, half-open or rays, an open end
+    printed strict ([a >= lo and a < hi]) — and categorical [=], [<>],
+    [in] and [not in] atoms (quotes inside a string are doubled), and
+    closed value ranges. Numbers print through
+    {!Pc_util.Float_text.to_string}. *)

@@ -57,19 +57,13 @@ let canonical t =
   in
   List.sort_uniq Atom.compare (List.map norm_atom t)
 
-(* Collision-free rendering for cache keys: %h prints floats exactly and
-   %S escapes strings, so distinct canonical predicates never collide. *)
+(* Collision-free rendering for cache keys: [I.key] prints floats
+   exactly and %S escapes strings, so distinct canonical predicates
+   never collide. *)
 let canonical_key t =
-  let ep = function
-    | I.Neg_inf -> "-inf"
-    | I.Pos_inf -> "+inf"
-    | I.Closed x -> Printf.sprintf "c%h" x
-    | I.Open x -> Printf.sprintf "o%h" x
-  in
   let strings ss = String.concat ";" (List.map (Printf.sprintf "%S") ss) in
   let atom_key = function
-    | Atom.Num_range (a, iv) ->
-        Printf.sprintf "n%S[%s,%s]" a (ep iv.I.lo) (ep iv.I.hi)
+    | Atom.Num_range (a, iv) -> Printf.sprintf "n%S%s" a (I.key iv)
     | Atom.Cat_eq (a, s) -> Printf.sprintf "e%S%S" a s
     | Atom.Cat_neq (a, s) -> Printf.sprintf "d%S%S" a s
     | Atom.Cat_in (a, ss) -> Printf.sprintf "i%S{%s}" a (strings ss)

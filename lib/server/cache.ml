@@ -180,23 +180,16 @@ let queue_length t =
 
 (* The dataset digest covers everything a reply depends on besides the
    query: each PC's canonical predicate, value constraints, and
-   frequency range, plus the raw certain-partition text. Interval
-   endpoints are printed exactly (%h) so near-equal datasets never
+   frequency range, plus the raw certain-partition text. Intervals
+   print with [Interval.key], exactly, so near-equal datasets never
    collide. *)
 let digest_set set ~csv =
-  let module I = Pc_interval.Interval in
-  let ep = function
-    | I.Neg_inf -> "-inf"
-    | I.Pos_inf -> "+inf"
-    | I.Closed x -> Printf.sprintf "c%h" x
-    | I.Open x -> Printf.sprintf "o%h" x
-  in
   let pc_line (pc : Pc_core.Pc.t) =
     Printf.sprintf "%s|%s|%d,%d"
       (Pred.canonical_key pc.Pc_core.Pc.pred)
       (String.concat ","
          (List.map
-            (fun (a, iv) -> Printf.sprintf "%S[%s,%s]" a (ep iv.I.lo) (ep iv.I.hi))
+            (fun (a, iv) -> Printf.sprintf "%S%s" a (Pc_interval.Interval.key iv))
             (List.sort compare pc.Pc_core.Pc.values)))
       pc.Pc_core.Pc.freq_lo pc.Pc_core.Pc.freq_hi
   in

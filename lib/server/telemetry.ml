@@ -253,13 +253,13 @@ let prom_name name =
     b;
   Bytes.to_string b
 
+(* The exposition format spells the non-finite values NaN, +Inf and
+   -Inf: an undefined gauge must not read as zero. *)
 let fnum v =
-  if Float.is_finite v then
-    (* shortest-exact like the JSON emitters: integers print bare *)
-    if Float.is_integer v && Float.abs v < 1e15 then
-      Printf.sprintf "%.0f" v
-    else Printf.sprintf "%.6g" v
-  else "0"
+  if Float.is_nan v then "NaN"
+  else if v = infinity then "+Inf"
+  else if v = neg_infinity then "-Inf"
+  else Pc_util.Float_text.to_string v
 
 let prometheus ~windows ~gauges =
   let b = Buffer.create 2048 in

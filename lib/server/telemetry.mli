@@ -120,5 +120,6 @@ val prometheus :
     as [_count] / [_sum] plus [quantile]-labelled gauges, each [windows]
     entry (label, snapshot) as [pcda_window_*{window="label"}] gauges,
     and each extra gauge verbatim under [pcda_<name>]. [# TYPE] /
-    [# HELP] comment lines precede each metric family. Numbers are
-    rendered finite (no NaN / infinity). *)
+    [# HELP] comment lines precede each metric family. Finite numbers
+    print through {!Pc_util.Float_text.to_string}; non-finite ones as
+    the format spells them, [NaN], [+Inf] and [-Inf]. *)

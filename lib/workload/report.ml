@@ -34,26 +34,23 @@ let fnum x =
 
 let fpct x = if Float.is_nan x then "nan" else Printf.sprintf "%.2f%%" x
 
-(* JSON numbers cannot be NaN or infinite (RFC 8259); an empty workload
-   has no over-estimation ratios, so the summary's medians are [nan] and
-   must serialize as [null] instead of poisoning the whole document. *)
-let json_float x =
-  if Float.is_finite x then Printf.sprintf "%.6g" x else "null"
-
+(* An empty workload has no over-estimation ratios, so its medians are
+   [nan]; [Json.to_string] prints a non-finite number as [null]. *)
 let json_of_summary (s : Metrics.summary) =
-  let by_provenance =
-    String.concat ", "
-      (List.map
-         (fun (p, n) ->
-           Printf.sprintf "\"%s\": %d" (Pc_core.Bounds.provenance_name p) n)
-         s.Metrics.by_provenance)
-  in
-  Printf.sprintf
-    "{\"queries\": %d, \"failures\": %d, \"failure_rate\": %s, \
-     \"median_over_estimation\": %s, \"mean_over_estimation\": %s, \
-     \"degraded\": %d, \"by_provenance\": {%s}}"
-    s.Metrics.queries s.Metrics.failures
-    (json_float s.Metrics.failure_rate)
-    (json_float s.Metrics.median_over_estimation)
-    (json_float s.Metrics.mean_over_estimation)
-    s.Metrics.degraded by_provenance
+  let module J = Pc_obs.Json in
+  let int n = J.Num (float_of_int n) in
+  J.to_string
+    (J.Obj
+       [
+         ("queries", int s.Metrics.queries);
+         ("failures", int s.Metrics.failures);
+         ("failure_rate", J.Num s.Metrics.failure_rate);
+         ("median_over_estimation", J.Num s.Metrics.median_over_estimation);
+         ("mean_over_estimation", J.Num s.Metrics.mean_over_estimation);
+         ("degraded", int s.Metrics.degraded);
+         ( "by_provenance",
+           J.Obj
+             (List.map
+                (fun (p, n) -> (Pc_core.Bounds.provenance_name p, int n))
+                s.Metrics.by_provenance) );
+       ])

@@ -15,9 +15,6 @@ val fnum : float -> string
 val fpct : float -> string
 (** Percent with 2 decimals. *)
 
-val json_float : float -> string
-(** A float as a JSON number token; [null] when non-finite. *)
-
 val json_of_summary : Metrics.summary -> string
 (** One JSON object for a workload summary. Always valid JSON: non-finite
     floats (e.g. the median over-estimation of an empty workload, which

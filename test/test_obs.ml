@@ -75,8 +75,16 @@ let test_chrome_json_valid () =
       Trace.with_span ~name:"a" ~attrs:[ ("weird", "quote\"back\\slash") ]
         (fun () -> Trace.with_span ~name:"b" (fun () -> ()));
       let json = Trace.to_chrome_json () in
-      match Json.validate json with
-      | Ok () -> ()
+      match Json.parse json with
+      | Ok (Json.Arr [ a; b ]) ->
+          let str e k = Option.bind (Json.member k e) Json.to_str in
+          Alcotest.(check (list (option string))) "spans in start order"
+            [ Some "a"; Some "b" ]
+            [ str a "name"; str b "name" ];
+          Alcotest.(check (option string)) "attr decodes"
+            (Some "quote\"back\\slash")
+            (Option.bind (Json.member "args" a) (fun args -> str args "weird"))
+      | Ok _ -> Alcotest.fail "expected two events"
       | Error msg -> Alcotest.failf "chrome trace JSON invalid: %s" msg)
 
 (* The pipeline's span set must not depend on the pool size: the pool
@@ -214,13 +222,22 @@ let test_histogram_exact_extremes () =
   Alcotest.(check int) "clear resets min" 0 (Registry.Histogram.min_ns h);
   Alcotest.(check int) "clear resets max" 0 (Registry.Histogram.max_ns h)
 
+(* Instrument names are escaped like any other JSON string: the dump
+   used to print them raw, so a quote in a name broke the document. *)
 let test_dumps_valid_json () =
   with_metrics (fun () ->
       let h = Registry.Histogram.make "test.hist.dump" in
       Registry.Histogram.observe_ns h 5000.;
-      (match Json.validate (Registry.dump_json ()) with
-      | Ok () -> ()
+      let c = Registry.Counter.make "test.\"quoted\\name" in
+      Registry.Counter.add c 3;
+      (match Json.parse (Registry.dump_json ()) with
+      | Ok v ->
+          Alcotest.(check (option (float 0.))) "quoted name decodes"
+            (Some 3.)
+            (Option.bind (Json.member "counters" v) (fun cs ->
+                 Option.bind (Json.member "test.\"quoted\\name" cs) Json.to_num))
       | Error msg -> Alcotest.failf "dump_json invalid: %s" msg);
+      Registry.Counter.clear c;
       Registry.Histogram.clear h)
 
 let test_empty_histogram_percentile () =
@@ -277,6 +294,15 @@ let test_json_validator () =
   bad "{\"bad\x01ctrl\": 1}";
   bad ""
 
+(* A number printed and parsed back is the same double: %.12g used to
+   put 0.3 on the wire for 0.1 + 0.2, below the computed value. *)
+let json_num_prop =
+  QCheck.Test.make ~name:"Json.Num prints and parses bit-exact" ~count:2000
+    Doubles.arb (fun x ->
+      match Json.parse (Json.to_string (Json.Arr [ Json.Num x ])) with
+      | Ok (Json.Arr [ Json.Num y ]) -> Doubles.bit_equal x y
+      | _ -> false)
+
 let () =
   Alcotest.run "pc_obs"
     [
@@ -309,5 +335,9 @@ let () =
             test_sat_counters_are_views;
           Alcotest.test_case "budget snapshot" `Quick test_budget_snapshot;
         ] );
-      ("json", [ Alcotest.test_case "validator" `Quick test_json_validator ]);
+      ( "json",
+        [
+          Alcotest.test_case "validator" `Quick test_json_validator;
+          QCheck_alcotest.to_alcotest json_num_prop;
+        ] );
     ]

@@ -230,38 +230,31 @@ let prop_query_roundtrip =
 
 (* Printing a PC and parsing it back must give the same PC, bit for bit:
    a value cap that came back even one ulp narrower would make the
-   reloaded set's SUM upper bound unsound. Closed numeric ranges and
-   rays over magnitudes %g used to truncate; categorical =, <>, in and
-   not in over words with quotes and '|' in them. *)
+   reloaded set's SUM upper bound unsound, and an open end that came
+   back closed would make a partition overlap itself. Closed, open,
+   half-open and ray ranges over doubles %g used to truncate;
+   categorical =, <>, in and not in over words with quotes and '|' in
+   them. *)
 let prop_pc_dsl_roundtrip =
-  let special =
-    [ 1234564.; 0.1; 1e300; -1e300; 1e-300; -1e-300; -0.0; 0.0; 1. /. 3. ]
-  in
-  let gen_float =
-    QCheck.Gen.(
-      frequency
-        [
-          (2, oneofl special);
-          (1, float_bound_inclusive 2e6);
-          (1, map (fun x -> ldexp x (-30)) (float_bound_inclusive 1.));
-          (1, map Int64.float_of_bits ui64);
-        ]
-      |> map (fun x -> if Float.is_finite x then x else 0.5))
-  in
   let gen_range =
     QCheck.Gen.(
-      let* a = gen_float and* b = gen_float in
+      let* a = Doubles.gen and* b = Doubles.gen in
       return (Float.min a b, Float.max a b))
   in
   let gen_num_atom attr =
     QCheck.Gen.(
       let* lo, hi = gen_range in
+      let* lo_ep = oneofl [ I.Closed lo; I.Open lo; I.Neg_inf ]
+      and* hi_ep = oneofl [ I.Closed hi; I.Open hi; I.Pos_inf ] in
       oneofl
         [
           Atom.between attr lo hi;
           Atom.num_eq attr lo;
-          Atom.at_least attr lo;
-          Atom.at_most attr hi;
+          Atom.Num_range
+            ( attr,
+              match I.make lo_ep hi_ep with
+              | Some iv when not (I.equal iv I.full) -> iv
+              | _ -> I.point lo );
         ])
   in
   let gen_word =
@@ -321,6 +314,39 @@ let prop_pc_dsl_roundtrip =
       && pc.Pc_core.Pc.freq_lo = back.Pc_core.Pc.freq_lo
       && pc.Pc_core.Pc.freq_hi = back.Pc_core.Pc.freq_hi)
 
+(* Regression: a Corr-PC partition on a float attribute has half-open
+   buckets [lo, hi). They used to print as [between lo and hi], which
+   reads back closed: the reloaded buckets overlapped at every edge and
+   the set was no longer disjoint. *)
+let test_float_partition_roundtrip () =
+  let rel = Pc_synth.Sensor.generate (Pc_util.Rng.create 3) ~rows:400 in
+  let pcs = Pc_core.Generate.corr_partition rel ~attrs:[ "time" ] ~n:12 () in
+  Alcotest.(check bool) "generated set is disjoint" true
+    (Pc_core.Pc_set.is_disjoint (Pc_core.Pc_set.make pcs));
+  let back =
+    Pc_parser.parse (String.concat "\n" (List.map Pc_parser.to_dsl pcs))
+  in
+  Alcotest.(check bool) "parses back equal" true (back = pcs);
+  Alcotest.(check (list string)) "prints back identical"
+    (List.map Pc_parser.to_dsl pcs)
+    (List.map Pc_parser.to_dsl back);
+  Alcotest.(check bool) "reloaded set is disjoint" true
+    (Pc_core.Pc_set.is_disjoint (Pc_core.Pc_set.make back))
+
+(* Two numeric atoms on one attribute meet in one range when they
+   overlap and stay as written when they do not. *)
+let test_conj_meets_ranges () =
+  let where_ text = (Query_parser.parse ("SELECT COUNT(*) WHERE " ^ text)).Q.where_ in
+  let check name expected text =
+    Alcotest.(check bool) name true (List.equal Atom.equal expected (where_ text))
+  in
+  check "half-open"
+    [ Atom.Num_range ("x", I.make_exn (I.Closed 1.) (I.Open 5.)); Atom.cat_eq "c" "k" ]
+    "x >= 1 AND c = 'k' AND x < 5";
+  check "narrowed" [ Atom.between "x" 2. 3. ] "x BETWEEN 0 AND 3 AND x >= 2";
+  check "disjoint kept" [ Atom.less_than "x" 1.; Atom.greater_than "x" 2. ]
+    "x < 1 AND x > 2"
+
 (* [not in] used to print as [a <> 'x|y'], which reads back as the
    wider region [a <> "x|y"]: a reloaded summary then let rows with
    [a = 'x'] satisfy the predicate. *)
@@ -367,6 +393,8 @@ let () =
           tc "errors" `Quick test_parse_pc_errors;
           tc "roundtrip" `Quick test_pc_roundtrip;
           tc "not in roundtrip" `Quick test_not_in_roundtrip;
+          tc "float partition roundtrip" `Quick test_float_partition_roundtrip;
+          tc "conjunction meets ranges" `Quick test_conj_meets_ranges;
           QCheck_alcotest.to_alcotest prop_pc_dsl_roundtrip;
         ] );
     ]

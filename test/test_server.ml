@@ -291,6 +291,54 @@ let test_cache_replay_byte_identical () =
   C.close c;
   stop s
 
+let test_cache_keys_pinned () =
+  let module Atom = Pc_predicate.Atom in
+  let module I = Pc_interval.Interval in
+  let module Cache = Pc_server.Cache in
+  let pc = Pc_core.Pc.make in
+  let set =
+    Pc_core.Pc_set.make
+      [
+        pc ~name:"a"
+          ~pred:[ Atom.between "x" 0. 10.5; Atom.cat_eq "c" "k" ]
+          ~values:[ ("v", I.closed (-1.25) 0.1) ]
+          ~freq:(0, 3) ();
+        pc ~name:"b"
+          ~pred:
+            [
+              Atom.Num_range ("x", I.make_exn (I.Open 0.1) (I.Closed 1e20));
+              Atom.Cat_not_in ("c", [ "b\"q"; "a" ]);
+            ]
+          ~values:[ ("w", I.point (-0.)); ("v", I.closed 0. 5.) ]
+          ~freq:(1, 7) ();
+        pc ~name:"c"
+          ~pred:[ Atom.less_than "x" 3.; Atom.greater_than "y" (-2.) ]
+          ~values:[] ~freq:(0, 0) ();
+      ]
+  in
+  let digest = Cache.digest_set set ~csv:(Some "x,y\n1,2\n") in
+  Alcotest.(check string) "digest with rows"
+    "71a2c82e9de6608423172ea033a6b529" digest;
+  Alcotest.(check string) "digest without rows"
+    "e6a01a7f85c7567b255fed0e453d851f"
+    (Cache.digest_set set ~csv:None);
+  let where_ =
+    [
+      Atom.Num_range ("x", I.make_exn (I.Open 0.1) (I.Closed 3.));
+      Atom.Cat_in ("c", [ "z"; "a" ]);
+      Atom.at_least "y" (-0.);
+    ]
+  in
+  Alcotest.(check string) "count key"
+    ({|71a2c82e9de6608423172ea033a6b529|count|n"x"[o0x1.999999999999ap-4,c0x1.8p+1]|}
+   ^ {|&n"y"[c-0x0p+0,+inf]&i"c"{"a";"z"}|m=true|t=0x1.4p+1|})
+    (Cache.key ~digest ~query:(Pc_query.Query.count ~where_ ())
+       ~missing_only:true ~timeout_ms:(Some 2.5));
+  Alcotest.(check string) "sum key"
+    {|71a2c82e9de6608423172ea033a6b529|sum("v")|TRUE|m=false|t=-|}
+    (Cache.key ~digest ~query:(Pc_query.Query.sum "v") ~missing_only:false
+       ~timeout_ms:None)
+
 let test_cache_disabled () =
   let cfg = { S.default_config with S.cache = false } in
   let ((srv, _) as s) = start ~cfg () in
@@ -897,6 +945,72 @@ let test_retract_batch_id () =
   C.close c;
   stop s
 
+(* The exposition spells undefined gauges as the format does: NaN used
+   to print as 0, an undefined value reading as a measured zero. *)
+let test_prometheus_non_finite () =
+  let text =
+    T.prometheus ~windows:[]
+      ~gauges:
+        [
+          ("g.nan", Float.nan);
+          ("g.pinf", infinity);
+          ("g.ninf", neg_infinity);
+          ("g.third", 1. /. 3.);
+        ]
+  in
+  let lines = String.split_on_char '\n' text in
+  List.iter
+    (fun line -> Alcotest.(check bool) line true (List.mem line lines))
+    [
+      "pcda_g_nan NaN";
+      "pcda_g_pinf +Inf";
+      "pcda_g_ninf -Inf";
+      "pcda_g_third 0.3333333333333333";
+    ]
+
+(* A bound reply carries the computed range exactly, from the solver
+   and from the cache: %.12g used to put "hi":0.3 on the wire for an
+   upper end of 3 x 0.1 = 0.30000000000000004, below the range the
+   server computed. *)
+let test_wire_range_exact () =
+  let constraints = "constraint tenth: true => v in [0.1, 0.1], count [0, 3];\n" in
+  let query = "SELECT SUM(v)" in
+  let expected =
+    match
+      Pc_core.Bounds.bound
+        (Pc_core.Pc_set.make (Pc_parse.Pc_parser.parse constraints))
+        (Pc_parse.Query_parser.parse query)
+    with
+    | Pc_core.Bounds.Range r -> r
+    | _ -> Alcotest.fail "expected a range"
+  in
+  let bits = Int64.bits_of_float in
+  let hi = expected.Pc_core.Range.hi in
+  Alcotest.(check bool) "12 digits cannot carry the upper end" false
+    (bits (float_of_string (Printf.sprintf "%.12g" hi)) = bits hi);
+  let ((srv, _) as s) = start () in
+  (match S.load_dataset srv ~name:"tenths" ~constraints () with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  let c = connect srv in
+  let line =
+    Printf.sprintf {|{"op":"bound","dataset":"tenths","query":%s}|}
+      (J.to_string (J.Str query))
+  in
+  List.iter
+    (fun pass ->
+      match J.member "answer" (req c line) with
+      | Some a ->
+          Alcotest.(check (list int64)) (pass ^ ": wire lo/hi are the computed bits")
+            [ bits expected.Pc_core.Range.lo; bits hi ]
+            (List.map
+               (fun k -> bits (Option.value (num a k) ~default:Float.nan))
+               [ "lo"; "hi" ])
+      | None -> Alcotest.fail "no answer")
+    [ "solved"; "cached" ];
+  C.close c;
+  stop s
+
 let () =
   Alcotest.run "pc_server"
     [
@@ -906,6 +1020,7 @@ let () =
           tc "crash isolation" `Quick test_crash_isolation;
           tc "load op" `Quick test_load_op;
           tc "torn socket isolated" `Quick test_torn_socket_isolated;
+          tc "wire range is exact" `Quick test_wire_range_exact;
         ] );
       ("concurrency", [ tc "8 clients" `Quick test_concurrent_clients ]);
       ( "admission",
@@ -919,6 +1034,7 @@ let () =
           tc "flight ring wraps" `Quick test_flight_ring_wraps;
           tc "flight concurrent writers" `Quick test_flight_concurrent_writers;
           tc "telemetry op" `Quick test_telemetry_op;
+          tc "prometheus non-finite" `Quick test_prometheus_non_finite;
           tc "flight dump on drain" `Quick test_flight_dump_on_drain;
           tc "flight dump on crash" `Quick test_flight_dump_on_crash;
         ] );
@@ -926,6 +1042,7 @@ let () =
         [
           tc "replay is byte-identical" `Quick test_cache_replay_byte_identical;
           tc "disabled config never hits" `Quick test_cache_disabled;
+          tc "keys pinned" `Quick test_cache_keys_pinned;
           tc "load invalidates" `Quick test_load_invalidates_cache;
         ] );
       ("drain", [ tc "artifacts flushed" `Quick test_drain_flushes_artifacts ]);

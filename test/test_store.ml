@@ -181,6 +181,35 @@ let test_store_dsl_roundtrip () =
         (Pc_core.Pc.holds (Partition.rows_exn p) pc))
     pcs (Store.partitions store)
 
+(* The zone-map summaries print and parse back as the same constraints,
+   bit for bit, over doubles that 12 digits cannot carry. *)
+let prop_store_dsl_exact =
+  let gen_part =
+    QCheck.Gen.(
+      list_size (1 -- 6)
+        (let* day = Doubles.gen and* amount = Doubles.gen in
+         let* city = oneofl [ "Chicago"; "New York"; "O'Hare" ] in
+         return (row day city amount)))
+  in
+  QCheck.Test.make ~name:"summaries_to_dsl then parse is the identity"
+    ~count:200
+    (QCheck.make QCheck.Gen.(list_size (1 -- 4) gen_part))
+    (fun parts ->
+      let store =
+        List.fold_left
+          (fun (i, st) rows ->
+            ( i + 1,
+              Store.add_partition st ~id:(Printf.sprintf "p%d" i)
+                (Pc_data.Relation.create schema rows) ))
+          (0, Store.create schema) parts
+        |> snd
+      in
+      let pcs = List.map Partition.to_pc (Store.partitions store) in
+      let back = Pc_parse.Pc_parser.parse (Store.summaries_to_dsl store) in
+      back = pcs
+      && List.map Pc_parse.Pc_parser.to_dsl back
+         = List.map Pc_parse.Pc_parser.to_dsl pcs)
+
 (* soundness: random partitioned datasets, random losses, random queries *)
 let prop_store_sound =
   QCheck.Test.make ~name:"store ranges contain the full-data truth" ~count:100
@@ -253,6 +282,7 @@ let () =
           tc "restore" `Quick test_store_restore;
           tc "validation" `Quick test_store_validation;
           tc "DSL roundtrip" `Quick test_store_dsl_roundtrip;
+          QCheck_alcotest.to_alcotest prop_store_dsl_exact;
           QCheck_alcotest.to_alcotest prop_store_sound;
         ] );
     ]

@@ -170,6 +170,29 @@ let clock_span_prop =
       let outer = Int64.sub t2 t0 in
       Int64.compare inner 0L >= 0 && Int64.compare outer inner >= 0)
 
+(* ---- Float_text: the one number codec ---- *)
+
+let test_float_text_spelling () =
+  let ft = Pc_util.Float_text.to_string in
+  List.iter
+    (fun (x, expected) -> Alcotest.(check string) expected expected (ft x))
+    [
+      (42., "42");
+      (-0., "-0");
+      (1e15, "1000000000000000");
+      (0x1p53, "9007199254740992");
+      (0.5, "0.5");
+      (0.1 +. 0.2, "0.30000000000000004");
+      (1. /. 3., "0.3333333333333333");
+      (infinity, "inf");
+      (neg_infinity, "-inf");
+    ]
+
+let float_text_prop =
+  QCheck.Test.make ~name:"Float_text reads back bit-equal" ~count:2000
+    Doubles.arb (fun x ->
+      Doubles.bit_equal x (float_of_string (Pc_util.Float_text.to_string x)))
+
 let () =
   Alcotest.run "pc_util"
     [
@@ -204,6 +227,11 @@ let () =
           Alcotest.test_case "elapsed non-negative" `Quick
             test_clock_elapsed_nonneg;
           QCheck_alcotest.to_alcotest clock_span_prop;
+        ] );
+      ( "float_text",
+        [
+          Alcotest.test_case "spelling" `Quick test_float_text_spelling;
+          QCheck_alcotest.to_alcotest float_text_prop;
         ] );
       ("props", [ QCheck_alcotest.to_alcotest percentile_prop ]);
     ]
