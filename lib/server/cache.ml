@@ -1,5 +1,8 @@
 module Counter = Pc_obs.Registry.Counter
+module I = Pc_interval.Interval
+module Atom = Pc_predicate.Atom
 module Pred = Pc_predicate.Pred
+module Schema = Pc_data.Schema
 module Q = Pc_query.Query
 
 (* Global counters (the --metrics face): one cache per dataset, one
@@ -10,14 +13,25 @@ let c_misses = Counter.make "cache.misses"
 let c_evictions = Counter.make "cache.evictions"
 let c_invalidations = Counter.make "cache.invalidations"
 let c_stale_stores = Counter.make "cache.stale_stores"
+let c_row_tests = Counter.make "cache.invalidate_row_tests"
 
 type meta = { pcs : int list; where_ : Pred.t; missing_only : bool }
+
+(* An entry's selection compiled against a batch schema: [None] when
+   some atom cannot be evaluated there (attribute absent or of the
+   wrong kind), otherwise the column and interval of every numeric atom
+   that can rule a row out (a full-line atom admits every value, NaN
+   included, so it is left out). *)
+type compiled = (int * I.t) array option
 
 type entry = {
   value : string;
   bytes : int;  (* key + value, the footprint both caps account *)
   stamp : int;
   meta : meta option;
+  mutable compiled : (Schema.t * compiled) option;
+      (* memo of [compile] for the last batch schema swept, written
+         under the lock *)
 }
 
 type t = {
@@ -115,39 +129,141 @@ let store t ?meta ?version key value =
     let bytes = String.length key + String.length value in
     let stamp = t.next_stamp in
     t.next_stamp <- stamp + 1;
-    Hashtbl.add t.tbl key { value; bytes; stamp; meta };
+    Hashtbl.add t.tbl key { value; bytes; stamp; meta; compiled = None };
     Queue.push (key, stamp) t.order;
     t.total_bytes <- t.total_bytes + bytes;
     evict_over_caps t
   end;
   Mutex.unlock t.mu
 
+let compile schema (where_ : Pred.t) : compiled =
+  let exception Unevaluable in
+  let column a kind =
+    match Schema.index_opt schema a with
+    | Some i when (Schema.attr schema a).Schema.kind = kind -> i
+    | _ -> raise Unevaluable
+  in
+  match
+    List.filter_map
+      (function
+        | Atom.Num_range (a, iv) ->
+            let i = column a Schema.Numeric in
+            if I.equal iv I.full then None else Some (i, iv)
+        | atom ->
+            ignore (column (Atom.attr atom) Schema.Categorical);
+            None)
+      where_
+  with
+  | atoms -> Some (Array.of_list atoms)
+  | exception Unevaluable -> None
+
+let compiled_against schema e where_ =
+  match e.compiled with
+  | Some (s, c) when s == schema || Schema.equal s schema -> c
+  | _ ->
+      let c = compile schema where_ in
+      e.compiled <- Some (schema, c);
+      c
+
+(* The batch's per-column hulls: each numeric column's [min, max] over
+   its non-NaN values ([lo > hi] when it has none). [None] when some
+   row does not fit the schema (too short, or a value of the wrong
+   kind): an atom could then raise on that row, so no entry may skip
+   the row test. *)
+type hulls = { lo : float array; hi : float array }
+
+let hulls schema tuples =
+  let attrs = Array.of_list (Schema.attrs schema) in
+  let n = Array.length attrs in
+  let lo = Array.make n Float.infinity and hi = Array.make n Float.neg_infinity in
+  let rec fits row i =
+    i = n
+    ||
+    match (attrs.(i).Schema.kind, row.(i)) with
+    | Schema.Numeric, Pc_data.Value.Num x ->
+        if x < lo.(i) then lo.(i) <- x;
+        if x > hi.(i) then hi.(i) <- x;
+        fits row (i + 1)
+    | Schema.Categorical, Pc_data.Value.Str _ -> fits row (i + 1)
+    | _ -> false
+  in
+  if Array.for_all (fun row -> Array.length row >= n && fits row 0) tuples then
+    Some { lo; hi }
+  else None
+
+(* No value in [lo, hi] lies in [iv] (a non-full interval, which holds
+   no NaN). Two convex sets meet iff the hull's top clears [iv]'s lower
+   end and its bottom clears [iv]'s upper end. *)
+let misses (iv : I.t) ~lo ~hi =
+  lo > hi
+  || not
+       ((match iv.I.lo with
+        | I.Neg_inf -> true
+        | I.Pos_inf -> false
+        | I.Closed l -> hi >= l
+        | I.Open l -> hi > l)
+       &&
+       match iv.I.hi with
+       | I.Pos_inf -> true
+       | I.Neg_inf -> false
+       | I.Closed u -> lo <= u
+       | I.Open u -> lo < u)
+
+(* The exact certain-side test: some batch row satisfies the selection.
+   A predicate that cannot be evaluated against the batch schema
+   (attribute absent or mistyped) is treated as affected — conservative
+   eviction is always sound. *)
+let selects schema where_ tuples =
+  Array.exists
+    (fun row ->
+      try Pred.eval schema where_ row with Not_found | Invalid_argument _ -> true)
+    tuples
+
 (* Does the ingestion delta reach this entry? Missing side: consumption
    of a reachable PC. Certain side: a batch row inside the entry's
-   selection. A predicate that cannot be evaluated against the batch
-   schema (attribute absent or mistyped) is treated as affected —
-   conservative eviction is always sound. *)
-let affected ~touched ~rows = function
-  | None -> true
-  | Some m ->
-      List.exists (fun j -> List.mem j m.pcs) touched
-      || (not m.missing_only)
-         && (match rows with
-            | None -> false
-            | Some (schema, tuples) ->
-                Array.exists
-                  (fun row ->
-                    try Pred.eval schema m.where_ row with
-                    | Not_found | Invalid_argument _ -> true)
-                  tuples)
-
+   selection. The hull prefilter answers "no row" without the row test
+   when every atom can be evaluated and some numeric atom misses its
+   column's hull: every row then fails that atom, and none can raise,
+   so [selects] would have answered [false] too. *)
 let invalidate t ~version ~touched ~rows =
+  let marked = Array.make (1 + List.fold_left max (-1) touched) false in
+  List.iter (fun j -> if j >= 0 then marked.(j) <- true) touched;
+  let reaches pcs =
+    List.exists (fun j -> j >= 0 && j < Array.length marked && marked.(j)) pcs
+  in
+  let batch =
+    Option.map (fun (schema, tuples) -> (schema, tuples, hulls schema tuples)) rows
+  in
+  let row_tests = ref 0 in
+  let affected e =
+    match e.meta with
+    | None -> true
+    | Some m -> (
+        reaches m.pcs
+        || (not m.missing_only)
+           &&
+           match batch with
+           | None -> false
+           | Some (schema, tuples, hulls) ->
+               let skip =
+                 match (hulls, compiled_against schema e m.where_) with
+                 | Some h, Some atoms ->
+                     Array.exists
+                       (fun (i, iv) -> misses iv ~lo:h.lo.(i) ~hi:h.hi.(i))
+                       atoms
+                 | _ -> false
+               in
+               (not skip)
+               && begin
+                    incr row_tests;
+                    selects schema m.where_ tuples
+                  end)
+  in
   Mutex.lock t.mu;
   if version > t.version then t.version <- version;
   let victims =
     Hashtbl.fold
-      (fun key e acc ->
-        if affected ~touched ~rows e.meta then (key, e.bytes) :: acc else acc)
+      (fun key e acc -> if affected e then (key, e.bytes) :: acc else acc)
       t.tbl []
   in
   List.iter
@@ -158,6 +274,9 @@ let invalidate t ~version ~touched ~rows =
     victims;
   compact_if_bloated t;
   Mutex.unlock t.mu;
+  Counter.add c_row_tests !row_tests;
+  if Pc_obs.Trace.enabled () then
+    Pc_obs.Trace.add_attr "row_tests" (string_of_int !row_tests);
   List.length victims
 
 let size t =

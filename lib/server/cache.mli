@@ -15,6 +15,8 @@
     memory behind the entry cap). Hits and misses feed the global
     [cache.hits] / [cache.misses] counters; capacity-driven evictions
     feed [cache.evictions] and delta-scoped ones [cache.invalidations].
+    [cache.invalidate_row_tests] counts the entries an {!invalidate}
+    sweep had to test row by row (see the prefilter below).
 
     {2 Delta-scoped invalidation}
 
@@ -34,6 +36,33 @@
     side leave the entry byte-valid: the residual constraint system
     restricted to the entry's reachable cells and its certain selection
     are both unchanged.
+
+    {3 The hull prefilter}
+
+    The certain-side test is exact: it evaluates the entry's selection
+    on every batch row, and an atom that raises (attribute absent from
+    the batch schema, or of the wrong kind) counts as a match. Most
+    entries are skipped before it. Once per batch the sweep computes
+    each numeric column's [\[min, max\]] hull over the rows, NaN
+    excluded. Once per entry and batch schema (memoised in the entry)
+    it compiles the selection to the column and interval of each
+    numeric atom, or to "cannot be evaluated". An entry skips the row
+    test iff every atom can be evaluated and some numeric atom's
+    interval misses its column's hull. The answer is the same: every
+    row fails that atom, no atom can raise, so no row satisfies the
+    conjunction. A full-line atom never rules a row out (it admits
+    NaN), so it never skips one. A batch with a row that does not fit
+    its schema (too short, or a value of the wrong kind) disables the
+    prefilter, since an atom could raise on that row. The test
+    [test/test_ingest.ml] checks the victims against the row sweep,
+    kept in [test/oracle/cache_sweep.ml].
+
+    There is no PC → entries index and no grouping of entries by
+    selection. The missing-side test is a lookup per reachable PC, but
+    the certain side still has to visit every entry, and after the
+    prefilter that visit is a few float comparisons. On the benchmark's
+    ingest workload the roughly 145 cached selections are all distinct,
+    so grouping would save nothing.
 
     {2 Version fencing}
 
@@ -82,7 +111,12 @@ val invalidate :
     certain-side change, as when the rows are unavailable the caller
     should pass the batch rows). [version] is the stream version the
     batch publishes — it fences subsequent {!store}s of replies pinned
-    before it. Returns the number of evictions. *)
+    before it. Returns the number of evictions.
+
+    Adds the entries that reached the exact row test to
+    [cache.invalidate_row_tests]. Under tracing it also attaches that
+    number as a [row_tests] attribute to the caller's innermost open
+    span (the server's [ingest.append] / [ingest.retract] span). *)
 
 val size : t -> int
 val bytes : t -> int

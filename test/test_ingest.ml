@@ -202,6 +202,67 @@ let test_cache_delta_invalidation () =
   Alcotest.(check int) "pc-only sweep" 2 n;
   Alcotest.(check int) "empty but for nothing" 0 (Cache.size c)
 
+(* The hull prefilter must evict exactly what the row sweep evicts. *)
+let price_schema =
+  Schema.of_names [ ("branch", Schema.Categorical); ("price", Schema.Numeric) ]
+
+let price_rows prices =
+  Some
+    ( price_schema,
+      Array.of_list (List.map (fun p -> [| V.Str "Chicago"; V.Num p |]) prices) )
+
+let low_price = Atom.between "price" 0. 1.
+
+let sweep_evicts where_ rows =
+  Cache_sweep.affected ~touched:[] ~rows
+    (Some { Cache.pcs = [ 1 ]; where_; missing_only = false })
+
+let evicted_by where_ rows =
+  let c = Cache.create () in
+  Cache.store c ~meta:{ Cache.pcs = [ 1 ]; where_; missing_only = false } "q" "r";
+  ignore (Cache.invalidate c ~version:1 ~touched:[] ~rows);
+  Cache.find c "q" = None
+
+let test_cache_absent_attr_first () =
+  (* the price atom misses the hull, but the first atom names an
+     attribute the batch lacks: the sweep raises on it, so it evicts *)
+  let where_ = [ Atom.cat_eq "region" "west"; low_price ] in
+  let rows = price_rows [ 50. ] in
+  Alcotest.(check (pair bool bool))
+    "sweep and cache evict" (true, true)
+    (sweep_evicts where_ rows, evicted_by where_ rows)
+
+let test_cache_miss_then_raise () =
+  (* the out-of-hull atom comes first: the sweep stops on it before the
+     raising atom, and evicts only once some row passes it *)
+  let where_ = [ low_price; Atom.cat_eq "region" "west" ] in
+  List.iter
+    (fun (name, prices, evicts) ->
+      let rows = price_rows prices in
+      Alcotest.(check (pair bool bool))
+        name (evicts, evicts)
+        (sweep_evicts where_ rows, evicted_by where_ rows))
+    [
+      ("every row fails the first atom", [ 50.; 60. ], false);
+      ("one row passes it", [ 50.; 0.5 ], true);
+    ]
+
+let test_cache_hull_miss_keeps_hit () =
+  Pc_obs.Registry.set_enabled true;
+  let row_tests () =
+    Pc_obs.Registry.Counter.(get (make "cache.invalidate_row_tests"))
+  in
+  let c = Cache.create () in
+  let where_ = [ Atom.between "price" 0. 10. ] in
+  Cache.store c ~meta:{ Cache.pcs = [ 1 ]; where_; missing_only = false } "q" "r";
+  let before = row_tests () in
+  let n =
+    Cache.invalidate c ~version:1 ~touched:[ 0 ] ~rows:(price_rows [ 50.; 60. ])
+  in
+  Alcotest.(check int) "nothing evicted" 0 n;
+  Alcotest.(check (option string)) "hit kept" (Some "r") (Cache.find c "q");
+  Alcotest.(check int) "no row test ran" before (row_tests ())
+
 (* The stale-store race: a reply computed against a pre-batch snapshot
    must not enter the cache after the batch's invalidation sweep — it
    would be served byte-identical at the new version. The fence is the
@@ -323,10 +384,27 @@ let test_server_append_invalidation () =
   (* both cached now: identical bytes on repeat *)
   let chi1', _ = req c q_chi in
   Alcotest.(check string) "warm repeat is a byte-identical hit" chi1 chi1';
+  Pc_obs.Trace.reset ();
+  Pc_obs.Trace.set_enabled true;
   let _, app =
     req c {|{"op":"append","csv":"branch,price\nChicago,50.0\n"}|}
   in
+  Pc_obs.Trace.set_enabled false;
   Alcotest.(check bool) "append ok" true (ok app);
+  (* the span reports how many entries the sweep tested row by row:
+     the Chicago entry goes on its touched PC alone, the New-York entry
+     takes the row test *)
+  let span =
+    List.find
+      (fun s -> s.Pc_obs.Trace.name = "ingest.append")
+      (Pc_obs.Trace.spans ())
+  in
+  Alcotest.(check (list (option string)))
+    "row_tests and evicted on the ingest span"
+    [ Some "1"; Some "1" ]
+    (List.map
+       (fun a -> List.assoc_opt a span.Pc_obs.Trace.attrs)
+       [ "row_tests"; "evicted" ]);
   Alcotest.(check (option (float 1e-9)))
     "only the Chicago PC was touched" (Some 0.)
     (match J.member "touched" app with
@@ -574,6 +652,101 @@ let prop_incremental_matches_scratch =
           done;
           !ok)
 
+(* Random tables and batches: the hull-prefiltered [Cache.invalidate]
+   evicts the same keys, and returns the same count, as the row sweep.
+   Selections mix numeric and categorical atoms, including atoms on an
+   attribute the batch schema lacks or holds at the other kind, in any
+   order; rows carry NaN, ±inf and -0., and now and then a value of the
+   wrong kind. Successive sweeps alternate two schemas, so compiled
+   selections are reused and recompiled. *)
+let prop_invalidate_matches_sweep =
+  let module R = Pc_util.Rng in
+  let schemas =
+    [|
+      Schema.of_names
+        [ ("x", Schema.Numeric); ("y", Schema.Numeric); ("c", Schema.Categorical) ];
+      Schema.of_names
+        [ ("c", Schema.Categorical); ("x", Schema.Numeric); ("z", Schema.Numeric) ];
+    |]
+  in
+  let words = [| "a"; "b"; "c" |] in
+  let finite = [| -1.; -0.; 0.; 1.; 2. |] in
+  QCheck.Test.make ~name:"hull-prefiltered invalidate ≡ row sweep" ~count:500
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let rng = R.create seed in
+      let pick a = R.choose rng a and one_in n = R.int rng n = 0 in
+      let subset () = List.filter (fun _ -> R.bool rng) [ 0; 1; 2; 3; 4 ] in
+      let interval () =
+        let v = pick finite and w = pick finite in
+        let lo = pick [| I.Neg_inf; I.Closed v; I.Open v |]
+        and hi = pick [| I.Pos_inf; I.Closed w; I.Open w |] in
+        Option.value (I.make lo hi) ~default:I.full
+      in
+      let atom () =
+        let a = pick [| "x"; "y"; "z"; "c"; "absent" |] in
+        match R.int rng 5 with
+        | 0 | 1 -> Atom.Num_range (a, interval ())
+        | 2 -> Atom.Cat_eq (a, pick words)
+        | 3 -> Atom.Cat_neq (a, pick words)
+        | _ ->
+            let ws = List.filter (fun _ -> R.bool rng) (Array.to_list words) in
+            if R.bool rng then Atom.Cat_in (a, ws) else Atom.Cat_not_in (a, ws)
+      in
+      let meta () =
+        if one_in 8 then None
+        else
+          Some
+            {
+              Cache.pcs = subset ();
+              where_ = List.init (R.int rng 4) (fun _ -> atom ());
+              missing_only = one_in 5;
+            }
+      in
+      let value (a : Schema.attr) =
+        match a.Schema.kind with
+        | _ when one_in 40 -> if R.bool rng then V.Str "a" else V.Num 1.
+        | Schema.Numeric ->
+            V.Num
+              (match R.int rng 4 with
+              | 0 | 1 -> pick [| nan; infinity; neg_infinity; -0.; 0. |]
+              | 2 -> pick finite
+              | _ -> R.uniform rng ~lo:(-3.) ~hi:4.)
+        | Schema.Categorical -> V.Str (pick words)
+      in
+      let c = Cache.create () in
+      let live = ref [] and next = ref 0 in
+      let ok = ref true in
+      for version = 1 to 1 + R.int rng 4 do
+        for _ = 0 to R.int rng 8 do
+          let key = Printf.sprintf "k%d" !next and m = meta () in
+          incr next;
+          Cache.store c ?meta:m key "v";
+          live := (key, m) :: !live
+        done;
+        let touched = if one_in 3 then [] else subset () in
+        let rows =
+          if one_in 5 then None
+          else
+            let schema = schemas.(version mod 2) in
+            let attrs = Array.of_list (Schema.attrs schema) in
+            Some
+              ( schema,
+                Array.init (R.int rng 5) (fun _ ->
+                    if one_in 40 then [| V.Str "a" |] else Array.map value attrs) )
+        in
+        let hit (_, m) = Cache_sweep.affected ~touched ~rows m in
+        let victims, kept = List.partition hit !live in
+        let n = Cache.invalidate c ~version ~touched ~rows in
+        ok :=
+          !ok
+          && n = List.length victims
+          && List.for_all (fun (k, _) -> Cache.find c k = None) victims
+          && List.for_all (fun (k, _) -> Cache.find c k <> None) kept;
+        live := kept
+      done;
+      !ok)
+
 let () =
   Alcotest.run "pc_ingest"
     [
@@ -595,6 +768,11 @@ let () =
         [
           tc "byte-cap FIFO eviction" `Quick test_cache_byte_cap;
           tc "delta-scoped invalidation" `Quick test_cache_delta_invalidation;
+          tc "absent attribute first still evicts" `Quick
+            test_cache_absent_attr_first;
+          tc "out-of-hull atom before a raising one" `Quick
+            test_cache_miss_then_raise;
+          tc "hull miss keeps the hit" `Quick test_cache_hull_miss_keeps_hit;
           tc "stale-store version fence" `Quick test_cache_version_fence;
           tc "queue compaction under churn" `Quick test_cache_queue_compaction;
         ] );
@@ -607,5 +785,9 @@ let () =
           tc "fractional LP answered exact and cached" `Quick
             test_server_fractional_exact;
         ] );
-      ("oracle", [ QCheck_alcotest.to_alcotest prop_incremental_matches_scratch ]);
+      ( "oracle",
+        [
+          QCheck_alcotest.to_alcotest prop_incremental_matches_scratch;
+          QCheck_alcotest.to_alcotest prop_invalidate_matches_sweep;
+        ] );
     ]
