@@ -12,6 +12,7 @@
 
 module E = Pc_workload.Experiments
 module Clock = Pc_util.Clock
+module J = Pc_obs.Json
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks of the solver stack                       *)
@@ -113,40 +114,101 @@ type fig8_point = {
   f8_dense : (float * int) option;  (* ns, pivots; None above dense reach *)
 }
 
+(* Each side's wall time is the median of [fig8_repeats] solves, the two
+   sides taken in alternation, so one slow moment on a shared host
+   cannot decide the per-pivot comparison. Pivot counts are
+   deterministic, so the first repeat's stand for all. *)
+let fig8_repeats = 5
+
+let f8_ns_per_pivot ns pivots = ns /. float_of_int (max 1 pivots)
+
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  a.(Array.length a / 2)
+
 let fig8_run ~cells ~with_dense =
   let p = fig8_problem ~cells in
   let module C = Pc_obs.Registry.Counter in
   let pivc = C.make "lp.pivots" in
-  let time f =
+  let sparse () =
+    let before = C.get pivc in
+    let out = Pc_lp.Simplex.solve p in
+    (out, C.get pivc - before)
+  in
+  let time name solve =
     let t0 = Clock.now () in
-    let r = f () in
-    (r, Clock.elapsed_s ~since:t0 *. 1e9)
+    let out, pivots = solve () in
+    let ns = Clock.elapsed_s ~since:t0 *. 1e9 in
+    (match out with
+    | Pc_lp.Simplex.Optimal _ -> ()
+    | _ ->
+        Printf.eprintf "FATAL: fig8 %s solve (%d cells) not Optimal\n" name
+          cells;
+        exit 1);
+    (ns, pivots)
   in
-  let before = C.get pivc in
-  let s_out, s_ns = time (fun () -> Pc_lp.Simplex.solve p) in
-  let s_piv = C.get pivc - before in
-  (match s_out with
-  | Pc_lp.Simplex.Optimal _ -> ()
-  | _ ->
-      Printf.eprintf "FATAL: fig8 revised-simplex solve (%d cells) not Optimal\n"
-        cells;
-      exit 1);
+  let runs =
+    List.init fig8_repeats (fun _ ->
+        let s = time "revised-simplex" sparse in
+        let d =
+          if with_dense then
+            Some (time "dense-tableau" (fun () -> Dense_tableau.solve_stats p))
+          else None
+        in
+        (s, d))
+  in
+  let summary side =
+    let ns, pivots = List.split (List.map side runs) in
+    (median ns, List.hd pivots)
+  in
+  let s_ns, s_piv = summary fst in
+  {
+    f8_cells = cells;
+    f8_sparse_ns = s_ns;
+    f8_sparse_pivots = s_piv;
+    f8_dense =
+      (if with_dense then Some (summary (fun (_, d) -> Option.get d))
+       else None);
+  }
+
+let json_int n = J.Num (float_of_int n)
+
+(* [x] at the fixed-point precision the baseline has always recorded *)
+let json_fixed digits x =
+  J.Num (float_of_string (Printf.sprintf "%.*f" digits x))
+
+(* one size's entry; the dense keys are null above the tableau's reach *)
+let fig8_json f =
+  let s_npp = f8_ns_per_pivot f.f8_sparse_ns f.f8_sparse_pivots in
   let dense =
-    if not with_dense then None
-    else begin
-      let (d_out, d_piv), d_ns =
-        time (fun () -> Dense_tableau.solve_stats p)
-      in
-      (match d_out with
-      | Pc_lp.Simplex.Optimal _ -> ()
-      | _ ->
-          Printf.eprintf "FATAL: fig8 dense-tableau solve (%d cells) not Optimal\n"
-            cells;
-          exit 1);
-      Some (d_ns, d_piv)
-    end
+    match f.f8_dense with
+    | Some (d_ns, d_piv) ->
+        let d_npp = f8_ns_per_pivot d_ns d_piv in
+        [
+          ("dense_ns", json_fixed 0 d_ns);
+          ("dense_pivots", json_int d_piv);
+          ("dense_ns_per_pivot", json_fixed 1 d_npp);
+          ("sparse_beats_dense_per_pivot", J.Bool (s_npp < d_npp));
+        ]
+    | None ->
+        List.map
+          (fun k -> (k, J.Null))
+          [
+            "dense_ns";
+            "dense_pivots";
+            "dense_ns_per_pivot";
+            "sparse_beats_dense_per_pivot";
+          ]
   in
-  { f8_cells = cells; f8_sparse_ns = s_ns; f8_sparse_pivots = s_piv; f8_dense = dense }
+  J.Obj
+    ([
+       ("cells", json_int f.f8_cells);
+       ("sparse_ns", json_fixed 0 f.f8_sparse_ns);
+       ("sparse_pivots", json_int f.f8_sparse_pivots);
+       ("sparse_ns_per_pivot", json_fixed 1 s_npp);
+     ]
+    @ dense)
 
 (* dense runs at the 10x and 30x points; at 100x a single dense pivot
    sweeps a 200k-column tableau row set, which is exactly the cost the
@@ -406,72 +468,37 @@ let end_to_end_wall ~jobs ~queries ~rows =
   Pc_par.Pool.set_default_jobs 1;
   (wall, outs)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let decompose_schema_version = 6
-let serve_schema_version = 4
+let schema_version = 6
 
 (* The "schema_version" an existing baseline file carries, or None when
-   the file is missing/unreadable/unversioned. A cheap textual scan, not
-   a JSON parse — the field is always a bare integer near the top. *)
+   the file is missing, unreadable, not JSON or unversioned. *)
 let file_schema_version path =
-  match open_in path with
+  match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error _ -> None
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let s =
-            really_input_string ic (min (in_channel_length ic) 4096)
-          in
-          let key = "\"schema_version\":" in
-          let klen = String.length key in
-          let rec find i =
-            if i + klen > String.length s then None
-            else if String.sub s i klen = key then Some (i + klen)
-            else find (i + 1)
-          in
-          match find 0 with
-          | None -> None
-          | Some i ->
-              let i = ref i in
-              while
-                !i < String.length s && (s.[!i] = ' ' || s.[!i] = '\t')
-              do
-                incr i
-              done;
-              let start = !i in
-              while !i < String.length s && s.[!i] >= '0' && s.[!i] <= '9' do
-                incr i
-              done;
-              if !i = start then None
-              else int_of_string_opt (String.sub s start (!i - start)))
+  | text -> (
+      match J.parse text with
+      | Error _ -> None
+      | Ok v ->
+          Option.bind (J.member "schema_version" v) J.to_num
+          |> Option.map int_of_float)
 
 (* A baseline file from a *newer* schema must not be clobbered by an
    older binary — that silently downgrades the committed reference the
    CI bench gate diffs against. Same-or-older schemas are fair game. *)
-let guard_schema ~writes path =
+let guard_schema path =
   match file_schema_version path with
-  | Some v when v > writes ->
+  | Some v when v > schema_version ->
       Printf.eprintf
         "FATAL: %s carries schema v%d, newer than the v%d this binary \
          writes; refusing to overwrite (rebuild bench from the matching \
          checkout)\n"
-        path v writes;
+        path v schema_version;
       exit 1
   | _ -> ()
 
 let write_baseline ~queries ~rows path =
-  guard_schema ~writes:decompose_schema_version path;
-  Printf.printf "writing %s (schema v%d)\n%!" path decompose_schema_version;
+  guard_schema path;
+  Printf.printf "writing %s (schema v%d)\n%!" path schema_version;
   Printf.printf "measuring micro-benchmarks...\n%!";
   let micro = run_micro () in
   Printf.printf "measuring milp.solve pivot counts (warm vs cold)...\n%!";
@@ -526,110 +553,119 @@ let write_baseline ~queries ~rows path =
   Printf.printf
     "measuring incremental rebound vs full recompute (ingest micro)...\n%!";
   let im = incremental_micro () in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      let p fmt = Printf.fprintf oc fmt in
-      p "{\n";
-      p "  \"benchmark\": \"BENCH_decompose\",\n";
-      p "  \"schema_version\": %d,\n" decompose_schema_version;
-      p "  \"pre_pr_reference\": { \"cells.decompose (10 overlapping PCs)\": 78755.4, \"cells.decompose_fdd (10 overlapping PCs)\": 31600.0 },\n";
-      p "  \"micro_ns_per_run\": {\n";
-      let n = List.length micro in
-      List.iteri
-        (fun i (name, est) ->
-          p "    \"%s\": %s%s\n" (json_escape name)
-            (match est with Some e -> Printf.sprintf "%.1f" e | None -> "null")
-            (if i = n - 1 then "" else ","))
-        micro;
-      p "  },\n";
-      p "  \"decompose_dfs_rewrite\": { \"cells\": %d, \"sat_calls\": %d, \"atom_ops\": %d },\n"
-        stats.Pc_core.Cells.n_cells stats.Pc_core.Cells.sat_calls
-        stats.Pc_core.Cells.atom_ops;
-      (* schema v4: the fdd strategy's cell count, its zero SAT-call
-         contract, and a hard cross-check against the dfs-rewrite cells *)
-      p "  \"decompose_fdd\": { \"cells\": %d, \"sat_calls\": %d, \"matches_dfs_rewrite\": %b },\n"
-        fdd_stats.Pc_core.Cells.n_cells fdd_stats.Pc_core.Cells.sat_calls
-        fdd_matches;
-      p "  \"jobs_policy\": { \"requested\": %d, \"effective\": %d, \"available_cores\": %d, \"chunk_threshold\": %d, \"reason\": \"%s\" },\n"
-        jp_requested jp_effective
-        (Pc_par.Pool.available_cores ())
-        Pc_par.Pool.chunk_threshold
-        (if jp_effective < jp_requested then
-           "requested jobs clamped to available cores; batches under \
-            chunk_threshold x effective items run sequentially"
-         else "requested jobs within available cores");
-      (* schema v3: lp.pivots cost of one warm vs one cold MILP solve of
-         the 6-var interval micro, plus cumulative warm-start evidence *)
-      p "  \"milp_solve_pivots\": { \"warm\": %d, \"cold\": %d, \"cold_over_warm\": %.2f },\n"
-        warm_pivots cold_pivots
-        (float_of_int cold_pivots /. float_of_int (max 1 warm_pivots));
-      p "  \"lp_pivots_total\": %d,\n" total_lp_pivots;
-      p "  \"lp_warm_starts\": %d,\n" warm_starts;
-      (* schema v5: the Fig. 8 disjoint-partition scaling micro — wall
-         time and pivot counts of the revised simplex against the
-         retained dense tableau, per size; dense entries are null above
-         its reach *)
-      p "  \"fig8_simplex_scaling\": {\n";
-      p "    \"paper_max_partitions\": 2000,\n";
-      p "    \"sizes\": [\n";
-      let nf = List.length fig8 in
-      List.iteri
-        (fun i f ->
-          let s_npp =
-            f.f8_sparse_ns /. float_of_int (max 1 f.f8_sparse_pivots)
-          in
-          (match f.f8_dense with
-          | Some (d_ns, d_piv) ->
-              let d_npp = d_ns /. float_of_int (max 1 d_piv) in
-              p
-                "      { \"cells\": %d, \"sparse_ns\": %.0f, \
-                 \"sparse_pivots\": %d, \"sparse_ns_per_pivot\": %.1f, \
-                 \"dense_ns\": %.0f, \"dense_pivots\": %d, \
-                 \"dense_ns_per_pivot\": %.1f, \
-                 \"sparse_beats_dense_per_pivot\": %b }"
-                f.f8_cells f.f8_sparse_ns f.f8_sparse_pivots s_npp d_ns d_piv
-                d_npp (s_npp < d_npp)
-          | None ->
-              p
-                "      { \"cells\": %d, \"sparse_ns\": %.0f, \
-                 \"sparse_pivots\": %d, \"sparse_ns_per_pivot\": %.1f, \
-                 \"dense_ns\": null, \"dense_pivots\": null, \
-                 \"dense_ns_per_pivot\": null, \
-                 \"sparse_beats_dense_per_pivot\": null }"
-                f.f8_cells f.f8_sparse_ns f.f8_sparse_pivots s_npp);
-          p "%s\n" (if i = nf - 1 then "" else ","))
-        fig8;
-      p "    ]\n";
-      p "  },\n";
-      (* schema v6: the streaming-ingestion micro — a 1-row append
-         re-bounded by the warm engine versus a full recompute of the
-         equivalent residual set, on a >=500-cell overlapping dataset *)
-      p
-        "  \"incremental_rebound\": { \"pcs\": %d, \"cells\": %d, \
-         \"rebound_ns\": %.0f, \"recompute_ns\": %.0f, \"speedup\": %.2f, \
-         \"answers_agree\": %b },\n"
-        im.im_pcs im.im_cells im.im_rebound_ns im.im_recompute_ns
-        im.im_speedup im.im_agree;
-      p "  \"phase_totals_ns\": {\n";
-      let np = List.length phase_totals in
-      List.iteri
-        (fun i (name, count, total_ns) ->
-          p "    \"%s\": { \"count\": %d, \"total_ns\": %Ld }%s\n"
-            (json_escape name) count total_ns
-            (if i = np - 1 then "" else ","))
-        phase_totals;
-      p "  },\n";
-      p "  \"end_to_end_bound\": {\n";
-      p "    \"queries\": %d,\n" queries;
-      p "    \"jobs1_wall_s\": %.4f,\n" wall1;
-      p "    \"jobs4_wall_s\": %.4f,\n" wall4;
-      p "    \"speedup_jobs4_over_jobs1\": %.2f,\n" (wall1 /. Float.max 1e-9 wall4);
-      p "    \"bounds_identical\": %b,\n" identical;
-      p "    \"available_cores\": %d\n" (Domain.recommended_domain_count ());
-      p "  }\n";
-      p "}\n");
+  let baseline =
+    J.Obj
+      [
+        ("benchmark", J.Str "BENCH_decompose");
+        ("schema_version", json_int schema_version);
+        ( "pre_pr_reference",
+          J.Obj
+            [
+              ("cells.decompose (10 overlapping PCs)", J.Num 78755.4);
+              ("cells.decompose_fdd (10 overlapping PCs)", J.Num 31600.0);
+            ] );
+        ( "micro_ns_per_run",
+          J.Obj
+            (List.map
+               (fun (name, est) ->
+                 (name, Option.fold ~none:J.Null ~some:(json_fixed 1) est))
+               micro) );
+        ( "decompose_dfs_rewrite",
+          J.Obj
+            [
+              ("cells", json_int stats.Pc_core.Cells.n_cells);
+              ("sat_calls", json_int stats.Pc_core.Cells.sat_calls);
+              ("atom_ops", json_int stats.Pc_core.Cells.atom_ops);
+            ] );
+        (* schema v4: the fdd strategy's cell count, its zero SAT-call
+           contract, and a hard cross-check against the dfs-rewrite cells *)
+        ( "decompose_fdd",
+          J.Obj
+            [
+              ("cells", json_int fdd_stats.Pc_core.Cells.n_cells);
+              ("sat_calls", json_int fdd_stats.Pc_core.Cells.sat_calls);
+              ("matches_dfs_rewrite", J.Bool fdd_matches);
+            ] );
+        ( "jobs_policy",
+          J.Obj
+            [
+              ("requested", json_int jp_requested);
+              ("effective", json_int jp_effective);
+              ("available_cores", json_int (Pc_par.Pool.available_cores ()));
+              ("chunk_threshold", json_int Pc_par.Pool.chunk_threshold);
+              ( "reason",
+                J.Str
+                  (if jp_effective < jp_requested then
+                     "requested jobs clamped to available cores; batches \
+                      under chunk_threshold x effective items run \
+                      sequentially"
+                   else "requested jobs within available cores") );
+            ] );
+        (* schema v3: lp.pivots cost of one warm vs one cold MILP solve
+           of the 6-var interval micro, plus cumulative warm-start
+           evidence *)
+        ( "milp_solve_pivots",
+          J.Obj
+            [
+              ("warm", json_int warm_pivots);
+              ("cold", json_int cold_pivots);
+              ( "cold_over_warm",
+                json_fixed 2
+                  (float_of_int cold_pivots
+                  /. float_of_int (max 1 warm_pivots)) );
+            ] );
+        ("lp_pivots_total", json_int total_lp_pivots);
+        ("lp_warm_starts", json_int warm_starts);
+        (* schema v5: the Fig. 8 disjoint-partition scaling micro — wall
+           time and pivot counts of the revised simplex against the
+           retained dense tableau, per size; dense entries are null
+           above its reach *)
+        ( "fig8_simplex_scaling",
+          J.Obj
+            [
+              ("paper_max_partitions", json_int 2000);
+              ("sizes", J.Arr (List.map fig8_json fig8));
+            ] );
+        (* schema v6: the streaming-ingestion micro — a 1-row append
+           re-bounded by the warm engine versus a full recompute of the
+           equivalent residual set, on a >=500-cell overlapping dataset *)
+        ( "incremental_rebound",
+          J.Obj
+            [
+              ("pcs", json_int im.im_pcs);
+              ("cells", json_int im.im_cells);
+              ("rebound_ns", json_fixed 0 im.im_rebound_ns);
+              ("recompute_ns", json_fixed 0 im.im_recompute_ns);
+              ("speedup", json_fixed 2 im.im_speedup);
+              ("answers_agree", J.Bool im.im_agree);
+            ] );
+        ( "phase_totals_ns",
+          J.Obj
+            (List.map
+               (fun (name, count, total_ns) ->
+                 ( name,
+                   J.Obj
+                     [
+                       ("count", json_int count);
+                       ("total_ns", J.Num (Int64.to_float total_ns));
+                     ] ))
+               phase_totals) );
+        ( "end_to_end_bound",
+          J.Obj
+            [
+              ("queries", json_int queries);
+              ("jobs1_wall_s", json_fixed 4 wall1);
+              ("jobs4_wall_s", json_fixed 4 wall4);
+              ( "speedup_jobs4_over_jobs1",
+                json_fixed 2 (wall1 /. Float.max 1e-9 wall4) );
+              ("bounds_identical", J.Bool identical);
+              ( "available_cores",
+                json_int (Domain.recommended_domain_count ()) );
+            ] );
+      ]
+  in
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc (J.to_string baseline ^ "\n"));
   Printf.printf "wrote %s\n" path;
   if not identical then begin
     Printf.eprintf "FATAL: --jobs 4 changed the workload outcomes\n";
@@ -668,10 +704,8 @@ let write_baseline ~queries ~rows path =
       match f.f8_dense with
       | None -> ()
       | Some (d_ns, d_piv) ->
-          let s_npp =
-            f.f8_sparse_ns /. float_of_int (max 1 f.f8_sparse_pivots)
-          in
-          let d_npp = d_ns /. float_of_int (max 1 d_piv) in
+          let s_npp = f8_ns_per_pivot f.f8_sparse_ns f.f8_sparse_pivots in
+          let d_npp = f8_ns_per_pivot d_ns d_piv in
           if s_npp >= d_npp then begin
             Printf.eprintf
               "FATAL: fig8 %d cells: revised simplex %.1f ns/pivot is not \
@@ -680,469 +714,6 @@ let write_baseline ~queries ~rows path =
             exit 1
           end)
     fig8
-
-(* ------------------------------------------------------------------ *)
-(* Closed-loop server load generator (BENCH_serve.json)                *)
-(* ------------------------------------------------------------------ *)
-
-(* N clients in a closed loop against an in-process `pcda serve` engine:
-   each sends a bound request, waits for the reply, thinks, repeats.
-   Latency is measured around the request only (think time excluded);
-   qps is end-to-end completed requests over wall clock, the closed-loop
-   convention. Schema documented in DESIGN.md, "Serving, admission
-   control & fault injection". *)
-let serve_baseline ~clients ~requests ~think_ms ~max_inflight path =
-  guard_schema ~writes:serve_schema_version path;
-  Printf.printf "writing %s (schema v%d)\n%!" path serve_schema_version;
-  let module S = Pc_server.Server in
-  let module C = Pc_server.Client in
-  let module J = Pc_obs.Json in
-  let module Counter = Pc_obs.Registry.Counter in
-  let c_hits = Counter.make "cache.hits" in
-  let c_misses = Counter.make "cache.misses" in
-  let missing = Pc_synth.Sensor.generate (Pc_util.Rng.create 3) ~rows:2_000 in
-  (* Partition on the integer device attribute only. [to_dsl] once
-     printed half-open float buckets as closed, so a partition on [time]
-     came back overlapping through the [load] op; it now round-trips
-     exact and disjoint, but the committed BENCH_serve.json was measured
-     on this [device] partition, so the workload stays as it is. *)
-  let pcs =
-    Pc_core.Generate.corr_partition missing ~attrs:[ "device" ] ~n:50 ()
-  in
-  let text =
-    String.concat "\n" (List.map Pc_parse.Pc_parser.to_dsl pcs) ^ "\n"
-  in
-  let queries =
-    [|
-      "SELECT COUNT(*)";
-      "SELECT SUM(light)";
-      "SELECT AVG(light)";
-      "SELECT MIN(light)";
-      "SELECT MAX(light)";
-    |]
-  in
-  (* One live-telemetry sample: the server's own 1 s window, as the
-     [telemetry] op reports it. *)
-  let jnum v names =
-    let rec get v = function
-      | [] -> J.to_num v
-      | n :: rest -> Option.bind (J.member n v) (fun v -> get v rest)
-    in
-    Option.value (get v names) ~default:0.
-  in
-  (* One closed-loop phase against a fresh in-process server. The 5
-     queries cycle, so every query repeats many times per phase — the
-     cached phase answers the repeats from the bound cache; the nocache
-     phase recomputes each one. A sampler thread polls the [telemetry]
-     op mid-load (the windowed series in the artifact), with one
-     guaranteed post-load sample so the series is never empty even for
-     sub-window phases. *)
-  let drive ~cache =
-    Printf.printf
-      "driving in-process server (cache=%b): %d clients x %d requests, \
-       think %.1f ms...\n%!"
-      cache clients requests think_ms;
-    let hits0 = Counter.get c_hits and misses0 = Counter.get c_misses in
-    let srv =
-      S.create
-        {
-          S.default_config with
-          S.policy = Pc_server.Admission.policy ~max_inflight ();
-          cache;
-        }
-    in
-    (match S.load_dataset srv ~name:"default" ~constraints:text () with
-    | Ok _ -> ()
-    | Error e ->
-        Printf.eprintf "FATAL: constraint preload failed: %s\n" e;
-        exit 1);
-    let th = Thread.create S.run srv in
-    let port = S.port srv in
-    let lat_ns = Array.make (clients * requests) nan in
-    let degraded = Atomic.make 0 in
-    let errors = Atomic.make 0 in
-    let t0 = Clock.now () in
-    let samples = ref [] in
-    let stop_sampler = Atomic.make false in
-    let sampler =
-      Thread.create
-        (fun () ->
-          let c = C.connect ~host:"127.0.0.1" ~port in
-          let sample () =
-            match C.request c {|{"op":"telemetry"}|} with
-            | Some reply -> (
-                match J.parse reply with
-                | Ok v ->
-                    let f name = jnum v [ "windows"; "1s"; name ] in
-                    samples :=
-                      ( Clock.elapsed_s ~since:t0,
-                        f "qps",
-                        f "p99_ns",
-                        f "error_rate",
-                        f "degraded_fraction",
-                        f "cache_hit_rate",
-                        int_of_float (f "n") )
-                      :: !samples
-                | Error _ -> ())
-            | None -> ()
-          in
-          while not (Atomic.get stop_sampler) do
-            sample ();
-            Thread.delay 0.1
-          done;
-          (* guaranteed post-load sample: wait out the 0.25 s slot
-             boundary first so the burst's final slot is complete and
-             visible to the window (in-progress slots are excluded) *)
-          Thread.delay 0.3;
-          sample ();
-          C.close c)
-        ()
-    in
-    let worker w =
-      Thread.create
-        (fun () ->
-          let c = C.connect ~host:"127.0.0.1" ~port in
-          for i = 0 to requests - 1 do
-            let q = queries.((w + i) mod Array.length queries) in
-            let line = Printf.sprintf {|{"op":"bound","query":"%s"}|} q in
-            let r0 = Clock.now_ns () in
-            (match C.request c line with
-            | Some reply -> (
-                lat_ns.((w * requests) + i) <-
-                  Int64.to_float (Int64.sub (Clock.now_ns ()) r0);
-                match J.parse reply with
-                | Ok v -> (
-                    (match J.member "degraded" v with
-                    | Some (J.Bool true) -> Atomic.incr degraded
-                    | _ -> ());
-                    match J.member "ok" v with
-                    | Some (J.Bool true) -> ()
-                    | _ -> Atomic.incr errors)
-                | Error _ -> Atomic.incr errors)
-            | None -> Atomic.incr errors);
-            if think_ms > 0. then Thread.delay (think_ms /. 1e3)
-          done;
-          C.close c)
-        ()
-    in
-    let threads = List.init clients worker in
-    List.iter Thread.join threads;
-    let wall = Clock.elapsed_s ~since:t0 in
-    Atomic.set stop_sampler true;
-    Thread.join sampler;
-    S.initiate_drain srv;
-    Thread.join th;
-    let completed =
-      Array.to_list lat_ns |> List.filter (fun x -> not (Float.is_nan x))
-    in
-    let sorted = Array.of_list (List.sort compare completed) in
-    let n = Array.length sorted in
-    if n = 0 then begin
-      Printf.eprintf "FATAL: no request completed\n";
-      exit 1
-    end;
-    if Atomic.get errors > 0 then begin
-      Printf.eprintf "FATAL: %d requests failed (cache=%b)\n"
-        (Atomic.get errors) cache;
-      exit 1
-    end;
-    let series = List.rev !samples in
-    if series = [] then begin
-      Printf.eprintf "FATAL: telemetry sampler collected no samples\n";
-      exit 1
-    end;
-    let pct q = sorted.(min (n - 1) (int_of_float (q *. float_of_int n))) in
-    ( wall,
-      n,
-      float_of_int n /. Float.max 1e-9 wall,
-      pct 0.50,
-      pct 0.99,
-      float_of_int (Atomic.get degraded) /. float_of_int (clients * requests),
-      Counter.get c_hits - hits0,
-      Counter.get c_misses - misses0,
-      series )
-  in
-  let phase_json oc name
-      (wall, n, qps, p50, p99, degraded_frac, hits, misses, series) =
-    let p fmt = Printf.fprintf oc fmt in
-    p "  \"%s\": {\n" name;
-    p "    \"completed\": %d,\n" n;
-    p "    \"errors\": 0,\n" (* drive exits fatally on any error *);
-    p "    \"wall_s\": %.4f,\n" wall;
-    p "    \"qps\": %.1f,\n" qps;
-    p "    \"p50_ns\": %.0f,\n" p50;
-    p "    \"p99_ns\": %.0f,\n" p99;
-    p "    \"degraded_fraction\": %.4f,\n" degraded_frac;
-    p "    \"cache_hits\": %d,\n" hits;
-    p "    \"cache_misses\": %d,\n" misses;
-    (* the live windowed series, sampled from the server's telemetry op
-       mid-load (1 s window); the last sample is always post-load *)
-    p "    \"telemetry_1s\": [";
-    List.iteri
-      (fun i (t, sq, sp99, serr, sdeg, shit, sn) ->
-        if i > 0 then p ",";
-        p
-          "\n      {\"t_s\": %.3f, \"qps\": %.1f, \"p99_ns\": %.0f, \
-           \"error_rate\": %.4f, \"degraded_fraction\": %.4f, \
-           \"cache_hit_rate\": %.4f, \"n\": %d}"
-          t sq sp99 serr sdeg shit sn)
-      series;
-    p "\n    ],\n";
-    (* agreement: the best-covered sample (max window n) versus what the
-       clients measured end-to-end over the phase. The windowed stats
-       that are well-defined for a sub-window burst — request count,
-       degraded fraction, cache hit rate — must agree; qps is reported
-       too but its ratio is ~wall/window for bursts shorter than the
-       1 s window (the window divides by its span, not the burst). *)
-    let best =
-      List.fold_left
-        (fun acc ((_, _, _, _, _, _, sn) as s) ->
-          match acc with
-          | Some (_, _, _, _, _, _, bn) when bn >= sn -> acc
-          | _ -> Some s)
-        None series
-    in
-    let bq, bdeg, bhit, bn =
-      match best with
-      | Some (_, q, _, _, d, h, sn) -> (q, d, h, sn)
-      | None -> (0., 0., 0., 0)
-    in
-    let client_hit_rate =
-      if hits + misses = 0 then 0.
-      else float_of_int hits /. float_of_int (hits + misses)
-    in
-    p
-      "    \"agreement\": {\"server_window_n\": %d, \"client_completed\": \
-       %d, \"count_ratio\": %.3f, \"server_window_qps\": %.1f, \
-       \"client_qps\": %.1f, \"qps_ratio\": %.3f, \
-       \"server_degraded_fraction\": %.4f, \"client_degraded_fraction\": \
-       %.4f, \"server_cache_hit_rate\": %.4f, \"client_cache_hit_rate\": \
-       %.4f}\n"
-      bn n
-      (float_of_int bn /. Float.max 1. (float_of_int n))
-      bq qps
-      (bq /. Float.max 1e-9 qps)
-      bdeg degraded_frac bhit client_hit_rate;
-    p "  }"
-  in
-  (* The ingest phase: clients run selective bound queries while an
-     ingester thread appends batches that only touch the low-device
-     region. Delta-scoped invalidation must keep the untouched queries'
-     cached replies alive — the phase fails if no hit lands while
-     batches are streaming in. *)
-  let c_incr = Counter.make "ingest.incremental_bounds" in
-  let drive_ingest ~batches ~rows_per_batch =
-    Printf.printf
-      "driving in-process server (ingest): %d clients x %d requests + %d \
-       append batches x %d rows...\n%!"
-      clients requests batches rows_per_batch;
-    let hits0 = Counter.get c_hits and misses0 = Counter.get c_misses in
-    let incr0 = Counter.get c_incr in
-    let srv =
-      S.create
-        {
-          S.default_config with
-          S.policy = Pc_server.Admission.policy ~max_inflight ();
-          cache = true;
-        }
-    in
-    (match S.load_dataset srv ~name:"default" ~constraints:text () with
-    | Ok _ -> ()
-    | Error e ->
-        Printf.eprintf "FATAL: constraint preload failed: %s\n" e;
-        exit 1);
-    let th = Thread.create S.run srv in
-    let port = S.port srv in
-    (* two query families: the >= ones never see an appended row or a
-       touched PC (they survive every batch); the <= ones are evicted by
-       each batch and recomputed *)
-    let iqueries =
-      [|
-        "SELECT COUNT(*) WHERE device >= 30";
-        "SELECT SUM(light) WHERE device >= 30";
-        "SELECT COUNT(*) WHERE device >= 40";
-        "SELECT SUM(light) WHERE device >= 40";
-        "SELECT COUNT(*) WHERE device <= 5";
-        "SELECT SUM(light) WHERE device <= 5";
-      |]
-    in
-    let lat_ns = Array.make (clients * requests) nan in
-    let errors = Atomic.make 0 in
-    let ingest_errors = Atomic.make 0 in
-    let evicted = Atomic.make 0 in
-    let appended = Atomic.make 0 in
-    let ingest_wall = ref 0. in
-    let t0 = Clock.now () in
-    let ingester =
-      Thread.create
-        (fun () ->
-          let c = C.connect ~host:"127.0.0.1" ~port in
-          let ti0 = Clock.now () in
-          for b = 0 to batches - 1 do
-            let buf = Buffer.create 512 in
-            Buffer.add_string buf "device,time,light\n";
-            for r = 0 to rows_per_batch - 1 do
-              Buffer.add_string buf
-                (Printf.sprintf "%d,%d.0,%d.0\n"
-                   ((b + r) mod 6)
-                   ((b * 1000) + r)
-                   (50 + r))
-            done;
-            let line =
-              J.to_string
-                (J.Obj
-                   [
-                     ("op", J.Str "append");
-                     ("csv", J.Str (Buffer.contents buf));
-                   ])
-            in
-            (match C.request c line with
-            | Some reply -> (
-                match J.parse reply with
-                | Ok v when J.member "ok" v = Some (J.Bool true) ->
-                    ignore (Atomic.fetch_and_add appended rows_per_batch);
-                    ignore
-                      (Atomic.fetch_and_add evicted
-                         (int_of_float (jnum v [ "cache_evicted" ])))
-                | Ok _ | Error _ -> Atomic.incr ingest_errors)
-            | None -> Atomic.incr ingest_errors);
-            Thread.delay 0.005
-          done;
-          ingest_wall := Clock.elapsed_s ~since:ti0;
-          C.close c)
-        ()
-    in
-    let worker w =
-      Thread.create
-        (fun () ->
-          let c = C.connect ~host:"127.0.0.1" ~port in
-          for i = 0 to requests - 1 do
-            let q = iqueries.((w + i) mod Array.length iqueries) in
-            let line = Printf.sprintf {|{"op":"bound","query":"%s"}|} q in
-            let r0 = Clock.now_ns () in
-            (match C.request c line with
-            | Some reply -> (
-                lat_ns.((w * requests) + i) <-
-                  Int64.to_float (Int64.sub (Clock.now_ns ()) r0);
-                match J.parse reply with
-                | Ok v -> (
-                    match J.member "ok" v with
-                    | Some (J.Bool true) -> ()
-                    | _ -> Atomic.incr errors)
-                | Error _ -> Atomic.incr errors)
-            | None -> Atomic.incr errors);
-            if think_ms > 0. then Thread.delay (think_ms /. 1e3)
-          done;
-          C.close c)
-        ()
-    in
-    let threads = List.init clients worker in
-    List.iter Thread.join threads;
-    Thread.join ingester;
-    let wall = Clock.elapsed_s ~since:t0 in
-    S.initiate_drain srv;
-    Thread.join th;
-    let completed =
-      Array.to_list lat_ns |> List.filter (fun x -> not (Float.is_nan x))
-    in
-    let sorted = Array.of_list (List.sort compare completed) in
-    let n = Array.length sorted in
-    if n = 0 then begin
-      Printf.eprintf "FATAL: no request completed in the ingest phase\n";
-      exit 1
-    end;
-    if Atomic.get errors > 0 then begin
-      Printf.eprintf "FATAL: %d bound requests failed during ingest\n"
-        (Atomic.get errors);
-      exit 1
-    end;
-    if Atomic.get ingest_errors > 0 then begin
-      Printf.eprintf "FATAL: %d append batches failed\n"
-        (Atomic.get ingest_errors);
-      exit 1
-    end;
-    let hits = Counter.get c_hits - hits0 in
-    if hits = 0 then begin
-      Printf.eprintf
-        "FATAL: zero cache hits across append batches — delta-scoped \
-         invalidation is evicting everything\n";
-      exit 1
-    end;
-    let pct q = sorted.(min (n - 1) (int_of_float (q *. float_of_int n))) in
-    ( wall,
-      n,
-      float_of_int n /. Float.max 1e-9 wall,
-      pct 0.50,
-      pct 0.99,
-      hits,
-      Counter.get c_misses - misses0,
-      Atomic.get appended,
-      !ingest_wall,
-      Atomic.get evicted,
-      Counter.get c_incr - incr0 )
-  in
-  let nocache = drive ~cache:false in
-  let cached = drive ~cache:true in
-  let ingest_batches = 12 and ingest_rows_per_batch = 25 in
-  let ingest = drive_ingest ~batches:ingest_batches ~rows_per_batch:ingest_rows_per_batch in
-  let qps_of (_, _, q, _, _, _, _, _, _) = q in
-  let hits_of (_, _, _, _, _, _, h, _, _) = h in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      let p fmt = Printf.fprintf oc fmt in
-      p "{\n";
-      p "  \"benchmark\": \"BENCH_serve\",\n";
-      p "  \"schema_version\": %d,\n" serve_schema_version;
-      p "  \"config\": { \"clients\": %d, \"requests_per_client\": %d, \"think_ms\": %.1f, \"max_inflight\": %d },\n"
-        clients requests think_ms max_inflight;
-      p "  \"total_requests_per_phase\": %d,\n" (clients * requests);
-      phase_json oc "nocache" nocache;
-      p ",\n";
-      phase_json oc "cached" cached;
-      p ",\n";
-      (* schema v4: the streaming-ingestion phase — append batches
-         interleaved with selective bound queries; the hit counters
-         prove delta-scoped invalidation kept untouched replies alive *)
-      let ( i_wall,
-            i_n,
-            i_qps,
-            i_p50,
-            i_p99,
-            i_hits,
-            i_misses,
-            i_rows,
-            i_iwall,
-            i_evicted,
-            i_incr ) =
-        ingest
-      in
-      p "  \"ingest\": {\n";
-      p "    \"completed\": %d,\n" i_n;
-      p "    \"errors\": 0,\n";
-      p "    \"wall_s\": %.4f,\n" i_wall;
-      p "    \"qps\": %.1f,\n" i_qps;
-      p "    \"p50_ns\": %.0f,\n" i_p50;
-      p "    \"p99_ns\": %.0f,\n" i_p99;
-      p "    \"cache_hits\": %d,\n" i_hits;
-      p "    \"cache_misses\": %d,\n" i_misses;
-      p "    \"batches\": %d,\n" ingest_batches;
-      p "    \"rows\": %d,\n" i_rows;
-      p "    \"ingest_wall_s\": %.4f,\n" i_iwall;
-      p "    \"rows_per_s\": %.1f,\n"
-        (float_of_int i_rows /. Float.max 1e-9 i_iwall);
-      p "    \"cache_evicted\": %d,\n" i_evicted;
-      p "    \"incremental_bounds\": %d\n" i_incr;
-      p "  },\n";
-      p "  \"qps_speedup_cached_over_nocache\": %.2f\n"
-        (qps_of cached /. Float.max 1e-9 (qps_of nocache));
-      p "}\n");
-  Printf.printf "wrote %s\n" path;
-  if hits_of cached = 0 then begin
-    Printf.eprintf "FATAL: cached phase recorded zero cache hits\n";
-    exit 1
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
@@ -1156,11 +727,6 @@ let () =
   let jobs = ref 1 in
   let list_only = ref false in
   let baseline_out = ref None in
-  let serve_out = ref None in
-  let clients = ref 8 in
-  let requests = ref 40 in
-  let think_ms = ref 1. in
-  let max_inflight = ref 64 in
   let trace_out = ref None in
   let specs =
     [
@@ -1175,20 +741,6 @@ let () =
       ( "--baseline",
         Arg.String (fun s -> baseline_out := Some s),
         "FILE write the machine-readable bench baseline (JSON) and exit" );
-      ( "--serve-baseline",
-        Arg.String (fun s -> serve_out := Some s),
-        "FILE drive the bound server with a closed-loop load and write \
-         qps/latency/degradation JSON" );
-      ("--clients", Arg.Set_int clients, "N concurrent load-generator clients (default 8)");
-      ( "--requests",
-        Arg.Set_int requests,
-        "N requests per client for --serve-baseline (default 40)" );
-      ( "--think",
-        Arg.Set_float think_ms,
-        "MS think time between closed-loop requests (default 1)" );
-      ( "--max-inflight",
-        Arg.Set_int max_inflight,
-        "N server admission-control knob for --serve-baseline (default 64)" );
       ( "--trace",
         Arg.String (fun s -> trace_out := Some s),
         "FILE record a Chrome trace_event JSON of the run (chrome://tracing)" );
@@ -1208,16 +760,13 @@ let () =
     | Some _ ->
         Pc_obs.Trace.set_enabled true;
         Pc_obs.Trace.reset ());
-    (match (!baseline_out, !serve_out) with
-    | _, Some path ->
-        serve_baseline ~clients:!clients ~requests:!requests
-          ~think_ms:!think_ms ~max_inflight:!max_inflight path
-    | Some path, None ->
+    (match !baseline_out with
+    | Some path ->
         write_baseline
           ~queries:(min !queries 50)
           ~rows:(max 100 (int_of_float (2_000. *. !scale)))
           path
-    | None, None ->
+    | None ->
         let cfg =
           { E.seed = !seed; scale = !scale; queries = !queries; jobs = !jobs }
         in

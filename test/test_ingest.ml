@@ -341,9 +341,9 @@ let constraints_text =
    constraint newyork_cap:\n\
   \  branch = 'New York' => price in [0.0, 100.0], count [0, 10];\n"
 
-let start () =
+let start ?(constraints = constraints_text) () =
   let srv = S.create { S.default_config with S.port = 0 } in
-  (match S.load_dataset srv ~name:"default" ~constraints:constraints_text () with
+  (match S.load_dataset srv ~name:"default" ~constraints () with
   | Ok _ -> ()
   | Error e -> Alcotest.fail e);
   (srv, Thread.create S.run srv)
@@ -542,6 +542,123 @@ let test_server_fractional_exact () =
   Alcotest.(check (float 0.)) "repeat is a cache hit" (hits st1 +. 1.) (hits st2);
   C.close c;
   stop s
+
+(* ------------------------ bounds racing appends ----------------------- *)
+
+(* Eight overlapping device bands with integer endpoints, and integer
+   rows: every optimum is a sum of integers, so a warm re-solve and a
+   cold solve agree bit for bit whatever order they add in. *)
+let bands_text =
+  String.concat ""
+    (List.init 8 (fun i ->
+         Printf.sprintf
+           "constraint band%d:\n\
+           \  device between %d and %d => light in [%d, %d], count [2, 40];\n"
+           i (6 * i) ((6 * i) + 10) i (100 + i)))
+
+(* each aggregate over the whole table, which every batch touches, and
+   over device >= 30, which no batch row meets: those entries survive
+   every append *)
+let race_queries =
+  Array.of_list
+    (List.concat_map
+       (fun agg -> [ "SELECT " ^ agg; "SELECT " ^ agg ^ " WHERE device >= 30" ])
+       [ "COUNT(*)"; "SUM(light)"; "AVG(light)"; "MIN(light)"; "MAX(light)" ])
+
+let race_batches =
+  List.init 8 (fun b ->
+      "device,light\n"
+      ^ String.concat ""
+          (List.init 3 (fun r ->
+               Printf.sprintf "%d,%d\n" ((b + r) mod 6) (50 + r))))
+
+let bound_line ?timeout_ms q =
+  J.to_string
+    (J.Obj
+       ([ ("op", J.Str "bound"); ("query", J.Str q) ]
+       @
+       match timeout_ms with
+       | Some ms -> [ ("timeout_ms", J.Num ms) ]
+       | None -> []))
+
+let append_line csv =
+  J.to_string (J.Obj [ ("op", J.Str "append"); ("csv", J.Str csv) ])
+
+(* what two servers on the same rows must agree on: the range with its
+   exactness flags, and the rung that produced it *)
+let answer_of v =
+  ( J.to_string (Option.value (J.member "answer" v) ~default:J.Null),
+    provenance v )
+
+(* Four clients cycle COUNT/SUM/AVG/MIN/MAX while a fifth thread appends
+   batches. Every request must answer ok, the cache must keep serving
+   hits between batches, and afterwards every reply must equal a cold
+   server's on the same constraints and the same batches. The cold
+   requests carry a deadline, which keeps them off the warm engine: their
+   COUNT and SUM answers are solved from scratch. *)
+let test_bounds_race_appends () =
+  let ((srv, _) as s) = start ~constraints:bands_text () in
+  let port = S.port srv in
+  let control = C.connect ~host:"127.0.0.1" ~port in
+  let hits () =
+    num_at [ "cache"; "hits" ] (snd (req control {|{"op":"stats"}|}))
+  in
+  let hits0 = hits () in
+  let failures = Atomic.make 0 in
+  let send c line =
+    match Option.map J.parse (C.request c line) with
+    | Some (Ok v) when ok v -> ()
+    | _ -> Atomic.incr failures
+  in
+  let thread f =
+    Thread.create
+      (fun () ->
+        let c = C.connect ~host:"127.0.0.1" ~port in
+        f c;
+        C.close c)
+      ()
+  in
+  let ingester =
+    thread (fun c ->
+        List.iter
+          (fun csv ->
+            send c (append_line csv);
+            Thread.delay 0.005)
+          race_batches)
+  in
+  let client w =
+    thread (fun c ->
+        for i = 0 to 49 do
+          let q = race_queries.((w + i) mod Array.length race_queries) in
+          send c (bound_line q)
+        done)
+  in
+  List.iter Thread.join (ingester :: List.init 4 client);
+  Alcotest.(check int) "every request answered ok" 0 (Atomic.get failures);
+  Alcotest.(check bool) "hits while batches streamed in" true (hits () > hits0);
+  let warm =
+    Array.map
+      (fun q -> answer_of (snd (req control (bound_line q))))
+      race_queries
+  in
+  C.close control;
+  stop s;
+  let ((cold_srv, _) as cold) = start ~constraints:bands_text () in
+  let c = C.connect ~host:"127.0.0.1" ~port:(S.port cold_srv) in
+  List.iter
+    (fun csv ->
+      let _, v = req c (append_line csv) in
+      Alcotest.(check bool) "cold append" true (ok v))
+    race_batches;
+  Array.iteri
+    (fun i q ->
+      Alcotest.(check (pair string (option string)))
+        q
+        (answer_of (snd (req c (bound_line ~timeout_ms:3.6e6 q))))
+        warm.(i))
+    race_queries;
+  C.close c;
+  stop cold
 
 (* --------------------- incremental ≡ from-scratch --------------------- *)
 
@@ -784,6 +901,8 @@ let () =
             test_server_warm_stats;
           tc "fractional LP answered exact and cached" `Quick
             test_server_fractional_exact;
+          tc "bounds racing appends match a cold server" `Quick
+            test_bounds_race_appends;
         ] );
       ( "oracle",
         [

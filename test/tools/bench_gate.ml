@@ -1,8 +1,7 @@
-(* CI perf-regression gate over the committed bench baselines.
+(* CI perf-regression gate over the committed decomposition baseline.
 
    Usage:
-     bench_gate --kind decompose --committed BENCH_decompose.json --fresh fresh.json
-     bench_gate --kind serve     --committed BENCH_serve.json     --fresh fresh.json
+     bench_gate --committed BENCH_decompose.json --fresh fresh.json
 
    Diffs a freshly measured baseline against the committed one with
    per-key tolerances: a fresh value more than the key's allowed
@@ -16,7 +15,8 @@
    knob): pivot counts are deterministic and get the tight 25% bound the
    CI contract names, and wall-clock keys share that bound per the same
    contract — if a runner class proves noisier than that, widen the
-   single affected row, not the gate. *)
+   single affected row, not the gate. The serve path is gated by the
+   benchmark's served workloads (perfbench/), not here. *)
 
 module J = Pc_obs.Json
 
@@ -40,7 +40,7 @@ let num_at path v = Option.bind (lookup path v) J.to_num
 type dir = Higher_better | Lower_better
 
 (* (key, direction, allowed fractional regression) *)
-let checks_decompose =
+let checks =
   [
     ("milp_solve_pivots.warm", Lower_better, 0.25);
     ("milp_solve_pivots.cold", Lower_better, 0.25);
@@ -58,7 +58,7 @@ let checks_decompose =
   ]
 
 (* the schema-v6 shape: all of these must exist in both files *)
-let required_decompose =
+let required =
   [
     "schema_version";
     "micro_ns_per_run";
@@ -81,61 +81,17 @@ let required_decompose =
     "end_to_end_bound.speedup_jobs4_over_jobs1";
   ]
 
-let checks_serve =
-  [
-    ("nocache.qps", Higher_better, 0.25);
-    ("cached.qps", Higher_better, 0.25);
-    (* p99 over 320 requests is a noisy tail statistic; the qps rows
-       above carry the tight latency bound in aggregate *)
-    ("nocache.p99_ns", Lower_better, 0.75);
-    ("cached.p99_ns", Lower_better, 0.75);
-    ("qps_speedup_cached_over_nocache", Higher_better, 0.25);
-    (* the streaming-ingestion phase: append throughput carries the
-       tight 25% bound per the CI contract; its p99 is tail-noisy *)
-    ("ingest.rows_per_s", Higher_better, 0.25);
-    ("ingest.qps", Higher_better, 0.25);
-    ("ingest.p99_ns", Lower_better, 0.75);
-  ]
-
-let required_serve =
-  [
-    "schema_version";
-    "config.clients";
-    "total_requests_per_phase";
-    "nocache.qps";
-    "nocache.p99_ns";
-    "cached.qps";
-    "cached.p99_ns";
-    "cached.cache_hits";
-    "ingest.batches";
-    "ingest.rows";
-    "ingest.rows_per_s";
-    "ingest.qps";
-    "ingest.p99_ns";
-    "ingest.cache_hits";
-    "qps_speedup_cached_over_nocache";
-  ]
-
 let () =
-  let kind = ref "" and committed = ref "" and fresh = ref "" in
+  let committed = ref "" and fresh = ref "" in
   let specs =
     [
-      ("--kind", Arg.Set_string kind, "decompose|serve baseline flavor");
       ("--committed", Arg.Set_string committed, "FILE committed baseline");
       ("--fresh", Arg.Set_string fresh, "FILE freshly measured baseline");
     ]
   in
   Arg.parse specs
     (fun a -> raise (Arg.Bad (Printf.sprintf "unexpected argument %S" a)))
-    "bench_gate: per-key perf-regression gate over bench baselines";
-  let checks, required =
-    match !kind with
-    | "decompose" -> (checks_decompose, required_decompose)
-    | "serve" -> (checks_serve, required_serve)
-    | k ->
-        Printf.eprintf "bench_gate: unknown --kind %S (decompose|serve)\n" k;
-        exit 2
-  in
+    "bench_gate: per-key perf-regression gate over BENCH_decompose.json";
   if !committed = "" || !fresh = "" then begin
     prerr_endline "bench_gate: --committed and --fresh are both required";
     exit 2
@@ -166,11 +122,10 @@ let () =
   List.iter
     (fun key ->
       if lookup key fv = None then
-        fail "%s: missing from fresh baseline %s (--kind %s schema)" key !fresh
-          !kind;
+        fail "%s: missing from fresh baseline %s (v6 schema)" key !fresh;
       if lookup key cv = None then
-        fail "%s: missing from committed baseline %s (--kind %s schema)" key
-          !committed !kind)
+        fail "%s: missing from committed baseline %s (v6 schema)" key
+          !committed)
     required;
   (* 2. no schema downgrade: the fresh run must speak at least the
      committed schema (bench itself refuses the opposite overwrite) *)
@@ -198,32 +153,18 @@ let () =
       | Some _, Some _ -> Printf.printf "ok    %-45s committed ~0, skipped\n" key
       | _ -> () (* missing keys already reported by the shape pass *))
     checks;
-  (* 4. flavor-specific hard floors *)
-  (match !kind with
-  | "serve" ->
-      (match num_at "cached.cache_hits" fv with
-      | Some h when h <= 0. ->
-          fail "cached.cache_hits: fresh run %s recorded zero hits" !fresh
-      | _ -> ());
-      (match num_at "ingest.cache_hits" fv with
-      | Some h when h <= 0. ->
-          fail
-            "ingest.cache_hits: fresh run %s recorded zero hits across append \
-             batches (delta-scoped invalidation is evicting everything)"
-            !fresh
-      | _ -> ())
-  | _ -> (
-      (match num_at "lp_warm_starts" fv with
-      | Some w when w <= 0. ->
-          fail "lp_warm_starts: warm path never engaged in fresh run %s" !fresh
-      | _ -> ());
-      match num_at "incremental_rebound.speedup" fv with
-      | Some s when s < 5. ->
-          fail
-            "incremental_rebound.speedup: %.2fx in fresh run %s is under the \
-             5x floor"
-            s !fresh
-      | _ -> ()));
+  (* 4. hard floors *)
+  (match num_at "lp_warm_starts" fv with
+  | Some w when w <= 0. ->
+      fail "lp_warm_starts: warm path never engaged in fresh run %s" !fresh
+  | _ -> ());
+  (match num_at "incremental_rebound.speedup" fv with
+  | Some s when s < 5. ->
+      fail
+        "incremental_rebound.speedup: %.2fx in fresh run %s is under the 5x \
+         floor"
+        s !fresh
+  | _ -> ());
   if !failures > 0 then begin
     Printf.printf "bench gate FAILED: %d violation(s) (%s vs %s)\n" !failures
       !fresh !committed;
