@@ -604,22 +604,6 @@ let serve_cmd =
     in
     Arg.(value & opt (some string) None & info [ "faults" ] ~docv:"SPEC" ~doc)
   in
-  let serve_strategy_arg =
-    (* the server defaults to fdd: the per-dataset diagram is compiled
-       once at load and amortized across every request *)
-    let doc =
-      "Cell decomposition strategy: dfs, dfs-rewrite, fdd, naive, or \
-       early:<k>."
-    in
-    Arg.(value & opt string "fdd" & info [ "strategy" ] ~docv:"S" ~doc)
-  in
-  let no_cache_arg =
-    let doc =
-      "Disable the canonicalizing bound cache (repeat bound requests \
-       recompute instead of replaying the cached reply)."
-    in
-    Arg.(value & flag & info [ "no-cache" ] ~doc)
-  in
   let flight_arg =
     let doc =
       "Write the flight-recorder JSON (last N request records) to this \
@@ -639,13 +623,11 @@ let serve_cmd =
     in
     Arg.(value & opt (some float) None & info [ "p99-slo" ] ~docv:"MS" ~doc)
   in
-  let run host port constraints csv strategy timeout budget max_inflight jobs
-      faults no_cache flight flight_capacity p99_slo trace metrics =
+  let run host port constraints csv timeout budget max_inflight faults flight
+      flight_capacity p99_slo trace metrics =
     with_errors (fun () ->
         let ( let* ) = Result.bind in
-        if jobs > 1 then Pc_par.Pool.set_default_jobs jobs;
         setup_obs ~trace ~metrics;
-        let* strategy = parse_strategy strategy in
         let* spec = parse_budget_spec ~timeout budget in
         let* () =
           match faults with
@@ -663,15 +645,12 @@ let serve_cmd =
             Pc_server.Server.host;
             port;
             base_spec = spec;
-            opts =
-              { Pc_core.Bounds.default_opts with Pc_core.Bounds.strategy };
             policy =
               Pc_server.Admission.policy ?p99_slo_ms:p99_slo ~max_inflight ();
             trace_path = trace;
             metrics_path;
             flight_path = flight;
             flight_capacity;
-            cache = not no_cache;
           }
         in
         let* srv =
@@ -722,11 +701,18 @@ let serve_cmd =
     Term.(
       ret
         (const run $ host_arg $ port_arg $ constraints_opt_arg $ csv_opt_arg
-       $ serve_strategy_arg $ timeout_arg $ budget_arg $ max_inflight_arg
-       $ jobs_arg $ faults_arg $ no_cache_arg $ flight_arg
-       $ flight_capacity_arg $ p99_slo_arg $ trace_arg $ metrics_arg))
+       $ timeout_arg $ budget_arg $ max_inflight_arg $ faults_arg
+       $ flight_arg $ flight_capacity_arg $ p99_slo_arg $ trace_arg
+       $ metrics_arg))
 
 (* ---- client ---- *)
+
+let connect ~host ~port =
+  try Ok (Pc_server.Client.connect ~host ~port)
+  with Unix.Unix_error (e, _, _) ->
+    Error
+      (Printf.sprintf "cannot connect to %s:%d: %s" host port
+         (Unix.error_message e))
 
 let client_cmd =
   let port_arg =
@@ -736,13 +722,7 @@ let client_cmd =
   let run host port =
     with_errors (fun () ->
         let ( let* ) = Result.bind in
-        let* c =
-          try Ok (Pc_server.Client.connect ~host ~port)
-          with Unix.Unix_error (e, _, _) ->
-            Error
-              (Printf.sprintf "cannot connect to %s:%d: %s" host port
-                 (Unix.error_message e))
-        in
+        let* c = connect ~host ~port in
         let rec loop () =
           match input_line stdin with
           | exception End_of_file -> Ok ()
@@ -800,13 +780,7 @@ let ingest_cmd =
   let run host port dataset csv batch_rows retract =
     with_errors (fun () ->
         let ( let* ) = Result.bind in
-        let* c =
-          try Ok (Pc_server.Client.connect ~host ~port)
-          with Unix.Unix_error (e, _, _) ->
-            Error
-              (Printf.sprintf "cannot connect to %s:%d: %s" host port
-                 (Unix.error_message e))
-        in
+        let* c = connect ~host ~port in
         let result =
           match retract with
           | Some batch_id ->
@@ -975,13 +949,7 @@ let top_cmd =
   let run host port once prom interval iterations =
     with_errors (fun () ->
         let ( let* ) = Result.bind in
-        let* c =
-          try Ok (Pc_server.Client.connect ~host ~port)
-          with Unix.Unix_error (e, _, _) ->
-            Error
-              (Printf.sprintf "cannot connect to %s:%d: %s" host port
-                 (Unix.error_message e))
-        in
+        let* c = connect ~host ~port in
         let req =
           if prom then {|{"op":"telemetry","view":"prometheus"}|}
           else {|{"op":"telemetry"}|}

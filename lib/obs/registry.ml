@@ -106,21 +106,25 @@ module Histogram = struct
   (* Representative value inside bucket i: 1.5 * 2^i, which maps back to
      bucket i under [bucket_of_ns] — readouts stay within one bucket of
      the exact sample percentile. *)
-  let percentile_ns t p =
-    let n = count t in
+  let percentile_of_counts counts p =
+    let n = Array.fold_left ( + ) 0 counts in
     if n = 0 then 0.
     else begin
       let p = Float.max 0. (Float.min 100. p) in
       let rank = max 1 (int_of_float (ceil (p /. 100. *. float_of_int n))) in
+      let len = Array.length counts in
       let rec find i cum =
-        if i >= n_buckets then Float.ldexp 1.5 (n_buckets - 1)
+        if i >= len then Float.ldexp 1.5 (len - 1)
         else begin
-          let cum = cum + Atomic.get t.buckets.(i) in
+          let cum = cum + counts.(i) in
           if cum >= rank then Float.ldexp 1.5 i else find (i + 1) cum
         end
       in
       find 0 0
     end
+
+  let percentile_ns t p =
+    percentile_of_counts (Array.map Atomic.get t.buckets) p
 
   let clear t =
     Array.iter (fun b -> Atomic.set b 0) t.buckets;

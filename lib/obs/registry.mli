@@ -69,6 +69,11 @@ module Histogram : sig
       nearest-rank percentile — i.e. the bucket of the rank-th smallest
       sample. [0.] on an empty histogram. *)
 
+  val percentile_of_counts : int array -> float -> float
+  (** The same nearest-rank readout over raw bucket counts (index [i]
+      counts values in bucket [i]); {!percentile_ns} reads a histogram's
+      buckets through it, and {!Window} its summed slots. *)
+
   val bucket_of_ns : float -> int
   (** The bucket index a value falls into — exposed so tests can check
       the one-bucket accuracy contract. *)

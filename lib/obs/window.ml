@@ -99,23 +99,6 @@ type stats = {
   p99_ns : float;
 }
 
-let percentile_ns buckets p =
-  let n = Array.fold_left ( + ) 0 buckets in
-  if n = 0 then 0.
-  else begin
-    let p = Float.max 0. (Float.min 100. p) in
-    let rank = max 1 (int_of_float (ceil (p /. 100. *. float_of_int n))) in
-    let len = Array.length buckets in
-    let rec find i cum =
-      if i >= len then Float.ldexp 1.5 (len - 1)
-      else begin
-        let cum = cum + buckets.(i) in
-        if cum >= rank then Float.ldexp 1.5 i else find (i + 1) cum
-      end
-    in
-    find 0 0
-  end
-
 let snapshot ?now t ~window_s =
   let now = match now with Some x -> x | None -> Pc_util.Clock.now () in
   (* reference epoch: never behind the data — under clock skew the
@@ -158,7 +141,7 @@ let snapshot ?now t ~window_s =
     error_rate = frac !errors !n;
     degraded_fraction = frac !degraded !n;
     cache_hit_rate = frac !hits (!hits + !misses);
-    p50_ns = percentile_ns buckets 50.;
-    p90_ns = percentile_ns buckets 90.;
-    p99_ns = percentile_ns buckets 99.;
+    p50_ns = Registry.Histogram.percentile_of_counts buckets 50.;
+    p90_ns = Registry.Histogram.percentile_of_counts buckets 90.;
+    p99_ns = Registry.Histogram.percentile_of_counts buckets 99.;
   }

@@ -65,7 +65,3 @@ val snapshot : ?now:float -> t -> window_s:float -> stats
 (** Aggregate the last [window_s] seconds of complete slots. The
     effective span (after rounding to whole slots and clamping to the
     ring) is reported back in [stats.window_s]. *)
-
-val percentile_ns : int array -> float -> float
-(** Nearest-rank percentile over raw log2 bucket counts (the same
-    bucket space as {!Registry.Histogram}); exposed for tests. *)

@@ -21,8 +21,9 @@
     {2 Delta-scoped invalidation}
 
     Each entry may carry {!meta}: the PC indices its query's FDD leaves
-    can reach and its selection predicate. An ingestion batch evicts an
-    entry iff it could have changed that entry's reply:
+    can reach and its selection predicate. The server stores every
+    entry with it. An ingestion batch evicts an entry iff it could have
+    changed that entry's reply:
 
     - {e missing side}: the batch consumed budget of a PC in the
       entry's reachable set (consumption tightens every cell that PC
@@ -31,11 +32,11 @@
       predicate (the certain aggregate shifts) — skipped for
       [missing_only] entries, whose replies ignore the certain side.
 
-    An entry stored without metadata (no compiled diagram available) is
-    conservatively evicted by every batch. Batches touching neither
-    side leave the entry byte-valid: the residual constraint system
-    restricted to the entry's reachable cells and its certain selection
-    are both unchanged.
+    An entry stored without metadata (only tests and oracles store
+    such entries) is conservatively evicted by every batch. Batches
+    touching neither side leave the entry byte-valid: the residual
+    constraint system restricted to the entry's reachable cells and its
+    certain selection are both unchanged.
 
     {3 The hull prefilter}
 

@@ -1,9 +1,10 @@
 (** Minimal blocking line client for the {!Server} protocol.
 
     One connection, one request at a time: {!request} writes a line and
-    blocks for the one reply line. Used by the CLI's [pcda client], the
-    bench load generator, and the chaos tests; a real deployment would
-    speak the (trivial) protocol from any language. *)
+    blocks for the one reply line. Used by the CLI's [pcda client],
+    [pcda ingest] and [pcda top], the benchmark's served workloads, and
+    the chaos tests; a real deployment would speak the (trivial)
+    protocol from any language. *)
 
 type t
 

@@ -17,7 +17,6 @@ type config = {
   host : string;
   port : int;
   base_spec : B.spec;
-  opts : Bounds.opts;
   policy : Admission.policy;
   max_line : int;
   poll_s : float;
@@ -25,15 +24,16 @@ type config = {
   metrics_path : string option;
   flight_path : string option;
   flight_capacity : int;
-  cache : bool;
 }
+
+(* Every dataset is decomposed through its load-time diagram. *)
+let opts = { Bounds.default_opts with Bounds.strategy = Pc_core.Cells.Fdd }
 
 let default_config =
   {
     host = "127.0.0.1";
     port = 0;
     base_spec = B.unlimited_spec;
-    opts = { Bounds.default_opts with Bounds.strategy = Pc_core.Cells.Fdd };
     policy = Admission.policy ~max_inflight:64 ();
     max_line = 16 * 1024 * 1024;
     poll_s = 0.1;
@@ -41,13 +41,11 @@ let default_config =
     metrics_path = None;
     flight_path = None;
     flight_capacity = 512;
-    cache = true;
   }
 
 type dataset = {
   set : Pc_core.Pc_set.t;  (** the base (load-time) constraint set *)
-  fdd : Pc_predicate.Fdd.compiled option;
-      (** compiled once at load when the configured strategy is [Fdd] *)
+  fdd : Pc_predicate.Fdd.compiled;  (** compiled once at load *)
   digest : string;  (** canonical content digest — the cache-key prefix *)
   cache : Cache.t;
       (** per-dataset reply cache; replaced wholesale on re-[load];
@@ -135,21 +133,18 @@ let load_dataset t ~name ~constraints ?csv () =
     let set = Pc_core.Pc_set.make (Pc_parse.Pc_parser.parse constraints) in
     let certain = Option.map Pc_data.Csv.read_string csv in
     let fdd =
-      if t.cfg.opts.Bounds.strategy = Pc_core.Cells.Fdd then
-        Some
-          (Pc_predicate.Fdd.compile
-             (Array.of_list
-                (List.map
-                   (fun (pc : Pc_core.Pc.t) -> pc.Pc_core.Pc.pred)
-                   (Pc_core.Pc_set.pcs set))))
-      else None
+      Pc_predicate.Fdd.compile
+        (Array.of_list
+           (List.map
+              (fun (pc : Pc_core.Pc.t) -> pc.Pc_core.Pc.pred)
+              (Pc_core.Pc_set.pcs set)))
     in
     ( {
         set;
         fdd;
         digest = Cache.digest_set set ~csv;
         cache = Cache.create ();
-        stream = Stream.create ?certain ?fdd set;
+        stream = Stream.create ?certain ~fdd set;
         engines = Hashtbl.create 8;
         engines_mu = Mutex.create ();
       },
@@ -253,7 +248,7 @@ let handle_load t r v =
 
 (* Re-bound [query] on the dataset's engine, built on first use; both
    are charged to the request's [budget]. *)
-let warm_rebound t ds ~fdd query ~budget ~consumed =
+let warm_rebound ds query ~budget ~consumed =
   let ekey =
     Cache.key ~digest:"engine" ~query ~missing_only:false ~timeout_ms:None
   in
@@ -265,8 +260,7 @@ let warm_rebound t ds ~fdd query ~budget ~consumed =
             if Hashtbl.length ds.engines >= max_engines then
               Hashtbl.reset ds.engines;
             let e =
-              Pc_core.Incremental.create ~tighten:t.cfg.opts.Bounds.tighten
-                ~budget ~fdd ds.set query
+              Pc_core.Incremental.create ~budget ~fdd:ds.fdd ds.set query
             in
             Hashtbl.add ds.engines ekey e;
             e
@@ -331,31 +325,30 @@ let compute_bound t ds r query ~ckey ~timeout_ms ~missing_only =
       let certain = if missing_only then None else st.Stream.certain in
       (* The warm path: a per-(aggregate, predicate) incremental engine
          re-solves from the previous optimum's basis with pure bound
-         changes. Reserved for fully-admitted COUNT/SUM requests under
-         an FDD with no per-request deadline — a request that asked for
+         changes. Reserved for fully-admitted COUNT/SUM requests with
+         no per-request deadline — a request that asked for
          a clipped budget keeps the budgeted ladder's degradation
          contract (timeout_ms 0 must still answer trivial with
          deadline_hit, not exact). Anything else (or a starved engine)
          takes the full path. *)
       let incremental = ref false in
       let warm =
-        match ds.fdd with
-        | Some fdd
-          when level = Admission.Full && timeout_ms = None
-               && Pc_core.Incremental.supported query ->
-            Some
-              (fun budget ->
-                let a =
-                  warm_rebound t ds ~fdd query ~budget
-                    ~consumed:st.Stream.consumed
-                in
-                incremental := Option.is_some a;
-                a)
-        | _ -> None
+        if
+          level = Admission.Full && timeout_ms = None
+          && Pc_core.Incremental.supported query
+        then
+          Some
+            (fun budget ->
+              let a =
+                warm_rebound ds query ~budget ~consumed:st.Stream.consumed
+              in
+              incremental := Option.is_some a;
+              a)
+        else None
       in
       let outcome =
-        Bounds.bound_budgeted ~opts:t.cfg.opts ~budget ?certain ?fdd:ds.fdd
-          ?warm st.Stream.residual query
+        Bounds.bound_budgeted ~opts ~budget ?certain ~fdd:ds.fdd ?warm
+          st.Stream.residual query
       in
       let s = outcome.Bounds.stats in
       let r =
@@ -388,24 +381,20 @@ let compute_bound t ds r query ~ckey ~timeout_ms ~missing_only =
          cache) while this reply was being computed — without it the
          stale bytes would land after the sweep and be served at the new
          version. *)
-      match ckey with
-      | Some k when level = Admission.Full && s.Bounds.provenance = Bounds.Exact
-        ->
-          let meta =
-            Option.map
-              (fun fdd ->
-                {
-                  Cache.pcs =
-                    Pc_predicate.Fdd.active_pcs ~query:query.Q.where_ fdd;
-                  where_ = query.Q.where_;
-                  missing_only;
-                })
-              ds.fdd
-          in
-          let text = J.to_string reply in
-          Cache.store ds.cache ?meta ~version:st.Stream.version k text;
-          (Rtext text, r)
-      | _ -> (Rjson reply, r))
+      if level = Admission.Full && s.Bounds.provenance = Bounds.Exact then begin
+        let meta =
+          {
+            Cache.pcs =
+              Pc_predicate.Fdd.active_pcs ~query:query.Q.where_ ds.fdd;
+            where_ = query.Q.where_;
+            missing_only;
+          }
+        in
+        let text = J.to_string reply in
+        Cache.store ds.cache ~meta ~version:st.Stream.version ckey text;
+        (Rtext text, r)
+      end
+      else (Rjson reply, r))
 
 let handle_bound t r v =
   match str_field v "query" with
@@ -423,19 +412,12 @@ let handle_bound t r v =
                  compute, so it must not occupy an in-flight slot or be
                  crushed by load it does not add to. *)
               let ckey =
-                if t.cfg.cache then
-                  Some
-                    (Cache.key ~digest:ds.digest ~query ~missing_only
-                       ~timeout_ms)
-                else None
+                Cache.key ~digest:ds.digest ~query ~missing_only ~timeout_ms
               in
-              match Option.bind ckey (Cache.find ds.cache) with
+              match Cache.find ds.cache ckey with
               | Some text -> (Rtext text, { r with T.cache = W.Hit })
               | None -> (
-                  let r =
-                    if Option.is_some ckey then { r with T.cache = W.Miss }
-                    else r
-                  in
+                  let r = { r with T.cache = W.Miss } in
                   (* The certain rows are read by attribute name: a
                      query the certain schema cannot answer is the
                      client's error, not a solver exception. *)

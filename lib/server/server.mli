@@ -2,10 +2,20 @@
     server.
 
     One process, one listening socket, one OS thread per connection
-    (systhreads; solver work also fans out through [Pc_par] when the
-    caller configured a pool). Clients send one JSON object per line
-    and receive one JSON object per line; see DESIGN.md, "Serving,
-    admission control & fault injection" for the protocol grammar.
+    (systhreads). Clients send one JSON object per line and receive one
+    JSON object per line; see DESIGN.md, "Serving, admission control &
+    fault injection" for the protocol grammar.
+
+    Every dataset is served one way: its load compiles one interval
+    decision diagram ({!Pc_predicate.Fdd}), which decomposes every
+    request's cells, routes every appended row, and scopes every cache
+    entry. Repeat [bound] requests (same dataset content, canonical
+    query predicate, aggregate, and request flags) are answered
+    byte-identically from a per-dataset reply cache ({!Cache}) without
+    touching the solver stack. Only exact, fully-admitted replies are
+    cached; re-[load]ing a dataset replaces its cache and ingestion
+    evicts delta-scoped. Hit/miss rates surface as
+    [cache.hits]/[cache.misses] in [--metrics].
 
     Robustness contract, which the chaos tests pin:
 
@@ -54,7 +64,6 @@ type config = {
   host : string;
   port : int;  (** [0] binds an ephemeral port; read it back with {!port} *)
   base_spec : Pc_budget.Budget.spec;  (** per-request budget before admission *)
-  opts : Pc_core.Bounds.opts;
   policy : Admission.policy;
   max_line : int;
   poll_s : float;  (** blocked-reader / accept-loop drain poll slice *)
@@ -68,20 +77,11 @@ type config = {
           [telemetry] op's ["view": "flight"] serves the same dump on
           demand regardless of this setting. *)
   flight_capacity : int;  (** flight-recorder ring size (default 512) *)
-  cache : bool;
-      (** canonicalizing bound cache: repeat [bound] requests (same
-          dataset content, canonical query predicate, aggregate, and
-          request flags) are answered byte-identically from a
-          per-dataset reply cache without touching the solver stack.
-          Only exact, fully-admitted replies are cached; re-[load]ing a
-          dataset invalidates its entries. Hit/miss rates surface as
-          [cache.hits]/[cache.misses] in [--metrics]. *)
 }
 
 val default_config : config
-(** 127.0.0.1:0, unlimited base budget, FDD decomposition strategy with
-    a per-dataset precompiled diagram, cache enabled, admission for 64
-    in-flight, 16 MiB lines, 0.1 s poll, no artifacts. *)
+(** 127.0.0.1:0, unlimited base budget, admission for 64 in-flight,
+    16 MiB lines, 0.1 s poll, a 512-record flight ring, no artifacts. *)
 
 type t
 

@@ -1,7 +1,6 @@
 module Relation = Pc_data.Relation
 module Batch = Pc_data.Batch
 module Schema = Pc_data.Schema
-module Pred = Pc_predicate.Pred
 module Fdd = Pc_predicate.Fdd
 module Pc = Pc_core.Pc
 module Pc_set = Pc_core.Pc_set
@@ -31,7 +30,7 @@ type state = {
 type t = {
   base_set : Pc_set.t;
   base_certain : Relation.t option;
-  fdd : Fdd.compiled option;
+  fdd : Fdd.compiled;
   cell : state Atomic.t;
   mu : Mutex.t;  (* serializes writers; readers go through [cell] only *)
   mutable next_id : int;  (* guarded by [mu] *)
@@ -56,12 +55,10 @@ let residual_of set consumed =
          end)
        (Pc_set.pcs set))
 
-let create ?certain ?fdd base_set =
+let create ?certain ~fdd base_set =
   let n = Pc_set.size base_set in
-  (match fdd with
-  | Some f when Fdd.n_preds f <> n ->
-      invalid_arg "Stream.create: fdd size disagrees with the PC set"
-  | _ -> ());
+  if Fdd.n_preds fdd <> n then
+    invalid_arg "Stream.create: fdd size disagrees with the PC set";
   let consumed = Array.make n 0 in
   {
     base_set;
@@ -94,27 +91,15 @@ let find_batch t ~batch_id =
     (Atomic.get t.cell).entries
   |> Option.map (fun e -> e.batch)
 
-(* Active set of one certain row: the FDD walk when a diagram exists,
-   otherwise naive per-PC evaluation. The two agree (qcheck-pinned);
-   the naive path keeps streams usable under non-FDD strategies. *)
-let route t schema row =
-  match t.fdd with
-  | Some f -> Fdd.route f schema row
-  | None ->
-      let acc = ref [] in
-      List.iteri
-        (fun j (pc : Pc.t) ->
-          if Pred.eval schema pc.Pc.pred row then acc := j :: !acc)
-        (Pc_set.pcs t.base_set);
-      List.rev !acc
-
 let batch_delta t batch =
   let n = Pc_set.size t.base_set in
   let delta = Array.make n 0 in
   let schema = Batch.schema batch in
   Batch.iter
     (fun row ->
-      List.iter (fun j -> delta.(j) <- delta.(j) + 1) (route t schema row))
+      List.iter
+        (fun j -> delta.(j) <- delta.(j) + 1)
+        (Fdd.route t.fdd schema row))
     batch;
   delta
 

@@ -12,10 +12,10 @@
     missing side (or vice versa).
 
     Appending a batch routes every row through the dataset's
-    precompiled FDD (or, without a diagram, naive per-PC predicate
-    evaluation — the two agree, qcheck-pinned in [test_fdd]): the row's
-    active set names the PCs whose missing-row budget it consumes. The
-    {e residual} PC set replaces each frequency range [kl, ku] with
+    precompiled FDD (which agrees with per-PC predicate evaluation,
+    qcheck-pinned in [test_fdd]): the row's active set names the PCs
+    whose missing-row budget it consumes. The {e residual} PC set
+    replaces each frequency range [kl, ku] with
     [(kl − c)⁺ ∧ ku', ku' = (ku − c)⁺] for consumption [c] — the
     constraint system the full bound path solves after ingestion. A
     {!Pc_core.Incremental} engine takes the raw [consumed] vector
@@ -47,7 +47,7 @@ type t
 
 val create :
   ?certain:Pc_data.Relation.t ->
-  ?fdd:Pc_predicate.Fdd.compiled ->
+  fdd:Pc_predicate.Fdd.compiled ->
   Pc_core.Pc_set.t ->
   t
 (** A stream at version 0 over the base PC set. The base [certain]

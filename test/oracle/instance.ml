@@ -1,3 +1,4 @@
+open Pc_core
 module I = Pc_interval.Interval
 module Box = Pc_predicate.Box
 module Sat = Pc_predicate.Sat

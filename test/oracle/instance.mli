@@ -13,7 +13,11 @@
     Sampling works on the solved structure: a feasible integer cell
     allocation (from the MILP, randomized via a random objective), then
     rows drawn inside each cell's witness region intersected with the
-    active value constraints. *)
+    active value constraints.
+
+    A test oracle: only the test suite links it. *)
+
+open Pc_core
 
 val sample :
   ?opts:Bounds.opts ->

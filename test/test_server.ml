@@ -339,21 +339,6 @@ let test_cache_keys_pinned () =
     (Cache.key ~digest ~query:(Pc_query.Query.sum "v") ~missing_only:false
        ~timeout_ms:None)
 
-let test_cache_disabled () =
-  let cfg = { S.default_config with S.cache = false } in
-  let ((srv, _) as s) = start ~cfg () in
-  let c = connect srv in
-  let line = {|{"op":"bound","query":"SELECT COUNT(*)"}|} in
-  let h0 = cache_hits () and m0 = cache_misses () in
-  (* uncached replies re-time stats.elapsed_ms, so byte-equality is a
-     cache-hit property only; here just pin that both compute *)
-  Alcotest.(check bool) "first computes" true (ok (parse (raw_req c line)));
-  Alcotest.(check bool) "repeat computes" true (ok (parse (raw_req c line)));
-  Alcotest.(check int) "no hits when disabled" h0 (cache_hits ());
-  Alcotest.(check int) "no misses counted either" m0 (cache_misses ());
-  C.close c;
-  stop s
-
 let test_load_invalidates_cache () =
   let ((srv, _) as s) = start () in
   let c = connect srv in
@@ -1041,7 +1026,6 @@ let () =
       ( "cache",
         [
           tc "replay is byte-identical" `Quick test_cache_replay_byte_identical;
-          tc "disabled config never hits" `Quick test_cache_disabled;
           tc "keys pinned" `Quick test_cache_keys_pinned;
           tc "load invalidates" `Quick test_load_invalidates_cache;
         ] );

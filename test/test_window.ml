@@ -65,8 +65,8 @@ let naive_stats obs ~t0 ~now ~window_s =
     frac (count (fun o -> o.err)) n,
     frac (count (fun o -> o.deg)) n,
     frac hits (hits + misses),
-    W.percentile_ns buckets 50.,
-    W.percentile_ns buckets 99.,
+    Registry.Histogram.percentile_of_counts buckets 50.,
+    Registry.Histogram.percentile_of_counts buckets 99.,
     span )
 
 let obs_gen =
@@ -100,6 +100,35 @@ let window_matches_naive_prop =
       && feq s.W.cache_hit_rate chr
       && feq s.W.p50_ns p50 && feq s.W.p99_ns p99
       && feq s.W.window_s span)
+
+(* The window and the registry histogram read quantiles through one
+   function: the same latencies, recorded in one complete slot and in a
+   histogram, give equal p50/p90/p99. *)
+let window_quantiles_match_histogram_prop =
+  QCheck.Test.make ~name:"window quantiles equal the registry histogram's"
+    ~count:200
+    (QCheck.make
+       QCheck.Gen.(list_size (1 -- 200) (float_range 0. 1e10)))
+    (fun lats ->
+      let t0 = 2000. in
+      let w = W.create ~slot_s ~slots:n_slots () in
+      let h = Registry.Histogram.make "test.window.quantiles" in
+      Registry.Histogram.clear h;
+      let was = Registry.enabled () in
+      Registry.set_enabled true;
+      Fun.protect
+        ~finally:(fun () -> Registry.set_enabled was)
+        (fun () ->
+          List.iter
+            (fun lat ->
+              W.observe ~now:t0 w ~latency_ns:lat ~error:false ~degraded:false
+                ~cache:W.Uncached;
+              Registry.Histogram.observe_ns h lat)
+            lats);
+      let s = W.snapshot ~now:(t0 +. slot_s) w ~window_s:60. in
+      let p q = Registry.Histogram.percentile_ns h q in
+      s.W.n = List.length lats
+      && s.W.p50_ns = p 50. && s.W.p90_ns = p 90. && s.W.p99_ns = p 99.)
 
 let assert_non_negative label (s : W.stats) =
   let check name v =
@@ -201,6 +230,7 @@ let () =
       ( "window",
         [
           QCheck_alcotest.to_alcotest window_matches_naive_prop;
+          QCheck_alcotest.to_alcotest window_quantiles_match_histogram_prop;
           Alcotest.test_case "clock skew never yields negative rates" `Quick
             test_clock_skew_never_negative;
           Alcotest.test_case "skew past the ring is safe" `Quick
