@@ -2,7 +2,6 @@ module I = Pc_interval.Interval
 module Pred = Pc_predicate.Pred
 module Cnf = Pc_predicate.Cnf
 module Sat = Pc_predicate.Sat
-module Box = Pc_predicate.Box
 module S = Pc_lp.Simplex
 module M = Pc_milp.Milp
 module B = Pc_budget.Budget
@@ -107,51 +106,41 @@ let effective_kl qpred (pc : Pc.t) =
 (* ------------------------------------------------------------------ *)
 
 type region = {
-  attrs : string array;  (** the set's value attributes *)
-  values : I.t array;  (** per attribute: the cell's [L_i(a), U_i(a)] *)
-  clip : Box.t option;  (** the cell's box, under [tighten] only *)
+  cols : string array;  (** the set's table columns *)
+  values : I.t array;  (** per column: the cell's [L_i(a), U_i(a)] *)
+  outside : Box_table.query option;
+      (** under [tighten]: the query, for attributes without a column *)
 }
 
-(* The region of the cell whose active PCs are [active], built once: per
-   value attribute of [set], the intersection of the active PCs' ν rows
-   (the paper's U_i(a)/L_i(a)) and, under [tighten], of the box of the
-   query predicate ([qbox], forced only then) and the active predicates.
-   [None] when no row can live in the cell: some attribute's range is
-   empty, or the box is (a cell [Cells.Early_stop] admitted unchecked). *)
-let region_in ~tighten set ~qbox active =
-  let attrs = Pc_set.value_attrs set in
-  let values = Array.make (Array.length attrs) I.full in
-  let meet k iv =
-    match I.intersect values.(k) iv with
-    | Some iv -> values.(k) <- iv
-    | None -> raise_notrace Exit
-  in
-  try
-    List.iter (fun j -> Array.iteri meet (Pc_set.value_row set j)) active;
-    let clip =
-      if not tighten then None
-      else
-        match
-          List.fold_left
-            (fun acc j -> Option.bind acc (fun b -> Box.add_pred b (Pc_set.get set j).Pc.pred))
-            (Lazy.force qbox) active
-        with
-        | None -> raise_notrace Exit
-        | Some box ->
-            Array.iteri (fun k a -> meet k (Box.num_interval box a)) attrs;
-            Some box
-    in
-    Some { attrs; values; clip }
-  with Exit -> None
+(* Where each cell's range of the aggregated attribute comes from: its
+   column [k] of a region accumulator, or with [k < 0] one interval for
+   every cell — [1] for COUNT and, for an attribute no PC mentions, the
+   query's own range under [tighten] (no predicate can clip it), else
+   unconstrained. *)
+let agg_source ~tighten tbl q (query : Q.t) =
+  match Q.agg_attr query with
+  | None -> (-1, I.point 1.)
+  | Some a -> (Box_table.col tbl a, if tighten then Box_table.outside q a else I.full)
 
 let region ~tighten set qpred active =
-  region_in ~tighten set ~qbox:(lazy (Box.add_pred Box.top qpred)) active
+  let tbl = Pc_set.table set in
+  let q = Box_table.query tbl qpred in
+  let values = Box_table.acc tbl and clip = Box_table.acc tbl in
+  if Box_table.cell tbl ~rows:(Pc_set.rows set) ~tighten q values clip active then
+    let cols = Box_table.cols tbl in
+    Some
+      {
+        cols;
+        values = Array.init (Array.length cols) (Box_table.get values);
+        outside = (if tighten then Some q else None);
+      }
+  else None
 
 let region_interval r attr =
   let rec find k =
-    if k = Array.length r.attrs then
-      match r.clip with None -> I.full | Some box -> Box.num_interval box attr
-    else if String.equal r.attrs.(k) attr then r.values.(k)
+    if k = Array.length r.cols then
+      match r.outside with None -> I.full | Some q -> Box_table.outside q attr
+    else if String.equal r.cols.(k) attr then r.values.(k)
     else find (k + 1)
   in
   find 0
@@ -184,6 +173,21 @@ type prepared = {
 }
 
 exception Found_infeasible
+
+(* One info per inhabitable cell, its region built from the set's flat
+   table into two accumulators shared by every cell. *)
+let regions ~opts set q (query : Q.t) cells =
+  let tbl = Pc_set.table set and rows = Pc_set.rows set and tighten = opts.tighten in
+  let values = Box_table.acc tbl and clip = Box_table.acc tbl in
+  let k, fixed = agg_source ~tighten tbl q query in
+  List.filter_map
+    (fun (c : Cells.cell) ->
+      let active = c.Cells.active in
+      if not (Box_table.cell tbl ~rows ~tighten q values clip active) then None
+      else if k >= 0 then Some { active; u = Box_table.hi values k; l = Box_table.lo values k }
+      else Some { active; u = I.hi_float fixed; l = I.lo_float fixed })
+    cells
+  |> Array.of_list
 
 (* Box every variable under per-PC consumption [consumed] (all zero on
    the cold path), as the residual PC set {[(kl−c)⁺ ∧ ku', ku' = (ku−c)⁺]}
@@ -235,14 +239,14 @@ let prepare ~ctx ?consumed set (query : Q.t) : (prepared, answer) result =
        precompiled diagram's indices stay aligned with [set] — harmless,
        because a non-overlapping PC never appears in a reachable active
        set: it contributes no covering row and its effective kl is 0. *)
+    let tbl = Pc_set.table set in
+    let q = Box_table.query tbl qpred in
     let set =
       if qpred = Pred.tt || opts.strategy = Cells.Fdd then set
       else
+        let rows = Pc_set.rows set in
         Pc_set.filter
-          (fun i ->
-            match Pc_set.box set i with
-            | None -> false
-            | Some b -> Option.is_some (Box.add_pred b qpred))
+          (fun i -> Box_table.boxed tbl rows.(i) && Box_table.overlaps tbl q rows.(i))
           set
     in
     let cells, cstats =
@@ -253,22 +257,11 @@ let prepare ~ctx ?consumed set (query : Q.t) : (prepared, answer) result =
       ctx.trace.early <- true;
       ctx.trace.admitted <- ctx.trace.admitted + cstats.Cells.admitted_unchecked
     end;
-    let agg_attr = Q.agg_attr query in
-    let qbox = lazy (Box.add_pred Box.top qpred) in
     let infos =
-      List.filter_map
-        (fun (c : Cells.cell) ->
-          let active = c.Cells.active in
-          Option.map
-            (fun r ->
-              match agg_attr with
-              | None -> { active; u = 1.; l = 1. }
-              | Some a ->
-                  let iv = region_interval r a in
-                  { active; u = I.hi_float iv; l = I.lo_float iv })
-            (region_in ~tighten:opts.tighten set ~qbox active))
-        cells
-      |> Array.of_list
+      (* the branch keeps the disabled path closure-free *)
+      if Trace.enabled () then
+        Trace.with_span ~name:"bound.regions" (fun () -> regions ~opts set q query cells)
+      else regions ~opts set q query cells
     in
     let n_pcs = Pc_set.size set in
     let n_cells = Array.length infos in
@@ -608,58 +601,38 @@ module Greedy = struct
     ku : int;
   }
 
-  (* One gcell per PC overlapping the query region; [None] when the
+  (* One gcell per PC overlapping the query region; [Error] when the
      system is infeasible. Specialized to the one-PC-per-cell shape: the
-     PC's in-query region box is its cached box conjoined with the query
-     once, and reused for every attribute. *)
+     PC's in-query region is its table row met with the query, predicate
+     first, as conjoining the query into its cached box would give. *)
   let prepare ~opts set (query : Q.t) =
-    let qpred = query.Q.where_ in
-    let agg_attr = Q.agg_attr query in
+    let qpred = query.Q.where_ and tighten = opts.tighten in
+    let tbl = Pc_set.table set and rows = Pc_set.rows set in
+    let q = Box_table.query tbl qpred in
+    let values = Box_table.acc tbl and clip = Box_table.acc tbl in
+    let k, fixed = agg_source ~tighten tbl q query in
     try
-      let cells =
-        List.filter_map
-          (fun i ->
-            let pc = Pc_set.get set i in
-            let region =
-              match Pc_set.box set i with
-              | None ->
-                  if pc.Pc.freq_lo > 0 then raise Found_infeasible;
-                  None
-              | Some b -> Box.add_pred b qpred
-            in
-            match region with
-            | None -> None (* no overlap with the query region *)
-            | Some box ->
-                let value_iv attr =
-                  let iv = Pc.value_interval pc attr in
-                  if opts.tighten then I.intersect iv (Box.num_interval box attr)
-                  else Some iv
-                in
-                let inhabitable =
-                  List.for_all
-                    (fun a -> Option.is_some (value_iv a))
-                    (Pc.value_attrs pc)
-                in
-                if not inhabitable then begin
-                  (* predicate region overlaps the query but admits no
-                     valid row values *)
-                  if effective_kl qpred pc > 0 then raise Found_infeasible;
-                  None
-                end
-                else begin
-                  let l, u =
-                    match agg_attr with
-                    | None -> (1., 1.)
-                    | Some a -> (
-                        match value_iv a with
-                        | None -> (0., 0.)
-                        | Some iv -> (I.lo_float iv, I.hi_float iv))
-                  in
-                  Some { u; l; kl = effective_kl qpred pc; ku = pc.Pc.freq_hi }
-                end)
-          (List.init (Pc_set.size set) Fun.id)
-      in
-      Ok cells
+      let cells = ref [] in
+      for i = 0 to Pc_set.size set - 1 do
+        let pc = Pc_set.get set i and r = rows.(i) in
+        if not (Box_table.boxed tbl r) then begin
+          if pc.Pc.freq_lo > 0 then raise Found_infeasible
+        end
+        else if not (Box_table.overlaps tbl q r) then () (* no overlap with the query region *)
+        else if not (Box_table.single tbl ~tighten q values clip r) then begin
+          (* predicate region overlaps the query but admits no valid row
+             values *)
+          if effective_kl qpred pc > 0 then raise Found_infeasible
+        end
+        else begin
+          let l, u =
+            if k >= 0 then (Box_table.lo values k, Box_table.hi values k)
+            else (I.lo_float fixed, I.hi_float fixed)
+          in
+          cells := { u; l; kl = effective_kl qpred pc; ku = pc.Pc.freq_hi } :: !cells
+        end
+      done;
+      Ok (List.rev !cells)
     with Found_infeasible -> Error Infeasible
 
   (* max over x in [kl, ku] of x * coeff, and min respectively. *)
@@ -769,24 +742,32 @@ module Greedy = struct
                (Float.max lo hi))
         end
 
-  let bound ~opts set (query : Q.t) ~c_count ~c_sum =
+  let answer cells (query : Q.t) ~c_count ~c_sum =
+    match query.Q.agg with
+    | Q.Count -> (
+        match sum_like cells ~is_count:true with
+        | Range r -> Range (Range.shift r c_count)
+        | other -> other)
+    | Q.Sum _ -> (
+        match sum_like cells ~is_count:false with
+        | Range r -> Range (Range.shift r c_sum)
+        | other -> other)
+    | Q.Avg _ -> avg cells ~c_count ~c_sum
+    | Q.Max _ | Q.Min _ ->
+        (* the per-cell shapes match the general path; certain
+           combination is handled by the caller *)
+        extremal cells ~is_max:(query.Q.agg = Q.Max (Option.get (Q.agg_attr query)))
+
+  let run ~opts set query ~c_count ~c_sum =
     match prepare ~opts set query with
     | Error a -> a
-    | Ok cells -> (
-        match query.Q.agg with
-        | Q.Count -> (
-            match sum_like cells ~is_count:true with
-            | Range r -> Range (Range.shift r c_count)
-            | other -> other)
-        | Q.Sum _ -> (
-            match sum_like cells ~is_count:false with
-            | Range r -> Range (Range.shift r c_sum)
-            | other -> other)
-        | Q.Avg _ -> avg cells ~c_count ~c_sum
-        | Q.Max _ | Q.Min _ ->
-            (* the per-cell shapes match the general path; certain
-               combination is handled by the caller *)
-            extremal cells ~is_max:(query.Q.agg = Q.Max (Option.get (Q.agg_attr query))))
+    | Ok cells -> answer cells query ~c_count ~c_sum
+
+  let bound ~opts set query ~c_count ~c_sum =
+    (* the branch keeps the disabled path closure-free *)
+    if Trace.enabled () then
+      Trace.with_span ~name:"bound.greedy" (fun () -> run ~opts set query ~c_count ~c_sum)
+    else run ~opts set query ~c_count ~c_sum
 end
 
 (* ------------------------------------------------------------------ *)
@@ -814,23 +795,19 @@ module Trivial = struct
 
   let cells set (query : Q.t) =
     let qpred = query.Q.where_ in
-    let agg_attr = Q.agg_attr query in
+    let tbl = Pc_set.table set and rows = Pc_set.rows set in
+    let q = Box_table.query tbl qpred in
+    let k = match Q.agg_attr query with None -> -1 | Some a -> Box_table.col tbl a in
     List.filter_map
       (fun i ->
-        let pc = Pc_set.get set i in
-        let overlaps =
-          match Pc_set.box set i with
-          | None -> true
-          | Some b -> Option.is_some (Box.add_pred b qpred)
-        in
-        if not overlaps then None
+        let pc = Pc_set.get set i and r = rows.(i) in
+        if Box_table.boxed tbl r && not (Box_table.overlaps tbl q r) then None
         else begin
           let l, u =
-            match agg_attr with
+            match Q.agg_attr query with
             | None -> (1., 1.)
-            | Some a ->
-                let iv = Pc.value_interval pc a in
-                (I.lo_float iv, I.hi_float iv)
+            | Some _ when k < 0 -> (neg_infinity, infinity)
+            | Some _ -> (Box_table.value_lo tbl r k, Box_table.value_hi tbl r k)
           in
           (* kl is only enforceable without a query predicate; testing
              containment would need the solver this rung must not touch *)

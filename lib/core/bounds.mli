@@ -143,9 +143,12 @@ val can_be_empty : Pc_set.t -> Pc_query.Query.t -> bool
     (paper §4.1): per value attribute, the intersection of the active
     PCs' ν ranges, the paper's [\[L_i(a), U_i(a)\]]. Under [tighten] it
     is also clipped by the box of the query predicate and the active
-    predicates. {!bound} builds one region per cell, from the PC set's
-    cached ν table ({!Pc_set.value_row}), and reads from it both whether
-    the cell is inhabitable and the aggregated attribute's range. *)
+    predicates. {!bound} builds one region per cell on the PC set's flat
+    table ({!Pc_set.table}, {!Box_table}), into two accumulators reused
+    across the cells of one query, and reads from it both whether the
+    cell is inhabitable and the aggregated attribute's range. The result
+    is bit-identical to folding the intervals and boxes one by one: the
+    table's meet keeps [Interval.intersect]'s tie rules. *)
 
 type region
 
@@ -160,7 +163,37 @@ val region :
 val region_interval : region -> string -> Pc_interval.Interval.t
 (** The range of one attribute over the cell's rows: [\[L_i(a), U_i(a)\]].
     An attribute no active PC constrains is [Interval.full], clipped by
-    the cell's box under [tighten]. *)
+    the cell's box under [tighten] (for an attribute no predicate of the
+    set mentions either, that is the query's range). *)
+
+(** {2 The greedy path}
+
+    The paper's §4.2 special case for disjoint sets ("Faster Algorithm in
+    Special Cases"), which {!bound} takes when [opts.use_greedy] holds and
+    {!Pc_set.is_disjoint}: every PC overlapping the query is a cell of
+    its own, and the allocation decouples per PC. *)
+
+module Greedy : sig
+  type gcell = {
+    u : float;  (** the aggregated attribute's largest value; [1.] for COUNT *)
+    l : float;  (** its smallest value *)
+    kl : int;  (** effective lower bound under pushdown *)
+    ku : int;
+  }
+
+  val prepare : opts:opts -> Pc_set.t -> Pc_query.Query.t -> (gcell list, answer) result
+  (** One cell per PC whose predicate overlaps the query region and
+      admits a valid row, in set order: its value range is the PC's ν
+      met, under [tighten], with its predicate's box conjoined with the
+      query, read off {!Pc_set.table}. [Error Infeasible] when a
+      frequency lower bound cannot be met. *)
+
+  val answer :
+    gcell list -> Pc_query.Query.t -> c_count:float -> c_sum:float -> answer
+  (** The range from the cells, over the missing partition plus [c_count]
+      certain rows summing to [c_sum] (the caller combines MIN/MAX with
+      the certain partition). *)
+end
 
 (** {2 The allocation program for a warm engine}
 

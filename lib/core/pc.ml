@@ -28,7 +28,11 @@ let make ?name ~pred ~values ~freq:(freq_lo, freq_hi) () =
   { name; pred; values; freq_lo; freq_hi }
 
 let value_interval t attr =
-  Option.value (List.assoc_opt attr t.values) ~default:I.full
+  let rec find = function
+    | [] -> I.full
+    | (a, iv) :: rest -> if String.equal a attr then iv else find rest
+  in
+  find t.values
 
 let value_attrs t = List.map fst t.values
 

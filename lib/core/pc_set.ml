@@ -2,20 +2,18 @@ module Pred = Pc_predicate.Pred
 module Box = Pc_predicate.Box
 module I = Pc_interval.Interval
 
-(* Per-PC data every bound reads: each predicate's box, and a dense ν
-   table with one row per PC over the set's sorted value attributes
-   ([Interval.full] where a PC leaves an attribute free). *)
-type derived = {
-  boxes : Box.t option array;
-  attrs : string array;
-  rows : I.t array array;
-}
+(* Per-PC data every bound reads: each predicate's box and the flat
+   table of their hulls and ν ranges ({!Box_table}). *)
+type derived = { boxes : Box.t option array; table : Box_table.t }
 
 (* [disjoint] and [derived] are computed on first use. Pool domains may
    race on them: both compute the same value, where a shared [Lazy.t]
-   would raise [CamlinternalLazy.Undefined] in the loser. *)
+   would raise [CamlinternalLazy.Undefined] in the loser. [rows] maps
+   each PC to its row of [derived]: a {!filter}ed set shares its
+   parent's. *)
 type t = {
   arr : Pc.t array;
+  rows : int array;
   disjoint : bool option Atomic.t;
   derived : derived option Atomic.t;
 }
@@ -30,53 +28,38 @@ let cached slot compute =
 
 let derived t =
   cached t.derived (fun () ->
-      let attrs =
-        Array.to_list t.arr
-        |> List.concat_map Pc.value_attrs
-        |> List.sort_uniq String.compare |> Array.of_list
-      in
-      {
-        boxes = Array.map (fun (pc : Pc.t) -> Box.of_pred pc.Pc.pred) t.arr;
-        attrs;
-        rows = Array.map (fun pc -> Array.map (Pc.value_interval pc) attrs) t.arr;
-      })
+      let boxes = Array.map (fun (pc : Pc.t) -> Box.of_pred pc.Pc.pred) t.arr in
+      { boxes; table = Box_table.make t.arr boxes })
 
-let box t i = (derived t).boxes.(i)
-let value_attrs t = (derived t).attrs
-let value_row t i = (derived t).rows.(i)
+let box t i = (derived t).boxes.(t.rows.(i))
+let table t = (derived t).table
+let rows t = t.rows
 
 let compute_disjoint t =
   let n = Array.length t.arr in
-  let boxes = (derived t).boxes in
-  let overlap i j =
-    match boxes.(i) with
-    | None -> false
-    | Some bi -> (
-        match Box.add_pred bi t.arr.(j).Pc.pred with
-        | Some _ -> true
-        | None -> false)
-  in
+  let tbl = table t in
+  let boxed i = Box_table.boxed tbl t.rows.(i) in
   let rec scan i j =
     if i >= n then true
     else if j >= n then scan (i + 1) (i + 2)
-    else if overlap i j then false
+    else if boxed i && boxed j && Box_table.meets tbl t.rows.(i) t.rows.(j) then false
     else scan i (j + 1)
   in
   scan 0 1
 
-let fresh ?derived arr = { arr; disjoint = Atomic.make None; derived = Atomic.make derived }
+let fresh ?derived arr rows =
+  { arr; rows; disjoint = Atomic.make None; derived = Atomic.make derived }
 
-let of_array arr = fresh (Array.copy arr)
-let make pcs = fresh (Array.of_list pcs)
+let own arr = fresh arr (Array.init (Array.length arr) Fun.id)
+let of_array arr = own (Array.copy arr)
+let make pcs = own (Array.of_list pcs)
 let pcs t = Array.to_list t.arr
 let size t = Array.length t.arr
 let get t i = t.arr.(i)
 
 let filter f t =
-  let keep = List.filter f (List.init (size t) Fun.id) in
-  let pick a = Array.of_list (List.map (Array.get a) keep) in
-  let d = derived t in
-  fresh ~derived:{ d with boxes = pick d.boxes; rows = pick d.rows } (pick t.arr)
+  let keep = Array.of_list (List.filter f (List.init (size t) Fun.id)) in
+  fresh ~derived:(derived t) (Array.map (Array.get t.arr) keep) (Array.map (Array.get t.rows) keep)
 
 let violations rel t =
   Array.to_list t.arr |> List.concat_map (Pc.violations rel)

@@ -10,27 +10,26 @@ val get : t -> int -> Pc.t
 
 val filter : (int -> bool) -> t -> t
 (** [filter f t]: the PCs at the indices [f] keeps, in order. The subset
-    carries its rows of [t]'s cached boxes and ν table (built first if
-    they were not yet), so {!box} and {!value_row} follow its own
-    indices without recomputation. *)
+    shares [t]'s cached boxes and table (built first if they were not
+    yet) through {!rows}, without recomputation or copying. *)
 
 (** {2 Cached per-PC data}
 
     Built together for the whole set on the first call of any of these
-    (not by {!make}) and cached; {!filter} carries them over. *)
+    (not by {!make}) and cached; {!filter} shares them. *)
 
 val box : t -> int -> Pc_predicate.Box.t option
 (** [Box.of_pred] of PC [i]'s predicate: [None] when the predicate is
     unsatisfiable on its own. *)
 
-val value_attrs : t -> string array
-(** Sorted distinct value-constraint attributes: the columns of
-    {!value_row}. After {!filter}, the parent's columns (an attribute no
-    remaining PC constrains is an [Interval.full] column). *)
+val table : t -> Box_table.t
+(** The flat table of every PC's predicate hull and ν ranges. Raises
+    [Box]'s [Invalid_argument] when the set's predicates use one
+    attribute as both kinds. *)
 
-val value_row : t -> int -> Pc_interval.Interval.t array
-(** PC [i]'s ν over {!value_attrs}, [Interval.full] where it leaves an
-    attribute unconstrained. The array is shared: do not mutate it. *)
+val rows : t -> int array
+(** PC [i]'s row of {!table}: the identity unless the set was
+    {!filter}ed, when its rows are the parent's. Shared: do not mutate. *)
 
 val holds : Pc_data.Relation.t -> t -> bool
 (** Every constraint holds on the relation. *)
@@ -45,7 +44,7 @@ val closed_over : Pc_data.Relation.t -> t -> bool
 val is_disjoint : t -> bool
 (** True when predicates are pairwise unsatisfiable together — the fast
     greedy path applies (paper §4.2, "Faster Algorithm in Special Cases").
-    Computed once and cached, from the cached {!box}es. *)
+    Computed once and cached, from the flat {!table}. *)
 
 val attrs : t -> string list
 (** Sorted distinct attributes mentioned by any predicate or value

@@ -24,13 +24,14 @@ let with_universe u =
         SMap.empty u;
   }
 
+let kind_clash attr =
+  invalid_arg (Printf.sprintf "Box: attribute %s used as both kinds" attr)
+
 let check_kinds t attr ~numeric =
   if numeric then begin
-    if SMap.mem attr t.cat then
-      invalid_arg (Printf.sprintf "Box: attribute %s used as both kinds" attr)
+    if SMap.mem attr t.cat then kind_clash attr
   end
-  else if SMap.mem attr t.num then
-    invalid_arg (Printf.sprintf "Box: attribute %s used as both kinds" attr)
+  else if SMap.mem attr t.num then kind_clash attr
 
 let cat_nonempty t attr = function
   | CIn s -> not (SSet.is_empty s)

@@ -25,6 +25,10 @@ val add_atom : t -> Atom.t -> t option
 (** Conjoin one atom; [None] when the result is empty. Raises
     [Invalid_argument] when the attribute is used with conflicting kinds. *)
 
+val kind_clash : string -> 'a
+(** Raise the [Invalid_argument] {!add_atom} raises for an attribute
+    used with conflicting kinds. *)
+
 val add_pred : t -> Atom.t list -> t option
 (** Conjoin a conjunction of atoms. *)
 

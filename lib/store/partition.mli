@@ -42,8 +42,12 @@ val to_pc : t -> Pc_core.Pc.t
 (** The zone map as a predicate-constraint: the predicate is the
     partition's bounding box (numeric ranges ∧ categorical memberships),
     the value constraints its numeric ranges, the frequency exactly its
-    row count. Any relation instance placing the lost rows back must
-    satisfy it. *)
+    row count. It describes this partition's rows alone: a PC counts every
+    row inside its predicate, so once several partitions are lost and
+    their boxes overlap, rows of one can fall inside another's box and
+    the lost rows need not satisfy it. {!Store.missing_pcs} widens it
+    against the other missing partitions; soundness belongs to that set,
+    not to one zone map. *)
 
 val summary_holds : t -> bool
 (** For loaded partitions: the zone map is consistent with the rows

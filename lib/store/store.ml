@@ -57,6 +57,36 @@ let missing_count t =
     (fun acc (p : Partition.t) -> acc + p.Partition.summary.Partition.count)
     0 (missing_parts t)
 
+(* A PC counts every lost row inside its predicate, and rows lost from
+   another partition whose zone-map box meets this one's can lie inside
+   it too. So each missing partition's constraint keeps its own count as
+   the lower bound, and its cap and value ranges grow by those
+   overlapping partitions: [ku_i = count_i + Σ count_j] and [ν_i] the
+   hull of their ranges. The PC set is the unit of soundness, not one
+   zone map. *)
+let zone_pc parts (p : Partition.t) =
+  let box (q : Partition.t) = Partition.bounding_pred q in
+  let overlapping =
+    List.filter
+      (fun (q : Partition.t) ->
+        q.Partition.id <> p.Partition.id
+        && Option.is_some (Pc_predicate.Box.of_pred (box p @ box q)))
+      parts
+  in
+  let pc = Partition.to_pc p in
+  let widen (a, iv) =
+    ( a,
+      List.fold_left
+        (fun iv (q : Partition.t) ->
+          Pc_interval.Interval.hull iv (List.assoc a q.Partition.summary.Partition.ranges))
+        iv overlapping )
+  in
+  let count (q : Partition.t) = q.Partition.summary.Partition.count in
+  Pc_core.Pc.make ~name:pc.Pc_core.Pc.name ~pred:pc.Pc_core.Pc.pred
+    ~values:(List.map widen pc.Pc_core.Pc.values)
+    ~freq:(count p, List.fold_left (fun n q -> n + count q) (count p) overlapping)
+    ()
+
 (* Under closure a predicate also *permits* rows in its region, so a
    user constraint conjoined as-is would extend where lost rows may live.
    Restricting each extra constraint to every missing partition's zone-map
@@ -65,7 +95,7 @@ let missing_count t =
    soundly, so they are dropped — both can only loosen, never invalidate. *)
 let missing_pcs ?(extra = []) t =
   let parts = missing_parts t in
-  let zone_pcs = List.map Partition.to_pc parts in
+  let zone_pcs = List.map (zone_pc parts) parts in
   let restricted =
     List.concat_map
       (fun (e : Pc_core.Pc.t) ->

@@ -36,7 +36,11 @@ val missing_count : t -> int
 
 val missing_pcs : ?extra:Pc_core.Pc.t list -> t -> Pc_core.Pc_set.t
 (** One constraint per missing partition, plus any user-supplied [extra]
-    constraints about the lost rows. Extras are conjoined with each
+    constraints about the lost rows. A missing partition's constraint is
+    its zone map ({!Partition.to_pc}) widened by every other missing
+    partition whose zone-map box meets its own: the frequency cap adds
+    their counts and each value range is the hull of theirs, since their
+    lost rows may lie inside its box. Extras are conjoined with each
     missing partition's zone-map box so they *restrict* without granting
     existence outside the lost regions; their frequency caps consequently
     apply per partition and their frequency lower bounds are dropped

@@ -125,6 +125,40 @@ let test_jobs_span_parity () =
   let par = span_set_of_run 4 in
   Alcotest.(check (list string)) "same span set for jobs=1 and jobs=4" seq par
 
+(* [Bounds]' own stages record spans nested under the [bound] span: the
+   region build of the general path and the greedy path. *)
+let test_bound_stage_spans () =
+  let pc name lo hi =
+    Pc_core.Pc.make ~name
+      ~pred:[ Pc_predicate.Atom.between "x" lo hi ]
+      ~values:[ ("v", Pc_interval.Interval.closed 0. 10.) ]
+      ~freq:(0, 5) ()
+  in
+  let overlapping = Pc_core.Pc_set.make [ pc "a" 0. 10.; pc "b" 5. 15. ] in
+  let disjoint = Pc_core.Pc_set.make [ pc "a" 0. 10.; pc "c" 20. 30. ] in
+  let query = Pc_query.Query.sum ~where_:[ Pc_predicate.Atom.between "x" 2. 25. ] "v" in
+  with_tracing (fun () ->
+      ignore (Pc_core.Bounds.bound overlapping query);
+      ignore (Pc_core.Bounds.bound disjoint query);
+      let spans = Trace.spans () in
+      let named n = List.filter (fun (s : Trace.span) -> s.Trace.name = n) spans in
+      let inside (s : Trace.span) (b : Trace.span) =
+        b.Trace.domain = s.Trace.domain
+        && b.Trace.depth < s.Trace.depth
+        && b.Trace.t0_ns <= s.Trace.t0_ns
+        && Int64.add s.Trace.t0_ns s.Trace.dur_ns <= Int64.add b.Trace.t0_ns b.Trace.dur_ns
+      in
+      List.iter
+        (fun name ->
+          match named name with
+          | [ s ] ->
+              Alcotest.(check bool)
+                (name ^ " nests under bound")
+                true
+                (List.exists (inside s) (named "bound"))
+          | l -> Alcotest.failf "expected one %s span, got %d" name (List.length l))
+        [ "bound.regions"; "bound.greedy" ])
+
 (* ---- registry ---- *)
 
 let test_counters () =
@@ -317,6 +351,7 @@ let () =
             test_chrome_json_valid;
           Alcotest.test_case "span set independent of jobs" `Quick
             test_jobs_span_parity;
+          Alcotest.test_case "bound stage spans nest" `Quick test_bound_stage_spans;
         ] );
       ( "registry",
         [

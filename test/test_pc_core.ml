@@ -605,7 +605,10 @@ module R = Pc_util.Rng
 let region_iv rng =
   let a = float_of_int (R.int rng 8) and b = float_of_int (R.int rng 8) in
   let lo = Float.min a b and hi = Float.max a b in
-  let side x = if R.bool rng then I.Closed x else I.Open x in
+  (* 0. also appears as -0.: equal as floats, told apart only by the bits
+     a region's tie rules must carry through *)
+  let signed x = if x = 0. && R.bool rng then -0. else x in
+  let side x = if R.bool rng then I.Closed (signed x) else I.Open (signed x) in
   let lo = if R.int rng 5 = 0 then I.Neg_inf else side lo in
   let hi = if R.int rng 5 = 0 then I.Pos_inf else side hi in
   Option.value (I.make lo hi) ~default:(I.point a)
@@ -674,6 +677,107 @@ let prop_region_matches_reference =
       in
       let keep = Array.init (Pc_set.size set) (fun _ -> R.int rng 3 > 0) in
       agrees set && agrees (Pc_set.filter (Array.get keep) set))
+
+module Box = Pc_predicate.Box
+
+let box_meets set i atoms =
+  match Pc_set.box set i with None -> false | Some b -> Option.is_some (Box.add_pred b atoms)
+
+(* The flat table's overlap tests against the [Box.add_pred] folds they
+   replace: query overlap (the pushdown, greedy and trivial filters) and
+   pairwise disjointness, on the set and on a [Pc_set.filter] subset
+   that shares its table. *)
+let prop_flat_overlap_matches_box =
+  QCheck.Test.make ~name:"flat overlap tests match Box.add_pred" ~count:300
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let rng = R.create seed in
+      let set = region_set rng in
+      let qpred = region_pred rng in
+      let agrees set =
+        let tbl = Pc_set.table set and rows = Pc_set.rows set in
+        let q = Box_table.query tbl qpred in
+        let idx = List.init (Pc_set.size set) Fun.id in
+        List.for_all
+          (fun i ->
+            let boxed = Box_table.boxed tbl rows.(i) in
+            boxed = Option.is_some (Pc_set.box set i)
+            && ((not boxed) || Box_table.overlaps tbl q rows.(i) = box_meets set i qpred))
+          idx
+        && Pc_set.is_disjoint set
+           = List.for_all
+               (fun i ->
+                 List.for_all
+                   (fun j -> j <= i || not (box_meets set i (Pc_set.get set j).Pc.pred))
+                   idx)
+               idx
+      in
+      let keep = Array.init (Pc_set.size set) (fun _ -> R.int rng 3 > 0) in
+      agrees set && agrees (Pc_set.filter (Array.get keep) set))
+
+let same_answer a b =
+  match (a, b) with
+  | Bounds.Range a, Bounds.Range b ->
+      Doubles.bit_equal a.Range.lo b.Range.lo
+      && Doubles.bit_equal a.Range.hi b.Range.hi
+      && a.Range.lo_exact = b.Range.lo_exact
+      && a.Range.hi_exact = b.Range.hi_exact
+  | a, b -> a = b
+
+(* The greedy path's cells against the Box-based oracle, bit for bit,
+   and [Bounds.bound]'s greedy answer against the answer from the
+   oracle's cells. Sets are [region_set]s thinned to pairwise disjoint
+   PCs, with random frequency lower bounds. *)
+let prop_greedy_matches_box_oracle =
+  QCheck.Test.make ~name:"greedy cells match the Box-based oracle" ~count:300
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let rng = R.create seed in
+      let overlap (a : Pc.t) (b : Pc.t) =
+        match Box.of_pred a.Pc.pred with
+        | None -> false
+        | Some box -> Option.is_some (Box.add_pred box b.Pc.pred)
+      in
+      let pcs =
+        List.fold_left
+          (fun kept (pc : Pc.t) ->
+            if List.exists (overlap pc) kept then kept
+            else
+              kept
+              @ [
+                  mk ~name:pc.Pc.name pc.Pc.pred pc.Pc.values
+                    (R.int rng 2, pc.Pc.freq_hi);
+                ])
+          []
+          (Pc_set.pcs (region_set rng))
+      in
+      let set = Pc_set.make pcs in
+      let where_ = region_pred rng in
+      let query =
+        R.choose rng
+          [|
+            Q.count ~where_ ();
+            Q.sum ~where_ "v";
+            Q.sum ~where_ "z";
+            Q.avg ~where_ "w";
+            Q.max_ ~where_ "v";
+            Q.min_ ~where_ "t";
+          |]
+      in
+      let opts = { Bounds.default_opts with Bounds.tighten = R.bool rng } in
+      let same_cell (a : Bounds.Greedy.gcell) (b : Bounds.Greedy.gcell) =
+        Doubles.bit_equal a.u b.u && Doubles.bit_equal a.l b.l && a.kl = b.kl && a.ku = b.ku
+      in
+      let oracle = Greedy_box.prepare ~opts set query in
+      Pc_set.is_disjoint set
+      && (match (Bounds.Greedy.prepare ~opts set query, oracle) with
+         | Ok a, Ok b -> List.length a = List.length b && List.for_all2 same_cell a b
+         | Error a, Error b -> a = b
+         | _ -> false)
+      && same_answer (Bounds.bound ~opts set query)
+           (match oracle with
+           | Error a -> a
+           | Ok cells -> Bounds.Greedy.answer cells query ~c_count:0. ~c_sum:0.))
 
 (* ---------------------- cached predicate boxes ----------------------- *)
 
@@ -749,6 +853,30 @@ let test_pushdown_middle_alignment () =
       Alcotest.(check bool) (Q.to_string query) true (pushed = unfiltered))
     [ Q.count ~where_ (); Q.sum ~where_ "price"; Q.max_ ~where_ "price"; Q.avg ~where_ "price" ]
 
+(* A query atom whose kind clashes with how the set's predicates use its
+   attribute raises [Box]'s error through [Bounds.bound], on the greedy
+   and the general path alike. *)
+let test_kind_clash_raises () =
+  let set =
+    Pc_set.make
+      [
+        mk ~name:"chicago" [ Atom.cat_eq "branch" "Chicago" ] [] (0, 5);
+        mk ~name:"ny" [ Atom.cat_eq "branch" "NY"; Atom.between "utc" 0. 10. ] [] (0, 3);
+      ]
+  in
+  Alcotest.(check bool) "greedy path applies" true (Pc_set.is_disjoint set);
+  List.iter
+    (fun (opts, where_, attr) ->
+      Alcotest.check_raises attr
+        (Invalid_argument (Printf.sprintf "Box: attribute %s used as both kinds" attr))
+        (fun () -> ignore (Bounds.bound ~opts set (Q.count ~where_ ()))))
+    [
+      (Bounds.default_opts, [ Atom.between "branch" 0. 1. ], "branch");
+      (general, [ Atom.between "branch" 0. 1. ], "branch");
+      (Bounds.default_opts, [ Atom.cat_eq "utc" "noon" ], "utc");
+      (general, [ Atom.cat_eq "utc" "noon" ], "utc");
+    ]
+
 let () =
   Alcotest.run "pc_core"
     [
@@ -783,7 +911,13 @@ let () =
           tc "unsatisfiable kl=0 is skipped" `Quick test_unsat_kl0_skipped;
           tc "pushdown keeps indices aligned" `Quick test_pushdown_middle_alignment;
         ] );
-      ("regions", [ QCheck_alcotest.to_alcotest prop_region_matches_reference ]);
+      ( "regions",
+        [
+          QCheck_alcotest.to_alcotest prop_region_matches_reference;
+          QCheck_alcotest.to_alcotest prop_flat_overlap_matches_box;
+          QCheck_alcotest.to_alcotest prop_greedy_matches_box_oracle;
+          tc "query kind clash raises" `Quick test_kind_clash_raises;
+        ] );
       ( "generate",
         [
           tc "corr partition" `Quick test_generate_corr_partition;
