@@ -1,6 +1,9 @@
 module I = Pc_interval.Interval
 module Box = Pc_predicate.Box
 module Atom = Pc_predicate.Atom
+module Pred = Pc_predicate.Pred
+module Cnf = Pc_predicate.Cnf
+module Sat = Pc_predicate.Sat
 
 (* Intervals stored unboxed: interval [i] is [lo.(i)], [hi.(i)], with bit
    0 of [fl.[i]] set when the lower end is open and bit 1 when the upper
@@ -18,10 +21,13 @@ let reset b =
   Array.fill b.hi 0 n infinity;
   Bytes.fill b.fl 0 n '\003'
 
+(* A loop, not three C blits: rows are a few columns wide. *)
 let blit src si dst di n =
-  Array.blit src.lo si dst.lo di n;
-  Array.blit src.hi si dst.hi di n;
-  Bytes.blit src.fl si dst.fl di n
+  for k = 0 to n - 1 do
+    dst.lo.(di + k) <- src.lo.(si + k);
+    dst.hi.(di + k) <- src.hi.(si + k);
+    Bytes.set dst.fl (di + k) (Bytes.get src.fl (si + k))
+  done
 
 let[@inline] flags b i = Char.code (Bytes.unsafe_get b.fl i)
 
@@ -83,7 +89,36 @@ let[@inline] meets_at a i b j =
   below a.lo.(i) (f land 1 <> 0) b.hi.(j) (g land 2 <> 0)
   && below b.lo.(j) (g land 1 <> 0) a.hi.(i) (f land 2 <> 0)
 
+(* [a.(i) ⊆ b.(j)]: [b]'s ends are no stronger than [a]'s, as
+   [Interval.subset] compares them. *)
+let[@inline] within a i b j =
+  let f = flags a i and g = flags b j in
+  let (x : float) = b.lo.(j) and (y : float) = a.lo.(i) in
+  (x < y || (x = y && (g land 1 = 0 || f land 1 <> 0)))
+  &&
+  let (x : float) = b.hi.(j) and (y : float) = a.hi.(i) in
+  x > y || (x = y && (g land 2 = 0 || f land 2 <> 0))
+
 let rec all_meet a i b j n = n = 0 || (meets_at a i b j && all_meet a (i + 1) b (j + 1) (n - 1))
+
+(* A row's decomposition data, computed on first use: sets that are
+   only ever bounded without a decomposition (a server's warm path) never
+   pay for it, and the FDD path only needs the CNFs. *)
+type cnfs = { pos_cnf : Cnf.t array; neg_cnf : Cnf.t array }
+
+type compiled = {
+  fcols : int array;
+      (** the decomposition's columns, those the predicates range over:
+          frame column [c] is table column [fcols.(c)] *)
+  fhull : block;  (** [hull] on the frame columns: row [r], column [c] at [r * fw + c] *)
+  n_atoms : int array;  (** atoms in the row's predicate *)
+  neg_off : int array;
+      (** row [r]'s negated clause is compiled atoms [neg_off.(r)] to
+          [neg_off.(r + 1) - 1], in clause order *)
+  neg_col : int array;  (** a compiled atom's frame column; [-1] when categorical *)
+  neg_iv : block;  (** a numeric compiled atom's interval *)
+  neg_atom : Atom.t array;  (** the compiled atom itself *)
+}
 
 type t = {
   cols : string array;
@@ -95,6 +130,10 @@ type t = {
   cat_boxes : Box.t array;  (** their box ([Box.top] when none) *)
   num_attrs : string list;  (** attributes the predicates range over *)
   cat_attrs : string list;  (** attributes the predicates test categorically *)
+  preds : Pred.t array;
+  cnfs : cnfs option Atomic.t;
+  compiled : compiled option Atomic.t;
+      (** each computed once; racing domains compute the same value *)
 }
 
 let is_cat = function Atom.Num_range _ -> false | _ -> true
@@ -102,11 +141,8 @@ let none = function [] -> true | _ :: _ -> false
 
 let make (pcs : Pc.t array) boxes =
   let n = Array.length pcs in
-  let atoms =
-    List.concat
-      (Array.to_list
-         (Array.mapi (fun i (pc : Pc.t) -> if Option.is_some boxes.(i) then pc.Pc.pred else []) pcs))
-  in
+  let preds = Array.map (fun (pc : Pc.t) -> pc.Pc.pred) pcs in
+  let atoms = List.concat (Array.to_list preds) in
   let attrs_of p = List.sort_uniq String.compare (List.map Atom.attr (List.filter p atoms)) in
   let num_attrs = attrs_of (Fun.negate is_cat) and cat_attrs = attrs_of is_cat in
   List.iter (fun a -> if List.mem a cat_attrs then Box.kind_clash a) num_attrs;
@@ -126,9 +162,7 @@ let make (pcs : Pc.t array) boxes =
         cols)
     pcs;
   let cats =
-    Array.mapi
-      (fun r (pc : Pc.t) -> if Option.is_some boxes.(r) then List.filter is_cat pc.Pc.pred else [])
-      pcs
+    Array.mapi (fun r pred -> if Option.is_some boxes.(r) then List.filter is_cat pred else []) preds
   in
   {
     cols;
@@ -140,7 +174,55 @@ let make (pcs : Pc.t array) boxes =
     cat_boxes = Array.map (fun atoms -> Option.get (Box.of_pred atoms)) cats;
     num_attrs;
     cat_attrs;
+    preds;
+    cnfs = Atomic.make None;
+    compiled = Atomic.make None;
   }
+
+let cached slot compute =
+  match Atomic.get slot with
+  | Some v -> v
+  | None ->
+      let v = compute () in
+      Atomic.set slot (Some v);
+      v
+
+let cnfs t =
+  cached t.cnfs (fun () ->
+      { pos_cnf = Array.map Cnf.of_pred t.preds; neg_cnf = Array.map Cnf.of_neg_pred t.preds })
+
+let pos_cnf t r = (cnfs t).pos_cnf.(r)
+let neg_cnf t r = (cnfs t).neg_cnf.(r)
+
+let compile t =
+  let n = Array.length t.preds in
+  (* frame column [c] is the attribute [fattrs.(c)] *)
+  let fattrs = Array.of_list t.num_attrs in
+  let fw = Array.length fattrs in
+  let rec index names a c = if String.equal names.(c) a then c else index names a (c + 1) in
+  let fcols = Array.map (fun a -> index t.cols a 0) fattrs in
+  let fhull = block (n * fw) in
+  for r = 0 to n - 1 do
+    Array.iteri (fun c k -> blit t.hull ((r * t.width) + k) fhull ((r * fw) + c) 1) fcols
+  done;
+  (* each row's one negated clause *)
+  let neg_clauses = Array.map List.concat (cnfs t).neg_cnf in
+  let neg_off = Array.make (n + 1) 0 in
+  Array.iteri (fun r c -> neg_off.(r + 1) <- neg_off.(r) + List.length c) neg_clauses;
+  let neg_atom = Array.of_list (List.concat (Array.to_list neg_clauses)) in
+  let neg_iv = block (Array.length neg_atom) in
+  let neg_col =
+    Array.mapi
+      (fun j -> function
+        | Atom.Num_range (a, iv) ->
+            store neg_iv j iv;
+            index fattrs a 0
+        | _ -> -1)
+      neg_atom
+  in
+  { fcols; fhull; n_atoms = Array.map List.length t.preds; neg_off; neg_col; neg_iv; neg_atom }
+
+let compiled t = cached t.compiled (fun () -> compile t)
 
 let cols t = t.cols
 
@@ -164,6 +246,7 @@ let meets t r s =
 
 type query = {
   q : block;  (** the query box's range per column *)
+  q_atoms : int;  (** atoms in the query predicate *)
   box : Box.t option;  (** the whole query box; [None] when empty *)
   q_cats : Atom.t list;
   q_cat_box : Box.t;
@@ -179,7 +262,7 @@ let query t pred =
   let q = block t.width in
   let q_cats = if Option.is_some box then List.filter is_cat pred else [] in
   Option.iter (fun b -> Array.iteri (fun k a -> store q k (Box.num_interval b a)) t.cols) box;
-  { q; box; q_cats; q_cat_box = Option.get (Box.of_pred q_cats) }
+  { q; q_atoms = List.length pred; box; q_cats; q_cat_box = Option.get (Box.of_pred q_cats) }
 
 let overlaps t q r =
   Option.is_some q.box
@@ -252,3 +335,211 @@ let single t ~tighten q values clip r =
        meet_range values 0 clip 0 w;
        all_nonempty values 0 w
      end
+
+(* ------------------------------------------------------------------ *)
+(* Decomposition frames                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Level [l] of the DFS is the solved form of its prefix: a box row over
+   the frame columns, the undecided clauses, and, while [alive], a
+   witness row every point of which satisfies the whole prefix.
+   Categorical atoms live in residual boxes beside the rows; the query's
+   ranges on other columns only decide whether the query box is empty.
+   Level [l + 1] is written from level [l]; a level is only read after it
+   is written, and the recursion never writes a level above its own. *)
+type frames = {
+  t : t;
+  dc : compiled;
+  fw : int;
+  fbox : block;  (** level [l], frame column [c] at [l * fw + c] *)
+  fwit : block;
+  alive : Bytes.t;  (** ['\001'] when the level's witness is live *)
+  fcat : Box.t array;
+  fcat_wit : Box.t array;
+  pending : Atom.t list list array;
+}
+
+let frames t ~depth =
+  let dc = compiled t in
+  let m = depth + 1 and fw = Array.length dc.fcols in
+  {
+    t;
+    dc;
+    fw;
+    fbox = block (m * fw);
+    fwit = block (m * fw);
+    alive = Bytes.make m '\000';
+    fcat = Array.make m Box.top;
+    fcat_wit = Array.make m Box.top;
+    pending = Array.make m [];
+  }
+
+let witness_alive f l = Bytes.unsafe_get f.alive l <> '\000'
+let set_alive f l a = Bytes.unsafe_set f.alive l (if a then '\001' else '\000')
+let drop_witness f l = set_alive f l false
+
+let[@inline] bump (tally : Sat.tally) n = tally.ops <- tally.ops + n
+
+let start f tally q =
+  bump tally q.q_atoms;
+  Option.is_some q.box
+  && begin
+       bump tally q.q_atoms;
+       Array.iteri
+         (fun c k ->
+           blit q.q k f.fbox c 1;
+           blit q.q k f.fwit c 1)
+         f.dc.fcols;
+       f.fcat.(0) <- q.q_cat_box;
+       f.fcat_wit.(0) <- q.q_cat_box;
+       f.pending.(0) <- [];
+       set_alive f 0 true;
+       true
+     end
+
+(* Conjoin row [r]'s predicate to level [l]'s box (or witness: [rows],
+   [cats]) into level [l + 1]: its hull, then its categorical atoms. *)
+let add_row f rows cats l r =
+  let fw = f.fw in
+  let d = (l + 1) * fw in
+  blit rows (l * fw) rows d fw;
+  meet_range rows d f.dc.fhull (r * fw) fw;
+  all_nonempty rows d fw
+  &&
+  match f.t.cats.(r) with
+  | [] ->
+      cats.(l + 1) <- cats.(l);
+      true
+  | atoms -> (
+      match Box.add_pred cats.(l) atoms with
+      | None -> false
+      | Some c ->
+          cats.(l + 1) <- c;
+          true)
+
+let assume_row f tally l r =
+  let n = f.dc.n_atoms.(r) in
+  bump tally n;
+  f.t.boxed.(r)
+  && add_row f f.fbox f.fcat l r
+  && begin
+       f.pending.(l + 1) <- f.pending.(l);
+       set_alive f (l + 1)
+         (witness_alive f l
+         && begin
+              bump tally n;
+              add_row f f.fwit f.fcat_wit l r
+            end);
+       true
+     end
+
+(* Compiled atom [j] against level [l]'s box. *)
+let atom_alive f l j =
+  let c = f.dc.neg_col.(j) in
+  if c >= 0 then meets_at f.fbox ((l * f.fw) + c) f.dc.neg_iv j
+  else Option.is_some (Box.add_atom f.fcat.(l) f.dc.neg_atom.(j))
+
+let atom_entailed f l j =
+  let c = f.dc.neg_col.(j) in
+  if c >= 0 then within f.fbox ((l * f.fw) + c) f.dc.neg_iv j
+  else Pred.implies_box f.fcat.(l) [ f.dc.neg_atom.(j) ]
+
+(* Level [l]'s box into level [l + 1]. *)
+let copy_box f l =
+  blit f.fbox (l * f.fw) f.fbox ((l + 1) * f.fw) f.fw;
+  f.fcat.(l + 1) <- f.fcat.(l)
+
+let copy_witness f l =
+  blit f.fwit (l * f.fw) f.fwit ((l + 1) * f.fw) f.fw;
+  f.fcat_wit.(l + 1) <- f.fcat_wit.(l)
+
+(* Level [l + 1] as a copy of level [l]. *)
+let copy_level f l =
+  copy_box f l;
+  f.pending.(l + 1) <- f.pending.(l);
+  let a = witness_alive f l in
+  set_alive f (l + 1) a;
+  if a then copy_witness f l
+
+(* Compiled atom [j] meets level [l]'s witness. *)
+let witness_meets f l j =
+  let c = f.dc.neg_col.(j) in
+  if c >= 0 then meets_at f.fwit ((l * f.fw) + c) f.dc.neg_iv j
+  else Option.is_some (Box.add_atom f.fcat_wit.(l) f.dc.neg_atom.(j))
+
+(* Conjoin compiled atom [j], which meets level [l]'s witness, to level
+   [l + 1]'s copy of it. *)
+let witness_add f l j =
+  let c = f.dc.neg_col.(j) in
+  if c >= 0 then meet f.fwit (((l + 1) * f.fw) + c) f.dc.neg_iv j
+  else f.fcat_wit.(l + 1) <- Option.get (Box.add_atom f.fcat_wit.(l) f.dc.neg_atom.(j))
+
+let rec first_alive f l j j1 = if j = j1 || atom_alive f l j then j else first_alive f l (j + 1) j1
+
+let rec any_entailed f l j j1 =
+  j < j1 && ((atom_alive f l j && atom_entailed f l j) || any_entailed f l (j + 1) j1)
+
+let rec alive_atoms f l j0 j acc =
+  if j < j0 then acc
+  else alive_atoms f l j0 (j - 1) (if atom_alive f l j then f.dc.neg_atom.(j) :: acc else acc)
+
+(* The first alive atom that meets level [l]'s witness, or [j1]. The
+   witness lies inside the box, so an atom that meets it is alive. *)
+let rec witness_atom f l j j1 =
+  if j = j1 || witness_meets f l j then j else witness_atom f l (j + 1) j1
+
+let assume_neg f tally l r =
+  let j0 = f.dc.neg_off.(r) and j1 = f.dc.neg_off.(r + 1) in
+  bump tally (j1 - j0);
+  let first = first_alive f l j0 j1 in
+  first < j1
+  && begin
+       if first_alive f l (first + 1) j1 = j1 then begin
+         (* unit clause: deterministic, fold it into the box *)
+         copy_level f l;
+         let c = f.dc.neg_col.(first) in
+         if c >= 0 then meet f.fbox (((l + 1) * f.fw) + c) f.dc.neg_iv first
+         else f.fcat.(l + 1) <- Option.get (Box.add_atom f.fcat.(l) f.dc.neg_atom.(first));
+         if witness_alive f l then begin
+           bump tally 1;
+           set_alive f (l + 1) (witness_meets f l first);
+           if witness_alive f (l + 1) then witness_add f l first
+         end
+       end
+       else if any_entailed f l first j1 then
+         (* the box already entails one disjunct: the clause is vacuous
+            and a live witness still satisfies everything *)
+         copy_level f l
+       else begin
+         let alive = alive_atoms f l first (j1 - 1) [] in
+         copy_box f l;
+         f.pending.(l + 1) <- alive :: f.pending.(l);
+         set_alive f (l + 1) false;
+         if witness_alive f l then begin
+           bump tally (List.length alive);
+           let j = witness_atom f l first j1 in
+           if j < j1 then begin
+             copy_witness f l;
+             witness_add f l j;
+             set_alive f (l + 1) true
+           end
+         end
+       end;
+       true
+     end
+
+let search f tally l =
+  let o = l * f.fw in
+  let box = ref f.fcat.(l) in
+  for c = 0 to f.fw - 1 do
+    let (lo : float) = f.fbox.lo.(o + c) and (hi : float) = f.fbox.hi.(o + c) in
+    if lo <> neg_infinity || hi <> infinity then
+      box := Option.get (Box.add_atom !box (Atom.Num_range (f.t.cols.(f.dc.fcols.(c)), get f.fbox (o + c))))
+  done;
+  match Sat.solve ~tally ~box:!box f.pending.(l) with
+  | None -> false
+  | Some w ->
+      Array.iteri (fun c k -> store f.fwit (o + c) (Box.num_interval w f.t.cols.(k))) f.dc.fcols;
+      f.fcat_wit.(l) <- w;
+      set_alive f l true;
+      true

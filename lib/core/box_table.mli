@@ -13,6 +13,12 @@
     {!Pc_predicate.Box.t} per PC and per query, conjoined after the flat
     test and skipped when at most one side has any.
 
+    The same table carries each row's decomposition data, computed once
+    per set on first use: its CNF and its negation's CNF, and, for the
+    DFS, the negated clause compiled atom by atom (column, unboxed
+    interval, the original atom). The incremental DFS of {!Cells} runs
+    on {!frames} over it.
+
     Exactness: every meet keeps {!Pc_interval.Interval.intersect}'s tie
     rules (the accumulator wins ties; an incoming endpoint that wins on
     openness brings its float, so [-0.] and [0.] come out as the
@@ -25,8 +31,9 @@ type t
 val make : Pc.t array -> Pc_predicate.Box.t option array -> t
 (** [make pcs boxes] with [boxes.(i)] the box of [pcs.(i)]'s predicate
     ([None] when unsatisfiable: that row never meets anything). Raises
-    [Box]'s [Invalid_argument] when the satisfiable predicates use one
-    attribute as both kinds. *)
+    [Box]'s [Invalid_argument] when the predicates use one attribute as
+    both kinds. Every attribute a predicate ranges over has a column,
+    an unsatisfiable predicate's included. *)
 
 val cols : t -> string array
 val col : t -> string -> int
@@ -44,6 +51,13 @@ val value_hi : t -> int -> int -> float
 
 val meets : t -> int -> int -> bool
 (** Two satisfiable rows' predicates are satisfiable together. *)
+
+val pos_cnf : t -> int -> Pc_predicate.Cnf.t
+(** Row [r]'s predicate as CNF ({!Pc_predicate.Cnf.of_pred}), computed
+    for every row on the set's first call. *)
+
+val neg_cnf : t -> int -> Pc_predicate.Cnf.t
+(** Its negation ({!Pc_predicate.Cnf.of_neg_pred}). *)
 
 (** {2 Queries} *)
 
@@ -90,3 +104,53 @@ val single : t -> tighten:bool -> query -> acc -> acc -> int -> bool
     the greedy path's shape: its ν ranges met with, under [tighten], its
     predicate's box conjoined with the query (predicate first). The row
     must be satisfiable and overlap [q]. *)
+
+(** {2 Decomposition frames}
+
+    The resumable state of {!Cells}' DFS: one level per decided prefix,
+    level [0] the query. A level is the solved form of its prefix:
+
+    - a box row, the deterministic narrowing: the query, every chosen
+      predicate, every unit clause propagated so far;
+    - the pending clauses: unresolved negated predicates, already
+      filtered against the box;
+    - a witness row, while live: every point of it satisfies the whole
+      prefix, so an extension that keeps it non-empty is certified
+      satisfiable with no search.
+
+    Rows are unboxed and categorical atoms sit in residual boxes beside
+    them. The extension functions write level [l + 1] from level [l],
+    return [false] only on {e definite} unsatisfiability, and add their
+    atom operations to the tally, counted from the atom lists' lengths. *)
+
+type frames
+
+val frames : t -> depth:int -> frames
+(** Levels [0] to [depth], compiling the table's negated clauses on the
+    set's first call. One per decomposition: frames are not shared
+    across domains or threads. *)
+
+val start : frames -> Pc_predicate.Sat.tally -> query -> bool
+(** Level [0] with a live witness: the query box. [false] when the query
+    is unsatisfiable. *)
+
+val assume_row : frames -> Pc_predicate.Sat.tally -> int -> int -> bool
+(** [assume_row f tally l r] conjoins row [r]'s predicate: its hull and
+    categorical atoms, on the box and a live witness. *)
+
+val assume_neg : frames -> Pc_predicate.Sat.tally -> int -> int -> bool
+(** [assume_neg f tally l r] conjoins row [r]'s negated clause. Atoms
+    dead against the box are dropped ([false] if none survive), a unit
+    clause is propagated into the box, an entailed clause is dropped,
+    and the rest joins the pending clauses; the witness follows the
+    first surviving atom that keeps it non-empty. *)
+
+val witness_alive : frames -> int -> bool
+
+val drop_witness : frames -> int -> unit
+(** Forget level [l]'s witness, so that deciding it runs a search. *)
+
+val search : frames -> Pc_predicate.Sat.tally -> int -> bool
+(** Decide level [l] by {!Pc_predicate.Sat.solve} over its pending
+    clauses, seeded from its box; on success the returned box becomes the
+    level's live witness. *)

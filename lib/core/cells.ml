@@ -1,5 +1,4 @@
 module Pred = Pc_predicate.Pred
-module Atom = Pc_predicate.Atom
 module Cnf = Pc_predicate.Cnf
 module Sat = Pc_predicate.Sat
 module B = Pc_budget.Budget
@@ -23,6 +22,7 @@ type stats = {
   atom_ops : int;
   n_cells : int;
   admitted_unchecked : int;
+  witness_hits : int;
   elapsed : float;
 }
 
@@ -49,16 +49,19 @@ let guard_enumeration n =
    loosen the bounds, never invalidate them — same soundness argument as
    [Early_stop]). [emit] enforces the hard cell cap: past it there is no
    sound way to continue (dropping cells would tighten), so it raises
-   {!B.Exhausted} for the ladder driver to catch. *)
+   {!B.Exhausted} for the ladder driver to catch. Solver effort is
+   counted in [tally] and flushed to the global counters once per
+   decomposition. *)
 type budgeted = {
+  tally : Sat.tally;
   check : Cnf.t -> bool;  (** naive path: one solver search per subset *)
-  decide : eager:bool -> Sat.state -> Sat.state option;
-      (** incremental path: decide a branch state. With [eager] every
+  decide : eager:bool -> Box_table.frames -> int -> bool;
+      (** incremental path: decide a DFS level. With [eager] every
           decision runs (and is charged) one solver search; otherwise a
           live witness certifies satisfiability for free and only
-          witness-dead states pay for a search. *)
+          witness-dead levels pay for a search. [false] on proven
+          unsatisfiability. *)
   emit : cell list ref -> cell -> unit;
-  admitting : unit -> bool;
   admitted : int ref;
   witness_hits : int ref;
       (** decisions certified by a live cached witness, i.e. answered
@@ -73,44 +76,38 @@ type budgeted = {
 let max_admitted = 4096
 
 let budgeted budget =
+  let tally = Sat.tally () in
   let admit = ref false in
   let admitted = ref 0 in
   let witness_hits = ref 0 in
-  let check expr =
-    if !admit then true
-    else begin
-      match budget with
-      | None -> Sat.check expr
-      | Some b ->
-          if B.out_of_time b then raise (B.Exhausted B.Deadline)
-          else if not (B.take_sat b) then begin
-            admit := true;
-            true
-          end
-          else Sat.check expr
-    end
-  in
-  (* A charged search: [Some] on success or after switching to admit mode
-     (the state then rides along undecided), [None] on proven unsat. *)
-  let solve_charged st =
+  (* [true] when the budget lets one more search run, after switching to
+     admit mode when it does not *)
+  let charge () =
     match budget with
-    | None -> Sat.solve_state st
+    | None -> true
     | Some b ->
         if B.out_of_time b then raise (B.Exhausted B.Deadline)
         else if not (B.take_sat b) then begin
           admit := true;
-          Some st
+          false
         end
-        else Sat.solve_state st
+        else true
   in
-  let decide ~eager st =
-    if !admit then Some st
-    else if eager then solve_charged (Sat.uncertify st)
-    else if Sat.certified st then begin
-      incr witness_hits;
-      Some st
+  let check expr = !admit || (not (charge ())) || Sat.check ~tally expr in
+  (* a charged search: [true] on success or after switching to admit
+     mode (the level then rides along undecided) *)
+  let solve_charged f l = (not (charge ())) || Box_table.search f tally l in
+  let decide ~eager f l =
+    if !admit then true
+    else if eager then begin
+      Box_table.drop_witness f l;
+      solve_charged f l
     end
-    else solve_charged st
+    else if Box_table.witness_alive f l then begin
+      incr witness_hits;
+      true
+    end
+    else solve_charged f l
   in
   let emit cells cell =
     (match budget with
@@ -130,19 +127,17 @@ let budgeted budget =
     end;
     cells := cell :: !cells
   in
-  { check; decide; emit; admitting = (fun () -> !admit); admitted; witness_hits }
+  { tally; check; decide; emit; admitted; witness_hits }
 
-let naive bg preds base =
-  let n = Array.length preds in
+let naive bg tbl rows base =
+  let n = Array.length rows in
   guard_enumeration n;
-  let pos_cnf = Array.map Cnf.of_pred preds in
-  let neg_cnf = Array.map Cnf.of_neg_pred preds in
   let cells = ref [] in
   for mask = 1 to (1 lsl n) - 1 do
     let expr = ref base in
     for i = n - 1 downto 0 do
-      if mask land (1 lsl i) <> 0 then expr := Cnf.conj pos_cnf.(i) !expr
-      else expr := Cnf.conj neg_cnf.(i) !expr
+      if mask land (1 lsl i) <> 0 then expr := Cnf.conj (Box_table.pos_cnf tbl rows.(i)) !expr
+      else expr := Cnf.conj (Box_table.neg_cnf tbl rows.(i)) !expr
     done;
     if bg.check !expr then begin
       let active =
@@ -153,120 +148,69 @@ let naive bg preds base =
   done;
   List.rev !cells
 
-(* Depth-first over predicate indices, threading an incremental solver
-   state (box + pending negated clauses + witness, see
-   {!Pc_predicate.Sat}) down the recursion instead of re-solving the full
-   prefix CNF at every node: a positive extension is a single box
-   narrowing, a negative one adds a single clause, and only witness-dead
-   states fall back to branch-and-prune seeded from the inherited box.
+(* Depth-first over predicate indices on one frame stack of the set's
+   box table ({!Box_table.frames}): level [i] holds the solved form of
+   the first [i] choices (box, pending negated clauses, witness), so a
+   positive extension is one hull meet, a negative one tests one
+   compiled clause, and only witness-dead levels fall back to
+   branch-and-prune seeded from the level's box.
 
    [rewrite] enables Optimization 3: a failed positive extension
    certifies the negative one for free ("X sat ∧ X∧ψ unsat ⟹ X∧¬ψ
-   sat"). Without it ([Dfs], Optimization 2) every surviving extension is
-   verified eagerly with one charged solver search, preserving that
-   strategy's historical cost model as the comparison baseline. *)
-let dfs bg ~rewrite preds qpred =
-  let n = Array.length preds in
-  let eager = not rewrite in
-  let pos_cnf = Array.map Cnf.of_pred preds in
-  let neg_cnf = Array.map Cnf.of_neg_pred preds in
-  let neg_clause = Array.map (fun p -> List.concat_map Atom.negate p) preds in
-  let cells = ref [] in
-  let rec go i st expr active =
-    if i = n then begin
-      match active with
-      | [] -> () (* closure excludes the all-negative region *)
-      | _ -> bg.emit cells { active = List.rev active; expr }
-    end
-    else begin
-      let pos_sat =
-        match Sat.assume_pred st preds.(i) with
-        | None -> false
-        | Some st' -> (
-            match bg.decide ~eager st' with
-            | None -> false
-            | Some st'' ->
-                go (i + 1) st'' (Cnf.conj pos_cnf.(i) expr) (i :: active);
-                true)
-      in
-      match Sat.assume_clause st neg_clause.(i) with
-      | None -> () (* the negative region is empty *)
-      | Some st' ->
-          let neg_expr = Cnf.conj neg_cnf.(i) expr in
-          if rewrite && not pos_sat then
-            (* the rewrite certificate: skip the solver search *)
-            go (i + 1) st' neg_expr active
-          else begin
-            match bg.decide ~eager st' with
-            | Some st'' -> go (i + 1) st'' neg_expr active
-            | None -> ()
-          end
-    end
-  in
-  (match Option.bind (Sat.assume_pred (Sat.start ()) qpred) (bg.decide ~eager) with
-  | Some st -> go 0 st (Cnf.of_pred qpred) []
-  | None -> ());
-  List.rev !cells
-
-(* Optimization 4: verify prefixes only down to depth [k] (incrementally,
-   with eager per-extension searches as in [Dfs]); admit every deeper
-   completion as satisfiable (sound for bounding: false positives only
-   relax the optimization problem). *)
-let early_stop bg ~k preds qpred =
-  let n = Array.length preds in
-  if n - k > max_enum_bits then guard_enumeration n;
-  let pos_cnf = Array.map Cnf.of_pred preds in
-  let neg_cnf = Array.map Cnf.of_neg_pred preds in
-  let neg_clause = Array.map (fun p -> List.concat_map Atom.negate p) preds in
+   sat"). [eager] verifies every surviving extension with one charged
+   solver search ([Dfs], Optimization 2, keeps that historical cost
+   model as the comparison baseline). Below depth [k] every completion
+   is admitted unchecked (Optimization 4, [Early_stop k]: false
+   positives only relax the optimization problem); [k <= 0] skips the
+   query check too. *)
+let dfs bg tbl rows ~eager ~rewrite ~k qpred =
+  let n = Array.length rows in
+  let base = Cnf.of_pred qpred in
   let cells = ref [] in
   let emit expr active =
     match active with
-    | [] -> ()
+    | [] -> () (* closure excludes the all-negative region *)
     | _ -> bg.emit cells { active = List.rev active; expr }
   in
   (* beyond the verified prefix: admit both branches blindly *)
   let rec go_blind i expr active =
     if i = n then emit expr active
     else begin
-      go_blind (i + 1) (Cnf.conj pos_cnf.(i) expr) (i :: active);
-      go_blind (i + 1) (Cnf.conj neg_cnf.(i) expr) active
+      go_blind (i + 1) (Cnf.conj (Box_table.pos_cnf tbl rows.(i)) expr) (i :: active);
+      go_blind (i + 1) (Cnf.conj (Box_table.neg_cnf tbl rows.(i)) expr) active
     end
   in
-  let rec go i st expr active =
+  let f = Box_table.frames tbl ~depth:n in
+  let rec go i expr active =
     if i = n then emit expr active
     else if i >= k then go_blind i expr active
     else begin
+      let r = rows.(i) in
       let pos_sat =
-        match Sat.assume_pred st preds.(i) with
-        | None -> false
-        | Some st' -> (
-            match bg.decide ~eager:true st' with
-            | None -> false
-            | Some st'' ->
-                go (i + 1) st'' (Cnf.conj pos_cnf.(i) expr) (i :: active);
-                true)
+        Box_table.assume_row f bg.tally i r
+        && bg.decide ~eager f (i + 1)
+        && begin
+             go (i + 1) (Cnf.conj (Box_table.pos_cnf tbl r) expr) (i :: active);
+             true
+           end
       in
-      match Sat.assume_clause st neg_clause.(i) with
-      | None -> ()
-      | Some st' ->
-          let neg_expr = Cnf.conj neg_cnf.(i) expr in
-          if not pos_sat then go (i + 1) st' neg_expr active
-          else begin
-            match bg.decide ~eager:true st' with
-            | Some st'' -> go (i + 1) st'' neg_expr active
-            | None -> ()
-          end
+      (* [false]: the negative region is empty; without [pos_sat] the
+         rewrite certificate skips the solver search *)
+      if
+        Box_table.assume_neg f bg.tally i r
+        && ((rewrite && not pos_sat) || bg.decide ~eager f (i + 1))
+      then go (i + 1) (Cnf.conj (Box_table.neg_cnf tbl r) expr) active
     end
   in
-  if k <= 0 then go_blind 0 (Cnf.of_pred qpred) []
-  else begin
-    match
-      Option.bind (Sat.assume_pred (Sat.start ()) qpred) (bg.decide ~eager:true)
-    with
-    | Some st -> go 0 st (Cnf.of_pred qpred) []
-    | None -> ()
-  end;
+  if k <= 0 then go_blind 0 base []
+  else if
+    Box_table.start f bg.tally (Box_table.query tbl qpred) && bg.decide ~eager f 0
+  then go 0 base [];
   List.rev !cells
+
+let compile set =
+  Pc_predicate.Fdd.compile
+    (Array.of_list (List.map (fun (pc : Pc.t) -> pc.Pc.pred) (Pc_set.pcs set)))
 
 (* FDD fast path: compile the predicate set into a hash-consed interval
    decision diagram (or reuse a precompiled one) and read the satisfiable
@@ -274,19 +218,14 @@ let early_stop bg ~k preds qpred =
    exprs are rebuilt exactly as the DFS builds them (query CNF first,
    then one conjunct per predicate in index order) so the two strategies
    are output-identical, which the qcheck oracle property pins down. *)
-let fdd_path bg ?budget ?fdd preds query_pred =
+let fdd_path bg ?budget ~fdd set query_pred =
   (match budget with
   | Some b when B.out_of_time b -> raise (B.Exhausted B.Deadline)
   | _ -> ());
-  let compiled =
-    match fdd with
-    | Some f when Pc_predicate.Fdd.n_preds f = Array.length preds -> f
-    | _ -> Pc_predicate.Fdd.compile preds
-  in
+  let tbl = Pc_set.table set and rows = Pc_set.rows set in
+  let n = Array.length rows in
+  let compiled = if Pc_predicate.Fdd.n_preds fdd = n then fdd else compile set in
   let actives = Pc_predicate.Fdd.cells ~query:query_pred compiled in
-  let n = Array.length preds in
-  let pos_cnf = Array.map Cnf.of_pred preds in
-  let neg_cnf = Array.map Cnf.of_neg_pred preds in
   let base = Cnf.of_pred query_pred in
   let cells = ref [] in
   List.iter
@@ -296,9 +235,9 @@ let fdd_path bg ?budget ?fdd preds query_pred =
       for i = 0 to n - 1 do
         match !rest with
         | j :: tl when j = i ->
-            expr := Cnf.conj pos_cnf.(i) !expr;
+            expr := Cnf.conj (Box_table.pos_cnf tbl rows.(i)) !expr;
             rest := tl
-        | _ -> expr := Cnf.conj neg_cnf.(i) !expr
+        | _ -> expr := Cnf.conj (Box_table.neg_cnf tbl rows.(i)) !expr
       done;
       bg.emit cells { active; expr = !expr })
     actives;
@@ -314,48 +253,52 @@ let fdd_path bg ?budget ?fdd preds query_pred =
 let fdd_memo : (Pc_set.t * Pc_predicate.Fdd.compiled) option Atomic.t =
   Atomic.make None
 
-let fdd_for set preds =
+let fdd_for set =
   match Atomic.get fdd_memo with
   | Some (s, f) when s == set -> f
   | _ ->
-      let f = Pc_predicate.Fdd.compile preds in
+      let f = compile set in
       Atomic.set fdd_memo (Some (set, f));
       f
 
 let decompose_run ?budget ?fdd ~strategy ~query_pred set =
-  let preds =
-    Array.of_list (List.map (fun (pc : Pc.t) -> pc.Pc.pred) (Pc_set.pcs set))
-  in
-  let base = Cnf.of_pred query_pred in
-  let calls_before = Sat.calls () in
-  let atoms_before = Sat.atom_ops () in
+  let tbl = Pc_set.table set and rows = Pc_set.rows set in
+  let n = Array.length rows in
   let t0 = Pc_util.Clock.now () in
   let bg = budgeted budget in
-  let cells =
+  let run () =
     match strategy with
-    | Naive -> naive bg preds base
-    | Dfs -> dfs bg ~rewrite:false preds query_pred
-    | Dfs_rewrite -> dfs bg ~rewrite:true preds query_pred
-    | Early_stop k -> early_stop bg ~k preds query_pred
+    | Naive -> naive bg tbl rows (Cnf.of_pred query_pred)
+    | Dfs -> dfs bg tbl rows ~eager:true ~rewrite:false ~k:max_int query_pred
+    | Dfs_rewrite -> dfs bg tbl rows ~eager:false ~rewrite:true ~k:max_int query_pred
+    | Early_stop k ->
+        if n - k > max_enum_bits then guard_enumeration n;
+        dfs bg tbl rows ~eager:true ~rewrite:true ~k query_pred
     | Fdd ->
-        let fdd =
-          match fdd with Some f -> f | None -> fdd_for set preds
-        in
-        fdd_path bg ?budget ~fdd preds query_pred
+        let fdd = match fdd with Some f -> f | None -> fdd_for set in
+        fdd_path bg ?budget ~fdd set query_pred
   in
+  let cells =
+    match run () with
+    | cells -> cells
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        Sat.flush bg.tally;
+        Printexc.raise_with_backtrace e bt
+  in
+  Sat.flush bg.tally;
   let elapsed = Pc_util.Clock.elapsed_s ~since:t0 in
-  let sat_calls = Sat.calls () - calls_before in
-  let atom_ops = Sat.atom_ops () - atoms_before in
   let n_cells = List.length cells in
   Counter.add c_cells n_cells;
   Counter.add c_witness_hits !(bg.witness_hits);
   Counter.add c_admitted !(bg.admitted);
   ( cells,
     {
-      sat_calls;
-      atom_ops;
+      sat_calls = bg.tally.Sat.searches;
+      atom_ops = bg.tally.Sat.ops;
       n_cells;
       admitted_unchecked = !(bg.admitted);
+      witness_hits = !(bg.witness_hits);
       elapsed;
     } )
 
@@ -372,5 +315,7 @@ let decompose ?budget ?fdd ?(strategy = Dfs_rewrite) ?(query_pred = Pred.tt)
         in
         Trace.add_attr "cells" (string_of_int stats.n_cells);
         Trace.add_attr "sat_calls" (string_of_int stats.sat_calls);
+        Trace.add_attr "witness_hits" (string_of_int stats.witness_hits);
+        Trace.add_attr "atom_ops" (string_of_int stats.atom_ops);
         r)
   else decompose_run ?budget ?fdd ~strategy ~query_pred set

@@ -25,8 +25,9 @@
 
     The DFS strategies are {e incremental}: instead of re-solving the
     whole prefix CNF at each node (O(depth²) atom work per path), they
-    thread a {!Pc_predicate.Sat.state} down the recursion — a positive
-    extension is a single box narrowing, a negative one appends a single
+    keep the solved form of each prefix on one frame stack of the set's
+    box table ({!Box_table.frames}) — a positive extension meets the
+    row's cached hull, a negative one tests the row's compiled negated
     clause, and a cached witness certifies most branches without any
     search (≈O(depth) atom work per path). [Dfs_rewrite] exploits this
     fully; plain [Dfs] keeps its eager one-search-per-extension
@@ -43,14 +44,17 @@ type stats = {
   sat_calls : int;  (** satisfiability-solver searches *)
   atom_ops : int;
       (** atom-level box operations performed by the solver — the
-          machine-level measure of decomposition effort (global counter
-          delta: concurrent decompositions on other domains leak into
-          each other's per-call readings; totals remain exact) *)
+          machine-level measure of decomposition effort. Both counts are
+          this decomposition's own; they are added to
+          {!Pc_predicate.Sat.calls} and {!Pc_predicate.Sat.atom_ops} once
+          it ends. *)
   n_cells : int;  (** satisfiable (or admitted) cells *)
   admitted_unchecked : int;
       (** cells admitted without a solver check after the budget's
           SAT-call pool ran dry (dynamic early stop — same soundness as
           [Early_stop]: only loosens) *)
+  witness_hits : int;
+      (** DFS decisions certified by a live witness, with no search *)
   elapsed : float;  (** wall-clock seconds (monotonic) *)
 }
 
@@ -70,6 +74,8 @@ val decompose :
     cap or the deadline raises {!Pc_budget.Budget.Exhausted} — past those
     there is no sound way to keep enumerating, and the caller is expected
     to degrade to a decomposition-free bound. Raises [Invalid_argument]
-    when [Naive] or [Early_stop] would enumerate more than 2²⁴ cells. *)
+    when [Naive] or [Early_stop] would enumerate more than 2²⁴ cells, and
+    [Box]'s when the set's predicates (building its table) or the query
+    use one attribute as both kinds. *)
 
 val strategy_name : strategy -> string

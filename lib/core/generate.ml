@@ -299,20 +299,29 @@ let rand_pcs ?value_attrs ?width_frac rng rel ~attrs ~n () =
                 Atom.between a start (start +. w))
           ranges
       in
-      let matching =
-        Relation.filter
-          (fun row -> List.for_all (fun atom -> Atom.eval schema atom row) atoms)
-          rel
+      (* One pass over the rows, materializing none: the matching rows'
+         count and each value attribute's [Float.min]/[Float.max] fold,
+         which [Relation.min_max] of the matching rows would give. *)
+      let cols = Array.of_list (List.map (Schema.index schema) value_attrs) in
+      let lo = Array.make (Array.length cols) infinity in
+      let hi = Array.make (Array.length cols) neg_infinity in
+      let count =
+        Relation.fold
+          (fun count row ->
+            if List.for_all (fun atom -> Atom.eval schema atom row) atoms then begin
+              Array.iteri
+                (fun k i ->
+                  let x = Value.as_num row.(i) in
+                  lo.(k) <- Float.min lo.(k) x;
+                  hi.(k) <- Float.max hi.(k) x)
+                cols;
+              count + 1
+            end
+            else count)
+          0 rel
       in
-      let count = Relation.cardinality matching in
       let values =
-        if count = 0 then []
-        else
-          List.map
-            (fun a ->
-              let lo, hi = Option.get (Relation.min_max matching a) in
-              (a, I.closed lo hi))
-            value_attrs
+        if count = 0 then [] else List.mapi (fun k a -> (a, I.closed lo.(k) hi.(k))) value_attrs
       in
       Pc.make ~name:(Printf.sprintf "rand%d" i) ~pred:atoms ~values
         ~freq:(0, count) ()

@@ -3,7 +3,8 @@ module Box = Pc_predicate.Box
 module I = Pc_interval.Interval
 
 (* Per-PC data every bound reads: each predicate's box and the flat
-   table of their hulls and ν ranges ({!Box_table}). *)
+   table of their hulls, ν ranges and compiled decomposition rows
+   ({!Box_table}). *)
 type derived = { boxes : Box.t option array; table : Box_table.t }
 
 (* [disjoint] and [derived] are computed on first use. Pool domains may

@@ -23,7 +23,8 @@ val box : t -> int -> Pc_predicate.Box.t option
     unsatisfiable on its own. *)
 
 val table : t -> Box_table.t
-(** The flat table of every PC's predicate hull and ν ranges. Raises
+(** The flat table of every PC's predicate hull, ν ranges and compiled
+    decomposition rows, built once per set. Raises
     [Box]'s [Invalid_argument] when the set's predicates use one
     attribute as both kinds. *)
 

@@ -13,7 +13,13 @@ let reset_calls () =
   Counter.clear call_count;
   Counter.clear atom_count
 
-let bump_atoms n = Counter.add atom_count n
+type tally = { mutable searches : int; mutable ops : int }
+
+let tally () = { searches = 0; ops = 0 }
+
+let flush t =
+  Counter.add call_count t.searches;
+  Counter.add atom_count t.ops
 
 (* Clause ordering heuristic: decide short clauses first — unit clauses
    are deterministic and prune the box before any branching happens.
@@ -26,7 +32,7 @@ let order_clauses = function
       |> List.stable_sort (fun (la, _) (lb, _) -> Int.compare la lb)
       |> List.map snd
 
-let solve_search box cnf =
+let solve_search tally box cnf =
   let ops = ref 0 in
   let rec go box = function
     | [] -> Some box
@@ -41,10 +47,12 @@ let solve_search box cnf =
           clause
   in
   let result = go box (order_clauses cnf) in
-  bump_atoms !ops;
+  (match tally with
+  | None -> Counter.add atom_count !ops
+  | Some t -> t.ops <- t.ops + !ops);
   result
 
-let solve ?(box = Box.top) cnf =
+let solve ?tally ?(box = Box.top) cnf =
   (* Fault injection: a real deployment's SAT call can die or stall.
      [Sat_fail] raises out of here and is absorbed by the degradation
      ladder; [Sat_slow] sleeps so deadlines fire. Disabled (the default)
@@ -53,87 +61,12 @@ let solve ?(box = Box.top) cnf =
     Pc_fault.Fault.point Pc_fault.Fault.Sat_fail;
     Pc_fault.Fault.slow_point ()
   end;
-  Counter.incr call_count;
+  (match tally with
+  | None -> Counter.incr call_count
+  | Some t -> t.searches <- t.searches + 1);
   (* the branch keeps the disabled path closure-free *)
   if Pc_obs.Trace.enabled () then
-    Pc_obs.Trace.with_span ~name:"sat.solve" (fun () -> solve_search box cnf)
-  else solve_search box cnf
+    Pc_obs.Trace.with_span ~name:"sat.solve" (fun () -> solve_search tally box cnf)
+  else solve_search tally box cnf
 
-let check ?box cnf = Option.is_some (solve ?box cnf)
-
-(* ------------------------------------------------------------------ *)
-(* Resumable solving                                                   *)
-(* ------------------------------------------------------------------ *)
-
-type state = {
-  box : Box.t;
-  pending : Cnf.t;
-  witness : Box.t option;
-}
-
-let certified st = Option.is_some st.witness
-
-let start ?(box = Box.top) () = { box; pending = []; witness = Some box }
-
-let assume_pred st pred =
-  let n = List.length pred in
-  bump_atoms n;
-  match Box.add_pred st.box pred with
-  | None -> None
-  | Some box ->
-      let witness =
-        match st.witness with
-        | None -> None
-        | Some w ->
-            bump_atoms n;
-            Box.add_pred w pred
-      in
-      Some { box; pending = st.pending; witness }
-
-let assume_clause st clause =
-  bump_atoms (List.length clause);
-  let alive =
-    List.filter (fun atom -> Option.is_some (Box.add_atom st.box atom)) clause
-  in
-  match alive with
-  | [] -> None
-  | [ atom ] ->
-      (* unit clause: deterministic, fold it into the box *)
-      let box =
-        match Box.add_atom st.box atom with
-        | Some b -> b
-        | None -> assert false (* alive above *)
-      in
-      let witness =
-        match st.witness with
-        | None -> None
-        | Some w ->
-            bump_atoms 1;
-            Box.add_atom w atom
-      in
-      Some { box; pending = st.pending; witness }
-  | _ when List.exists (fun atom -> Pred.implies_box st.box [ atom ]) alive ->
-      (* the box already entails one disjunct: the clause is vacuous and
-         the inherited witness (if any) still satisfies everything *)
-      Some st
-  | _ ->
-      let witness =
-        match st.witness with
-        | None -> None
-        | Some w ->
-            bump_atoms (List.length alive);
-            List.find_map (fun atom -> Box.add_atom w atom) alive
-      in
-      Some { st with pending = alive :: st.pending; witness }
-
-let uncertify st = { st with witness = None }
-
-let solve_state st =
-  match st.witness with
-  | Some _ -> Some st
-  | None -> (
-      match solve ~box:st.box st.pending with
-      | None -> None
-      | Some w -> Some { st with witness = Some w })
-
-let state_box st = st.box
+let check ?tally ?box cnf = Option.is_some (solve ?tally ?box cnf)

@@ -11,79 +11,39 @@
     Calls are counted in a global statistic so the decomposition
     experiments (Figure 7) can report solver effort. Counters are
     {!Atomic} and therefore remain accurate when several domains solve
-    concurrently. *)
+    concurrently. A caller that needs its own exact reading (one cell
+    decomposition among concurrent ones) counts into a {!tally} and
+    {!flush}es it once. *)
 
-val check : ?box:Box.t -> Cnf.t -> bool
+type tally = { mutable searches : int; mutable ops : int }
+(** Solver effort counted locally: [searches] solver searches and [ops]
+    atom-level box operations. *)
+
+val tally : unit -> tally
+(** A zeroed tally. *)
+
+val flush : tally -> unit
+(** Add a tally to the global {!calls} and {!atom_ops}. *)
+
+val check : ?tally:tally -> ?box:Box.t -> Cnf.t -> bool
 (** [check cnf] decides satisfiability starting from [box]
     (default {!Box.top}, or a box built with {!Box.with_universe} to bound
-    categorical domains). *)
+    categorical domains). The search and its atom operations are counted
+    in [tally] when given, else in the global counters. *)
 
-val solve : ?box:Box.t -> Cnf.t -> Box.t option
-(** Like {!check} but returns a witness box on success. *)
+val solve : ?tally:tally -> ?box:Box.t -> Cnf.t -> Box.t option
+(** Like {!check} but returns a witness box on success: [box] narrowed by
+    one atom of each clause. *)
 
 val calls : unit -> int
-(** Number of [check]/[solve]/[solve_state] solver searches since
-    {!reset_calls}. Cheap certificates ({!assume_pred}/{!assume_clause}
-    resolving a branch via the box or an inherited witness) do not
-    count. *)
+(** Number of solver searches ({!check}/{!solve}) since {!reset_calls},
+    flushed tallies included. *)
 
 val atom_ops : unit -> int
 (** Number of atom-level box operations ([Box.add_atom] attempts) the
-    solver has performed since {!reset_calls} — the machine-level measure
-    of solver effort used by the decomposition benchmarks. *)
+    solver and flushed tallies have performed since {!reset_calls} — the
+    machine-level measure of solver effort used by the decomposition
+    benchmarks. *)
 
 val reset_calls : unit -> unit
 (** Reset both {!calls} and {!atom_ops}. *)
-
-(** {2 Resumable solving}
-
-    Incremental decomposition (see [Pc_core.Cells]) threads a solver
-    {!state} down the DFS instead of re-solving the whole prefix CNF at
-    every node. A state is the solved form of a prefix:
-
-    - [box] — the deterministic narrowing: the conjunction of the query
-      predicate, every positively-chosen predicate, and every unit clause
-      propagated so far;
-    - [pending] — the unresolved disjunctive clauses (negated
-      predicates), already filtered against [box];
-    - a [witness] sub-box, when known: every point of it satisfies the
-      whole prefix, so satisfiability of an extension can often be
-      certified by narrowing the witness — no search at all.
-
-    [assume_*] return [None] only on {e definite} unsatisfiability.
-    [Some st] with [certified st = false] means "not yet decided": call
-    {!solve_state} to run branch-and-prune over the pending clauses,
-    seeded from the inherited box. *)
-
-type state
-
-val start : ?box:Box.t -> unit -> state
-(** Fresh state with an empty prefix; the optional [box] plays the same
-    role as in {!check}. The empty prefix is trivially satisfiable. *)
-
-val assume_pred : state -> Pred.t -> state option
-(** Conjoin a conjunction of atoms (a positive predicate): a pure box
-    narrowing, O(|pred|). [None] means the extended prefix is
-    unsatisfiable. *)
-
-val assume_clause : state -> Cnf.clause -> state option
-(** Conjoin one disjunctive clause (a negated predicate). Atoms dead
-    against the box are dropped ([None] if none survive), unit clauses
-    are propagated into the box, entailed clauses are discarded, and the
-    rest joins [pending]. *)
-
-val certified : state -> bool
-(** A witness is live: the prefix is known satisfiable at zero cost. *)
-
-val uncertify : state -> state
-(** Drop the witness, forcing the next {!solve_state} to run a real
-    search. Used by eager strategies that account one solver search per
-    extension ([Cells.Dfs], Optimization 2 without the rewrite rule). *)
-
-val solve_state : state -> state option
-(** Decide a non-certified state by branch-and-prune over [pending]
-    seeded from the state's box (counted in {!calls}); [Some] re-arms the
-    witness for the subtree below. Identity on certified states. *)
-
-val state_box : state -> Box.t
-(** The deterministic narrowing accumulated so far. *)

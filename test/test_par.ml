@@ -1,17 +1,11 @@
 (* The domain pool and its interaction with the solver stack:
    - parallel_map keeps the sequential contract (order, values, first
      error by input position, nested calls);
-   - the incremental DFS decomposition agrees with the Naive 2^n
-     enumeration on random overlapping sets up to n = 10;
    - a budget shared across a parallel map stays sound: crushed caps
      never raise, and the degraded value never tightens below exact. *)
 
 module Pool = Pc_par.Pool
-module Cells = Pc_core.Cells
-module Pc = Pc_core.Pc
 module Pc_set = Pc_core.Pc_set
-module Atom = Pc_predicate.Atom
-module I = Pc_interval.Interval
 module B = Pc_budget.Budget
 
 let tc = Alcotest.test_case
@@ -74,40 +68,6 @@ let test_small_work_set_stays_sequential () =
     "tiny batch" (List.map succ xs)
     (Pool.parallel_map pool4 succ xs)
 
-(* -------------------- incremental decomposition -------------------- *)
-
-(* random overlapping one-attribute ranges, the decomposition worst case *)
-let random_pc_set rng k =
-  let pcs =
-    List.init k (fun i ->
-        let lo = Pc_util.Rng.uniform rng ~lo:0. ~hi:80. in
-        let w = Pc_util.Rng.uniform rng ~lo:10. ~hi:50. in
-        Pc.make
-          ~name:(Printf.sprintf "p%d" i)
-          ~pred:[ Atom.between "x" lo (lo +. w) ]
-          ~values:[ ("v", I.closed 0. 10.) ]
-          ~freq:(0, 1 + Pc_util.Rng.int rng 9) ())
-  in
-  Pc_set.make pcs
-
-let prop_incremental_matches_naive =
-  (* n up to 10 keeps the Naive 2^n - 1 enumeration affordable while
-     exercising deep incremental prefixes (box threading + witness
-     reuse) against the ground truth *)
-  QCheck.Test.make ~name:"incremental DFS = Naive cell set (n <= 10)"
-    ~count:40
-    QCheck.(int_bound 10_000)
-    (fun seed ->
-      let rng = Pc_util.Rng.create seed in
-      let set = random_pc_set rng (2 + Pc_util.Rng.int rng 9) in
-      let norm cells =
-        List.map (fun c -> c.Cells.active) cells |> List.sort compare
-      in
-      let naive = norm (fst (Cells.decompose ~strategy:Cells.Naive set)) in
-      let dfs = norm (fst (Cells.decompose ~strategy:Cells.Dfs set)) in
-      let rw = norm (fst (Cells.decompose ~strategy:Cells.Dfs_rewrite set)) in
-      naive = dfs && naive = rw)
-
 (* ---------------------- shared budgets ----------------------------- *)
 
 let join_tables rng =
@@ -164,8 +124,6 @@ let () =
           tc "small work set stays sequential" `Quick
             test_small_work_set_stays_sequential;
         ] );
-      ( "incremental",
-        [ QCheck_alcotest.to_alcotest prop_incremental_matches_naive ] );
       ( "shared budget",
         [
           QCheck_alcotest.to_alcotest prop_parallel_join_deterministic;

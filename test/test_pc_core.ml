@@ -321,13 +321,29 @@ let test_generate_corr_partition () =
 
 let test_generate_rand_pcs () =
   let rng = Pc_util.Rng.create 2 in
-  let rows = List.init 200 (fun i -> row (float_of_int i) "A" (float_of_int (i * 2))) in
+  (* prices -0. and 0. side by side: a range's minimum keeps the sign
+     [Relation.min_max] gives *)
+  let price i = if i = 7 then -0. else float_of_int ((i - 8) * 2) in
+  let rows = List.init 200 (fun i -> row (float_of_int i) "A" (price i)) in
   let rel = Pc_data.Relation.create schema rows in
   let pcs = Generate.rand_pcs rng rel ~attrs:[ "utc" ] ~n:15 () in
   Alcotest.(check int) "count includes catch-all" 15 (List.length pcs);
   let set = Pc_set.make pcs in
   Alcotest.(check bool) "holds on source" true (Pc_set.holds rel set);
-  Alcotest.(check bool) "closed (catch-all)" true (Pc_set.closed_over rel set)
+  Alcotest.(check bool) "closed (catch-all)" true (Pc_set.closed_over rel set);
+  (* each PC's frequency cap and value ranges are those of the rows its
+     predicate selects, bit for bit *)
+  List.iter
+    (fun (pc : Pc.t) ->
+      let matching = Pc_data.Relation.filter (Pred.eval schema pc.Pc.pred) rel in
+      Alcotest.(check int) pc.Pc.name (Pc_data.Relation.cardinality matching) pc.Pc.freq_hi;
+      List.iter
+        (fun (a, iv) ->
+          let lo, hi = Option.get (Pc_data.Relation.min_max matching a) in
+          Alcotest.(check bool) (pc.Pc.name ^ " " ^ a) true
+            (Doubles.bit_equal lo (I.lo_float iv) && Doubles.bit_equal hi (I.hi_float iv)))
+        pc.Pc.values)
+    pcs
 
 let test_generate_correlated_attrs () =
   let rng = Pc_util.Rng.create 3 in
@@ -779,6 +795,128 @@ let prop_greedy_matches_box_oracle =
            | Error a -> a
            | Ok cells -> Bounds.Greedy.answer cells query ~c_count:0. ~c_sum:0.))
 
+(* ------------------- frame DFS ≡ Box-based oracle ------------------- *)
+
+(* [region_atom]s, with more of them per predicate so that some
+   predicates are unsatisfiable, over 1 to 7 PCs. *)
+let dfs_set rng =
+  Pc_set.make
+    (List.init
+       (1 + R.int rng 7)
+       (fun i ->
+         mk ~name:(Printf.sprintf "d%d" i)
+           (List.init (R.int rng 4) (fun _ -> region_atom rng))
+           (List.filter (fun _ -> R.bool rng) [ "v"; "w" ]
+           |> List.map (fun a -> (a, region_iv rng)))
+           (0, 1 + R.int rng 5)))
+
+(* A [region_pred] query, sometimes with atoms on attributes no PC
+   mentions ([y] numeric, [e] categorical), which can empty it. *)
+let dfs_query rng =
+  region_pred rng
+  @ List.init (R.int rng 3) (fun _ ->
+        if R.bool rng then Atom.Num_range ("y", region_iv rng)
+        else Atom.cat_eq "e" (R.choose rng [| "a"; "b" |]))
+
+let bit_same a b = Marshal.to_string a [ Marshal.No_sharing ] = Marshal.to_string b [ Marshal.No_sharing ]
+
+(* The frame DFS against the [Box]-based state it replaced: the same
+   cells in the same order with bit-identical exprs, and the same stats
+   (but [elapsed]), under [Dfs], [Dfs_rewrite] and [Early_stop k], with
+   and without a SAT pool of 0 to 5 searches (admitted cells must match
+   too), on the set and on a [Pc_set.filter] subset. *)
+let prop_frame_dfs_matches_oracle =
+  QCheck.Test.make ~name:"frame DFS matches the Box-based oracle" ~count:500
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let rng = R.create seed in
+      let set = dfs_set rng in
+      let query_pred = dfs_query rng in
+      let strategy =
+        match R.int rng 3 with
+        | 0 -> Cells.Dfs
+        | 1 -> Cells.Dfs_rewrite
+        | _ -> Cells.Early_stop (R.int rng (Pc_set.size set + 2))
+      in
+      let pool = if R.bool rng then Some (R.int rng 6) else None in
+      let budget () = Option.map (fun k -> Pc_budget.Budget.(start (spec ~sat_calls:k ()))) pool in
+      let run f = match f () with r -> Ok r | exception e -> Error e in
+      let agrees set =
+        match
+          ( run (fun () -> Cells.decompose ?budget:(budget ()) ~strategy ~query_pred set),
+            run (fun () -> Dfs_box.decompose ?budget:(budget ()) ~strategy ~query_pred set) )
+        with
+        | Ok (cells, s), Ok (cells', s') ->
+            (bit_same cells cells'
+            && s.Cells.sat_calls = s'.Cells.sat_calls
+            && s.Cells.atom_ops = s'.Cells.atom_ops
+            && s.Cells.n_cells = s'.Cells.n_cells
+            && s.Cells.admitted_unchecked = s'.Cells.admitted_unchecked
+            && s.Cells.witness_hits = s'.Cells.witness_hits)
+            || QCheck.Test.fail_reportf
+                 "%s: cells %d/%d, sat %d/%d, atoms %d/%d, admitted %d/%d, hits %d/%d"
+                 (Cells.strategy_name strategy) s.Cells.n_cells s'.Cells.n_cells
+                 s.Cells.sat_calls s'.Cells.sat_calls s.Cells.atom_ops s'.Cells.atom_ops
+                 s.Cells.admitted_unchecked s'.Cells.admitted_unchecked s.Cells.witness_hits
+                 s'.Cells.witness_hits
+        | Error e, Error e' -> e = e'
+        | r, r' ->
+            let show = function Ok _ -> "ok" | Error e -> Printexc.to_string e in
+            QCheck.Test.fail_reportf "%s: %s against %s" (Cells.strategy_name strategy) (show r)
+              (show r')
+      in
+      let keep = Array.init (Pc_set.size set) (fun _ -> R.int rng 3 > 0) in
+      agrees set && agrees (Pc_set.filter (Array.get keep) set))
+
+(* A set whose predicates use [utc] as both kinds raises [Box]'s kind
+   clash through the decomposition, under every strategy. *)
+let test_decompose_kind_clash () =
+  let set =
+    Pc_set.make
+      [
+        mk ~name:"num" [ Atom.between "utc" 0. 10. ] [] (0, 5);
+        mk ~name:"cat" [ Atom.cat_eq "utc" "noon" ] [] (0, 3);
+      ]
+  in
+  List.iter
+    (fun strategy ->
+      Alcotest.check_raises (Cells.strategy_name strategy)
+        (Invalid_argument "Box: attribute utc used as both kinds") (fun () ->
+          ignore (Cells.decompose ~strategy set)))
+    Cells.[ Naive; Dfs; Dfs_rewrite; Early_stop 1; Fdd ]
+
+(* random overlapping one-attribute ranges, the decomposition worst case *)
+let one_attr_pc_set rng k =
+  let pcs =
+    List.init k (fun i ->
+        let lo = Pc_util.Rng.uniform rng ~lo:0. ~hi:80. in
+        let w = Pc_util.Rng.uniform rng ~lo:10. ~hi:50. in
+        Pc.make
+          ~name:(Printf.sprintf "p%d" i)
+          ~pred:[ Atom.between "x" lo (lo +. w) ]
+          ~values:[ ("v", I.closed 0. 10.) ]
+          ~freq:(0, 1 + Pc_util.Rng.int rng 9) ())
+  in
+  Pc_set.make pcs
+
+let prop_incremental_matches_naive =
+  (* n up to 10 keeps the Naive 2^n - 1 enumeration affordable while
+     exercising deep incremental prefixes (box threading + witness
+     reuse) against the ground truth *)
+  QCheck.Test.make ~name:"incremental DFS = Naive cell set (n <= 10)"
+    ~count:40
+    QCheck.(int_bound 10_000)
+    (fun seed ->
+      let rng = Pc_util.Rng.create seed in
+      let set = one_attr_pc_set rng (2 + Pc_util.Rng.int rng 9) in
+      let norm cells =
+        List.map (fun c -> c.Cells.active) cells |> List.sort compare
+      in
+      let naive = norm (fst (Cells.decompose ~strategy:Cells.Naive set)) in
+      let dfs = norm (fst (Cells.decompose ~strategy:Cells.Dfs set)) in
+      let rw = norm (fst (Cells.decompose ~strategy:Cells.Dfs_rewrite set)) in
+      naive = dfs && naive = rw)
+
 (* ---------------------- cached predicate boxes ----------------------- *)
 
 (* A predicate no row satisfies ([utc] in [0,1] and in [5,6]). *)
@@ -894,6 +1032,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_strategies_agree;
           QCheck_alcotest.to_alcotest prop_early_stop_superset;
           QCheck_alcotest.to_alcotest prop_rewrite_fewer_calls;
+          QCheck_alcotest.to_alcotest prop_incremental_matches_naive;
+          QCheck_alcotest.to_alcotest prop_frame_dfs_matches_oracle;
+          tc "kind clash raises" `Quick test_decompose_kind_clash;
         ] );
       ( "bounds",
         [
