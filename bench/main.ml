@@ -4,7 +4,6 @@
      dune exec bench/main.exe                 # every table and figure
      dune exec bench/main.exe -- -e fig7      # one experiment
      dune exec bench/main.exe -- -e micro     # bechamel micro-benchmarks
-     dune exec bench/main.exe -- --jobs 4     # parallel bound engine
      dune exec bench/main.exe -- --baseline BENCH_decompose.json
      dune exec bench/main.exe -- --scale 0.5 --queries 50 --seed 7
 
@@ -447,10 +446,9 @@ let incremental_micro () =
 (* ------------------------------------------------------------------ *)
 
 (* The end-to-end probe: a PC baseline answering a query workload about
-   synthetic sensor data — the per-query unit Pc_workload.Runner maps in
-   parallel. Kept small so the CI smoke run stays cheap. *)
-let end_to_end_wall ~jobs ~queries ~rows =
-  Pc_par.Pool.set_default_jobs jobs;
+   synthetic sensor data, one query at a time through Pc_workload.Runner.
+   Kept small so the CI smoke run stays cheap. *)
+let end_to_end_wall ~queries ~rows =
   let missing = Pc_synth.Sensor.generate (Pc_util.Rng.create 3) ~rows in
   let set =
     Pc_core.Pc_set.make
@@ -463,12 +461,10 @@ let end_to_end_wall ~jobs ~queries ~rows =
   in
   let b = Pc_workload.Runner.of_pc_set "PC" set in
   let t0 = Clock.now () in
-  let outs = Pc_workload.Runner.outcomes b ~missing ~queries:qs in
-  let wall = Clock.elapsed_s ~since:t0 in
-  Pc_par.Pool.set_default_jobs 1;
-  (wall, outs)
+  ignore (Pc_workload.Runner.outcomes b ~missing ~queries:qs);
+  Clock.elapsed_s ~since:t0
 
-let schema_version = 6
+let schema_version = 7
 
 (* The "schema_version" an existing baseline file carries, or None when
    the file is missing, unreadable, not JSON or unversioned. *)
@@ -526,23 +522,15 @@ let write_baseline ~queries ~rows path =
     in
     norm dfs_cells = norm fdd_cells
   in
-  (* the --jobs clamp policy, recorded so a 1-core CI run of this file
-     explains its own speedup_jobs4_over_jobs1 ~ 1.0 *)
-  let jp_requested = 4 in
-  let jp_probe = Pc_par.Pool.create ~jobs:jp_requested in
-  let jp_effective = Pc_par.Pool.effective_jobs jp_probe in
-  Pc_par.Pool.shutdown jp_probe;
-  Printf.printf "measuring end-to-end workload (jobs=1, jobs=4)...\n%!";
-  let wall1, outs1 = end_to_end_wall ~jobs:1 ~queries ~rows in
-  let wall4, outs4 = end_to_end_wall ~jobs:4 ~queries ~rows in
-  let identical = outs1 = outs4 in
+  Printf.printf "measuring end-to-end workload...\n%!";
+  let wall = end_to_end_wall ~queries ~rows in
   (* Traced probe of the same workload, run *after* every untraced timing
      above so span recording cannot leak into them. The per-phase totals
      show where end-to-end time goes (schema v2 field). *)
   Printf.printf "measuring per-phase span totals (traced probe)...\n%!";
   Pc_obs.Trace.set_enabled true;
   Pc_obs.Trace.reset ();
-  ignore (end_to_end_wall ~jobs:1 ~queries:(min queries 20) ~rows);
+  ignore (end_to_end_wall ~queries:(min queries 20) ~rows);
   Pc_obs.Trace.set_enabled false;
   let phase_totals = Pc_obs.Trace.totals_by_name () in
   Printf.printf
@@ -585,21 +573,6 @@ let write_baseline ~queries ~rows path =
               ("cells", json_int fdd_stats.Pc_core.Cells.n_cells);
               ("sat_calls", json_int fdd_stats.Pc_core.Cells.sat_calls);
               ("matches_dfs_rewrite", J.Bool fdd_matches);
-            ] );
-        ( "jobs_policy",
-          J.Obj
-            [
-              ("requested", json_int jp_requested);
-              ("effective", json_int jp_effective);
-              ("available_cores", json_int (Pc_par.Pool.available_cores ()));
-              ("chunk_threshold", json_int Pc_par.Pool.chunk_threshold);
-              ( "reason",
-                J.Str
-                  (if jp_effective < jp_requested then
-                     "requested jobs clamped to available cores; batches \
-                      under chunk_threshold x effective items run \
-                      sequentially"
-                   else "requested jobs within available cores") );
             ] );
         (* schema v3: lp.pivots cost of one warm vs one cold MILP solve
            of the 6-var interval micro, plus cumulative warm-start
@@ -654,23 +627,13 @@ let write_baseline ~queries ~rows path =
           J.Obj
             [
               ("queries", json_int queries);
-              ("jobs1_wall_s", json_fixed 4 wall1);
-              ("jobs4_wall_s", json_fixed 4 wall4);
-              ( "speedup_jobs4_over_jobs1",
-                json_fixed 2 (wall1 /. Float.max 1e-9 wall4) );
-              ("bounds_identical", J.Bool identical);
-              ( "available_cores",
-                json_int (Domain.recommended_domain_count ()) );
+              ("wall_s", json_fixed 4 wall);
             ] );
       ]
   in
   Out_channel.with_open_bin path (fun oc ->
       Out_channel.output_string oc (J.to_string baseline ^ "\n"));
   Printf.printf "wrote %s\n" path;
-  if not identical then begin
-    Printf.eprintf "FATAL: --jobs 4 changed the workload outcomes\n";
-    exit 1
-  end;
   if warm_starts = 0 then begin
     Printf.eprintf "FATAL: warm path never engaged (lp.warm_starts = 0)\n";
     exit 1
@@ -724,7 +687,6 @@ let () =
   let scale = ref 1. in
   let queries = ref 100 in
   let seed = ref 42 in
-  let jobs = ref 1 in
   let list_only = ref false in
   let baseline_out = ref None in
   let trace_out = ref None in
@@ -735,9 +697,6 @@ let () =
       ("--scale", Arg.Set_float scale, "FLOAT dataset-size multiplier (default 1.0)");
       ("--queries", Arg.Set_int queries, "INT workload size per experiment (default 100)");
       ("--seed", Arg.Set_int seed, "INT RNG seed (default 42)");
-      ( "--jobs",
-        Arg.Set_int jobs,
-        "N worker domains for the parallel bound engine (default 1)" );
       ( "--baseline",
         Arg.String (fun s -> baseline_out := Some s),
         "FILE write the machine-readable bench baseline (JSON) and exit" );
@@ -767,12 +726,10 @@ let () =
           ~rows:(max 100 (int_of_float (2_000. *. !scale)))
           path
     | None ->
-        let cfg =
-          { E.seed = !seed; scale = !scale; queries = !queries; jobs = !jobs }
-        in
+        let cfg = { E.seed = !seed; scale = !scale; queries = !queries } in
         Printf.printf
-          "Predicate-Constraints reproduction (seed=%d scale=%g queries=%d jobs=%d)\n"
-          !seed !scale !queries !jobs;
+          "Predicate-Constraints reproduction (seed=%d scale=%g queries=%d)\n"
+          !seed !scale !queries;
         let run_one (id, _desc, f) =
           let t0 = Clock.now () in
           f cfg;

@@ -68,14 +68,6 @@ let timeout_arg =
   in
   Arg.(value & opt (some float) None & info [ "timeout" ] ~docv:"SECS" ~doc)
 
-let jobs_arg =
-  let doc =
-    "Worker domains for the parallel bound engine (per-group and \
-     per-table bounds). Results are identical to --jobs 1; see DESIGN.md \
-     \"Incremental decomposition & the domain pool\"."
-  in
-  Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
 let budget_arg =
   let doc =
     "Resource caps as comma-separated key=N pairs; keys: cells (cell \
@@ -249,10 +241,9 @@ let short_answer = function
 
 let bound_cmd =
   let run csv constraints query missing_only strategy group_by timeout budget
-      jobs trace metrics =
+      trace metrics =
     with_errors (fun () ->
         let ( let* ) = Result.bind in
-        if jobs > 1 then Pc_par.Pool.set_default_jobs jobs;
         setup_obs ~trace ~metrics;
         let* set = load_constraints constraints in
         let* strategy = parse_strategy strategy in
@@ -331,7 +322,7 @@ let bound_cmd =
       ret
         (const run $ csv_opt_arg $ constraints_arg $ query_arg
        $ missing_only_arg $ strategy_arg $ group_by_arg $ timeout_arg
-       $ budget_arg $ jobs_arg $ trace_arg $ metrics_arg))
+       $ budget_arg $ trace_arg $ metrics_arg))
 
 (* ---- check ---- *)
 
@@ -493,10 +484,9 @@ let workload_cmd =
                   min:ATTR or max:ATTR)"
                  s))
   in
-  let run csv constraints n seed agg attrs timeout budget jobs metrics =
+  let run csv constraints n seed agg attrs timeout budget metrics =
     with_errors (fun () ->
         let ( let* ) = Result.bind in
-        if jobs > 1 then Pc_par.Pool.set_default_jobs jobs;
         setup_obs ~trace:None ~metrics;
         let* set = load_constraints constraints in
         let* missing =
@@ -537,8 +527,7 @@ let workload_cmd =
     Term.(
       ret
         (const run $ csv_req_arg $ constraints_arg $ queries_arg $ seed_arg
-       $ agg_arg $ attrs_arg $ timeout_arg $ budget_arg $ jobs_arg
-       $ metrics_arg))
+       $ agg_arg $ attrs_arg $ timeout_arg $ budget_arg $ metrics_arg))
 
 (* ---- explain ---- *)
 

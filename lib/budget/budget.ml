@@ -33,10 +33,9 @@ let spec ?timeout ?cells ?sat_calls ?nodes ?iters () =
 
 let unlimited_spec = spec ()
 
-(* Counters are atomic so one budget can be shared across the domains of
-   a parallel map (per-table join bounds, per-group bounds, …) and remain
-   sound: a cap can never be breached by two domains racing past the
-   check, and consumption totals aggregate exactly. *)
+(* Counters are atomic so a check-and-take stays one step even if a
+   budget is shared between threads: a cap can never be breached by two
+   threads racing past the check (see budget.mli). *)
 type t = {
   spec : spec;
   deadline : float option;  (* absolute monotonic seconds, Pc_util.Clock *)

@@ -13,10 +13,11 @@
     single-shot: start a fresh one per query (or share one deliberately to
     cap a whole batch, e.g. every per-table bound of a join).
 
-    Consumption counters are {!Atomic}, so one budget may be shared
-    across the domains of a {!Pc_par.Pool.parallel_map}: caps cannot be
-    breached by domains racing past a check, and totals aggregate
-    exactly. Deadlines are measured on the monotonic clock
+    Consumption counters are {!Atomic}, so a check-and-take is one
+    indivisible step even for a budget shared between threads: a
+    systhread can be preempted between reading and writing a plain
+    field. (The server's connection threads each start their own budget
+    today.) Deadlines are measured on the monotonic clock
     ({!Pc_util.Clock}) — wall-time NTP steps cannot fire or starve
     them. *)
 

@@ -133,7 +133,7 @@ type t = {
   preds : Pred.t array;
   cnfs : cnfs option Atomic.t;
   compiled : compiled option Atomic.t;
-      (** each computed once; racing domains compute the same value *)
+      (** each computed once; racing threads compute the same value *)
 }
 
 let is_cat = function Atom.Num_range _ -> false | _ -> true

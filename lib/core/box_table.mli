@@ -128,7 +128,7 @@ type frames
 val frames : t -> depth:int -> frames
 (** Levels [0] to [depth], compiling the table's negated clauses on the
     set's first call. One per decomposition: frames are not shared
-    across domains or threads. *)
+    across threads. *)
 
 val start : frames -> Pc_predicate.Sat.tally -> query -> bool
 (** Level [0] with a live witness: the query box. [false] when the query

@@ -42,13 +42,10 @@ let admits_residual set ~by ~keys =
       Pc_predicate.Sat.check cnf)
     (Pc_set.pcs set)
 
-let bound ?opts ?pool set ~certain ~by (query : Q.t) =
-  let pool = match pool with Some p -> p | None -> Pc_par.Pool.default () in
+let bound ?opts set ~certain ~by (query : Q.t) =
   let keys = known_keys set ~certain ~by in
-  (* per-group bounds are independent solver runs over disjoint query
-     regions — the natural parallel unit of a GROUP-BY *)
   let groups =
-    Pc_par.Pool.parallel_map pool
+    List.map
       (fun key ->
         let where_ = query.Q.where_ @ [ Atom.cat_eq by key ] in
         ( Pc_data.Value.Str key,

@@ -17,7 +17,6 @@ type result = {
 
 val bound :
   ?opts:Bounds.opts ->
-  ?pool:Pc_par.Pool.t ->
   Pc_set.t ->
   certain:Pc_data.Relation.t ->
   by:string ->
@@ -25,11 +24,8 @@ val bound :
   result
 (** [bound set ~certain ~by query] computes the result range of [query]
     for every group of [by]. [by] must be a categorical attribute of the
-    certain partition's schema.
-
-    Per-group bounds run on [pool] (default {!Pc_par.Pool.default}); they
-    are independent solves, so the result is identical to the sequential
-    one for any pool size. *)
+    certain partition's schema. Each group is an independent solve over
+    its own query region. *)
 
 val known_keys : Pc_set.t -> certain:Pc_data.Relation.t -> by:string -> string list
 (** The group keys considered: certain-partition values plus constraint

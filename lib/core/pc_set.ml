@@ -7,7 +7,7 @@ module I = Pc_interval.Interval
    ({!Box_table}). *)
 type derived = { boxes : Box.t option array; table : Box_table.t }
 
-(* [disjoint] and [derived] are computed on first use. Pool domains may
+(* [disjoint] and [derived] are computed on first use. Server threads may
    race on them: both compute the same value, where a shared [Lazy.t]
    would raise [CamlinternalLazy.Undefined] in the loser. [rows] maps
    each PC to its row of [derived]: a {!filter}ed set shares its

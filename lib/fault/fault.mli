@@ -27,9 +27,9 @@
       take the cold-solve fallback — the path real numeric doubt takes.
     - [Clock_skew] adds seconds to deadline checks ([Pc_budget]), firing
       them early; early expiry only degrades, never corrupts.
-    - [Sock_tear] / [Sock_close] tear or close a server-side client
-      socket mid-reply / before the reply, exercising the connection
-      pool's isolation. *)
+    - [Sock_tear] / [Sock_close] tear or shut down a server-side client
+      socket mid-reply / before the reply, exercising the isolation of
+      the server's connection threads from one another. *)
 
 type site =
   | Sat_fail  (** SAT solver call dies *)
@@ -37,7 +37,7 @@ type site =
   | Lp_doubt  (** warm-started simplex doubts its numerics *)
   | Clock_skew  (** deadline checks see a clock jumped forward *)
   | Sock_tear  (** client socket torn mid-reply (partial write) *)
-  | Sock_close  (** client socket closed before the reply *)
+  | Sock_close  (** client socket shut down before the reply *)
 
 val site_name : site -> string
 val all_sites : site list

@@ -78,22 +78,16 @@ let combine ?budget ?fixed ~weights tables =
         combine_run ?budget ?fixed ~weights tables)
   else combine_run ?budget ?fixed ~weights tables
 
-(* Per-table bounds are independent solves; when they share a [budget]
-   the atomic caps keep the total sound, though which table degrades
-   first may vary between parallel runs (see Pc_par.Pool's contract). *)
-let pool_of = function Some p -> p | None -> Pc_par.Pool.default ()
-
-(* Per-table sub-span: runs on whichever domain the pool hands the table
-   to, so a trace shows the per-table ladder work laid out per domain. *)
+(* Per-table sub-span, so a trace shows each table's ladder work. *)
 let table_span t f =
   if Trace.enabled () then
     Trace.with_span ~name:"join.table" ~attrs:[ ("table", t.name) ] f
   else f ()
 
-let count_bound_budgeted_run ?opts ?budget ?pool tables =
+let count_bound_budgeted_run ?opts ?budget tables =
   Counter.incr c_bounds;
   let per =
-    Pc_par.Pool.parallel_map (pool_of pool)
+    List.map
       (fun t -> table_span t (fun () -> (t.name, count_upper_b ?opts ?budget t)))
       tables
   in
@@ -103,21 +97,21 @@ let count_bound_budgeted_run ?opts ?budget ?pool tables =
     provenance = worst_of (List.map snd per);
   }
 
-let count_bound_budgeted ?opts ?budget ?pool tables =
+let count_bound_budgeted ?opts ?budget tables =
   if Trace.enabled () then
     Trace.with_span ~name:"join.bound" ~attrs:[ ("kind", "count") ] (fun () ->
-        count_bound_budgeted_run ?opts ?budget ?pool tables)
-  else count_bound_budgeted_run ?opts ?budget ?pool tables
+        count_bound_budgeted_run ?opts ?budget tables)
+  else count_bound_budgeted_run ?opts ?budget tables
 
-let count_bound ?opts ?budget ?pool tables =
-  (count_bound_budgeted ?opts ?budget ?pool tables).value
+let count_bound ?opts ?budget tables =
+  (count_bound_budgeted ?opts ?budget tables).value
 
-let sum_bound_budgeted_run ?opts ?budget ?pool tables ~agg:(agg_table, attr) =
+let sum_bound_budgeted_run ?opts ?budget tables ~agg:(agg_table, attr) =
   if not (List.exists (fun t -> t.name = agg_table) tables) then
     invalid_arg "Join_bound.sum_bound: unknown aggregate table";
   Counter.incr c_bounds;
   let per =
-    Pc_par.Pool.parallel_map (pool_of pool)
+    List.map
       (fun t ->
         table_span t (fun () ->
             if t.name = agg_table then (t.name, sum_upper_b ?opts ?budget t ~attr)
@@ -130,14 +124,14 @@ let sum_bound_budgeted_run ?opts ?budget ?pool tables ~agg:(agg_table, attr) =
     provenance = worst_of (List.map snd per);
   }
 
-let sum_bound_budgeted ?opts ?budget ?pool tables ~agg =
+let sum_bound_budgeted ?opts ?budget tables ~agg =
   if Trace.enabled () then
     Trace.with_span ~name:"join.bound" ~attrs:[ ("kind", "sum") ] (fun () ->
-        sum_bound_budgeted_run ?opts ?budget ?pool tables ~agg)
-  else sum_bound_budgeted_run ?opts ?budget ?pool tables ~agg
+        sum_bound_budgeted_run ?opts ?budget tables ~agg)
+  else sum_bound_budgeted_run ?opts ?budget tables ~agg
 
-let sum_bound ?opts ?budget ?pool tables ~agg =
-  (sum_bound_budgeted ?opts ?budget ?pool tables ~agg).value
+let sum_bound ?opts ?budget tables ~agg =
+  (sum_bound_budgeted ?opts ?budget tables ~agg).value
 
 let naive_count_bound ?opts ?budget tables =
   List.fold_left (fun acc t -> acc *. count_upper ?opts ?budget t) 1. tables

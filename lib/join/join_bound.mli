@@ -53,37 +53,29 @@ val sum_upper :
 val count_bound :
   ?opts:Pc_core.Bounds.opts ->
   ?budget:Pc_budget.Budget.t ->
-  ?pool:Pc_par.Pool.t ->
   table list ->
   float
-(** GWE/AGM bound on |⋈ tables|. Per-table bounds run on [pool]
-    (default {!Pc_par.Pool.default}); the combined value is identical to
-    the sequential one. Under a shared [budget], {e which} table's
-    ladder degrades first may vary between parallel runs — the atomic
-    caps keep every outcome sound. *)
+(** GWE/AGM bound on |⋈ tables|. Per-table bounds run in list order; a
+    shared [budget] is spent by the tables in that order. *)
 
 val count_bound_budgeted :
   ?opts:Pc_core.Bounds.opts ->
   ?budget:Pc_budget.Budget.t ->
-  ?pool:Pc_par.Pool.t ->
   table list ->
   bounded
 
 val sum_bound :
   ?opts:Pc_core.Bounds.opts ->
   ?budget:Pc_budget.Budget.t ->
-  ?pool:Pc_par.Pool.t ->
   table list ->
   agg:string * string ->
   float
 (** [sum_bound tables ~agg:(table_name, attr)] bounds SUM(attr) over the
-    natural join, fixing the aggregate relation's cover coefficient to 1.
-    Parallelism as in {!count_bound}. *)
+    natural join, fixing the aggregate relation's cover coefficient to 1. *)
 
 val sum_bound_budgeted :
   ?opts:Pc_core.Bounds.opts ->
   ?budget:Pc_budget.Budget.t ->
-  ?pool:Pc_par.Pool.t ->
   table list ->
   agg:string * string ->
   bounded

@@ -4,7 +4,6 @@ type span = {
   t0_ns : int64;
   dur_ns : int64;
   depth : int;
-  domain : int;
 }
 
 (* An open span is mutable so [add_attr] can annotate it until it closes. *)
@@ -15,87 +14,60 @@ type open_span = {
   o_depth : int;
 }
 
-(* Per-domain recording state. The owning domain is the only writer of
-   [stack] and [out]; the registration list is the only shared structure
-   and is mutex-protected. Export happens after parallel work joins, so
-   reading [out] without the owner's cooperation is safe in practice. *)
-type dstate = {
-  dom_id : int;
-  mutable stack : open_span list;
-  mutable out : span list;  (* reverse chronological *)
-}
-
 let enabled_flag = Atomic.make false
 let enabled () = Atomic.get enabled_flag
 let set_enabled b = Atomic.set enabled_flag b
 
-let reg_mutex = Mutex.create ()
-let states : dstate list ref = ref []
+(* The one recording state, shared without a lock by every thread of the
+   process (the server's connection threads included). *)
+let stack : open_span list ref = ref []
+let out : span list ref = ref []  (* reverse chronological *)
 
 (* Export timestamps are relative to this epoch so they stay readable. *)
 let epoch = Atomic.make (Pc_util.Clock.now_ns ())
 
-let key =
-  Domain.DLS.new_key (fun () ->
-      let st = { dom_id = (Domain.self () :> int); stack = []; out = [] } in
-      Mutex.lock reg_mutex;
-      states := st :: !states;
-      Mutex.unlock reg_mutex;
-      st)
-
 let reset () =
-  Mutex.lock reg_mutex;
-  List.iter
-    (fun st ->
-      st.stack <- [];
-      st.out <- [])
-    !states;
-  Mutex.unlock reg_mutex;
+  stack := [];
+  out := [];
   Atomic.set epoch (Pc_util.Clock.now_ns ())
 
 let with_span ?(attrs = []) ~name f =
   if not (Atomic.get enabled_flag) then f ()
   else begin
-    let st = Domain.DLS.get key in
     let sp =
       {
         o_name = name;
         o_attrs = attrs;
         o_t0 = Pc_util.Clock.now_ns ();
-        o_depth = List.length st.stack;
+        o_depth = List.length !stack;
       }
     in
-    st.stack <- sp :: st.stack;
+    stack := sp :: !stack;
     let close () =
       (* Usually the head; a [reset] mid-span may have emptied the stack. *)
-      st.stack <- List.filter (fun s -> s != sp) st.stack;
+      stack := List.filter (fun s -> s != sp) !stack;
       let dur = Int64.sub (Pc_util.Clock.now_ns ()) sp.o_t0 in
-      st.out <-
+      out :=
         {
           name = sp.o_name;
           attrs = sp.o_attrs;
           t0_ns = sp.o_t0;
           dur_ns = (if Int64.compare dur 0L < 0 then 0L else dur);
           depth = sp.o_depth;
-          domain = st.dom_id;
         }
-        :: st.out
+        :: !out
     in
     Fun.protect ~finally:close f
   end
 
 let add_attr k v =
   if Atomic.get enabled_flag then begin
-    match (Domain.DLS.get key).stack with
+    match !stack with
     | [] -> ()
     | sp :: _ -> sp.o_attrs <- (k, v) :: sp.o_attrs
   end
 
-let spans () =
-  Mutex.lock reg_mutex;
-  let all = List.concat_map (fun st -> st.out) !states in
-  Mutex.unlock reg_mutex;
-  List.sort (fun a b -> Int64.compare a.t0_ns b.t0_ns) all
+let spans () = List.sort (fun a b -> Int64.compare a.t0_ns b.t0_ns) !out
 
 let span_names () =
   List.sort_uniq String.compare (List.map (fun sp -> sp.name) (spans ()))
@@ -124,7 +96,7 @@ let to_chrome_json () =
         ("ts", us (Int64.sub sp.t0_ns e));
         ("dur", us sp.dur_ns);
         ("pid", Json.Num 1.);
-        ("tid", Json.Num (float_of_int sp.domain));
+        ("tid", Json.Num 0.);
         ( "args",
           Json.Obj
             (List.map

@@ -1,7 +1,7 @@
 (** Structured span tracing for the bound pipeline.
 
     A span is a named, timed region of execution with string attributes.
-    Spans nest: {!with_span} pushes onto a per-domain stack, so the trace
+    Spans nest: {!with_span} pushes onto one stack, so the trace
     of a [bound] call shows decompose inside a ladder rung inside the
     top-level span, with SAT / LP / MILP solves below.
 
@@ -11,12 +11,10 @@
     cost nothing in production. Enable with {!set_enabled} (the CLI's
     [--trace] does this).
 
-    Domain safety: every domain records into its own buffer, created
-    lazily through [Domain.DLS] and registered in a global list, so spans
-    produced inside {!Pc_par.Pool} workers are collected without locks on
-    the hot path and merged at export time. A [--jobs N] run therefore
-    yields the same span {e set} as a sequential one, just spread over
-    several [tid]s.
+    The process keeps one recording buffer. Every bound runs on the
+    calling thread, so a CLI or bench trace is one nested stack; the
+    server's connection threads share the buffer without a lock, and the
+    Chrome export puts every span on [tid] 0.
 
     Timestamps come from {!Pc_util.Clock} (monotonic), so durations are
     never negative and NTP steps cannot corrupt a trace. *)
@@ -26,15 +24,14 @@ type span = {
   attrs : (string * string) list;
   t0_ns : int64;  (** start, monotonic clock *)
   dur_ns : int64;  (** duration, [>= 0] *)
-  depth : int;  (** nesting depth within its domain at open time *)
-  domain : int;  (** id of the domain that recorded the span *)
+  depth : int;  (** nesting depth at open time *)
 }
 
 val enabled : unit -> bool
 val set_enabled : bool -> unit
 
 val reset : unit -> unit
-(** Drop all recorded spans (in every domain's buffer) and re-stamp the
+(** Drop all recorded spans and re-stamp the
     export epoch. Open spans are discarded too: call between runs, not
     inside one. *)
 
@@ -44,12 +41,12 @@ val with_span : ?attrs:(string * string) list -> name:string -> (unit -> 'a) -> 
     exactly [f ()]. *)
 
 val add_attr : string -> string -> unit
-(** Attach an attribute to the innermost open span of the calling domain
+(** Attach an attribute to the innermost open span
     (e.g. the outcome of a ladder rung, known only at the end). No-op when
     tracing is disabled or no span is open. *)
 
 val spans : unit -> span list
-(** Completed spans from every domain, merged and sorted by start time. *)
+(** Completed spans, sorted by start time. *)
 
 val span_names : unit -> string list
 (** Sorted, de-duplicated span names — the span {e set} of the trace. *)

@@ -1,6 +1,6 @@
 (* Counters are registered instruments (pc_obs registry), atomic so that
-   per-domain solver work aggregates cleanly when decomposition or
-   workload evaluation runs on several domains. The historical accessors
+   solver work aggregates cleanly when several server threads decompose
+   at once. The historical accessors
    below are thin views over the registered counters. *)
 module Counter = Pc_obs.Registry.Counter
 

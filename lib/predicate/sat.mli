@@ -10,8 +10,8 @@
 
     Calls are counted in a global statistic so the decomposition
     experiments (Figure 7) can report solver effort. Counters are
-    {!Atomic} and therefore remain accurate when several domains solve
-    concurrently. A caller that needs its own exact reading (one cell
+    {!Atomic} and therefore remain accurate when several server threads
+    solve concurrently. A caller that needs its own exact reading (one cell
     decomposition among concurrent ones) counts into a {!tally} and
     {!flush}es it once. *)
 

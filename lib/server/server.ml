@@ -667,11 +667,13 @@ let handle_line t r line =
 
 (* Socket fault injection lives at the reply boundary: a torn socket
    mid-write or a close-before-reply is indistinguishable from a client
-   dying at the worst moment. *)
+   dying at the worst moment. Both faults only shut the socket down: the
+   connection thread stays the fd's one closer, so no other thread's
+   descriptor can be closed by a second [close] of a reused number. *)
 let send_reply fd line =
   if Fault.enabled () then begin
     if Fault.fire Fault.Sock_close then begin
-      (try Unix.close fd with Unix.Unix_error _ -> ());
+      (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
       raise Net.Closed
     end;
     if Fault.fire Fault.Sock_tear then begin

@@ -8,16 +8,9 @@ module Cells = Pc_core.Cells
 module Range = Pc_core.Range
 module Atom = Pc_predicate.Atom
 
-type config = { seed : int; scale : float; queries : int; jobs : int }
+type config = { seed : int; scale : float; queries : int }
 
-let default_config = { seed = 42; scale = 1.; queries = 100; jobs = 1 }
-
-(* Experiments use the process-default pool (Runner, Group_by and
-   Join_bound all default to it), so honoring [cfg.jobs] is one
-   set_default_jobs call; cheap no-op when the size already matches. *)
-let apply_jobs cfg =
-  if Pc_par.Pool.jobs (Pc_par.Pool.default ()) <> max 1 cfg.jobs then
-    Pc_par.Pool.set_default_jobs cfg.jobs
+let default_config = { seed = 42; scale = 1.; queries = 100 }
 
 let scaled cfg base = max 10 (int_of_float (float_of_int base *. cfg.scale))
 let fractions = [ 0.1; 0.3; 0.5; 0.7; 0.9 ]
@@ -972,8 +965,6 @@ let ext_hybrid cfg =
        results)
 
 let all =
-  List.map
-    (fun (id, desc, f) -> (id, desc, fun cfg -> apply_jobs cfg; f cfg))
   [
     ("fig1", "extrapolation error vs missing fraction", fig1_extrapolation);
     ("fig3", "COUNT failure/tightness vs missing fraction", fig3_count);

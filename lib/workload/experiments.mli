@@ -8,15 +8,7 @@
     dataset sizes and [queries] the workload sizes, so the full suite can
     be run quickly (scale < 1) or at paper-like scale (scale ≥ 1). *)
 
-type config = {
-  seed : int;
-  scale : float;
-  queries : int;
-  jobs : int;
-      (** worker domains for the per-query/per-group parallel maps;
-          entry points in {!all} resize the process-default pool to
-          match. [1] = sequential (and bit-identical results). *)
-}
+type config = { seed : int; scale : float; queries : int }
 
 val default_config : config
 

@@ -38,12 +38,8 @@ let of_estimator (e : Pc_stats.Estimator.t) =
     answer = (fun query -> (e.Pc_stats.Estimator.estimate query, None));
   }
 
-(* Queries are independent; a fresh budget is started inside [answer]
-   for budgeted baselines, so nothing is shared between tasks and the
-   parallel outcomes equal the sequential ones element-for-element. *)
-let outcomes ?pool baseline ~missing ~queries =
-  let pool = match pool with Some p -> p | None -> Pc_par.Pool.default () in
-  Pc_par.Pool.parallel_map pool
+let outcomes baseline ~missing ~queries =
+  List.map
     (fun query ->
       let estimate, provenance = baseline.answer query in
       Metrics.outcome ?provenance ~truth:(Q.eval missing query) ~estimate ())

@@ -36,17 +36,12 @@ val run :
   missing:Pc_data.Relation.t ->
   queries:Pc_query.Query.t list ->
   (string * Metrics.summary) list
-(** One summary per baseline, in input order. Queries run on the
-    process-default pool ({!Pc_par.Pool.default}, configured by
-    [--jobs]); see {!outcomes} for the determinism argument. *)
+(** One summary per baseline, in input order. *)
 
 val outcomes :
-  ?pool:Pc_par.Pool.t ->
   baseline ->
   missing:Pc_data.Relation.t ->
   queries:Pc_query.Query.t list ->
   Metrics.outcome list
-(** Per-query outcomes, evaluated on [pool] (default
-    {!Pc_par.Pool.default}). Queries are independent — budgeted
-    baselines start a fresh budget per query — so the outcome list is
-    identical to the sequential one for any pool size. *)
+(** Per-query outcomes, in query order. Budgeted baselines start a
+    fresh budget per query, so no query's budget affects another's. *)

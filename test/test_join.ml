@@ -224,6 +224,36 @@ let test_product_bound_is_naive () =
       check_float "product set count" (50. *. 60.) range.Pc_core.Range.hi
   | _ -> Alcotest.fail "expected range"
 
+(* Triangle tables of 20-119 edges each; R, S and T are built inside one
+   list literal, so their draws come in OCaml's evaluation order. *)
+let budget_tables rng =
+  let n = 20 + Pc_util.Rng.int rng 100 in
+  let edges a b =
+    Pc_synth.Graphs.random_edges rng ~a ~b ~n ~vertices:(max 2 (n / 2))
+  in
+  [
+    Join_bound.table ~name:"R" ~join_attrs:[ "a"; "b" ] (edges_pcs (edges "a" "b") "a");
+    Join_bound.table ~name:"S" ~join_attrs:[ "b"; "c" ] (edges_pcs (edges "b" "c") "b");
+    Join_bound.table ~name:"T" ~join_attrs:[ "c"; "a" ] (edges_pcs (edges "c" "a") "c");
+  ]
+
+let prop_crushed_shared_budget_sound =
+  (* one crushed budget shared by every per-table solve and the cover LP:
+     must not raise, and the degraded bound may only loosen (>=) relative
+     to the exact value *)
+  QCheck.Test.make ~name:"crushed shared budget: no raise, never tightens"
+    ~count:20
+    QCheck.(int_bound 10_000)
+    (fun seed ->
+      let tables = budget_tables (Pc_util.Rng.create seed) in
+      let exact = Join_bound.count_bound tables in
+      let crushed =
+        Pc_budget.Budget.start
+          (Pc_budget.Budget.spec ~timeout:0. ~cells:1 ~sat_calls:0 ~nodes:0
+             ~iters:1 ())
+      in
+      Join_bound.count_bound ~budget:crushed tables >= exact -. 1e-9)
+
 let () =
   Alcotest.run "pc_join"
     [
@@ -248,4 +278,5 @@ let () =
           tc "looser than GWE" `Quick test_elastic_looser;
           tc "sensitivity monotone" `Quick test_sensitivity_monotone;
         ] );
+      ("shared budget", [ QCheck_alcotest.to_alcotest prop_crushed_shared_budget_sound ]);
     ]

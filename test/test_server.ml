@@ -742,6 +742,68 @@ let test_chaos () =
   C.close c;
   stop s
 
+(* A [Sock_close] fault must leave the fd to its connection thread. If
+   the fault closed it as well, the thread's own close would hit the
+   number a second time, after another thread (here: one cycling pipes)
+   may have been handed it. Every wait has a timeout, so the bug shows as
+   a failed check, never as a hang. *)
+let test_sock_close_single_closer () =
+  let ((srv, _) as s) = start () in
+  let stop_pipes = Atomic.make false in
+  let pipe_faults = Atomic.make 0 in
+  let piper =
+    Thread.create
+      (fun () ->
+        let buf = Bytes.create 8 in
+        let i = ref 0 in
+        while not (Atomic.get stop_pipes) do
+          incr i;
+          let msg = Printf.sprintf "%08d" !i in
+          let r, w = Unix.pipe ~cloexec:true () in
+          (try
+             (* non-blocking: a reader that reused [r]'s number may have
+                taken the bytes, and that must fail, not hang *)
+             Unix.set_nonblock r;
+             Unix.set_nonblock w;
+             ignore (Unix.write_substring w msg 0 8);
+             Thread.yield ();
+             match Unix.select [ r ] [] [] 1.0 with
+             | [], _, _ -> Atomic.incr pipe_faults
+             | _ ->
+                 let n = Unix.read r buf 0 8 in
+                 if n <> 8 || Bytes.to_string buf <> msg then
+                   Atomic.incr pipe_faults
+           with Unix.Unix_error _ -> Atomic.incr pipe_faults);
+          (try Unix.close r with Unix.Unix_error _ -> ());
+          try Unix.close w with Unix.Unix_error _ -> ()
+        done)
+      ()
+  in
+  let hung = ref 0 in
+  F.with_faults
+    (F.config ~seed:11 [ (F.Sock_close, 1.0) ])
+    (fun () ->
+      let line = {|{"op":"ping"}|} ^ "\n" in
+      let buf = Bytes.create 256 in
+      for _ = 1 to 300 do
+        let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+        Unix.setsockopt_float fd Unix.SO_RCVTIMEO 2.0;
+        (try
+           Unix.connect fd
+             (Unix.ADDR_INET (Unix.inet_addr_of_string "127.0.0.1", S.port srv));
+           ignore (Unix.write_substring fd line 0 (String.length line));
+           (* the fault shuts the socket down: the client reads EOF *)
+           if Unix.read fd buf 0 (Bytes.length buf) <> 0 then incr hung
+         with Unix.Unix_error _ -> incr hung);
+        Unix.close fd
+      done);
+  Atomic.set stop_pipes true;
+  Thread.join piper;
+  Alcotest.(check int) "pipe never saw EBADF or foreign bytes" 0
+    (Atomic.get pipe_faults);
+  Alcotest.(check int) "every faulted request ended in EOF" 0 !hung;
+  stop s
+
 (* ----------------------------- accounting ----------------------------- *)
 
 (* A server with no preloaded dataset: every count it reports comes from
@@ -1030,7 +1092,11 @@ let () =
           tc "load invalidates" `Quick test_load_invalidates_cache;
         ] );
       ("drain", [ tc "artifacts flushed" `Quick test_drain_flushes_artifacts ]);
-      ("chaos", [ tc "faults + 8 clients" `Quick test_chaos ]);
+      ( "chaos",
+        [
+          tc "faults + 8 clients" `Quick test_chaos;
+          tc "sock_close leaves one closer" `Quick test_sock_close_single_closer;
+        ] );
       ( "accounting",
         [
           tc "golden script" `Quick test_golden_accounting;

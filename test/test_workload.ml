@@ -145,7 +145,7 @@ let test_experiments_registry () =
 
 let test_experiment_smoke () =
   (* tiny-scale smoke run of a cheap experiment, output suppressed *)
-  let cfg = { Experiments.seed = 1; scale = 0.02; queries = 5; jobs = 1 } in
+  let cfg = { Experiments.seed = 1; scale = 0.02; queries = 5 } in
   let dev_null = open_out (Filename.null) in
   let saved = Unix.dup Unix.stdout in
   flush stdout;

@@ -47,9 +47,7 @@ let checks =
     ("lp_pivots_total", Lower_better, 0.25);
     (* the smoke workload's wall is ~15 ms — scheduler noise swamps a
        tight bound, so this row only catches order-of-magnitude breaks *)
-    ("end_to_end_bound.jobs1_wall_s", Lower_better, 1.00);
-    (* effective parallelism swings with co-tenant load on shared runners *)
-    ("end_to_end_bound.speedup_jobs4_over_jobs1", Higher_better, 0.60);
+    ("end_to_end_bound.wall_s", Lower_better, 1.00);
     (* the ingest micro's wall times are ~ms-scale; the speedup ratio is
        the stable signal and carries the tight bound (plus the 5x hard
        floor below) *)
@@ -57,7 +55,7 @@ let checks =
     ("incremental_rebound.speedup", Higher_better, 0.60);
   ]
 
-(* the schema-v6 shape: all of these must exist in both files *)
+(* the schema-v7 shape: all of these must exist in both files *)
 let required =
   [
     "schema_version";
@@ -65,7 +63,6 @@ let required =
     "decompose_dfs_rewrite.cells";
     "decompose_fdd.cells";
     "decompose_fdd.matches_dfs_rewrite";
-    "jobs_policy.effective";
     "milp_solve_pivots.warm";
     "milp_solve_pivots.cold";
     "lp_pivots_total";
@@ -77,8 +74,7 @@ let required =
     "incremental_rebound.speedup";
     "incremental_rebound.answers_agree";
     "phase_totals_ns";
-    "end_to_end_bound.jobs1_wall_s";
-    "end_to_end_bound.speedup_jobs4_over_jobs1";
+    "end_to_end_bound.wall_s";
   ]
 
 let () =
@@ -122,9 +118,9 @@ let () =
   List.iter
     (fun key ->
       if lookup key fv = None then
-        fail "%s: missing from fresh baseline %s (v6 schema)" key !fresh;
+        fail "%s: missing from fresh baseline %s (v7 schema)" key !fresh;
       if lookup key cv = None then
-        fail "%s: missing from committed baseline %s (v6 schema)" key
+        fail "%s: missing from committed baseline %s (v7 schema)" key
           !committed)
     required;
   (* 2. no schema downgrade: the fresh run must speak at least the
