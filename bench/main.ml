@@ -512,16 +512,11 @@ let write_baseline ~queries ~rows path =
   let dfs_cells, stats =
     Pc_core.Cells.decompose ~strategy:Pc_core.Cells.Dfs_rewrite set
   in
-  (* fdd cross-check: same cell set as the SAT-probed DFS, zero probes *)
+  (* fdd cross-check: the SAT-probed DFS's cells in its order, zero probes *)
   let fdd_cells, fdd_stats =
     Pc_core.Cells.decompose ~strategy:Pc_core.Cells.Fdd set
   in
-  let fdd_matches =
-    let norm cells =
-      List.sort compare (List.map (fun c -> c.Pc_core.Cells.active) cells)
-    in
-    norm dfs_cells = norm fdd_cells
-  in
+  let fdd_matches = dfs_cells = fdd_cells in
   Printf.printf "measuring end-to-end workload...\n%!";
   let wall = end_to_end_wall ~queries ~rows in
   (* Traced probe of the same workload, run *after* every untraced timing

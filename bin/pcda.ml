@@ -811,14 +811,15 @@ let ingest_cmd =
                 | [] -> Error "ingest: empty CSV"
                 | h :: rows -> Ok (h, rows)
               in
-              let rec chunks acc = function
-                | [] -> List.rev acc
-                | rows ->
-                    let n = min batch_rows (List.length rows) in
-                    let chunk = List.filteri (fun i _ -> i < n) rows in
-                    let rest = List.filteri (fun i _ -> i >= n) rows in
-                    chunks (chunk :: acc) rest
+              (* one pass: [batch_rows] rows a chunk, the last one the
+                 rest; [chunk] holds the current one reversed *)
+              let rec split acc chunk k = function
+                | [] -> List.rev (match chunk with [] -> acc | _ -> List.rev chunk :: acc)
+                | row :: rest ->
+                    if k = batch_rows then split (List.rev chunk :: acc) [ row ] 1 rest
+                    else split acc (row :: chunk) (k + 1) rest
               in
+              let chunks = split [] [] 0 rows in
               let total = List.length rows in
               let sent = ref 0 in
               let* () =
@@ -849,10 +850,9 @@ let ingest_cmd =
                       | _ -> 0.)
                       (jfield v "cache_evicted");
                     Ok ())
-                  (Ok ()) (chunks [] rows)
+                  (Ok ()) chunks
               in
-              Printf.printf "appended %d rows in %d batches\n" total
-                (List.length (chunks [] rows));
+              Printf.printf "appended %d rows in %d batches\n" total (List.length chunks);
               Ok ()
         in
         Pc_server.Client.close c;

@@ -181,8 +181,7 @@ let regions ~opts set q (query : Q.t) cells =
   let values = Box_table.acc tbl and clip = Box_table.acc tbl in
   let k, fixed = agg_source ~tighten tbl q query in
   List.filter_map
-    (fun (c : Cells.cell) ->
-      let active = c.Cells.active in
+    (fun active ->
       if not (Box_table.cell tbl ~rows ~tighten q values clip active) then None
       else if k >= 0 then Some { active; u = Box_table.hi values k; l = Box_table.lo values k }
       else Some { active; u = I.hi_float fixed; l = I.lo_float fixed })
@@ -228,10 +227,11 @@ let prepare ~ctx ?consumed set (query : Q.t) : (prepared, answer) result =
   let opts = ctx.opts in
   let qpred = query.Q.where_ in
   try
+    let tbl = Pc_set.table set and rows = Pc_set.rows set in
     (* A frequency lower bound on an unsatisfiable predicate is
        unsatisfiable as a system. *)
     for i = 0 to Pc_set.size set - 1 do
-      if (Pc_set.get set i).Pc.freq_lo > 0 && Option.is_none (Pc_set.box set i) then
+      if (Pc_set.get set i).Pc.freq_lo > 0 && not (Box_table.boxed tbl rows.(i)) then
         raise Found_infeasible
     done;
     (* Predicate pushdown at the set level: only PCs overlapping the query
@@ -239,12 +239,10 @@ let prepare ~ctx ?consumed set (query : Q.t) : (prepared, answer) result =
        precompiled diagram's indices stay aligned with [set] — harmless,
        because a non-overlapping PC never appears in a reachable active
        set: it contributes no covering row and its effective kl is 0. *)
-    let tbl = Pc_set.table set in
     let q = Box_table.query tbl qpred in
     let set =
       if qpred = Pred.tt || opts.strategy = Cells.Fdd then set
       else
-        let rows = Pc_set.rows set in
         Pc_set.filter
           (fun i -> Box_table.boxed tbl rows.(i) && Box_table.overlaps tbl q rows.(i))
           set

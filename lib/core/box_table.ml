@@ -2,7 +2,6 @@ module I = Pc_interval.Interval
 module Box = Pc_predicate.Box
 module Atom = Pc_predicate.Atom
 module Pred = Pc_predicate.Pred
-module Cnf = Pc_predicate.Cnf
 module Sat = Pc_predicate.Sat
 
 (* Intervals stored unboxed: interval [i] is [lo.(i)], [hi.(i)], with bit
@@ -101,11 +100,9 @@ let[@inline] within a i b j =
 
 let rec all_meet a i b j n = n = 0 || (meets_at a i b j && all_meet a (i + 1) b (j + 1) (n - 1))
 
-(* A row's decomposition data, computed on first use: sets that are
-   only ever bounded without a decomposition (a server's warm path) never
-   pay for it, and the FDD path only needs the CNFs. *)
-type cnfs = { pos_cnf : Cnf.t array; neg_cnf : Cnf.t array }
-
+(* The DFS's data, computed on first use: sets that are only ever
+   bounded without a decomposition (a server's warm path) or through the
+   FDD never pay for it. *)
 type compiled = {
   fcols : int array;
       (** the decomposition's columns, those the predicates range over:
@@ -131,17 +128,17 @@ type t = {
   num_attrs : string list;  (** attributes the predicates range over *)
   cat_attrs : string list;  (** attributes the predicates test categorically *)
   preds : Pred.t array;
-  cnfs : cnfs option Atomic.t;
   compiled : compiled option Atomic.t;
-      (** each computed once; racing threads compute the same value *)
+      (** computed once; racing threads compute the same value *)
 }
 
 let is_cat = function Atom.Num_range _ -> false | _ -> true
 let none = function [] -> true | _ :: _ -> false
 
-let make (pcs : Pc.t array) boxes =
+let make (pcs : Pc.t array) =
   let n = Array.length pcs in
   let preds = Array.map (fun (pc : Pc.t) -> pc.Pc.pred) pcs in
+  let boxes = Array.map Box.of_pred preds in
   let atoms = List.concat (Array.to_list preds) in
   let attrs_of p = List.sort_uniq String.compare (List.map Atom.attr (List.filter p atoms)) in
   let num_attrs = attrs_of (Fun.negate is_cat) and cat_attrs = attrs_of is_cat in
@@ -175,7 +172,6 @@ let make (pcs : Pc.t array) boxes =
     num_attrs;
     cat_attrs;
     preds;
-    cnfs = Atomic.make None;
     compiled = Atomic.make None;
   }
 
@@ -186,13 +182,6 @@ let cached slot compute =
       let v = compute () in
       Atomic.set slot (Some v);
       v
-
-let cnfs t =
-  cached t.cnfs (fun () ->
-      { pos_cnf = Array.map Cnf.of_pred t.preds; neg_cnf = Array.map Cnf.of_neg_pred t.preds })
-
-let pos_cnf t r = (cnfs t).pos_cnf.(r)
-let neg_cnf t r = (cnfs t).neg_cnf.(r)
 
 let compile t =
   let n = Array.length t.preds in
@@ -206,7 +195,7 @@ let compile t =
     Array.iteri (fun c k -> blit t.hull ((r * t.width) + k) fhull ((r * fw) + c) 1) fcols
   done;
   (* each row's one negated clause *)
-  let neg_clauses = Array.map List.concat (cnfs t).neg_cnf in
+  let neg_clauses = Array.map (List.concat_map Atom.negate) t.preds in
   let neg_off = Array.make (n + 1) 0 in
   Array.iteri (fun r c -> neg_off.(r + 1) <- neg_off.(r) + List.length c) neg_clauses;
   let neg_atom = Array.of_list (List.concat (Array.to_list neg_clauses)) in

@@ -13,11 +13,10 @@
     {!Pc_predicate.Box.t} per PC and per query, conjoined after the flat
     test and skipped when at most one side has any.
 
-    The same table carries each row's decomposition data, computed once
-    per set on first use: its CNF and its negation's CNF, and, for the
-    DFS, the negated clause compiled atom by atom (column, unboxed
-    interval, the original atom). The incremental DFS of {!Cells} runs
-    on {!frames} over it.
+    The same table carries each row's negated clause for the DFS,
+    compiled atom by atom (column, unboxed interval, the original atom)
+    once per set on first use. The incremental DFS of {!Cells} runs on
+    {!frames} over it.
 
     Exactness: every meet keeps {!Pc_interval.Interval.intersect}'s tie
     rules (the accumulator wins ties; an incoming endpoint that wins on
@@ -28,12 +27,13 @@
 
 type t
 
-val make : Pc.t array -> Pc_predicate.Box.t option array -> t
-(** [make pcs boxes] with [boxes.(i)] the box of [pcs.(i)]'s predicate
-    ([None] when unsatisfiable: that row never meets anything). Raises
-    [Box]'s [Invalid_argument] when the predicates use one attribute as
-    both kinds. Every attribute a predicate ranges over has a column,
-    an unsatisfiable predicate's included. *)
+val make : Pc.t array -> t
+(** One row per PC, in order, built from its predicate's
+    {!Pc_predicate.Box.of_pred} (an unsatisfiable predicate's row never
+    meets anything). Raises [Box]'s [Invalid_argument] when the
+    predicates use one attribute as both kinds. Every attribute a
+    predicate ranges over has a column, an unsatisfiable predicate's
+    included. *)
 
 val cols : t -> string array
 val col : t -> string -> int
@@ -51,13 +51,6 @@ val value_hi : t -> int -> int -> float
 
 val meets : t -> int -> int -> bool
 (** Two satisfiable rows' predicates are satisfiable together. *)
-
-val pos_cnf : t -> int -> Pc_predicate.Cnf.t
-(** Row [r]'s predicate as CNF ({!Pc_predicate.Cnf.of_pred}), computed
-    for every row on the set's first call. *)
-
-val neg_cnf : t -> int -> Pc_predicate.Cnf.t
-(** Its negation ({!Pc_predicate.Cnf.of_neg_pred}). *)
 
 (** {2 Queries} *)
 

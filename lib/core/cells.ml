@@ -13,8 +13,6 @@ let c_cells = Counter.make "cells.emitted"
 let c_witness_hits = Counter.make "cells.witness_hits"
 let c_admitted = Counter.make "cells.admitted_unchecked"
 
-type cell = { active : int list; expr : Cnf.t }
-
 type strategy = Naive | Dfs | Dfs_rewrite | Early_stop of int | Fdd
 
 type stats = {
@@ -61,7 +59,7 @@ type budgeted = {
           live witness certifies satisfiability for free and only
           witness-dead levels pay for a search. [false] on proven
           unsatisfiability. *)
-  emit : cell list ref -> cell -> unit;
+  emit : int list list ref -> int list -> unit;
   admitted : int ref;
   witness_hits : int ref;
       (** decisions certified by a live cached witness, i.e. answered
@@ -129,22 +127,20 @@ let budgeted budget =
   in
   { tally; check; decide; emit; admitted; witness_hits }
 
-let naive bg tbl rows base =
-  let n = Array.length rows in
+let naive bg set base =
+  let n = Pc_set.size set in
   guard_enumeration n;
+  let pred i = (Pc_set.get set i).Pc.pred in
+  let pos = Array.init n (fun i -> Cnf.of_pred (pred i))
+  and neg = Array.init n (fun i -> Cnf.of_neg_pred (pred i)) in
   let cells = ref [] in
   for mask = 1 to (1 lsl n) - 1 do
     let expr = ref base in
     for i = n - 1 downto 0 do
-      if mask land (1 lsl i) <> 0 then expr := Cnf.conj (Box_table.pos_cnf tbl rows.(i)) !expr
-      else expr := Cnf.conj (Box_table.neg_cnf tbl rows.(i)) !expr
+      expr := Cnf.conj (if mask land (1 lsl i) <> 0 then pos.(i) else neg.(i)) !expr
     done;
-    if bg.check !expr then begin
-      let active =
-        List.filter (fun i -> mask land (1 lsl i) <> 0) (List.init n Fun.id)
-      in
-      bg.emit cells { active; expr = !expr }
-    end
+    if bg.check !expr then
+      bg.emit cells (List.filter (fun i -> mask land (1 lsl i) <> 0) (List.init n Fun.id))
   done;
   List.rev !cells
 
@@ -165,32 +161,30 @@ let naive bg tbl rows base =
    query check too. *)
 let dfs bg tbl rows ~eager ~rewrite ~k qpred =
   let n = Array.length rows in
-  let base = Cnf.of_pred qpred in
   let cells = ref [] in
-  let emit expr active =
-    match active with
+  let emit = function
     | [] -> () (* closure excludes the all-negative region *)
-    | _ -> bg.emit cells { active = List.rev active; expr }
+    | active -> bg.emit cells (List.rev active)
   in
   (* beyond the verified prefix: admit both branches blindly *)
-  let rec go_blind i expr active =
-    if i = n then emit expr active
+  let rec go_blind i active =
+    if i = n then emit active
     else begin
-      go_blind (i + 1) (Cnf.conj (Box_table.pos_cnf tbl rows.(i)) expr) (i :: active);
-      go_blind (i + 1) (Cnf.conj (Box_table.neg_cnf tbl rows.(i)) expr) active
+      go_blind (i + 1) (i :: active);
+      go_blind (i + 1) active
     end
   in
   let f = Box_table.frames tbl ~depth:n in
-  let rec go i expr active =
-    if i = n then emit expr active
-    else if i >= k then go_blind i expr active
+  let rec go i active =
+    if i = n then emit active
+    else if i >= k then go_blind i active
     else begin
       let r = rows.(i) in
       let pos_sat =
         Box_table.assume_row f bg.tally i r
         && bg.decide ~eager f (i + 1)
         && begin
-             go (i + 1) (Cnf.conj (Box_table.pos_cnf tbl r) expr) (i :: active);
+             go (i + 1) (i :: active);
              true
            end
       in
@@ -199,13 +193,13 @@ let dfs bg tbl rows ~eager ~rewrite ~k qpred =
       if
         Box_table.assume_neg f bg.tally i r
         && ((rewrite && not pos_sat) || bg.decide ~eager f (i + 1))
-      then go (i + 1) (Cnf.conj (Box_table.neg_cnf tbl r) expr) active
+      then go (i + 1) active
     end
   in
-  if k <= 0 then go_blind 0 base []
+  if k <= 0 then go_blind 0 []
   else if
     Box_table.start f bg.tally (Box_table.query tbl qpred) && bg.decide ~eager f 0
-  then go 0 base [];
+  then go 0 [];
   List.rev !cells
 
 let compile set =
@@ -214,33 +208,16 @@ let compile set =
 
 (* FDD fast path: compile the predicate set into a hash-consed interval
    decision diagram (or reuse a precompiled one) and read the satisfiable
-   cells straight off the reachable leaves — zero solver searches. Cell
-   exprs are rebuilt exactly as the DFS builds them (query CNF first,
-   then one conjunct per predicate in index order) so the two strategies
-   are output-identical, which the qcheck oracle property pins down. *)
+   cells straight off the reachable leaves — zero solver searches. The
+   leaves come out in the DFS's order, which the qcheck oracle property
+   pins down. *)
 let fdd_path bg ?budget ~fdd set query_pred =
   (match budget with
   | Some b when B.out_of_time b -> raise (B.Exhausted B.Deadline)
   | _ -> ());
-  let tbl = Pc_set.table set and rows = Pc_set.rows set in
-  let n = Array.length rows in
-  let compiled = if Pc_predicate.Fdd.n_preds fdd = n then fdd else compile set in
-  let actives = Pc_predicate.Fdd.cells ~query:query_pred compiled in
-  let base = Cnf.of_pred query_pred in
+  let compiled = if Pc_predicate.Fdd.n_preds fdd = Pc_set.size set then fdd else compile set in
   let cells = ref [] in
-  List.iter
-    (fun active ->
-      let expr = ref base in
-      let rest = ref active in
-      for i = 0 to n - 1 do
-        match !rest with
-        | j :: tl when j = i ->
-            expr := Cnf.conj (Box_table.pos_cnf tbl rows.(i)) !expr;
-            rest := tl
-        | _ -> expr := Cnf.conj (Box_table.neg_cnf tbl rows.(i)) !expr
-      done;
-      bg.emit cells { active; expr = !expr })
-    actives;
+  List.iter (bg.emit cells) (Pc_predicate.Fdd.cells ~query:query_pred compiled);
   List.rev !cells
 
 (* Compile-once memo for the Fdd strategy: one slot keyed on the set's
@@ -268,7 +245,7 @@ let decompose_run ?budget ?fdd ~strategy ~query_pred set =
   let bg = budgeted budget in
   let run () =
     match strategy with
-    | Naive -> naive bg tbl rows (Cnf.of_pred query_pred)
+    | Naive -> naive bg set (Cnf.of_pred query_pred)
     | Dfs -> dfs bg tbl rows ~eager:true ~rewrite:false ~k:max_int query_pred
     | Dfs_rewrite -> dfs bg tbl rows ~eager:false ~rewrite:true ~k:max_int query_pred
     | Early_stop k ->

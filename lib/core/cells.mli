@@ -20,8 +20,8 @@
       cells off the reachable leaves — zero solver searches, and the
       compiled diagram can be built once per PC set and reused across
       queries via the [?fdd] argument. Output-identical to
-      [Dfs_rewrite] (same cells, same order, same exprs); the DFS
-      decomposer remains the qcheck reference oracle.
+      [Dfs_rewrite] (same cells, same order); the DFS decomposer
+      remains the qcheck reference oracle.
 
     The DFS strategies are {e incremental}: instead of re-solving the
     whole prefix CNF at each node (O(depth²) atom work per path), they
@@ -32,11 +32,6 @@
     search (≈O(depth) atom work per path). [Dfs_rewrite] exploits this
     fully; plain [Dfs] keeps its eager one-search-per-extension
     accounting so Figure 7's strategy comparison stays meaningful. *)
-
-type cell = {
-  active : int list;  (** indices into the PC set, ascending, non-empty *)
-  expr : Pc_predicate.Cnf.t;  (** the cell's region *)
-}
 
 type strategy = Naive | Dfs | Dfs_rewrite | Early_stop of int | Fdd
 
@@ -64,8 +59,9 @@ val decompose :
   ?strategy:strategy ->
   ?query_pred:Pc_predicate.Pred.t ->
   Pc_set.t ->
-  cell list * stats
-(** [?fdd] (only consulted by the [Fdd] strategy) supplies a diagram
+  int list list * stats
+(** Each cell is its active set: indices into the PC set, ascending and
+    non-empty. [?fdd] (only consulted by the [Fdd] strategy) supplies a diagram
     precompiled from exactly this PC set, skipping the per-call compile;
     a size mismatch falls back to compiling fresh.
 

@@ -1,22 +1,15 @@
 module Pred = Pc_predicate.Pred
-module Box = Pc_predicate.Box
-module I = Pc_interval.Interval
 
-(* Per-PC data every bound reads: each predicate's box and the flat
-   table of their hulls, ν ranges and compiled decomposition rows
-   ({!Box_table}). *)
-type derived = { boxes : Box.t option array; table : Box_table.t }
-
-(* [disjoint] and [derived] are computed on first use. Server threads may
+(* [disjoint] and [table] are computed on first use. Server threads may
    race on them: both compute the same value, where a shared [Lazy.t]
    would raise [CamlinternalLazy.Undefined] in the loser. [rows] maps
-   each PC to its row of [derived]: a {!filter}ed set shares its
+   each PC to its row of [table]: a {!filter}ed set shares its
    parent's. *)
 type t = {
   arr : Pc.t array;
   rows : int array;
   disjoint : bool option Atomic.t;
-  derived : derived option Atomic.t;
+  table : Box_table.t option Atomic.t;
 }
 
 let cached slot compute =
@@ -27,13 +20,7 @@ let cached slot compute =
       Atomic.set slot (Some v);
       v
 
-let derived t =
-  cached t.derived (fun () ->
-      let boxes = Array.map (fun (pc : Pc.t) -> Box.of_pred pc.Pc.pred) t.arr in
-      { boxes; table = Box_table.make t.arr boxes })
-
-let box t i = (derived t).boxes.(t.rows.(i))
-let table t = (derived t).table
+let table t = cached t.table (fun () -> Box_table.make t.arr)
 let rows t = t.rows
 
 let compute_disjoint t =
@@ -48,8 +35,8 @@ let compute_disjoint t =
   in
   scan 0 1
 
-let fresh ?derived arr rows =
-  { arr; rows; disjoint = Atomic.make None; derived = Atomic.make derived }
+let fresh ?table arr rows =
+  { arr; rows; disjoint = Atomic.make None; table = Atomic.make table }
 
 let own arr = fresh arr (Array.init (Array.length arr) Fun.id)
 let of_array arr = own (Array.copy arr)
@@ -60,7 +47,7 @@ let get t i = t.arr.(i)
 
 let filter f t =
   let keep = Array.of_list (List.filter f (List.init (size t) Fun.id)) in
-  fresh ~derived:(derived t) (Array.map (Array.get t.arr) keep) (Array.map (Array.get t.rows) keep)
+  fresh ~table:(table t) (Array.map (Array.get t.arr) keep) (Array.map (Array.get t.rows) keep)
 
 let violations rel t =
   Array.to_list t.arr |> List.concat_map (Pc.violations rel)

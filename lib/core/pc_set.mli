@@ -10,21 +10,15 @@ val get : t -> int -> Pc.t
 
 val filter : (int -> bool) -> t -> t
 (** [filter f t]: the PCs at the indices [f] keeps, in order. The subset
-    shares [t]'s cached boxes and table (built first if they were not
-    yet) through {!rows}, without recomputation or copying. *)
+    shares [t]'s cached table (built first if it was not yet) through
+    {!rows}, without recomputation or copying. *)
 
-(** {2 Cached per-PC data}
-
-    Built together for the whole set on the first call of any of these
-    (not by {!make}) and cached; {!filter} shares them. *)
-
-val box : t -> int -> Pc_predicate.Box.t option
-(** [Box.of_pred] of PC [i]'s predicate: [None] when the predicate is
-    unsatisfiable on its own. *)
+(** {2 The flat table} *)
 
 val table : t -> Box_table.t
 (** The flat table of every PC's predicate hull, ν ranges and compiled
-    decomposition rows, built once per set. Raises
+    decomposition rows, built for the whole set on first use (not by
+    {!make}) and cached; {!filter} shares it. Raises
     [Box]'s [Invalid_argument] when the set's predicates use one
     attribute as both kinds. *)
 

@@ -1,7 +1,19 @@
 module I = Pc_interval.Interval
 module Box = Pc_predicate.Box
+module Cnf = Pc_predicate.Cnf
 module Pc = Pc_core.Pc
 module Pc_set = Pc_core.Pc_set
+
+let cnf set qpred active =
+  let rec go i active expr =
+    if i = Pc_set.size set then expr
+    else
+      let pred = (Pc_set.get set i).Pc.pred in
+      match active with
+      | j :: rest when j = i -> go (i + 1) rest (Cnf.conj (Cnf.of_pred pred) expr)
+      | _ -> go (i + 1) active (Cnf.conj (Cnf.of_neg_pred pred) expr)
+  in
+  go 0 active (Cnf.of_pred qpred)
 
 let cell_box set qpred active =
   List.fold_left

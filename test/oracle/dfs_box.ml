@@ -99,7 +99,7 @@ let guard_enumeration n =
 
 type budgeted = {
   decide : eager:bool -> state -> state option;
-  emit : cell list ref -> cell -> unit;
+  emit : int list list ref -> int list -> unit;
   admitted : int ref;
   witness_hits : int ref;
 }
@@ -153,15 +153,13 @@ let budgeted tally budget =
 let dfs tally bg ~rewrite preds qpred =
   let n = Array.length preds in
   let eager = not rewrite in
-  let pos_cnf = Array.map Cnf.of_pred preds in
-  let neg_cnf = Array.map Cnf.of_neg_pred preds in
   let neg_clause = Array.map (fun p -> List.concat_map Atom.negate p) preds in
   let cells = ref [] in
-  let rec go i st expr active =
+  let rec go i st active =
     if i = n then begin
       match active with
       | [] -> () (* closure excludes the all-negative region *)
-      | _ -> bg.emit cells { active = List.rev active; expr }
+      | _ -> bg.emit cells (List.rev active)
     end
     else begin
       let pos_sat =
@@ -171,51 +169,44 @@ let dfs tally bg ~rewrite preds qpred =
             match bg.decide ~eager st' with
             | None -> false
             | Some st'' ->
-                go (i + 1) st'' (Cnf.conj pos_cnf.(i) expr) (i :: active);
+                go (i + 1) st'' (i :: active);
                 true)
       in
       match assume_clause tally st neg_clause.(i) with
       | None -> () (* the negative region is empty *)
       | Some st' ->
-          let neg_expr = Cnf.conj neg_cnf.(i) expr in
           if rewrite && not pos_sat then
             (* the rewrite certificate: skip the solver search *)
-            go (i + 1) st' neg_expr active
+            go (i + 1) st' active
           else begin
             match bg.decide ~eager st' with
-            | Some st'' -> go (i + 1) st'' neg_expr active
+            | Some st'' -> go (i + 1) st'' active
             | None -> ()
           end
     end
   in
   (match Option.bind (assume_pred tally (start ()) qpred) (bg.decide ~eager) with
-  | Some st -> go 0 st (Cnf.of_pred qpred) []
+  | Some st -> go 0 st []
   | None -> ());
   List.rev !cells
 
 let early_stop tally bg ~k preds qpred =
   let n = Array.length preds in
   if n - k > max_enum_bits then guard_enumeration n;
-  let pos_cnf = Array.map Cnf.of_pred preds in
-  let neg_cnf = Array.map Cnf.of_neg_pred preds in
   let neg_clause = Array.map (fun p -> List.concat_map Atom.negate p) preds in
   let cells = ref [] in
-  let emit expr active =
-    match active with
-    | [] -> ()
-    | _ -> bg.emit cells { active = List.rev active; expr }
-  in
+  let emit = function [] -> () | active -> bg.emit cells (List.rev active) in
   (* beyond the verified prefix: admit both branches blindly *)
-  let rec go_blind i expr active =
-    if i = n then emit expr active
+  let rec go_blind i active =
+    if i = n then emit active
     else begin
-      go_blind (i + 1) (Cnf.conj pos_cnf.(i) expr) (i :: active);
-      go_blind (i + 1) (Cnf.conj neg_cnf.(i) expr) active
+      go_blind (i + 1) (i :: active);
+      go_blind (i + 1) active
     end
   in
-  let rec go i st expr active =
-    if i = n then emit expr active
-    else if i >= k then go_blind i expr active
+  let rec go i st active =
+    if i = n then emit active
+    else if i >= k then go_blind i active
     else begin
       let pos_sat =
         match assume_pred tally st preds.(i) with
@@ -224,27 +215,26 @@ let early_stop tally bg ~k preds qpred =
             match bg.decide ~eager:true st' with
             | None -> false
             | Some st'' ->
-                go (i + 1) st'' (Cnf.conj pos_cnf.(i) expr) (i :: active);
+                go (i + 1) st'' (i :: active);
                 true)
       in
       match assume_clause tally st neg_clause.(i) with
       | None -> ()
       | Some st' ->
-          let neg_expr = Cnf.conj neg_cnf.(i) expr in
-          if not pos_sat then go (i + 1) st' neg_expr active
+          if not pos_sat then go (i + 1) st' active
           else begin
             match bg.decide ~eager:true st' with
-            | Some st'' -> go (i + 1) st'' neg_expr active
+            | Some st'' -> go (i + 1) st'' active
             | None -> ()
           end
     end
   in
-  if k <= 0 then go_blind 0 (Cnf.of_pred qpred) []
+  if k <= 0 then go_blind 0 []
   else begin
     match
       Option.bind (assume_pred tally (start ()) qpred) (bg.decide ~eager:true)
     with
-    | Some st -> go 0 st (Cnf.of_pred qpred) []
+    | Some st -> go 0 st []
     | None -> ()
   end;
   List.rev !cells

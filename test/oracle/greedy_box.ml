@@ -26,8 +26,8 @@ let effective_kl qpred (pc : Pc.t) =
 
 (* One gcell per PC overlapping the query region; [None] when the
    system is infeasible. Specialized to the one-PC-per-cell shape: the
-   PC's in-query region box is its cached box conjoined with the query
-   once, and reused for every attribute. *)
+   PC's in-query region box is its predicate's box conjoined with the
+   query once, and reused for every attribute. *)
 let prepare ~opts set (query : Q.t) =
   let qpred = query.Q.where_ in
   let agg_attr = Q.agg_attr query in
@@ -37,7 +37,7 @@ let prepare ~opts set (query : Q.t) =
         (fun i ->
           let pc = Pc_set.get set i in
           let region =
-            match Pc_set.box set i with
+            match Box.of_pred pc.Pc.pred with
             | None ->
                 if pc.Pc.freq_lo > 0 then raise Found_infeasible;
                 None

@@ -1,6 +1,6 @@
 (** [Bounds.Greedy.prepare] as it was before the flat box table: each
-    PC's in-query region is its cached [Box.t] with the query's atoms
-    conjoined by [Box.add_pred], and its value ranges come from
+    PC's in-query region is its predicate's [Box.of_pred] with the
+    query's atoms conjoined by [Box.add_pred], and its value ranges come from
     [Pc.value_interval]. Retained as a reference oracle: the qcheck
     property in [test/test_pc_core.ml] checks the table-based cells
     against these, bit for bit. *)

@@ -21,8 +21,8 @@ let fresh_string excluded =
   let len = List.fold_left (fun acc s -> max acc (String.length s)) 0 excluded in
   String.make (len + 1) 'z'
 
-let prepare_cell set ~schema (cell : Cells.cell) =
-  match Sat.solve cell.Cells.expr with
+let prepare_cell set ~schema active =
+  match Sat.solve (Cell_region.cnf set Pc_predicate.Pred.tt active) with
   | None -> None (* early-stop artifact: not actually satisfiable *)
   | Some box ->
       let value_intersection attr =
@@ -31,7 +31,7 @@ let prepare_cell set ~schema (cell : Cells.cell) =
             Option.bind acc (fun iv ->
                 I.intersect iv (Pc.value_interval (Pc_set.get set j) attr)))
           (Some (Box.num_interval box attr))
-          cell.Cells.active
+          active
       in
       let rec build_nums acc = function
         | [] -> Some (List.rev acc)
@@ -59,7 +59,7 @@ let prepare_cell set ~schema (cell : Cells.cell) =
                     Some (attr.Schema.name, v))
               (Schema.attrs schema)
           in
-          { active = cell.Cells.active; num_ranges; cat_choice })
+          { active; num_ranges; cat_choice })
         nums
 
 let coverage_constraints set cells =

@@ -157,36 +157,62 @@ let prop_split_never_widens =
 
 (* ----------------------- cell geometry laws ------------------------- *)
 
+(* A query predicate: none, a [t] window, or a [t] window and a [v] band
+   ([v] is an attribute no PC predicate ranges over). *)
+let random_query_pred rng =
+  let lo = Pc_util.Rng.uniform rng ~lo:(-10.) ~hi:100. in
+  let w = Pc_util.Rng.uniform rng ~lo:10. ~hi:60. in
+  match Pc_util.Rng.int rng 3 with
+  | 0 -> Pc_predicate.Pred.tt
+  | 1 -> [ Atom.between "t" lo (lo +. w) ]
+  | _ -> [ Atom.between "t" lo (lo +. w); Atom.between "v" 10. 40. ]
+
+(* A random set of 2 to 7 PCs, small enough for [Naive], and a query
+   predicate; [law] sees every strategy's cells, each paired with its
+   region rebuilt from its active set, and 60 random points. *)
+let for_every_strategy rng law =
+  let set = random_set rng (2 + Pc_util.Rng.int rng 6) in
+  let query_pred = random_query_pred rng in
+  let n = Pc_set.size set in
+  let points =
+    List.init 60 (fun _ ->
+        let t = Pc_util.Rng.uniform rng ~lo:(-10.) ~hi:140. in
+        let v = Pc_util.Rng.uniform rng ~lo:(-10.) ~hi:80. in
+        [| V.Num t; V.Num v |])
+  in
+  List.for_all
+    (fun strategy ->
+      let cells, _ = Cells.decompose ~strategy ~query_pred set in
+      let cells =
+        List.map
+          (fun active ->
+            let region = Cell_region.cnf set query_pred active in
+            (active, Pc_predicate.Cnf.eval schema region))
+          cells
+      in
+      List.for_all (law set query_pred cells) points
+      || QCheck.Test.fail_reportf "%s on %d PCs" (Cells.strategy_name strategy) n)
+    Cells.[ Naive; Dfs; Dfs_rewrite; Early_stop (Pc_util.Rng.int rng (n + 1)); Fdd ]
+
 let prop_cells_partition =
   QCheck.Test.make
-    ~name:"cells are disjoint and cover exactly the union of predicates"
+    ~name:"cells are disjoint and cover exactly the query ∩ union of predicates"
     ~count:80
     QCheck.(int_bound 100_000)
     (fun seed ->
-      let rng = Pc_util.Rng.create seed in
-      let k = 2 + Pc_util.Rng.int rng 4 in
-      let set = random_set rng k in
-      let cells, _ = Cells.decompose ~strategy:Cells.Dfs set in
-      let ok = ref true in
-      for _ = 1 to 60 do
-        let t = Pc_util.Rng.uniform rng ~lo:(-10.) ~hi:140. in
-        let v = Pc_util.Rng.uniform rng ~lo:(-10.) ~hi:80. in
-        let row = [| V.Num t; V.Num v |] in
-        let in_some_pred =
-          List.exists
-            (fun (pc : Pc.t) -> Pc_predicate.Pred.eval schema pc.Pc.pred row)
-            (Pc_set.pcs set)
-        in
-        let containing =
-          List.filter
-            (fun (c : Cells.cell) -> Pc_predicate.Cnf.eval schema c.Cells.expr row)
-            cells
-        in
-        (* inside the union of predicates: exactly one cell; outside: none *)
-        let expected = if in_some_pred then 1 else 0 in
-        if List.length containing <> expected then ok := false
-      done;
-      !ok)
+      for_every_strategy (Pc_util.Rng.create seed) (fun set query_pred cells row ->
+          let in_some_pred =
+            List.exists
+              (fun (pc : Pc.t) -> Pc_predicate.Pred.eval schema pc.Pc.pred row)
+              (Pc_set.pcs set)
+          in
+          let containing = List.filter (fun (_, inside) -> inside row) cells in
+          (* inside the query and the union of predicates: exactly one
+             cell; outside: none *)
+          let expected =
+            if in_some_pred && Pc_predicate.Pred.eval schema query_pred row then 1 else 0
+          in
+          List.length containing = expected))
 
 let prop_cell_active_sets_correct =
   QCheck.Test.make
@@ -194,32 +220,23 @@ let prop_cell_active_sets_correct =
     ~count:80
     QCheck.(int_bound 100_000)
     (fun seed ->
-      let rng = Pc_util.Rng.create seed in
-      let k = 2 + Pc_util.Rng.int rng 4 in
-      let set = random_set rng k in
-      let cells, _ = Cells.decompose ~strategy:Cells.Dfs_rewrite set in
-      let ok = ref true in
-      for _ = 1 to 60 do
-        let t = Pc_util.Rng.uniform rng ~lo:0. ~hi:120. in
-        let v = Pc_util.Rng.uniform rng ~lo:0. ~hi:60. in
-        let row = [| V.Num t; V.Num v |] in
-        List.iter
-          (fun (c : Cells.cell) ->
-            if Pc_predicate.Cnf.eval schema c.Cells.expr row then begin
-              let memberships =
-                List.filteri
-                  (fun j _ -> ignore j; true)
-                  (Pc_set.pcs set)
-                |> List.mapi (fun j (pc : Pc.t) ->
-                       if Pc_predicate.Pred.eval schema pc.Pc.pred row then Some j
-                       else None)
-                |> List.filter_map Fun.id
-              in
-              if memberships <> c.Cells.active then ok := false
-            end)
-          cells
-      done;
-      !ok)
+      for_every_strategy (Pc_util.Rng.create seed) (fun set _ cells row ->
+          let memberships =
+            List.concat
+              (List.mapi
+                 (fun j (pc : Pc.t) ->
+                   if Pc_predicate.Pred.eval schema pc.Pc.pred row then [ j ] else [])
+                 (Pc_set.pcs set))
+          in
+          (* an active set is non-empty, strictly ascending and in range *)
+          let rec ascending lo = function
+            | [] -> true
+            | j :: rest -> lo <= j && j < Pc_set.size set && ascending (j + 1) rest
+          in
+          List.for_all
+            (fun (active, inside) ->
+              active <> [] && ascending 0 active && ((not (inside row)) || active = memberships))
+            cells))
 
 (* ----------------------------- duality ------------------------------ *)
 
