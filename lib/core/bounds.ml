@@ -162,14 +162,22 @@ type prepared = {
           ones that can constrain in-region cells (exact reduction: a
           non-overlapping ψ is vacuously negated inside the region) *)
   infos : info array;
-  cons : S.constr list;  (** PC frequency constraints over cell variables *)
+  cons : S.constr list;
+      (** PC frequency constraints over cell variables, each row's cells
+          ascending (canonical, so compiling copies no row) *)
+  lp : S.compiled Lazy.t;
+      (** [cons] compiled once, for every solve of this query: both sides,
+          every MILP node and every host test *)
+  any_row : S.compiled Lazy.t;
+      (** [cons] plus "some cell holds a row" ([Σ x ≥ 1]) *)
   covers : cover array;  (** per PC of [sub] *)
   kl : int array;  (** per PC of [sub]: its effective lower bound *)
-  vbounds : (int * float * float) list;
-      (** sparse variable boxes at the consumption the program was built
+  v_lo : float array;
+      (** dense variable boxes at the consumption the program was built
           for: the folded single-cell covers and the pinned consumption
           columns *)
-  v_hi : float array;  (** dense upper bounds (infinity when unbounded) *)
+  v_hi : float array;  (** (infinity when unbounded) *)
+  zeros : float array;  (** the all-zero objective of a feasibility test *)
 }
 
 exception Found_infeasible
@@ -263,11 +271,11 @@ let prepare ~ctx ?consumed set (query : Q.t) : (prepared, answer) result =
     in
     let n_pcs = Pc_set.size set in
     let n_cells = Array.length infos in
-    (* each PC's covering cells, in descending cell order *)
+    (* each PC's covering cells, in ascending cell order *)
     let covering = Array.make n_pcs [] in
-    Array.iteri
-      (fun i inf -> List.iter (fun j -> covering.(j) <- i :: covering.(j)) inf.active)
-      infos;
+    for i = n_cells - 1 downto 0 do
+      List.iter (fun j -> covering.(j) <- i :: covering.(j)) infos.(i).active
+    done;
     let kl = Array.init n_pcs (fun j -> effective_kl qpred (Pc_set.get set j)) in
     let n_vars = ref n_cells in
     let cons = ref [] in
@@ -278,35 +286,40 @@ let prepare ~ctx ?consumed set (query : Q.t) : (prepared, answer) result =
           | [ i ] -> Single i
           | cells ->
               let w = if Option.is_none consumed then -1 else (incr n_vars; !n_vars - 1) in
-              let coeffs = List.map (fun i -> (i, 1.)) cells in
-              let coeffs = if w >= 0 then (w, 1.) :: coeffs else coeffs in
+              (* ascending: the cells, then the consumption column *)
+              let coeffs =
+                List.fold_right
+                  (fun i acc -> (i, 1.) :: acc)
+                  cells
+                  (if w >= 0 then [ (w, 1.) ] else [])
+              in
               cons :=
                 S.c_le coeffs (float_of_int (Pc_set.get set j).Pc.freq_hi) :: !cons;
               if kl.(j) > 0 then
                 cons := S.c_ge coeffs (float_of_int kl.(j)) :: !cons;
               Rows w)
     in
-    let v_lo = Array.make !n_vars 0. in
-    let v_hi = Array.make !n_vars infinity in
+    let n_vars = !n_vars and cons = !cons in
+    let compile constraints =
+      S.compile { S.n_vars; maximize = true; objective = []; constraints; var_bounds = [] }
+    in
     let prep =
       {
         sub = set;
         infos;
-        cons = !cons;
+        cons;
+        lp = lazy (compile cons);
+        any_row = lazy (compile (S.c_ge (List.init n_cells (fun i -> (i, 1.))) 1. :: cons));
         covers;
         kl;
-        vbounds = [];
-        v_hi;
+        v_lo = Array.make n_vars 0.;
+        v_hi = Array.make n_vars infinity;
+        zeros = Array.make n_vars 0.;
       }
     in
     let consumed = Option.value consumed ~default:(Array.make n_pcs 0) in
-    if not (rebox prep ~consumed ~lo:v_lo ~hi:v_hi) then raise Found_infeasible;
-    let vbounds = ref [] in
-    for i = !n_vars - 1 downto 0 do
-      if v_lo.(i) > 0. || Float.is_finite v_hi.(i) then
-        vbounds := (i, v_lo.(i), v_hi.(i)) :: !vbounds
-    done;
-    Ok { prep with vbounds = !vbounds }
+    if not (rebox prep ~consumed ~lo:prep.v_lo ~hi:prep.v_hi) then raise Found_infeasible;
+    Ok prep
   with Found_infeasible -> Error Infeasible
 
 (* Σ coeffs·x as a sparse objective; zero coefficients are dropped. *)
@@ -324,10 +337,10 @@ let empty_minimizes prep ~is_count =
 (* MILP plumbing                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let milp ~ctx ~maximize ~objective ?(var_bounds = []) cons n_vars =
+let milp ~ctx ~maximize ~objective ~bounds lp =
   let r =
-    M.solve ~budget:ctx.budget ~node_limit:ctx.opts.node_limit
-      { S.n_vars; maximize; objective; constraints = cons; var_bounds }
+    M.solve_compiled ~budget:ctx.budget ~node_limit:ctx.opts.node_limit
+      (Lazy.force lp) ~maximize ~objective ~bounds
   in
   (match r with
   | M.Optimal res when res.M.truncated -> ctx.trace.relaxed <- true
@@ -342,10 +355,10 @@ let cell_can_host ~ctx prep i k =
   let fk = float_of_int k in
   if fk > prep.v_hi.(i) then false
   else begin
-    let var_bounds = (i, fk, infinity) :: prep.vbounds in
+    let lo = Array.copy prep.v_lo in
+    lo.(i) <- Float.max lo.(i) fk;
     match
-      milp ~ctx ~maximize:true ~objective:[] ~var_bounds prep.cons
-        (Array.length prep.infos)
+      milp ~ctx ~maximize:true ~objective:prep.zeros ~bounds:(lo, prep.v_hi) prep.lp
     with
     | M.Infeasible -> false
     | M.Optimal r -> r.M.incumbent <> None || not r.M.exact
@@ -361,9 +374,10 @@ let some_row_feasible ~ctx prep =
   let n = Array.length prep.infos in
   if n = 0 then false
   else begin
-    let all = List.init n (fun i -> (i, 1.)) in
-    let cons = S.c_ge all 1. :: prep.cons in
-    match milp ~ctx ~maximize:true ~objective:[] ~var_bounds:prep.vbounds cons n with
+    match
+      milp ~ctx ~maximize:true ~objective:prep.zeros ~bounds:(prep.v_lo, prep.v_hi)
+        prep.any_row
+    with
     | M.Infeasible -> false
     | M.Optimal r -> r.M.incumbent <> None || not r.M.exact
     | M.Unbounded -> true
@@ -392,9 +406,8 @@ type side = { value : float; exact : bool }
 (* Optimize Σ coeffs·x over the frequency polytope. [maximize] selects
    the direction; infinities in coefficients must be resolved first.
    A starved solve (not even a dual bound) degrades the whole ladder. *)
-let optimize ~ctx ~maximize ~var_bounds cons coeffs =
-  let objective = objective coeffs in
-  match milp ~ctx ~maximize ~objective ~var_bounds cons (Array.length coeffs) with
+let optimize ~ctx ~maximize prep lp coeffs =
+  match milp ~ctx ~maximize ~objective:coeffs ~bounds:(prep.v_lo, prep.v_hi) lp with
   | M.Infeasible -> Error Infeasible
   | M.Unbounded ->
       Ok { value = (if maximize then infinity else neg_infinity); exact = true }
@@ -414,7 +427,7 @@ let sum_like ~ctx prep ~is_count =
     let hi_result =
       let coeffs, unbounded = resolve_infinite ~ctx prep (fun inf -> inf.u) in
       if unbounded then Ok { value = infinity; exact = true }
-      else optimize ~ctx ~maximize:true ~var_bounds:prep.vbounds prep.cons coeffs
+      else optimize ~ctx ~maximize:true prep prep.lp coeffs
     in
     let lo_result =
       if empty_minimizes prep ~is_count then Ok { value = 0.; exact = true }
@@ -424,7 +437,7 @@ let sum_like ~ctx prep ~is_count =
         in
         if unbounded then Ok { value = neg_infinity; exact = true }
         else
-          optimize ~ctx ~maximize:false ~var_bounds:prep.vbounds prep.cons coeffs
+          optimize ~ctx ~maximize:false prep prep.lp coeffs
       end
     in
     match (lo_result, hi_result) with
@@ -508,13 +521,9 @@ let extremal ~ctx prep ~is_max =
    the MILP bound, which is sound (can only overstate reachability,
    widening the range). *)
 let avg_reachable ~ctx prep ~c_count ~c_sum ~above r =
-  let n = Array.length prep.infos in
   let coeffs = Array.map (fun inf -> (if above then inf.u else inf.l) -. r) prep.infos in
-  let cons =
-    if c_count >= 1. then prep.cons
-    else S.c_ge (List.init n (fun i -> (i, 1.))) 1. :: prep.cons
-  in
-  match optimize ~ctx ~maximize:above ~var_bounds:prep.vbounds cons coeffs with
+  let lp = if c_count >= 1. then prep.lp else prep.any_row in
+  match optimize ~ctx ~maximize:above prep lp coeffs with
   | Error _ -> false
   | Ok { value; _ } ->
       if above then value >= (r *. c_count) -. c_sum -. 1e-9
@@ -538,6 +547,13 @@ let binary_search ~reachable ~lo ~hi ~dir =
     end
   in
   go lo hi 60
+
+let avg_range ~lo ~hi =
+  if lo > hi +. 1e-6 then
+    (* numeric corner: the searches crossed; their hull, never narrower
+       than either *)
+    Range.make ~lo_exact:false ~hi_exact:false (Float.min lo hi) (Float.max lo hi)
+  else Range.make ~lo_exact:false ~hi_exact:false (Float.min lo hi) hi
 
 let avg_bounds ~ctx prep ~c_count ~c_sum =
   let n = Array.length prep.infos in
@@ -579,10 +595,7 @@ let avg_bounds ~ctx prep ~c_count ~c_sum =
           ~reachable:(avg_reachable ~ctx prep ~c_count ~c_sum ~above:false)
           ~lo:(search_lo0 -. 1e-6) ~hi:search_hi0 ~dir:`Down
     in
-    if lo > hi +. 1e-6 then
-      (* numeric corner: both searches met; collapse to their midpoint *)
-      Range (Range.point (0.5 *. (lo +. hi)))
-    else Range (Range.make ~lo_exact:false ~hi_exact:false (Float.min lo hi) hi)
+    Range (avg_range ~lo ~hi)
   end
 
 (* ------------------------------------------------------------------ *)

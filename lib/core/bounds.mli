@@ -195,6 +195,13 @@ module Greedy : sig
       the certain partition). *)
 end
 
+val avg_range : lo:float -> hi:float -> Range.t
+(** The AVG answer from the outer ends of its two bisections ([lo] from
+    the downward search, [hi] from the upward one). Both ends are
+    inexact. When a numeric corner makes the searches cross by more than
+    1e-6, the answer is their hull [[min lo hi, max lo hi]]: never
+    narrower than either search. *)
+
 (** {2 The allocation program for a warm engine}
 
     The COUNT/SUM program the full path solves, from the same builder,

@@ -11,6 +11,9 @@ let c_cold = Counter.make "incr.rebounds_cold"
 type t = {
   n_pcs : int;
   program : Bounds.program;
+  lp : S.compiled;  (** the program's rows, shared by both sides *)
+  obj_hi : float array;
+  obj_lo : float array option;
   lo_vec : float array;
   hi_vec : float array;
   mutable snap_hi : S.snapshot option;
@@ -33,6 +36,9 @@ let create ?tighten ?budget ~fdd set (query : Q.t) =
         {
           n_pcs;
           program;
+          lp = S.compile program.Bounds.hi;
+          obj_hi = S.objective_vector program.Bounds.hi;
+          obj_lo = Option.map S.objective_vector program.Bounds.lo;
           lo_vec = Array.make n_vars 0.;
           hi_vec = Array.make n_vars infinity;
           snap_hi = None;
@@ -46,39 +52,35 @@ let integral_cells t (sol : S.solution) =
 
 type side_result = Value of float * bool | Side_infeasible | Starved
 
-let unbounded (prob : S.problem) =
-  Value ((if prob.S.maximize then infinity else neg_infinity), true)
+let unbounded ~maximize = Value ((if maximize then infinity else neg_infinity), true)
 
 (* A fractional LP optimum is only a dual bound: branch and bound on the
-   same problem under the current boxes proves the integral optimum, as
-   the full path does. *)
-let solve_milp ?budget t prob =
-  let var_bounds =
-    List.init (Array.length t.lo_vec) (fun i -> (i, t.lo_vec.(i), t.hi_vec.(i)))
-  in
+   same rows under the current boxes proves the integral optimum, as the
+   full path does. *)
+let solve_milp ?budget t ~maximize ~objective =
   match
-    M.solve ?budget ~node_limit:Bounds.default_opts.Bounds.node_limit
-      { prob with S.var_bounds }
+    M.solve_compiled ?budget ~node_limit:Bounds.default_opts.Bounds.node_limit t.lp
+      ~maximize ~objective ~bounds:(t.lo_vec, t.hi_vec)
   with
   | M.Optimal r -> Value (r.M.bound, r.M.exact)
-  | M.Unbounded -> unbounded prob
+  | M.Unbounded -> unbounded ~maximize
   | M.Infeasible -> Side_infeasible
   | M.Stopped _ -> Starved
 
-let solve_side ?budget t prob snap =
+let solve_side ?budget t ~maximize ~objective snap =
   (match snap with None -> Counter.incr c_cold | Some _ -> Counter.incr c_warm);
   let bounds = (t.lo_vec, t.hi_vec) in
   let outcome, snap' =
     match snap with
-    | Some s -> S.solve_from ?budget ~snapshot:s ~bounds prob
-    | None -> S.solve_snapshot ?budget ~bounds prob
+    | Some s -> S.solve_compiled_from ?budget t.lp ~snapshot:s ~maximize ~objective ~bounds
+    | None -> S.solve_compiled ?budget t.lp ~maximize ~objective ~bounds
   in
   let r =
     match outcome with
     | S.Optimal sol when integral_cells t sol ->
         Value (sol.S.objective_value, true)
-    | S.Optimal _ -> solve_milp ?budget t prob
-    | S.Unbounded -> unbounded prob
+    | S.Optimal _ -> solve_milp ?budget t ~maximize ~objective
+    | S.Unbounded -> unbounded ~maximize
     | S.Infeasible -> Side_infeasible
     | S.Stopped _ -> Starved
   in
@@ -93,13 +95,15 @@ let rebound ?budget t ~consumed =
     (* no cell overlaps the query: the missing-side aggregate is 0 *)
     Some (Bounds.Range (Range.make ~lo_exact:true ~hi_exact:true 0. 0.))
   else begin
-    let hi_r, snap_hi = solve_side ?budget t p.Bounds.hi t.snap_hi in
+    let hi_r, snap_hi =
+      solve_side ?budget t ~maximize:true ~objective:t.obj_hi t.snap_hi
+    in
     t.snap_hi <- snap_hi;
     let lo_r =
-      match p.Bounds.lo with
+      match t.obj_lo with
       | None -> Value (0., true)
-      | Some prob ->
-          let r, snap_lo = solve_side ?budget t prob t.snap_lo in
+      | Some objective ->
+          let r, snap_lo = solve_side ?budget t ~maximize:false ~objective t.snap_lo in
           t.snap_lo <- snap_lo;
           r
     in

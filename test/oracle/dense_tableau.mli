@@ -18,7 +18,8 @@
       which records dense-vs-revised wall time and pivot counts.
 
     Answers use {!Pc_lp.Simplex}'s problem/outcome types so callers compare
-    outcomes directly. The same post-solve self-check semantics apply:
+    outcomes directly; its solutions carry empty [duals] and
+    [reduced_costs], since only optima are compared. The same post-solve self-check semantics apply:
     an optimal answer that fails residual checks degrades to
     [Stopped (Numeric _)]. *)
 

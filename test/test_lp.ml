@@ -607,6 +607,146 @@ let prop_oracle_dense_vs_sparse =
       | S.Stopped _, _ | _, S.Stopped _ -> true
       | _ -> false)
 
+(* --- duals: at an optimum the exported duals and reduced costs certify
+   the objective. With y the duals and d the reduced costs (both in the
+   caller's objective), c·x = y·b + Σ d_j x_j, every nonbasic variable
+   resting at a bound; and a maximization cannot gain by moving any
+   variable off its bound: d_j <= 0 at a lower bound, d_j >= 0 at an upper
+   bound, d_j = 0 strictly inside (signs flip when minimizing). --- *)
+
+let dual_certificate_holds (p : S.problem) (s : S.solution) =
+  let lo, hi = S.bounds_of_problem p in
+  let rhs = Array.of_list (List.map (fun (c : S.constr) -> c.S.rhs) p.S.constraints) in
+  let dual_obj = ref 0. in
+  Array.iteri (fun i y -> dual_obj := !dual_obj +. (y *. rhs.(i))) s.S.duals;
+  Array.iteri (fun j d -> dual_obj := !dual_obj +. (d *. s.S.values.(j))) s.S.reduced_costs;
+  let sense = if p.S.maximize then 1. else -1. in
+  let tol = 1e-6 in
+  let sign_ok j d =
+    let x = s.S.values.(j) and d = sense *. d in
+    let at_lo = x <= lo.(j) +. 1e-9 and at_hi = x >= hi.(j) -. 1e-9 in
+    if at_lo && at_hi then true
+    else if at_lo then d <= tol
+    else if at_hi then d >= -.tol
+    else Float.abs d <= tol
+  in
+  Array.length s.S.duals = List.length p.S.constraints
+  && Array.length s.S.reduced_costs = p.S.n_vars
+  && Pc_util.Float_eps.approx_eq ~eps:1e-6 s.S.objective_value !dual_obj
+  && Array.for_all Fun.id (Array.mapi sign_ok s.S.reduced_costs)
+
+let prop_duals_certify =
+  QCheck.Test.make ~name:"duals and reduced costs certify the optimum" ~count:300
+    QCheck.small_int (fun seed ->
+      List.for_all
+        (fun p ->
+          match S.solve p with
+          | S.Optimal s -> dual_certificate_holds p s
+          | S.Infeasible | S.Unbounded | S.Stopped _ -> true)
+        [
+          random_mixed_problem (Pc_util.Rng.create seed);
+          random_oracle_problem (Pc_util.Rng.create seed);
+        ])
+
+(* --- workspace reuse: a compiled value owns its solver workspace, and
+   every solve resets it. Solving one compiled value in sequence (max,
+   min, max again, then a warm re-solve under a tightened box) must give
+   outcomes and snapshots bit for bit equal to fresh compiles of the same
+   problem: no state leaks from one solve into the next. --- *)
+
+let bits_of_outcome = function
+  | S.Optimal s ->
+      let bits a = Array.map Int64.bits_of_float a in
+      `Optimal
+        ( Int64.bits_of_float s.S.objective_value,
+          bits s.S.values,
+          bits s.S.duals,
+          bits s.S.reduced_costs )
+  | S.Infeasible -> `Infeasible
+  | S.Unbounded -> `Unbounded
+  | S.Stopped st -> `Stopped st.S.iterations
+
+let prop_workspace_reuse =
+  QCheck.Test.make ~name:"a reused compiled value leaks no state between solves"
+    ~count:300 QCheck.small_int (fun seed ->
+      let p = random_oracle_problem (Pc_util.Rng.create seed) in
+      let objective = S.objective_vector p and bounds = S.bounds_of_problem p in
+      let shared = S.compile p in
+      let cold lp maximize = S.solve_compiled lp ~maximize ~objective ~bounds in
+      let fresh maximize = cold (S.compile p) maximize in
+      let same (o1, s1) (o2, s2) = bits_of_outcome o1 = bits_of_outcome o2 && s1 = s2 in
+      let o_max = cold shared true in
+      let o_min = cold shared false in
+      let o_again = cold shared true in
+      let f_max = fresh true in
+      same o_max f_max
+      && same o_min (fresh false)
+      && same o_again f_max
+      &&
+      match (o_again, f_max) with
+      | (S.Optimal sol, Some snapshot), (_, Some fresh_snapshot) ->
+          (* branch as the MILP would: cap the first variable below its
+             optimal value *)
+          let lo, hi = bounds in
+          let hi = Array.copy hi in
+          hi.(0) <- Float.max lo.(0) (Float.floor (sol.S.values.(0) -. 0.5));
+          let warm lp snapshot =
+            S.solve_compiled_from lp ~snapshot ~maximize:true ~objective ~bounds:(lo, hi)
+          in
+          same (warm shared snapshot) (warm (S.compile p) fresh_snapshot)
+      | _ -> true)
+
+(* --- allocation ceiling: one fixed 12-row × 40-column allocation
+   program, shaped like the PC frequency programs (a <= and a >= row per
+   PC over a window of cells). The kernels allocate nothing per pivot, so
+   a solve allocates its results and little else; this pins that, so a
+   change cannot quietly bring per-pivot allocation back. --- *)
+
+let ceiling_problem =
+  let cells = 40 in
+  let rows =
+    List.concat
+      (List.init 6 (fun k ->
+           let window =
+             List.filter (fun j -> j < cells) (List.init 12 (fun i -> (6 * k) + i))
+           in
+           let coeffs = List.map (fun j -> (j, 1.)) window in
+           [ S.c_le coeffs (float_of_int (20 + k)); S.c_ge coeffs (float_of_int (3 + k)) ]))
+  in
+  {
+    S.n_vars = cells;
+    maximize = true;
+    objective = List.init cells (fun j -> (j, 1. +. (0.5 *. float_of_int (j mod 7))));
+    constraints = rows;
+    var_bounds = [];
+  }
+
+let test_allocation_ceiling () =
+  let was = Pc_obs.Registry.enabled () in
+  Pc_obs.Registry.set_enabled false;
+  let p = ceiling_problem in
+  let objective = S.objective_vector p and bounds = S.bounds_of_problem p in
+  let lp = S.compile p in
+  let words f =
+    ignore (f ());
+    let w0 = Gc.minor_words () in
+    let r = f () in
+    let w = Gc.minor_words () -. w0 in
+    (match r with
+    | S.Optimal _, Some _ -> ()
+    | _ -> Alcotest.fail "ceiling problem must solve to optimality");
+    w
+  in
+  let reused = words (fun () -> S.solve_compiled lp ~maximize:true ~objective ~bounds) in
+  let fresh = words (fun () -> S.solve_snapshot p) in
+  Pc_obs.Registry.set_enabled was;
+  Alcotest.(check bool)
+    (Printf.sprintf "solve on a compiled value: %.0f minor words <= 1000" reused)
+    true (reused <= 1000.);
+  Alcotest.(check bool)
+    (Printf.sprintf "compile and solve: %.0f minor words <= 4000" fresh)
+    true (fresh <= 4000.)
+
 (* --- factorization policy pin: a solve whose pivot count exceeds
    [refactor_interval] must rebuild the eta file at least once beyond the
    initial factorization, and the eta/refactorization counters must move.
@@ -704,11 +844,14 @@ let () =
             test_warm_chain_reuse;
           tc "solve_from shape fallback" `Quick test_solve_from_shape_fallback;
           tc "eta growth forces refactorization" `Quick test_eta_refactorization;
+          tc "allocation ceiling" `Quick test_allocation_ceiling;
         ] );
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_dominates_grid;
           QCheck_alcotest.to_alcotest prop_solution_self_check;
           QCheck_alcotest.to_alcotest prop_oracle_dense_vs_sparse;
+          QCheck_alcotest.to_alcotest prop_duals_certify;
+          QCheck_alcotest.to_alcotest prop_workspace_reuse;
         ] );
     ]

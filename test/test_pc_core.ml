@@ -276,6 +276,21 @@ let test_avg () =
         (r.Range.lo >= 0.98 && r.Range.lo <= 1.0)
   | _ -> Alcotest.fail "expected range"
 
+(* No instance reaches the crossing branch of [avg_range] (both
+   bisections would have to misjudge reachability), so the helper is
+   pinned directly: crossed searches answer their hull, both ends
+   inexact, never a point narrower than either search. *)
+let test_avg_range_crossed () =
+  let r = Bounds.avg_range ~lo:5. ~hi:3. in
+  check_float "hull lo" 3. r.Range.lo;
+  check_float "hull hi" 5. r.Range.hi;
+  Alcotest.(check bool) "lo inexact" false r.Range.lo_exact;
+  Alcotest.(check bool) "hi inexact" false r.Range.hi_exact;
+  let r = Bounds.avg_range ~lo:1. ~hi:4. in
+  check_float "uncrossed lo" 1. r.Range.lo;
+  check_float "uncrossed hi" 4. r.Range.hi;
+  Alcotest.(check bool) "uncrossed inexact" false (r.Range.lo_exact || r.Range.hi_exact)
+
 let test_bound_with_certain () =
   let certain =
     Pc_data.Relation.create schema [ row 11.5 "Chicago" 10.; row 12.5 "NY" 20. ]
@@ -1038,6 +1053,7 @@ let () =
           tc "most-restrictive reconciliation" `Quick test_conflict_most_restrictive;
           tc "min/max" `Quick test_min_max;
           tc "avg" `Quick test_avg;
+          tc "avg crossed searches answer the hull" `Quick test_avg_range_crossed;
           tc "with certain partition" `Quick test_bound_with_certain;
           tc "unsatisfiable kl>0 is infeasible" `Quick test_unsat_kl_infeasible;
           tc "unsatisfiable kl=0 is skipped" `Quick test_unsat_kl0_skipped;
