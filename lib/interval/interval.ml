@@ -208,11 +208,24 @@ let pp ppf t =
 
 let to_string t = Format.asprintf "%a" pp t
 
-let key { lo; hi } =
+let add_key buf { lo; hi } =
   let ep = function
-    | Neg_inf -> "-inf"
-    | Pos_inf -> "+inf"
-    | Closed x -> Printf.sprintf "c%h" x
-    | Open x -> Printf.sprintf "o%h" x
+    | Neg_inf -> Buffer.add_string buf "-inf"
+    | Pos_inf -> Buffer.add_string buf "+inf"
+    | Closed x ->
+        Buffer.add_char buf 'c';
+        Pc_util.Float_text.add_hex buf x
+    | Open x ->
+        Buffer.add_char buf 'o';
+        Pc_util.Float_text.add_hex buf x
   in
-  Printf.sprintf "[%s,%s]" (ep lo) (ep hi)
+  Buffer.add_char buf '[';
+  ep lo;
+  Buffer.add_char buf ',';
+  ep hi;
+  Buffer.add_char buf ']'
+
+let key t =
+  let buf = Buffer.create 48 in
+  add_key buf t;
+  Buffer.contents buf

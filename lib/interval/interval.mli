@@ -112,3 +112,6 @@ val key : t -> string
     [\[c<x>,o<y>\]] with each value printed exactly ([%h]), [-inf] and
     [+inf] for infinite ends. Equal keys imply equal intervals, bit for
     bit. *)
+
+val add_key : Buffer.t -> t -> unit
+(** Append {!key}'s bytes, with no [Printf]. *)

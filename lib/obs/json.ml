@@ -12,42 +12,38 @@ type value =
 
 let parse s =
   let n = String.length s in
-  let peek i = if i < n then Some s.[i] else None in
+  (* The byte at [i], or NUL past the end. A NUL takes the same error
+     branch as the end of input everywhere except inside a string,
+     where [string_lit] tests [i < n] itself. *)
+  let get i = if i < n then String.unsafe_get s i else '\000' in
   let rec skip_ws i =
-    match peek i with
-    | Some (' ' | '\t' | '\n' | '\r') -> skip_ws (i + 1)
-    | _ -> i
+    match get i with ' ' | '\t' | '\n' | '\r' -> skip_ws (i + 1) | _ -> i
   in
   let literal i word v =
     let l = String.length word in
-    if i + l <= n && String.sub s i l = word then (v, i + l)
-    else fail i ("expected " ^ word)
+    let rec same k = k = l || (String.unsafe_get s (i + k) = word.[k] && same (k + 1)) in
+    if i + l <= n && same 0 then (v, i + l) else fail i ("expected " ^ word)
   in
   let is_digit c = c >= '0' && c <= '9' in
   let number i0 =
-    let rec digits i =
-      match peek i with Some c when is_digit c -> digits (i + 1) | _ -> i
-    in
-    let i = match peek i0 with Some '-' -> i0 + 1 | _ -> i0 in
+    let rec digits i = if is_digit (get i) then digits (i + 1) else i in
+    let i = if get i0 = '-' then i0 + 1 else i0 in
     let i =
-      match peek i with
-      | Some '0' -> i + 1
-      | Some c when is_digit c -> digits (i + 1)
+      match get i with
+      | '0' -> i + 1
+      | c when is_digit c -> digits (i + 1)
       | _ -> fail i "expected digit"
     in
     let i =
-      match peek i with
-      | Some '.' ->
-          let j = digits (i + 1) in
-          if j = i + 1 then fail j "expected fraction digits" else j
-      | _ -> i
+      if get i = '.' then
+        let j = digits (i + 1) in
+        if j = i + 1 then fail j "expected fraction digits" else j
+      else i
     in
     let i =
-      match peek i with
-      | Some ('e' | 'E') ->
-          let k =
-            match peek (i + 1) with Some ('+' | '-') -> i + 2 | _ -> i + 1
-          in
+      match get i with
+      | 'e' | 'E' ->
+          let k = match get (i + 1) with '+' | '-' -> i + 2 | _ -> i + 1 in
           let j = digits k in
           if j = k then fail j "expected exponent digits" else j
       | _ -> i
@@ -91,24 +87,23 @@ let parse s =
       Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
     end
   in
-  let string_lit i =
-    let i = match peek i with Some '"' -> i + 1 | _ -> fail i "expected '\"'" in
-    let buf = Buffer.create 16 in
-    let rec go i =
-      match peek i with
-      | None -> fail i "unterminated string"
-      | Some '"' -> (Buffer.contents buf, i + 1)
-      | Some '\\' -> (
-          match peek (i + 1) with
-          | Some '"' -> Buffer.add_char buf '"'; go (i + 2)
-          | Some '\\' -> Buffer.add_char buf '\\'; go (i + 2)
-          | Some '/' -> Buffer.add_char buf '/'; go (i + 2)
-          | Some 'b' -> Buffer.add_char buf '\b'; go (i + 2)
-          | Some 'f' -> Buffer.add_char buf '\012'; go (i + 2)
-          | Some 'n' -> Buffer.add_char buf '\n'; go (i + 2)
-          | Some 'r' -> Buffer.add_char buf '\r'; go (i + 2)
-          | Some 't' -> Buffer.add_char buf '\t'; go (i + 2)
-          | Some 'u' ->
+  (* The escaped tail of a string, from its first backslash at [i]. *)
+  let rec escaped buf i =
+    if i >= n then fail i "unterminated string"
+    else
+      match String.unsafe_get s i with
+      | '"' -> (Buffer.contents buf, i + 1)
+      | '\\' -> (
+          match get (i + 1) with
+          | '"' -> Buffer.add_char buf '"'; escaped buf (i + 2)
+          | '\\' -> Buffer.add_char buf '\\'; escaped buf (i + 2)
+          | '/' -> Buffer.add_char buf '/'; escaped buf (i + 2)
+          | 'b' -> Buffer.add_char buf '\b'; escaped buf (i + 2)
+          | 'f' -> Buffer.add_char buf '\012'; escaped buf (i + 2)
+          | 'n' -> Buffer.add_char buf '\n'; escaped buf (i + 2)
+          | 'r' -> Buffer.add_char buf '\r'; escaped buf (i + 2)
+          | 't' -> Buffer.add_char buf '\t'; escaped buf (i + 2)
+          | 'u' ->
               let cp = hex4 (i + 2) in
               if cp >= 0xD800 && cp <= 0xDBFF then begin
                 (* high surrogate: a \uXXXX low surrogate must follow *)
@@ -121,7 +116,7 @@ let parse s =
                   if lo >= 0xDC00 && lo <= 0xDFFF then begin
                     add_utf8 buf
                       (0x10000 + ((cp - 0xD800) lsl 10) + (lo - 0xDC00));
-                    go (i + 12)
+                    escaped buf (i + 12)
                   end
                   else fail i "unpaired surrogate"
                 end
@@ -129,60 +124,73 @@ let parse s =
               end
               else begin
                 add_utf8 buf cp;
-                go (i + 6)
+                escaped buf (i + 6)
               end
           | _ -> fail i "bad escape")
-      | Some c when Char.code c < 0x20 -> fail i "control char in string"
-      | Some c -> Buffer.add_char buf c; go (i + 1)
+      | c when Char.code c < 0x20 -> fail i "control char in string"
+      | c -> Buffer.add_char buf c; escaped buf (i + 1)
+  in
+  (* A string without escapes, the common case, is one [String.sub]. *)
+  let string_lit i =
+    if get i <> '"' then fail i "expected '\"'";
+    let start = i + 1 in
+    let rec plain i =
+      if i >= n then fail i "unterminated string"
+      else
+        match String.unsafe_get s i with
+        | '"' -> (String.sub s start (i - start), i + 1)
+        | '\\' ->
+            let buf = Buffer.create (i - start + 16) in
+            Buffer.add_substring buf s start (i - start);
+            escaped buf i
+        | c when Char.code c < 0x20 -> fail i "control char in string"
+        | _ -> plain (i + 1)
     in
-    go i
+    plain start
   in
   let rec value i =
     let i = skip_ws i in
-    match peek i with
-    | Some '{' -> obj (skip_ws (i + 1))
-    | Some '[' -> arr (skip_ws (i + 1))
-    | Some '"' ->
+    match get i with
+    | '{' -> obj (skip_ws (i + 1))
+    | '[' -> arr (skip_ws (i + 1))
+    | '"' ->
         let str, i = string_lit i in
         (Str str, i)
-    | Some 't' -> literal i "true" (Bool true)
-    | Some 'f' -> literal i "false" (Bool false)
-    | Some 'n' -> literal i "null" Null
-    | Some ('-' | '0' .. '9') -> number i
+    | 't' -> literal i "true" (Bool true)
+    | 'f' -> literal i "false" (Bool false)
+    | 'n' -> literal i "null" Null
+    | '-' | '0' .. '9' -> number i
     | _ -> fail i "expected a JSON value"
   and obj i =
-    match peek i with
-    | Some '}' -> (Obj [], i + 1)
-    | _ ->
-        let rec members acc i =
+    if get i = '}' then (Obj [], i + 1)
+    else
+      let rec members acc i =
+        let i = skip_ws i in
+        let k, i = string_lit i in
+        let i =
           let i = skip_ws i in
-          let k, i = string_lit i in
-          let i =
-            match peek (skip_ws i) with
-            | Some ':' -> skip_ws i + 1
-            | _ -> fail (skip_ws i) "expected ':'"
-          in
-          let v, i = value i in
-          let i = skip_ws i in
-          match peek i with
-          | Some ',' -> members ((k, v) :: acc) (i + 1)
-          | Some '}' -> (Obj (List.rev ((k, v) :: acc)), i + 1)
-          | _ -> fail i "expected ',' or '}'"
+          if get i = ':' then i + 1 else fail i "expected ':'"
         in
-        members [] i
+        let v, i = value i in
+        let i = skip_ws i in
+        match get i with
+        | ',' -> members ((k, v) :: acc) (i + 1)
+        | '}' -> (Obj (List.rev ((k, v) :: acc)), i + 1)
+        | _ -> fail i "expected ',' or '}'"
+      in
+      members [] i
   and arr i =
-    match peek i with
-    | Some ']' -> (Arr [], i + 1)
-    | _ ->
-        let rec elems acc i =
-          let v, i = value i in
-          let i = skip_ws i in
-          match peek i with
-          | Some ',' -> elems (v :: acc) (i + 1)
-          | Some ']' -> (Arr (List.rev (v :: acc)), i + 1)
-          | _ -> fail i "expected ',' or ']'"
-        in
-        elems [] i
+    if get i = ']' then (Arr [], i + 1)
+    else
+      let rec elems acc i =
+        let v, i = value i in
+        let i = skip_ws i in
+        match get i with
+        | ',' -> elems (v :: acc) (i + 1)
+        | ']' -> (Arr (List.rev (v :: acc)), i + 1)
+        | _ -> fail i "expected ',' or ']'"
+      in
+      elems [] i
   in
   match value 0 with
   | v, i when skip_ws i = n -> Ok v

@@ -17,8 +17,13 @@ let fail_expect st what =
 let expect st token what =
   if peek st = token then advance st else fail_expect st what
 
+(* Case-insensitive, byte for byte, with no lowercased copies. *)
+let rec same_ci s kw i =
+  i = String.length s
+  || Char.lowercase_ascii s.[i] = Char.lowercase_ascii kw.[i] && same_ci s kw (i + 1)
+
 let keyword_matches kw = function
-  | Lexer.Ident s -> String.lowercase_ascii s = String.lowercase_ascii kw
+  | Lexer.Ident s -> String.length s = String.length kw && same_ci s kw 0
   | _ -> false
 
 let accept_keyword st kw =

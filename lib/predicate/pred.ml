@@ -58,20 +58,58 @@ let canonical t =
   List.sort_uniq Atom.compare (List.map norm_atom t)
 
 (* Collision-free rendering for cache keys: [I.key] prints floats
-   exactly and %S escapes strings, so distinct canonical predicates
-   never collide. *)
-let canonical_key t =
-  let strings ss = String.concat ";" (List.map (Printf.sprintf "%S") ss) in
-  let atom_key = function
-    | Atom.Num_range (a, iv) -> Printf.sprintf "n%S%s" a (I.key iv)
-    | Atom.Cat_eq (a, s) -> Printf.sprintf "e%S%S" a s
-    | Atom.Cat_neq (a, s) -> Printf.sprintf "d%S%S" a s
-    | Atom.Cat_in (a, ss) -> Printf.sprintf "i%S{%s}" a (strings ss)
-    | Atom.Cat_not_in (a, ss) -> Printf.sprintf "x%S{%s}" a (strings ss)
+   exactly and strings are quoted as [%S] quotes them, so distinct
+   canonical predicates never collide. Built in one buffer pass. *)
+let add_quoted buf s =
+  Buffer.add_char buf '"';
+  Buffer.add_string buf (String.escaped s);
+  Buffer.add_char buf '"'
+
+let add_canonical_key buf t =
+  let strings ss =
+    Buffer.add_char buf '{';
+    List.iteri
+      (fun i s ->
+        if i > 0 then Buffer.add_char buf ';';
+        add_quoted buf s)
+      ss;
+    Buffer.add_char buf '}'
+  in
+  let atom_key atom =
+    let head tag a =
+      Buffer.add_char buf tag;
+      add_quoted buf a
+    in
+    match atom with
+    | Atom.Num_range (a, iv) ->
+        head 'n' a;
+        I.add_key buf iv
+    | Atom.Cat_eq (a, s) ->
+        head 'e' a;
+        add_quoted buf s
+    | Atom.Cat_neq (a, s) ->
+        head 'd' a;
+        add_quoted buf s
+    | Atom.Cat_in (a, ss) ->
+        head 'i' a;
+        strings ss
+    | Atom.Cat_not_in (a, ss) ->
+        head 'x' a;
+        strings ss
   in
   match canonical t with
-  | [] -> "TRUE"
-  | atoms -> String.concat "&" (List.map atom_key atoms)
+  | [] -> Buffer.add_string buf "TRUE"
+  | atoms ->
+      List.iteri
+        (fun i atom ->
+          if i > 0 then Buffer.add_char buf '&';
+          atom_key atom)
+        atoms
+
+let canonical_key t =
+  let buf = Buffer.create 64 in
+  add_canonical_key buf t;
+  Buffer.contents buf
 
 let pp ppf = function
   | [] -> Format.fprintf ppf "TRUE"

@@ -36,5 +36,12 @@ val canonical_key : t -> string
     equal keys imply equal canonical predicates. Used as the query
     component of the server's bound-cache key. *)
 
+val add_canonical_key : Buffer.t -> t -> unit
+(** Append {!canonical_key}'s bytes. *)
+
+val add_quoted : Buffer.t -> string -> unit
+(** Append the string as [Printf]'s [%S] prints it: quoted, with
+    OCaml escapes. The key renderers' string form. *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

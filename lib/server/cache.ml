@@ -320,15 +320,26 @@ let digest_set set ~csv =
   Digest.to_hex (Digest.string body)
 
 let key ~digest ~(query : Q.t) ~missing_only ~timeout_ms =
-  let agg =
-    match query.Q.agg with
-    | Q.Count -> "count"
-    | Q.Sum a -> Printf.sprintf "sum(%S)" a
-    | Q.Avg a -> Printf.sprintf "avg(%S)" a
-    | Q.Min a -> Printf.sprintf "min(%S)" a
-    | Q.Max a -> Printf.sprintf "max(%S)" a
+  let buf = Buffer.create 128 in
+  let add = Buffer.add_string buf in
+  add digest;
+  let agg name a =
+    add name;
+    Buffer.add_char buf '(';
+    Pred.add_quoted buf a;
+    Buffer.add_char buf ')'
   in
-  Printf.sprintf "%s|%s|%s|m=%b|t=%s" digest agg
-    (Pred.canonical_key query.Q.where_)
-    missing_only
-    (match timeout_ms with None -> "-" | Some ms -> Printf.sprintf "%h" ms)
+  add "|";
+  (match query.Q.agg with
+  | Q.Count -> add "count"
+  | Q.Sum a -> agg "sum" a
+  | Q.Avg a -> agg "avg" a
+  | Q.Min a -> agg "min" a
+  | Q.Max a -> agg "max" a);
+  add "|";
+  Pred.add_canonical_key buf query.Q.where_;
+  add (if missing_only then "|m=true|t=" else "|m=false|t=");
+  (match timeout_ms with
+  | None -> add "-"
+  | Some ms -> Pc_util.Float_text.add_hex buf ms);
+  Buffer.contents buf

@@ -10,14 +10,14 @@ let connect ~host ~port =
    with e ->
      (try Unix.close fd with Unix.Unix_error _ -> ());
      raise e);
-  { fd; reader = Net.reader fd; closed = false }
+  { fd; reader = Net.reader ~poll_s:0.05 fd; closed = false }
 
-let send t line = Net.write_string t.fd (line ^ "\n")
+let send t line = Net.write_line t.fd line
 
 let request t line =
   match
     send t line;
-    Net.read_line ~poll_s:0.05 t.reader
+    Net.read_line t.reader
   with
   | `Line reply -> Some reply
   | `Eof | `Stopped -> None

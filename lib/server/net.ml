@@ -11,66 +11,135 @@ let closed_error = function
   | _ -> false
 
 let write_string fd s =
-  let b = Bytes.unsafe_of_string s in
-  let len = Bytes.length b in
+  let len = String.length s in
   let pos = ref 0 in
   while !pos < len do
-    match Unix.write fd b !pos (len - !pos) with
+    match Unix.write_substring fd s !pos (len - !pos) with
     | 0 -> raise Closed
     | n -> pos := !pos + n
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | exception Unix.Unix_error (e, _, _) when closed_error e -> raise Closed
   done
 
+(* One write per line: a reply and its newline sent apart would meet
+   Nagle's algorithm and the peer's delayed ACK. *)
+let write_line fd s = write_string fd (s ^ "\n")
+
+let chunk = 65536
+
 type reader = {
   fd : Unix.file_descr;
-  buf : Buffer.t;  (** bytes read but not yet returned *)
+  buf : Bytes.t;  (** the connection's one read buffer, [chunk] bytes *)
+  mutable pos : int;  (** first byte not yet returned *)
+  mutable len : int;  (** end of the bytes read *)
+  mutable scanned : int;  (** [buf.[pos, scanned)] holds no newline *)
+  mutable spill : string list;
+      (** earlier pieces of a line longer than [buf], newest first *)
+  mutable spilled : int;  (** their total length *)
   max_line : int;
   mutable eof : bool;
 }
 
-let reader ?(max_line = 16 * 1024 * 1024) fd =
-  { fd; buf = Buffer.create 256; max_line; eof = false }
+(* [SO_RCVTIMEO] of zero means "block forever", so the slice is at
+   least a millisecond. *)
+let reader ?(max_line = 16 * 1024 * 1024) ?(poll_s = 0.1) fd =
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO (Float.max poll_s 0.001);
+  {
+    fd;
+    buf = Bytes.create chunk;
+    pos = 0;
+    len = 0;
+    scanned = 0;
+    spill = [];
+    spilled = 0;
+    max_line;
+    eof = false;
+  }
 
-(* Take one complete line out of the buffer, if present. *)
+let rec index_nl buf i stop =
+  if i >= stop then -1
+  else if Bytes.unsafe_get buf i = '\n' then i
+  else index_nl buf (i + 1) stop
+
+(* The line ending at [buf.[i]] = '\n': the spilled pieces, then
+   [buf.[pos, i)], copied once; a final CR costs one more copy. *)
+let cut_line r i =
+  let tail = i - r.pos in
+  let n = r.spilled + tail in
+  let line = Bytes.create n in
+  ignore
+    (List.fold_left
+       (fun at p ->
+         let at = at - String.length p in
+         Bytes.blit_string p 0 line at (String.length p);
+         at)
+       r.spilled r.spill);
+  Bytes.blit r.buf r.pos line r.spilled tail;
+  r.spill <- [];
+  r.spilled <- 0;
+  r.pos <- i + 1;
+  r.scanned <- r.pos;
+  if r.pos = r.len then begin
+    r.pos <- 0;
+    r.len <- 0;
+    r.scanned <- 0
+  end;
+  if n > 0 && Bytes.get line (n - 1) = '\r' then Bytes.sub_string line 0 (n - 1)
+  else Bytes.unsafe_to_string line
+
+(* The next complete line, if one has arrived. Scans only the bytes
+   that arrived since the last call; every complete line is held to
+   the cap, whether it came in one read or in many. *)
 let take_line r =
-  let s = Buffer.contents r.buf in
-  match String.index_opt s '\n' with
-  | None -> None
-  | Some i ->
-      let stop = if i > 0 && s.[i - 1] = '\r' then i - 1 else i in
-      let line = String.sub s 0 stop in
-      Buffer.clear r.buf;
-      Buffer.add_substring r.buf s (i + 1) (String.length s - i - 1);
-      Some line
+  match index_nl r.buf r.scanned r.len with
+  | -1 ->
+      r.scanned <- r.len;
+      None
+  | i ->
+      if r.spilled + (i - r.pos) > r.max_line then raise Line_too_long;
+      Some (cut_line r i)
 
-let chunk = 8192
+(* Room to read into: a partial line is moved to the front of the
+   buffer, or, when it fills the whole buffer, spilled to a piece. *)
+let make_room r =
+  if r.len = chunk then
+    if r.pos > 0 then begin
+      Bytes.blit r.buf r.pos r.buf 0 (r.len - r.pos);
+      r.len <- r.len - r.pos;
+      r.scanned <- r.scanned - r.pos;
+      r.pos <- 0
+    end
+    else begin
+      r.spill <- Bytes.sub_string r.buf 0 chunk :: r.spill;
+      r.spilled <- r.spilled + chunk;
+      r.len <- 0;
+      r.scanned <- 0
+    end
 
-let read_line ?(stop = fun () -> false) ?(poll_s = 0.1) r =
-  let bytes = Bytes.create chunk in
+let read_line ?(stop = fun () -> false) r =
   let rec go () =
     match take_line r with
     | Some line -> `Line line
     | None ->
         if r.eof then `Eof
-        else if Buffer.length r.buf > r.max_line then raise Line_too_long
+        else if r.spilled + (r.len - r.pos) > r.max_line then raise Line_too_long
         else if stop () then `Stopped
         else begin
-          match Unix.select [ r.fd ] [] [] poll_s with
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-          | [], _, _ -> go () (* poll slice elapsed; re-check [stop] *)
-          | _ -> (
-              match Unix.read r.fd bytes 0 chunk with
-              | 0 ->
-                  r.eof <- true;
-                  go ()
-              | n ->
-                  Buffer.add_subbytes r.buf bytes 0 n;
-                  go ()
-              | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-              | exception Unix.Unix_error (e, _, _) when closed_error e ->
-                  r.eof <- true;
-                  go ())
+          make_room r;
+          match Unix.read r.fd r.buf r.len (chunk - r.len) with
+          | 0 ->
+              r.eof <- true;
+              go ()
+          | n ->
+              r.len <- r.len + n;
+              go ()
+          | exception
+              Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
+            ->
+              go () (* poll slice elapsed; re-check [stop] *)
+          | exception Unix.Unix_error (e, _, _) when closed_error e ->
+              r.eof <- true;
+              go ()
         end
   in
   go ()

@@ -12,9 +12,11 @@
       [EINTR], so signal delivery (SIGTERM starting a drain, SIGCHLD
       from a harness) never surfaces as a spurious I/O error.
 
-    Reads are buffered line-at-a-time with a hard length cap, and poll
-    via [select] so a blocked reader observes a drain flag within
-    [poll_s] instead of hanging shutdown forever. *)
+    A reader owns one read buffer for its connection's lifetime and
+    holds every line to a hard length cap. It blocks in [read] under a
+    receive timeout ([SO_RCVTIMEO]) of [poll_s], so a blocked reader
+    observes a drain flag within one slice instead of hanging shutdown
+    forever, and a request costs one [read] syscall. *)
 
 exception Closed
 (** The peer is gone ([EPIPE], [ECONNRESET], [ESHUTDOWN], or a write
@@ -33,18 +35,26 @@ val write_string : Unix.file_descr -> string -> unit
 (** Write the whole string, retrying partial writes and [EINTR];
     raises {!Closed} when the peer is gone. *)
 
-type reader
-(** Buffered line reader over one descriptor. *)
+val write_line : Unix.file_descr -> string -> unit
+(** {!write_string} of the line and its newline, in one [write]. *)
 
-val reader : ?max_line:int -> Unix.file_descr -> reader
-(** [max_line] caps the bytes buffered while hunting for a newline
-    (default 16 MiB — inline CSV loads are legitimate, unbounded
-    garbage is not). *)
+type reader
+(** Buffered line reader over one socket: one 64 KiB buffer, reused
+    for every line; a longer line is collected in 64 KiB pieces and
+    copied once, so reading it takes linear time and allocates about
+    twice its length. *)
+
+val reader : ?max_line:int -> ?poll_s:float -> Unix.file_descr -> reader
+(** [max_line] caps the bytes of a line before its newline (a CR
+    included), default 16 MiB — inline CSV loads are legitimate,
+    unbounded garbage is not. [poll_s] (default 0.1 s, at least 1 ms)
+    becomes the socket's receive timeout, set once here. *)
 
 val read_line :
-  ?stop:(unit -> bool) -> ?poll_s:float -> reader -> [ `Line of string | `Eof | `Stopped ]
+  ?stop:(unit -> bool) -> reader -> [ `Line of string | `Eof | `Stopped ]
 (** Next LF-terminated line (the terminator, and a preceding CR, are
-    stripped). Blocks in [select] slices of [poll_s] (default 0.1 s),
-    re-checking [stop] between slices: [`Stopped] reports a drain
-    request, [`Eof] a clean hangup (a final unterminated partial line
-    is discarded). Raises {!Line_too_long} past the cap. *)
+    stripped). Blocks in [read] slices of the reader's [poll_s],
+    re-checking [stop] between slices: [`Stopped] reports a drain request, [`Eof] a clean
+    hangup (a final unterminated partial line is discarded). Raises
+    {!Line_too_long} on a line longer than the cap, whether it arrived
+    whole or is still arriving. *)

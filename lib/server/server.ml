@@ -683,7 +683,7 @@ let send_reply fd line =
       raise Net.Closed
     end
   end;
-  Net.write_string fd (line ^ "\n")
+  Net.write_line fd line
 
 let write_file path content =
   let oc = open_out path in
@@ -723,10 +723,10 @@ let respond t fd handle =
   (r, sent)
 
 let handle_conn t fd =
-  let reader = Net.reader ~max_line:t.cfg.max_line fd in
+  let reader = Net.reader ~max_line:t.cfg.max_line ~poll_s:t.cfg.poll_s fd in
   let stop () = Atomic.get t.drain in
   let rec loop () =
-    match Net.read_line ~stop ~poll_s:t.cfg.poll_s reader with
+    match Net.read_line ~stop reader with
     | `Eof | `Stopped -> ()
     | exception Net.Line_too_long ->
         (* cannot resync a stream with an unbounded line: answer, drop *)

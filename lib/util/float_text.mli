@@ -13,3 +13,9 @@ val to_string : float -> string
     [%.17g] that reads back bit-equal. Non-finite values print as
     [inf], [-inf] and [nan]; callers whose format cannot carry them
     map them first. *)
+
+val add_hex : Buffer.t -> float -> unit
+(** Append [x] in hexadecimal, byte for byte what [Printf.sprintf "%h"]
+    prints ([0x1.8p+1], [-0x0p+0], [0x0.0000000000001p-1022],
+    [infinity], [nan]): exact, so equal text means equal bits for any
+    non-NaN value. The cache keys use it. *)

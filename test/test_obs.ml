@@ -298,6 +298,94 @@ let json_num_prop =
       | Ok (Json.Arr [ Json.Num y ]) -> Doubles.bit_equal x y
       | _ -> false)
 
+(* The parser against the one it replaced (test/oracle/json_oracle.ml):
+   texts built from JSON's grammar with escapes, surrogate pairs (whole,
+   lone, and bad), control characters, NUL and malformed numbers, then
+   truncated, or with a byte inserted, deleted or replaced. Each text
+   must give the same value or the same error text, offset included. *)
+let json_text_gen =
+  let open QCheck.Gen in
+  let ws = oneofl [ ""; ""; " "; "\n"; "\t "; "\r\n" ] in
+  let piece =
+    frequency
+      [
+        (6, map (String.make 1) (oneofl [ 'a'; 'Z'; '0'; ' '; '~'; '\xc3'; '\xa9'; '\127' ]));
+        (2, oneofl [ "\\\""; "\\\\"; "\\/"; "\\b"; "\\f"; "\\n"; "\\r"; "\\t" ]);
+        ( 2,
+          oneofl
+            [
+              "\\u0041"; "\\u00e9"; "\\u20AC"; "\\u0000"; "\\uD83D\\uDE00"; "\\ud800";
+              "\\udc00"; "\\uD800\\u0041"; "\\uD800\\n"; "\\uZZZZ"; "\\u12"; "\\x";
+            ] );
+        (1, oneofl [ "\000"; "\001"; "\n"; "\031" ]);
+      ]
+  in
+  let str = map (fun ps -> "\"" ^ String.concat "" ps ^ "\"") (list_size (0 -- 6) piece) in
+  let num =
+    oneofl
+      [
+        "0"; "-0"; "12"; "-3.5"; "1e5"; "2E-3"; "1.5e+10"; "01"; "1."; "-"; ".5"; "1e";
+        "1e+"; "123456789012345678901234567890"; "1e400"; "-0.0e-0";
+      ]
+  in
+  let lit = oneofl [ "true"; "false"; "null"; "tru"; "nul"; "nulls" ] in
+  let pad g = map3 (fun a v b -> a ^ v ^ b) ws g ws in
+  let value =
+    sized
+    @@ fix (fun self n ->
+           let leaf = frequency [ (3, str); (3, num); (1, lit) ] in
+           if n <= 1 then pad leaf
+           else
+             frequency
+               [
+                 (2, pad leaf);
+                 ( 2,
+                   map
+                     (fun xs -> "[" ^ String.concat "," xs ^ "]")
+                     (list_size (0 -- 4) (self (n / 3))) );
+                 ( 2,
+                   map
+                     (fun kvs ->
+                       "{" ^ String.concat "," (List.map (fun (k, v) -> k ^ ":" ^ v) kvs) ^ "}")
+                     (list_size (0 -- 4) (pair (pad str) (self (n / 3)))) );
+               ])
+  in
+  let byte = oneofl [ '\000'; '\001'; '\n'; '"'; '\\'; 'u'; 'D'; '{'; '}'; ']'; ','; ':'; '1'; 'e'; '-'; ' ' ] in
+  let at k s = k mod (String.length s + 1) in
+  let mutate =
+    frequency
+      [
+        (2, return Fun.id);
+        (1, map (fun k s -> String.sub s 0 (at k s)) nat);
+        ( 1,
+          map2
+            (fun k c s ->
+              let k = at k s in
+              String.sub s 0 k ^ String.make 1 c ^ String.sub s k (String.length s - k))
+            nat byte );
+        ( 1,
+          map
+            (fun k s ->
+              if s = "" then s
+              else
+                let k = k mod String.length s in
+                String.sub s 0 k ^ String.sub s (k + 1) (String.length s - k - 1))
+            nat );
+        ( 1,
+          map2
+            (fun k c s ->
+              if s = "" then s
+              else String.mapi (fun i x -> if i = k mod String.length s then c else x) s)
+            nat byte );
+      ]
+  in
+  map2 (fun f s -> f s) mutate value
+
+let json_oracle_prop =
+  QCheck.Test.make ~name:"Json.parse matches the oracle parser" ~count:3000
+    (QCheck.make ~print:(Printf.sprintf "%S") json_text_gen)
+    (fun text -> Json.parse text = Json_oracle.parse text)
+
 let () =
   Alcotest.run "pc_obs"
     [
@@ -333,5 +421,6 @@ let () =
         [
           Alcotest.test_case "validator" `Quick test_json_validator;
           QCheck_alcotest.to_alcotest json_num_prop;
+          QCheck_alcotest.to_alcotest json_oracle_prop;
         ] );
     ]

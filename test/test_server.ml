@@ -143,6 +143,185 @@ let test_torn_socket_isolated () =
   C.close c;
   stop s
 
+(* ------------------------------ wire ---------------------------------- *)
+
+module Net = Pc_server.Net
+
+(* A reader on one end of a socketpair, the other end to write to. *)
+let with_pair ?max_line f =
+  let a, b = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close a with Unix.Unix_error _ -> ());
+      try Unix.close b with Unix.Unix_error _ -> ())
+    (fun () -> f a (Net.reader ?max_line b))
+
+let line_t =
+  Alcotest.testable
+    (fun ppf -> function
+      | `Line l -> Format.fprintf ppf "`Line %S" l
+      | `Eof -> Format.fprintf ppf "`Eof"
+      | `Stopped -> Format.fprintf ppf "`Stopped")
+    ( = )
+
+(* A [stop] that lets exactly one [read] through: the bytes that are
+   waiting land in the buffer, then [read_line] returns [`Stopped]. *)
+let one_read () =
+  let calls = ref 0 in
+  fun () ->
+    incr calls;
+    !calls > 1
+
+let test_net_lines_in_one_read () =
+  with_pair (fun a r ->
+      Net.write_string a "one\ntwo\r\n\nthree\rx\nlast";
+      List.iter
+        (fun want -> Alcotest.check line_t "in order" (`Line want) (Net.read_line r))
+        [ "one"; "two"; ""; "three\rx" ];
+      Alcotest.check line_t "partial line waits" `Stopped
+        (Net.read_line ~stop:(one_read ()) r);
+      Net.write_string a "\n";
+      Alcotest.check line_t "then completes" (`Line "last") (Net.read_line r))
+
+let test_net_split_across_reads () =
+  with_pair (fun a r ->
+      List.iter
+        (fun piece ->
+          Net.write_string a piece;
+          Alcotest.check line_t ("after " ^ String.escaped piece) `Stopped
+            (Net.read_line ~stop:(one_read ()) r))
+        [ "hel"; "lo, wo"; "rld\r" ];
+      Net.write_string a "\nnext\n";
+      Alcotest.check line_t "the CR before a split LF is stripped" (`Line "hello, world")
+        (Net.read_line r);
+      Alcotest.check line_t "next" (`Line "next") (Net.read_line r))
+
+let test_net_eof_mid_line () =
+  with_pair (fun a r ->
+      Net.write_string a "done\npartial";
+      Unix.shutdown a Unix.SHUTDOWN_SEND;
+      Alcotest.check line_t "complete line" (`Line "done") (Net.read_line r);
+      Alcotest.check line_t "partial line dropped at EOF" `Eof (Net.read_line r);
+      Alcotest.check line_t "EOF sticks" `Eof (Net.read_line r))
+
+(* CRLF lines around the 64 KiB piece boundary: a long line's earlier
+   pieces always start at its first byte, so at 65535 or 131071 bytes
+   the CR is the last byte of a piece and the LF arrives alone. *)
+let test_net_crlf_at_piece_boundary () =
+  List.iter
+    (fun n ->
+      let line = String.make n 'a' in
+      with_pair (fun a r ->
+          let writer =
+            Thread.create (fun () -> Net.write_string a (line ^ "\r\nnext\r\n")) ()
+          in
+          let got = Net.read_line r in
+          let next = Net.read_line r in
+          Thread.join writer;
+          Alcotest.(check bool)
+            (Printf.sprintf "a %d-byte CRLF line read back without its CR" n)
+            true (got = `Line line);
+          Alcotest.check line_t "the next line" (`Line "next") next))
+    [ 65534; 65535; 65536; 131071; 131072 ]
+
+(* A line far longer than the read buffer, written by a second thread
+   (the socket holds far less): read in linear time, the pieces and the
+   line itself about twice its length. The quadratic reader this
+   replaced allocated about 1 GB for the same line. *)
+let test_net_long_line_linear () =
+  let n = 4 * 1024 * 1024 in
+  let line = String.init n (fun i -> Char.chr (97 + (i mod 26))) in
+  with_pair (fun a r ->
+      let text = line ^ "\n" in
+      let writer = Thread.create (fun () -> Net.write_string a text) () in
+      let before = Gc.allocated_bytes () in
+      let got = Net.read_line r in
+      let allocated = Gc.allocated_bytes () -. before in
+      Thread.join writer;
+      Alcotest.(check bool) "the line read back" true (got = `Line line);
+      Alcotest.(check bool)
+        (Printf.sprintf "a %d-byte line allocates %.0f bytes (<= 3x)" n allocated)
+        true
+        (allocated <= 3. *. float_of_int n))
+
+(* The cap holds for every line, including one that arrives whole in a
+   single read: over the cap the server answers line-too-long and hangs
+   up; at the cap the request is served. *)
+let test_line_cap () =
+  let cap = 1024 in
+  let ((srv, _) as s) = start ~cfg:{ S.default_config with S.max_line = cap } () in
+  let ping bytes =
+    let head = {|{"op":"ping","pad":"|} and tail = {|"}|} in
+    head ^ String.make (bytes - String.length head - String.length tail) 'x' ^ tail
+  in
+  let c = connect srv in
+  Alcotest.(check bool) "at-cap line served" true (ok (req c (ping cap)));
+  let over = connect srv in
+  Alcotest.(check string) "3000-byte line refused" "line-too-long"
+    (err_code (req over (ping 3000)));
+  Alcotest.(check (option string)) "and the connection closed" None
+    (C.request over {|{"op":"ping"}|});
+  C.close over;
+  let c2 = connect srv in
+  Alcotest.(check string) "one byte over the cap refused" "line-too-long"
+    (err_code (req c2 (ping (cap + 1))));
+  C.close c2;
+  Alcotest.(check bool) "other connections unaffected" true (ok (req c {|{"op":"ping"}|}));
+  C.close c;
+  stop s
+
+(* A connection that sends nothing does not hold up a drain: its reader
+   sees the flag within one receive-timeout slice. *)
+let test_drain_with_idle_connection () =
+  let poll_s = 0.05 in
+  let srv, th = start ~cfg:{ S.default_config with S.poll_s } () in
+  let c = connect srv in
+  Alcotest.(check bool) "connected" true (ok (req c {|{"op":"ping"}|}));
+  let t0 = Unix.gettimeofday () in
+  S.initiate_drain srv;
+  Thread.join th;
+  let took = Unix.gettimeofday () -. t0 in
+  C.close c;
+  Alcotest.(check bool)
+    (Printf.sprintf "drained in %.3f s, within 10 poll slices of %.2f s" took poll_s)
+    true
+    (took <= 10. *. poll_s)
+
+(* Allocation ceiling of a served cache hit: 1000 round trips of a
+   cached bound through an in-process server and [Client], both sides'
+   words counted (one process). Each reader keeps one buffer for its
+   connection, so a round trip allocates nothing directly in the major
+   heap; the reader this replaced allocated a fresh 8 KiB chunk (1025
+   words) per read on each side, 2050 per round trip. *)
+let test_hit_allocation_ceiling () =
+  let ((srv, _) as s) = start () in
+  let c = connect srv in
+  let line = Printf.sprintf {|{"op":"bound","query":%s}|} (J.to_string (J.Str sum_query)) in
+  for _ = 1 to 10 do
+    ignore (req c line)
+  done;
+  let direct_major () =
+    let st = Gc.quick_stat () in
+    st.Gc.major_words -. st.Gc.promoted_words
+  in
+  let trips = 1000 in
+  let major0 = direct_major () and minor0 = Gc.minor_words () in
+  for _ = 1 to trips do
+    match C.request c line with
+    | Some _ -> ()
+    | None -> Alcotest.fail "connection closed"
+  done;
+  let per x = x /. float_of_int trips in
+  let major = per (direct_major () -. major0) and minor = per (Gc.minor_words () -. minor0) in
+  C.close c;
+  stop s;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f direct major words per round trip <= 64" major)
+    true (major <= 64.);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words per round trip <= 1500" minor)
+    true (minor <= 1500.)
+
 (* --------------------------- concurrency ------------------------------ *)
 
 let test_concurrent_clients () =
@@ -338,6 +517,76 @@ let test_cache_keys_pinned () =
     {|71a2c82e9de6608423172ea033a6b529|sum("v")|TRUE|m=false|t=-|}
     (Cache.key ~digest ~query:(Pc_query.Query.sum "v") ~missing_only:false
        ~timeout_ms:None)
+
+(* The keys against the Printf renderers they replaced
+   (test/oracle/key_oracle.ml), byte for byte: random predicates over
+   names that need [%S] escapes (quotes, backslashes, control and
+   non-ASCII bytes), endpoints among -0., subnormals and arbitrary bit
+   patterns, and timeouts of any bits, NaNs and infinities included. *)
+let key_oracle_prop =
+  let module Atom = Pc_predicate.Atom in
+  let module I = Pc_interval.Interval in
+  let open QCheck.Gen in
+  let name = oneofl [ "x"; "light"; "a\"q"; "b\\s"; "tab\tnl\n"; "\000nul"; "\xc3\xa9t\xc3\xa9"; "\127"; "" ] in
+  let ep x = frequency [ (3, return (I.Closed x)); (2, return (I.Open x)) ] in
+  let interval =
+    map2 (fun a b -> (Float.min a b, Float.max a b)) Doubles.gen Doubles.gen >>= fun (a, b) ->
+    let lo = frequency [ (4, ep a); (1, return I.Neg_inf) ]
+    and hi = frequency [ (4, ep b); (1, return I.Pos_inf) ] in
+    map2 (fun lo hi -> match I.make lo hi with Some iv -> iv | None -> I.point a) lo hi
+  in
+  let atom =
+    frequency
+      [
+        (4, map2 (fun a iv -> Atom.Num_range (a, iv)) name interval);
+        (1, map2 (fun a v -> Atom.Cat_eq (a, v)) name name);
+        (1, map2 (fun a v -> Atom.Cat_neq (a, v)) name name);
+        (1, map2 (fun a vs -> Atom.Cat_in (a, vs)) name (list_size (0 -- 3) name));
+        (1, map2 (fun a vs -> Atom.Cat_not_in (a, vs)) name (list_size (0 -- 3) name));
+      ]
+  in
+  let agg =
+    oneof
+      [
+        return (fun where_ -> Pc_query.Query.count ~where_ ());
+        map (fun a where_ -> Pc_query.Query.sum ~where_ a) name;
+        map (fun a where_ -> Pc_query.Query.avg ~where_ a) name;
+        map (fun a where_ -> Pc_query.Query.min_ ~where_ a) name;
+        map (fun a where_ -> Pc_query.Query.max_ ~where_ a) name;
+      ]
+  in
+  let timeout =
+    frequency
+      [
+        (1, return None);
+        (3, map Option.some Doubles.gen);
+        (2, map (fun b -> Some (Int64.float_of_bits b)) ui64);
+        ( 1,
+          map Option.some
+            (oneofl [ Float.nan; -.Float.nan; Float.infinity; Float.neg_infinity; -0.; 5e-324 ]) );
+      ]
+  in
+  let case =
+    map
+      (fun (((mk, where_), missing_only), timeout_ms) -> (mk where_, missing_only, timeout_ms))
+      (pair (pair (pair agg (list_size (0 -- 4) atom)) bool) timeout)
+  in
+  QCheck.Test.make ~name:"keys match the Printf oracle" ~count:2000
+    (QCheck.make
+       ~print:(fun (q, m, t) ->
+         Key_oracle.cache_key ~digest:"d" ~query:q ~missing_only:m ~timeout_ms:t)
+       case)
+    (fun (query, missing_only, timeout_ms) ->
+      let where_ = query.Pc_query.Query.where_ in
+      String.equal
+        (Pc_server.Cache.key ~digest:"d" ~query ~missing_only ~timeout_ms)
+        (Key_oracle.cache_key ~digest:"d" ~query ~missing_only ~timeout_ms)
+      && String.equal (Pc_predicate.Pred.canonical_key where_) (Key_oracle.canonical_key where_)
+      && List.for_all
+           (function
+             | Atom.Num_range (_, iv) -> String.equal (I.key iv) (Key_oracle.interval_key iv)
+             | _ -> true)
+           where_)
 
 let test_load_invalidates_cache () =
   let ((srv, _) as s) = start () in
@@ -1069,6 +1318,17 @@ let () =
           tc "torn socket isolated" `Quick test_torn_socket_isolated;
           tc "wire range is exact" `Quick test_wire_range_exact;
         ] );
+      ( "wire",
+        [
+          tc "several lines in one read" `Quick test_net_lines_in_one_read;
+          tc "a line split across reads" `Quick test_net_split_across_reads;
+          tc "EOF mid-line" `Quick test_net_eof_mid_line;
+          tc "CRLF at a piece boundary" `Quick test_net_crlf_at_piece_boundary;
+          tc "a 4 MiB line is linear" `Quick test_net_long_line_linear;
+          tc "line cap on every line" `Quick test_line_cap;
+          tc "drain with an idle connection" `Quick test_drain_with_idle_connection;
+          tc "hit allocation ceiling" `Quick test_hit_allocation_ceiling;
+        ] );
       ("concurrency", [ tc "8 clients" `Quick test_concurrent_clients ]);
       ( "admission",
         [
@@ -1089,6 +1349,7 @@ let () =
         [
           tc "replay is byte-identical" `Quick test_cache_replay_byte_identical;
           tc "keys pinned" `Quick test_cache_keys_pinned;
+          QCheck_alcotest.to_alcotest key_oracle_prop;
           tc "load invalidates" `Quick test_load_invalidates_cache;
         ] );
       ("drain", [ tc "artifacts flushed" `Quick test_drain_flushes_artifacts ]);
