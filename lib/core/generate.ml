@@ -282,6 +282,8 @@ let rand_pcs ?value_attrs ?width_frac rng rel ~attrs ~n () =
     let ranges =
       List.map (fun a -> (a, Option.get (Relation.min_max rel a))) attrs
     in
+    let value_cols = List.map (fun a -> (a, Relation.numbers rel a)) value_attrs in
+    let hits = Array.make (Relation.cardinality rel) 0 in
     let random_pc i =
       let atoms =
         List.map
@@ -299,29 +301,18 @@ let rand_pcs ?value_attrs ?width_frac rng rel ~attrs ~n () =
                 Atom.between a start (start +. w))
           ranges
       in
-      (* One pass over the rows, materializing none: the matching rows'
-         count and each value attribute's [Float.min]/[Float.max] fold,
-         which [Relation.min_max] of the matching rows would give. *)
-      let cols = Array.of_list (List.map (Schema.index schema) value_attrs) in
-      let lo = Array.make (Array.length cols) infinity in
-      let hi = Array.make (Array.length cols) neg_infinity in
-      let count =
-        Relation.fold
-          (fun count row ->
-            if List.for_all (fun atom -> Atom.eval schema atom row) atoms then begin
-              Array.iteri
-                (fun k i ->
-                  let x = Value.as_num row.(i) in
-                  lo.(k) <- Float.min lo.(k) x;
-                  hi.(k) <- Float.max hi.(k) x)
-                cols;
-              count + 1
-            end
-            else count)
-          0 rel
+      (* The box tested on the cached columns, collecting the matching
+         rows; then per value attribute the [Float.min] and
+         [Float.max] folds over them in row order, which
+         [Relation.min_max] of the matching rows would give. *)
+      let count = Pc_predicate.Pred.scanner rel atoms 0 hits in
+      let fold xs =
+        I.closed
+          (Pc_util.Stat.min_rows infinity xs hits count)
+          (Pc_util.Stat.max_rows neg_infinity xs hits count)
       in
       let values =
-        if count = 0 then [] else List.mapi (fun k a -> (a, I.closed lo.(k) hi.(k))) value_attrs
+        if count = 0 then [] else List.map (fun (a, xs) -> (a, fold xs)) value_cols
       in
       Pc.make ~name:(Printf.sprintf "rand%d" i) ~pred:atoms ~values
         ~freq:(0, count) ()

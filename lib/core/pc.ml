@@ -36,9 +36,7 @@ let value_interval t attr =
 
 let value_attrs t = List.map fst t.values
 
-let matching rel t =
-  let schema = Relation.schema rel in
-  Relation.filter (fun row -> Pred.eval schema t.pred row) rel
+let matching rel t = Relation.filter (Pred.compile (Relation.schema rel) t.pred) rel
 
 let violations rel t =
   let schema = Relation.schema rel in

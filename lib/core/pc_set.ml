@@ -56,9 +56,8 @@ let holds rel t = Array.for_all (fun pc -> Pc.holds rel pc) t.arr
 
 let closed_over rel t =
   let schema = Pc_data.Relation.schema rel in
-  let covered row =
-    Array.exists (fun (pc : Pc.t) -> Pred.eval schema pc.Pc.pred row) t.arr
-  in
+  let tests = Array.map (fun (pc : Pc.t) -> Pred.compile schema pc.Pc.pred) t.arr in
+  let covered row = Array.exists (fun test -> test row) tests in
   Pc_data.Relation.fold (fun acc row -> acc && covered row) true rel
 
 let is_disjoint t = cached t.disjoint (fun () -> compute_disjoint t)

@@ -1,6 +1,15 @@
 type tuple = Value.t array
 
-type t = { schema : Schema.t; rows : tuple array }
+type t = {
+  schema : Schema.t;
+  rows : tuple array;
+  numbers : float array option array;
+      (* per attribute, its unboxed numeric column once some reader
+         asked for it; every relation value owns a fresh one *)
+}
+
+let make schema rows =
+  { schema; rows; numbers = Array.make (Schema.arity schema) None }
 
 let validate schema row =
   if Array.length row <> Schema.arity schema then
@@ -19,7 +28,7 @@ let validate schema row =
 
 let of_array schema rows =
   Array.iter (validate schema) rows;
-  { schema; rows = Array.map Array.copy rows }
+  make schema (Array.map Array.copy rows)
 
 let create schema rows = of_array schema (Array.of_list rows)
 let schema t = t.schema
@@ -27,26 +36,65 @@ let cardinality t = Array.length t.rows
 let is_empty t = cardinality t = 0
 let tuples t = Array.map Array.copy t.rows
 let get t i = Array.copy t.rows.(i)
+let row t i = t.rows.(i)
 let value t i name = t.rows.(i).(Schema.index t.schema name)
 let number t i name = Value.as_num (value t i name)
 let iter f t = Array.iter f t.rows
 let fold f init t = Array.fold_left f init t.rows
 
+(* [p] once per row, in row order, into a byte mask; each side is then
+   copied out at its exact length. *)
+let mask p t =
+  let m = Bytes.make (cardinality t) '\000' and yes = ref 0 in
+  Array.iteri
+    (fun i row ->
+      if p row then begin
+        Bytes.unsafe_set m i '\001';
+        incr yes
+      end)
+    t.rows;
+  (m, !yes)
+
+let pick t m side len =
+  let out = Array.make len [||] and k = ref 0 in
+  Array.iteri
+    (fun i row ->
+      if Bytes.unsafe_get m i = side then begin
+        out.(!k) <- row;
+        incr k
+      end)
+    t.rows;
+  make t.schema out
+
 let filter p t =
-  { t with rows = Array.of_seq (Seq.filter p (Array.to_seq t.rows)) }
+  let m, yes = mask p t in
+  pick t m '\001' yes
 
 let partition p t =
-  let yes, no = List.partition p (Array.to_list t.rows) in
-  ({ t with rows = Array.of_list yes }, { t with rows = Array.of_list no })
+  let m, yes = mask p t in
+  (pick t m '\001' yes, pick t m '\000' (cardinality t - yes))
 
 let union a b =
   if not (Schema.equal a.schema b.schema) then
     invalid_arg "Relation.union: schema mismatch";
-  { a with rows = Array.append a.rows b.rows }
+  make a.schema (Array.append a.rows b.rows)
+
+let fill t i = Array.map (fun row -> Value.as_num row.(i)) t.rows
+
+(* Fill-once and idempotent: two threads that miss together both fill
+   the same values, and either array may stay. *)
+let numbers t name =
+  let i = Schema.index t.schema name in
+  match t.numbers.(i) with
+  | Some xs -> xs
+  | None ->
+      let xs = fill t i in
+      t.numbers.(i) <- Some xs;
+      xs
 
 let column t name =
   let i = Schema.index t.schema name in
-  Array.map (fun row -> Value.as_num row.(i)) t.rows
+  match t.numbers.(i) with Some xs -> Array.copy xs | None -> fill t i
 
 let column_values t name =
   let i = Schema.index t.schema name in
@@ -65,14 +113,14 @@ let distinct_strings t name =
 let min_max t name =
   if is_empty t then None
   else begin
-    let xs = column t name in
+    let xs = numbers t name in
     Some (Pc_util.Stat.minimum xs, Pc_util.Stat.maximum xs)
   end
 
 let sort_by cmp t =
   let rows = Array.map Array.copy t.rows in
   Array.sort cmp rows;
-  { t with rows }
+  make t.schema rows
 
 let group_by t name =
   let i = Schema.index t.schema name in
@@ -90,16 +138,16 @@ let group_by t name =
   List.rev_map
     (fun key ->
       let rows = List.rev !(Hashtbl.find groups key) in
-      (key, { t with rows = Array.of_list rows }))
+      (key, make t.schema (Array.of_list rows)))
     !order
 
 let take n t =
   let n = min n (cardinality t) in
-  { t with rows = Array.sub t.rows 0 n }
+  make t.schema (Array.sub t.rows 0 n)
 
 let drop n t =
   let n = min n (cardinality t) in
-  { t with rows = Array.sub t.rows n (cardinality t - n) }
+  make t.schema (Array.sub t.rows n (cardinality t - n))
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>%a (%d rows)@," Schema.pp t.schema (cardinality t);

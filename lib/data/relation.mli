@@ -2,7 +2,17 @@
 
     A tuple is a [Value.t array] whose layout matches the schema. Relations
     are immutable from the outside; operations return fresh relations and
-    never alias the caller's arrays. *)
+    never alias the caller's arrays. The tuples that {!iter}, {!fold},
+    {!row} and the predicates of {!filter}/{!partition} see, and the
+    arrays {!numbers} returns, are the relation's own: callers read
+    them and never write them.
+
+    A relation caches each numeric column as an unboxed [float array],
+    filled by the first {!numbers} or {!min_max} that reads it. The
+    fill is once per column and idempotent: threads that share a
+    relation (the server's connection threads share the certain one)
+    may both miss and fill, and both write the same values, so either
+    array may stay. No operation ever changes a filled column. *)
 
 type tuple = Value.t array
 
@@ -19,6 +29,11 @@ val tuples : t -> tuple array
 (** A defensive copy. *)
 
 val get : t -> int -> tuple
+(** A copy of tuple [i]. *)
+
+val row : t -> int -> tuple
+(** Tuple [i] itself, not copied: read it, never write it. *)
+
 val value : t -> int -> string -> Value.t
 (** [value r i a] is attribute [a] of tuple [i]. *)
 
@@ -29,11 +44,19 @@ val iter : (tuple -> unit) -> t -> unit
 val fold : ('a -> tuple -> 'a) -> 'a -> t -> 'a
 val filter : (tuple -> bool) -> t -> t
 val partition : (tuple -> bool) -> t -> t * t
+(** Both call the predicate once per tuple, in tuple order. *)
+
 val union : t -> t -> t
 (** Bag union; schemas must be equal. *)
 
 val column : t -> string -> float array
-(** Numeric column as floats. *)
+(** Numeric column as floats, a fresh array the caller may modify.
+    Raises [Not_found] on an absent attribute and [Invalid_argument] on
+    a categorical one (unless the relation is empty). *)
+
+val numbers : t -> string -> float array
+(** The cached numeric column, filled on the first call and shared by
+    every later one: read it, never write it. Raises as {!column}. *)
 
 val column_values : t -> string -> Value.t array
 
@@ -41,7 +64,8 @@ val distinct_strings : t -> string -> string list
 (** Sorted distinct values of a categorical column. *)
 
 val min_max : t -> string -> (float * float) option
-(** Range of a numeric column; [None] when empty. *)
+(** Range of a numeric column ([Float.min]/[Float.max] folds over the
+    cached column); [None] when empty. *)
 
 val sort_by : (tuple -> tuple -> int) -> t -> t
 

@@ -25,56 +25,74 @@ let model_interval model recorded =
       let delta = r *. Float.abs recorded in
       I.closed (recorded -. delta) (recorded +. delta)
 
-let value_interval schema annotations row attr =
+(* An annotation with its predicate resolved against the schema once,
+   for every row of a relation. *)
+type resolved = { annotation : annotation; applies : Relation.tuple -> bool }
+
+let resolve schema annotations =
+  List.map (fun a -> { annotation = a; applies = Pc_predicate.Pred.compile schema a.pred }) annotations
+
+let interval_of schema resolved row attr =
   match Schema.kind schema attr with
   | Schema.Categorical -> Some (I.full) (* unused; categoricals are trusted *)
   | Schema.Numeric ->
       let recorded = Value.as_num row.(Schema.index schema attr) in
       let applicable =
-        List.filter
-          (fun a -> a.attr = attr && Pc_predicate.Pred.eval schema a.pred row)
-          annotations
+        List.filter (fun r -> r.annotation.attr = attr && r.applies row) resolved
       in
       if applicable = [] then Some (I.point recorded)
       else
         List.fold_left
-          (fun acc a ->
-            Option.bind acc (fun iv -> I.intersect iv (model_interval a.model recorded)))
+          (fun acc r ->
+            Option.bind acc (fun iv ->
+                I.intersect iv (model_interval r.annotation.model recorded)))
           (Some I.full) applicable
+
+let value_interval schema annotations row attr =
+  interval_of schema (resolve schema annotations) row attr
 
 (* Three-valued predicate matching over interval-valued rows. *)
 type match3 = Must | May | No
 
 exception Contradiction
 
-let atom_match3 schema annotations row atom =
-  match atom with
-  | Atom.Cat_eq _ | Atom.Cat_neq _ | Atom.Cat_in _ | Atom.Cat_not_in _ ->
-      (* categorical attributes are trusted: exact evaluation *)
-      if Atom.eval schema atom row then Must else No
-  | Atom.Num_range (attr, range) -> (
-      match value_interval schema annotations row attr with
+(* A query atom resolved once: categorical attributes are trusted and
+   tested exactly; a numeric range is matched against the row's
+   possible values. *)
+type test = Exact of (Relation.tuple -> bool) | Within of string * I.t
+
+let tests schema pred =
+  List.map
+    (function
+      | Atom.Num_range (attr, range) -> Within (attr, range)
+      | atom -> Exact (Atom.compile schema atom))
+    pred
+
+let atom_match3 schema resolved row = function
+  | Exact test -> if test row then Must else No
+  | Within (attr, range) -> (
+      match interval_of schema resolved row attr with
       | None -> raise Contradiction
       | Some iv ->
           if I.subset iv range then Must
           else if I.overlaps iv range then May
           else No)
 
-let row_match3 schema annotations row pred =
+let row_match3 schema resolved row tests =
   List.fold_left
-    (fun acc atom ->
-      match (acc, atom_match3 schema annotations row atom) with
+    (fun acc test ->
+      match (acc, atom_match3 schema resolved row test) with
       | No, _ | _, No -> No
       | May, _ | _, May -> May
       | Must, Must -> Must)
-    Must pred
+    Must tests
 
 (* The agg-attribute values a row can contribute *when it is included*:
    its uncertainty interval clipped by the query's own constraints on the
    aggregated attribute (an included row's chosen value must satisfy
    them). Non-empty for Must/May rows by construction. *)
-let contribution_interval schema annotations (query : Q.t) row attr =
-  match value_interval schema annotations row attr with
+let contribution_interval schema resolved (query : Q.t) row attr =
+  match interval_of schema resolved row attr with
   | None -> raise Contradiction
   | Some iv ->
       List.fold_left
@@ -121,15 +139,16 @@ let classify rel annotations (query : Q.t) =
   | Some where_ ->
       let query = { query with Q.where_ } in
       let agg_attr = Q.agg_attr query in
+      let resolved = resolve schema annotations and tests = tests schema where_ in
       Relation.fold
         (fun acc row ->
-          match row_match3 schema annotations row query.Q.where_ with
+          match row_match3 schema resolved row tests with
           | No -> acc
           | (Must | May) as status -> (
               match agg_attr with
               | None -> { status; lo = 1.; hi = 1. } :: acc
               | Some attr -> (
-                  match contribution_interval schema annotations query row attr with
+                  match contribution_interval schema resolved query row attr with
                   | Some iv ->
                       { status; lo = I.lo_float iv; hi = I.hi_float iv } :: acc
                   | None ->

@@ -15,18 +15,23 @@ let attr = function
   | Cat_not_in (a, _) ->
       a
 
-let eval schema t row =
-  let get name = row.(Pc_data.Schema.index schema name) in
-  match t with
-  | Num_range (a, iv) -> I.contains iv (Pc_data.Value.as_num (get a))
-  | Cat_eq (a, s) -> String.equal (Pc_data.Value.as_str (get a)) s
-  | Cat_neq (a, s) -> not (String.equal (Pc_data.Value.as_str (get a)) s)
-  | Cat_in (a, ss) ->
-      let v = Pc_data.Value.as_str (get a) in
-      List.exists (String.equal v) ss
-  | Cat_not_in (a, ss) ->
-      let v = Pc_data.Value.as_str (get a) in
-      not (List.exists (String.equal v) ss)
+(* The attribute's position is looked up here, once; what reads the
+   row stays in the returned test, so an absent attribute raises
+   [Not_found] and a value of the wrong kind [Invalid_argument] only
+   when a row is tested, as a by-name lookup per row would. *)
+let compile schema t =
+  match Pc_data.Schema.index_opt schema (attr t) with
+  | None -> fun _ -> raise Not_found
+  | Some i -> (
+      let str row = Pc_data.Value.as_str row.(i) in
+      match t with
+      | Num_range (_, iv) -> fun row -> I.contains iv (Pc_data.Value.as_num row.(i))
+      | Cat_eq (_, s) -> fun row -> String.equal (str row) s
+      | Cat_neq (_, s) -> fun row -> not (String.equal (str row) s)
+      | Cat_in (_, ss) -> fun row -> List.mem (str row) ss
+      | Cat_not_in (_, ss) -> fun row -> not (List.mem (str row) ss))
+
+let eval = compile
 
 let negate = function
   | Num_range (a, iv) -> List.map (fun c -> Num_range (a, c)) (I.complement iv)

@@ -14,9 +14,17 @@ type t =
 
 val attr : t -> string
 
+val compile : Pc_data.Schema.t -> t -> Pc_data.Relation.tuple -> bool
+(** [compile schema t] looks the attribute's position up once and
+    returns the row test. The test raises [Not_found] when the
+    attribute is absent from the schema, and [Invalid_argument] when
+    the row holds a value of the wrong kind there (or is too short);
+    [compile] itself never raises, so a test that is never applied
+    never raises. *)
+
 val eval : Pc_data.Schema.t -> t -> Pc_data.Relation.tuple -> bool
-(** Raises if the attribute is absent from the schema or has the wrong
-    kind. *)
+(** [eval] is {!compile}: apply [eval schema t] once and reuse the
+    test for every row. *)
 
 val negate : t -> t list
 (** Negation as a disjunction of atoms (0, 1, or 2 of them — a bounded

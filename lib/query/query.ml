@@ -44,20 +44,50 @@ let check_schema schema t =
            (kind_name (S.kind schema a)) (kind_name k))
 
 let selection rel t =
-  let schema = Relation.schema rel in
-  Relation.filter (fun row -> Pred.eval schema t.where_ row) rel
+  Relation.filter (Pred.compile (Relation.schema rel) t.where_) rel
+
+(* Rows are scanned in blocks of [block] (a buffer that stays in the
+   minor heap) in row order, and the aggregate folded over each block's
+   matches by [Stat.sum_rows], [min_rows] and [max_rows], so every
+   answer is bit-identical to [Stat]'s over the selection's column. An aggregated
+   attribute that is absent or categorical raises as [Relation.column]
+   of the selection would, after the whole selection is tested. *)
+let block = 256
 
 let eval rel t =
-  let sel = selection rel t in
-  let n = Relation.cardinality sel in
-  match t.agg with
-  | Count -> Some (float_of_int n)
-  | Sum a -> Some (Pc_util.Stat.sum (Relation.column sel a))
-  | Avg a -> if n = 0 then None else Some (Pc_util.Stat.mean (Relation.column sel a))
-  | Min a ->
-      if n = 0 then None else Some (Pc_util.Stat.minimum (Relation.column sel a))
-  | Max a ->
-      if n = 0 then None else Some (Pc_util.Stat.maximum (Relation.column sel a))
+  let module S = Pc_data.Schema in
+  let schema = Relation.schema rel in
+  let n = Relation.cardinality rel in
+  let is_sum = match t.agg with Sum _ -> true | _ -> false in
+  match agg_attr t with
+  | Some a when not (S.mem schema a && S.kind schema a = S.Numeric) ->
+      let sel = selection rel t in
+      if is_sum || not (Relation.is_empty sel) then ignore (Relation.column sel a);
+      (* past [column], the selection is empty *)
+      if is_sum then Some 0. else None
+  | attr -> (
+      let scan = Pred.scanner rel t.where_ in
+      let xs = match attr with Some a -> Relation.numbers rel a | None -> [||] in
+      let rows = Array.make block 0 in
+      let count = ref 0 in
+      let acc = ref (match t.agg with Min _ -> infinity | Max _ -> neg_infinity | _ -> 0.) in
+      let from = ref 0 in
+      while !from < n do
+        let k = scan !from rows in
+        (match t.agg with
+        | Count -> ()
+        | Sum _ | Avg _ -> acc := Pc_util.Stat.sum_rows !acc xs rows k
+        | Min _ -> acc := Pc_util.Stat.min_rows !acc xs rows k
+        | Max _ -> acc := Pc_util.Stat.max_rows !acc xs rows k);
+        count := !count + k;
+        from := !from + block
+      done;
+      match t.agg with
+      | Count -> Some (float_of_int !count)
+      | Sum _ -> Some !acc
+      | _ when !count = 0 -> None
+      | Avg _ -> Some (!acc /. float_of_int !count)
+      | Min _ | Max _ -> Some !acc)
 
 let eval_group_by rel t attr =
   let sel = selection rel t in

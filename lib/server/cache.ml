@@ -17,12 +17,16 @@ let c_row_tests = Counter.make "cache.invalidate_row_tests"
 
 type meta = { pcs : int list; where_ : Pred.t; missing_only : bool }
 
-(* An entry's selection compiled against a batch schema: [None] when
-   some atom cannot be evaluated there (attribute absent or of the
-   wrong kind), otherwise the column and interval of every numeric atom
-   that can rule a row out (a full-line atom admits every value, NaN
-   included, so it is left out). *)
-type compiled = (int * I.t) array option
+(* An entry's selection compiled against a batch schema. [ranges] is
+   [None] when some atom cannot be evaluated there (attribute absent or
+   of the wrong kind), otherwise the column and interval of every
+   numeric atom that can rule a row out (a full-line atom admits every
+   value, NaN included, so it is left out). [test] is the row test,
+   {!Pred.compile}'s. *)
+type compiled = {
+  ranges : (int * I.t) array option;
+  test : Pc_data.Relation.tuple -> bool;
+}
 
 type entry = {
   value : string;
@@ -137,6 +141,7 @@ let store t ?meta ?version key value =
   Mutex.unlock t.mu
 
 let compile schema (where_ : Pred.t) : compiled =
+  let test = Pred.compile schema where_ in
   let exception Unevaluable in
   let column a kind =
     match Schema.index_opt schema a with
@@ -154,8 +159,8 @@ let compile schema (where_ : Pred.t) : compiled =
             None)
       where_
   with
-  | atoms -> Some (Array.of_list atoms)
-  | exception Unevaluable -> None
+  | atoms -> { ranges = Some (Array.of_list atoms); test }
+  | exception Unevaluable -> { ranges = None; test }
 
 let compiled_against schema e where_ =
   match e.compiled with
@@ -210,14 +215,13 @@ let misses (iv : I.t) ~lo ~hi =
        | I.Open u -> lo < u)
 
 (* The exact certain-side test: some batch row satisfies the selection.
-   A predicate that cannot be evaluated against the batch schema
-   (attribute absent or mistyped) is treated as affected — conservative
-   eviction is always sound. *)
-let selects schema where_ tuples =
-  Array.exists
-    (fun row ->
-      try Pred.eval schema where_ row with Not_found | Invalid_argument _ -> true)
-    tuples
+   A row the predicate cannot be evaluated on (attribute absent or
+   mistyped) counts as selected — conservative eviction is always
+   sound. [Array.exists] stops at the first row that passes or raises,
+   so one handler around the scan answers as one around each row
+   would; a batch with no rows selects nothing. *)
+let selects test tuples =
+  try Array.exists test tuples with Not_found | Invalid_argument _ -> true
 
 (* Does the ingestion delta reach this entry? Missing side: consumption
    of a reachable PC. Certain side: a batch row inside the entry's
@@ -245,8 +249,9 @@ let invalidate t ~version ~touched ~rows =
            match batch with
            | None -> false
            | Some (schema, tuples, hulls) ->
+               let c = compiled_against schema e m.where_ in
                let skip =
-                 match (hulls, compiled_against schema e m.where_) with
+                 match (hulls, c.ranges) with
                  | Some h, Some atoms ->
                      Array.exists
                        (fun (i, iv) -> misses iv ~lo:h.lo.(i) ~hi:h.hi.(i))
@@ -256,7 +261,7 @@ let invalidate t ~version ~touched ~rows =
                (not skip)
                && begin
                     incr row_tests;
-                    selects schema m.where_ tuples
+                    selects c.test tuples
                   end)
   in
   Mutex.lock t.mu;

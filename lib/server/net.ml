@@ -10,22 +10,37 @@ let closed_error = function
       true
   | _ -> false
 
-let write_string fd s =
-  let len = String.length s in
-  let pos = ref 0 in
-  while !pos < len do
-    match Unix.write_substring fd s !pos (len - !pos) with
+(* [s.[pos, len)], retrying partial writes and [EINTR]. *)
+let write_sub fd s pos len =
+  let stop = pos + len in
+  let pos = ref pos in
+  while !pos < stop do
+    match Unix.write_substring fd s !pos (stop - !pos) with
     | 0 -> raise Closed
     | n -> pos := !pos + n
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | exception Unix.Unix_error (e, _, _) when closed_error e -> raise Closed
   done
 
-(* One write per line: a reply and its newline sent apart would meet
-   Nagle's algorithm and the peer's delayed ACK. *)
-let write_line fd s = write_string fd (s ^ "\n")
-
+let write_string fd s = write_sub fd s 0 (String.length s)
 let chunk = 65536
+
+(* A line and its newline leave in one write when the line fits in
+   [chunk]: a reply and its newline sent apart would meet Nagle's
+   algorithm and the peer's delayed ACK. A longer line goes out in
+   place up to its last [chunk] bytes, which are copied once with the
+   newline, so sending a 16 MiB [load] never copies all of it. *)
+let write_line fd s =
+  let len = String.length s in
+  if len <= chunk then write_string fd (s ^ "\n")
+  else begin
+    let head = len - chunk in
+    write_sub fd s 0 head;
+    let tail = Bytes.create (chunk + 1) in
+    Bytes.blit_string s head tail 0 chunk;
+    Bytes.set tail chunk '\n';
+    write_string fd (Bytes.unsafe_to_string tail)
+  end
 
 type reader = {
   fd : Unix.file_descr;

@@ -36,7 +36,10 @@ val write_string : Unix.file_descr -> string -> unit
     raises {!Closed} when the peer is gone. *)
 
 val write_line : Unix.file_descr -> string -> unit
-(** {!write_string} of the line and its newline, in one [write]. *)
+(** {!write_string} of the line and its newline. A line of at most
+    64 KiB goes out with its newline in one [write]; a longer one is
+    written in place up to its last 64 KiB, which leave with the
+    newline, so at most 64 KiB + 1 bytes are copied. *)
 
 type reader
 (** Buffered line reader over one socket: one 64 KiB buffer, reused

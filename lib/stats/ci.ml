@@ -9,7 +9,7 @@ type method_ = Parametric | Nonparametric
    row contributes (0 when the predicate rejects it). *)
 let contributions sample (query : Q.t) =
   let schema = Relation.schema sample in
-  let matches row = Pred.eval schema query.Q.where_ row in
+  let matches = Pred.compile schema query.Q.where_ in
   match query.Q.agg with
   | Q.Count ->
       Some (Relation.fold (fun acc row -> (if matches row then 1. else 0.) :: acc) [] sample)
@@ -25,10 +25,9 @@ let contributions sample (query : Q.t) =
 let matching_values sample (query : Q.t) attr =
   let schema = Relation.schema sample in
   let idx = Pc_data.Schema.index schema attr in
+  let matches = Pred.compile schema query.Q.where_ in
   Relation.fold
-    (fun acc row ->
-      if Pred.eval schema query.Q.where_ row then Pc_data.Value.as_num row.(idx) :: acc
-      else acc)
+    (fun acc row -> if matches row then Pc_data.Value.as_num row.(idx) :: acc else acc)
     [] sample
 
 let half_width ~method_ ~confidence ys =

@@ -53,8 +53,7 @@ let top_values rel ~attr ~fraction =
   end
 
 let by_predicate rel pred =
-  let schema = Relation.schema rel in
   let missing, observed =
-    Relation.partition (fun row -> Pc_predicate.Pred.eval schema pred row) rel
+    Relation.partition (Pc_predicate.Pred.compile (Relation.schema rel) pred) rel
   in
   { observed; missing }

@@ -1,7 +1,14 @@
 let check_nonempty name xs =
   if Array.length xs = 0 then invalid_arg (Printf.sprintf "Stat.%s: empty" name)
 
-let sum xs = Array.fold_left ( +. ) 0. xs
+(* Left folds written as loops over a local float, which the compiler
+   keeps unboxed: same order, same bits, no allocation per element. *)
+let sum xs =
+  let s = ref 0. in
+  for i = 0 to Array.length xs - 1 do
+    s := !s +. Array.unsafe_get xs i
+  done;
+  !s
 
 let mean xs =
   check_nonempty "mean" xs;
@@ -22,11 +29,51 @@ let stddev xs = sqrt (variance xs)
 
 let minimum xs =
   check_nonempty "minimum" xs;
-  Array.fold_left Float.min xs.(0) xs
+  let m = ref xs.(0) in
+  for i = 0 to Array.length xs - 1 do
+    m := Float.min !m (Array.unsafe_get xs i)
+  done;
+  !m
 
 let maximum xs =
   check_nonempty "maximum" xs;
-  Array.fold_left Float.max xs.(0) xs
+  let m = ref xs.(0) in
+  for i = 0 to Array.length xs - 1 do
+    m := Float.max !m (Array.unsafe_get xs i)
+  done;
+  !m
+
+(* The same folds over the values [xs.(rows.(0..k-1))], continuing
+   from [acc]: from [0.], [infinity] and [neg_infinity] they give
+   [sum], [minimum] and [maximum] of those values bit for bit
+   ([Float.min infinity x] and [Float.min x x] are both [x]), and a
+   fold split into blocks that passes each block's result on gives the
+   bits of the whole. [Float.min m x] is [m] when [x > m] (and
+   [Float.max m x] is [m] when [x < m]), so only the other values go
+   through [Float.min] or [Float.max], which test a sign bit (for
+   signed zeros) by a C call. *)
+let sum_rows acc xs rows k =
+  let s = ref acc in
+  for j = 0 to k - 1 do
+    s := !s +. xs.(rows.(j))
+  done;
+  !s
+
+let min_rows acc xs rows k =
+  let m = ref acc in
+  for j = 0 to k - 1 do
+    let x = xs.(rows.(j)) in
+    if not (x > !m) then m := Float.min !m x
+  done;
+  !m
+
+let max_rows acc xs rows k =
+  let m = ref acc in
+  for j = 0 to k - 1 do
+    let x = xs.(rows.(j)) in
+    if not (x < !m) then m := Float.max !m x
+  done;
+  !m
 
 let sorted_copy xs =
   let ys = Array.copy xs in

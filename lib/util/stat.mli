@@ -12,6 +12,20 @@ val minimum : float array -> float
 val maximum : float array -> float
 val sum : float array -> float
 
+val sum_rows : float -> float array -> int array -> int -> float
+(** [sum_rows acc xs rows k] adds [xs.(rows.(0))], ...,
+    [xs.(rows.(k - 1))] to [acc] in that order. From [0.] it is {!sum}
+    of those values bit for bit, and folding them block by block, each
+    block continuing from the last one's result, gives the same bits. *)
+
+val min_rows : float -> float array -> int array -> int -> float
+(** {!sum_rows} with [Float.min]: from [infinity], {!minimum} of the
+    values bit for bit (and [infinity] when [k = 0]). *)
+
+val max_rows : float -> float array -> int array -> int -> float
+(** {!sum_rows} with [Float.max]: from [neg_infinity], {!maximum} of
+    the values bit for bit (and [neg_infinity] when [k = 0]). *)
+
 val median : float array -> float
 (** Median by sorting a copy; average of the two central elements for
     even-length input. *)

@@ -1,5 +1,4 @@
 module Cache = Pc_server.Cache
-module Pred = Pc_predicate.Pred
 
 let affected ~touched ~rows = function
   | None -> true
@@ -11,6 +10,6 @@ let affected ~touched ~rows = function
             | Some (schema, tuples) ->
                 Array.exists
                   (fun row ->
-                    try Pred.eval schema m.where_ row with
+                    try Eval_oracle.pred_eval schema m.where_ row with
                     | Not_found | Invalid_argument _ -> true)
                   tuples)

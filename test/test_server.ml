@@ -244,6 +244,44 @@ let test_net_long_line_linear () =
         true
         (allocated <= 3. *. float_of_int n))
 
+(* A line longer than the 64 KiB write chunk goes out in place up to
+   its last chunk, which alone is copied with the newline: a 4 MiB line
+   arrives byte-identical, and writing it allocates under 1 MiB, where
+   appending the newline to the whole line copied all 4 MiB. The peer
+   reads into a buffer made before the count starts, so its reads
+   allocate nothing. *)
+let test_net_long_line_write () =
+  let n = 4 * 1024 * 1024 in
+  let line = String.init n (fun i -> Char.chr (97 + (i mod 26))) in
+  let a, b = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close a;
+      Unix.close b)
+    (fun () ->
+      let got = Bytes.create (n + 1) in
+      let received = ref 0 in
+      let peer =
+        Thread.create
+          (fun () ->
+            while !received < n + 1 do
+              match Unix.read b got !received (n + 1 - !received) with
+              | 0 -> failwith "early EOF"
+              | k -> received := !received + k
+            done)
+          ()
+      in
+      let before = Gc.allocated_bytes () in
+      Net.write_line a line;
+      let allocated = Gc.allocated_bytes () -. before in
+      Thread.join peer;
+      Alcotest.(check bool) "the line and its newline arrive" true
+        (Bytes.sub_string got 0 n = line && Bytes.get got n = '\n');
+      Alcotest.(check bool)
+        (Printf.sprintf "writing a %d-byte line allocates %.0f bytes (< 1 MiB)" n allocated)
+        true
+        (allocated < 1024. *. 1024.))
+
 (* The cap holds for every line, including one that arrives whole in a
    single read: over the cap the server answers line-too-long and hangs
    up; at the cap the request is served. *)
@@ -1328,6 +1366,7 @@ let () =
           tc "line cap on every line" `Quick test_line_cap;
           tc "drain with an idle connection" `Quick test_drain_with_idle_connection;
           tc "hit allocation ceiling" `Quick test_hit_allocation_ceiling;
+          tc "a 4 MiB line is written in place" `Quick test_net_long_line_write;
         ] );
       ("concurrency", [ tc "8 clients" `Quick test_concurrent_clients ]);
       ( "admission",
