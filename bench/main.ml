@@ -214,8 +214,8 @@ let fig8_json f =
    rework removes — recorded as null rather than burning CI minutes *)
 let fig8_sizes = [ (20_000, true); (60_000, true); (200_000, false) ]
 
-let micro_tests () =
-  let open Bechamel in
+(* Each micro-benchmark's name and body. *)
+let micro_bodies () =
   (* simplex: the paper's worked-example LP shape *)
   let lp_problem =
     let open Pc_lp.Simplex in
@@ -266,33 +266,41 @@ let micro_tests () =
   in
   let query = Pc_query.Query.sum "light" in
   [
-    Test.make ~name:"simplex.solve (paper 4.4 shape)"
-      (Staged.stage (fun () -> ignore (Pc_lp.Simplex.solve lp_problem)));
-    Test.make ~name:"milp.solve (3-var knapsack)"
-      (Staged.stage (fun () -> ignore (Pc_milp.Milp.solve milp_problem)));
-    Test.make ~name:"milp.solve warm (6-var interval)"
-      (Staged.stage (fun () ->
-           ignore (Pc_milp.Milp.solve ~warm:true milp_interval)));
-    Test.make ~name:"milp.solve cold (6-var interval)"
-      (Staged.stage (fun () ->
-           ignore (Pc_milp.Milp.solve ~warm:false milp_interval)));
-    Test.make ~name:"sat.check (3-clause cell expr)"
-      (Staged.stage (fun () -> ignore (Pc_predicate.Sat.check sat_cnf)));
-    Test.make ~name:"cells.decompose (10 overlapping PCs)"
-      (Staged.stage (fun () ->
-           ignore (Pc_core.Cells.decompose ~strategy:Pc_core.Cells.Dfs_rewrite set)));
-    Test.make ~name:"cells.decompose_fdd (10 overlapping PCs)"
-      (Staged.stage (fun () ->
-           ignore (Pc_core.Cells.decompose ~strategy:Pc_core.Cells.Fdd set)));
-    Test.make ~name:"cells.decompose_fdd (100 overlapping PCs)"
-      (Staged.stage (fun () ->
-           ignore (Pc_core.Cells.decompose ~strategy:Pc_core.Cells.Fdd set100)));
-    Test.make ~name:"cells.decompose_fdd (1000 overlapping PCs)"
-      (Staged.stage (fun () ->
-           ignore (Pc_core.Cells.decompose ~strategy:Pc_core.Cells.Fdd set1000)));
-    Test.make ~name:"bounds.greedy (500 disjoint PCs, SUM)"
-      (Staged.stage (fun () -> ignore (Pc_core.Bounds.bound disjoint_set query)));
+    ("simplex.solve (paper 4.4 shape)", fun () -> ignore (Pc_lp.Simplex.solve lp_problem));
+    ("milp.solve (3-var knapsack)", fun () -> ignore (Pc_milp.Milp.solve milp_problem));
+    ( "milp.solve warm (6-var interval)",
+      fun () -> ignore (Pc_milp.Milp.solve ~warm:true milp_interval) );
+    ( "milp.solve cold (6-var interval)",
+      fun () -> ignore (Pc_milp.Milp.solve ~warm:false milp_interval) );
+    ("sat.check (3-clause cell expr)", fun () -> ignore (Pc_predicate.Sat.check sat_cnf));
+    ( "cells.decompose (10 overlapping PCs)",
+      fun () -> ignore (Pc_core.Cells.decompose ~strategy:Pc_core.Cells.Dfs_rewrite set) );
+    ( "cells.decompose_fdd (10 overlapping PCs)",
+      fun () -> ignore (Pc_core.Cells.decompose ~strategy:Pc_core.Cells.Fdd set) );
+    ( "cells.decompose_fdd (100 overlapping PCs)",
+      fun () -> ignore (Pc_core.Cells.decompose ~strategy:Pc_core.Cells.Fdd set100) );
+    ( "cells.decompose_fdd (1000 overlapping PCs)",
+      fun () -> ignore (Pc_core.Cells.decompose ~strategy:Pc_core.Cells.Fdd set1000) );
+    ( "bounds.greedy (500 disjoint PCs, SUM)",
+      fun () -> ignore (Pc_core.Bounds.bound disjoint_set query) );
   ]
+
+let micro_tests () =
+  let open Bechamel in
+  List.map
+    (fun (name, body) -> Test.make ~name (Staged.stage body))
+    (micro_bodies ())
+
+(* lp.pivots and lp.warm_starts over one run of every micro body: a
+   fixed list of solves, so the totals do not depend on how many runs
+   Bechamel's time quota fitted on the host. *)
+let lp_counts () =
+  let module C = Pc_obs.Registry.Counter in
+  let pivots = C.make "lp.pivots" and warm = C.make "lp.warm_starts" in
+  let bodies = micro_bodies () in
+  let p0 = C.get pivots and w0 = C.get warm in
+  List.iter (fun (_, body) -> body ()) bodies;
+  (C.get pivots - p0, C.get warm - w0)
 
 (* ns/run estimates, in test declaration order *)
 let run_micro () =
@@ -499,14 +507,7 @@ let write_baseline ~queries ~rows path =
   let micro = run_micro () in
   Printf.printf "measuring milp.solve pivot counts (warm vs cold)...\n%!";
   let warm_pivots, cold_pivots = milp_pivot_counts milp_interval_problem in
-  let warm_starts =
-    let module C = Pc_obs.Registry.Counter in
-    C.get (C.make "lp.warm_starts")
-  in
-  let total_lp_pivots =
-    let module C = Pc_obs.Registry.Counter in
-    C.get (C.make "lp.pivots")
-  in
+  let total_lp_pivots, warm_starts = lp_counts () in
   let set = overlapping_set () in
   Pc_predicate.Sat.reset_calls ();
   let dfs_cells, stats =

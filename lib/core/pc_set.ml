@@ -4,7 +4,8 @@ module Pred = Pc_predicate.Pred
    race on them: both compute the same value, where a shared [Lazy.t]
    would raise [CamlinternalLazy.Undefined] in the loser. [rows] maps
    each PC to its row of [table]: a {!filter}ed set shares its
-   parent's. *)
+   parent's. A {!map_freqs} set shares the parent's slots themselves,
+   so whichever of the two fills one fills it for both. *)
 type t = {
   arr : Pc.t array;
   rows : int array;
@@ -48,6 +49,17 @@ let get t i = t.arr.(i)
 let filter f t =
   let keep = Array.of_list (List.filter f (List.init (size t) Fun.id)) in
   fresh ~table:(table t) (Array.map (Array.get t.arr) keep) (Array.map (Array.get t.rows) keep)
+
+let map_freqs f t =
+  let arr =
+    Array.mapi
+      (fun i (pc : Pc.t) ->
+        let ((kl, ku) as freq) = f i pc in
+        if kl = pc.Pc.freq_lo && ku = pc.Pc.freq_hi then pc
+        else Pc.make ~name:pc.Pc.name ~pred:pc.Pc.pred ~values:pc.Pc.values ~freq ())
+      t.arr
+  in
+  { t with arr }
 
 let violations rel t =
   Array.to_list t.arr |> List.concat_map (Pc.violations rel)

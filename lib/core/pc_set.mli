@@ -13,6 +13,15 @@ val filter : (int -> bool) -> t -> t
     shares [t]'s cached table (built first if it was not yet) through
     {!rows}, without recomputation or copying. *)
 
+val map_freqs : (int -> Pc.t -> int * int) -> t -> t
+(** [map_freqs f t]: [t] with PC [i]'s frequency range replaced by
+    [f i (get t i)], keeping its name, predicate, ν and position (PC
+    [i] itself where its range is unchanged). No cached value depends
+    on a frequency, so the result shares [t]'s {!table}, {!rows} and
+    disjointness flag, computed or not: the first of the two sets to
+    compute one computes it for both. Raises [Invalid_argument] as
+    {!Pc.make} on an invalid range. *)
+
 (** {2 The flat table} *)
 
 val table : t -> Box_table.t

@@ -1,40 +1,19 @@
-(* Columnar append batches. Construction funnels through [Relation] so a
-   batch is validated exactly once, with the same arity/kind rules the
-   rest of the data layer enforces; the transpose into per-attribute
-   columns happens after validation. *)
+(* A batch is the validated relation it was read as: construction
+   checks every tuple once ({!Relation.create}'s rules), and every
+   reader after that shares the same immutable rows. *)
 
-type t = {
-  schema : Schema.t;
-  cols : Value.t array array;  (* cols.(a).(i): attribute a of row i *)
-  rows : int;
-}
+type t = Relation.t
 
-let of_relation rel =
-  let schema = Relation.schema rel in
-  let n = Relation.cardinality rel in
-  let arity = Schema.arity schema in
-  let cols =
-    Array.init arity (fun a ->
-        Array.init n (fun i -> (Relation.get rel i).(a)))
-  in
-  { schema; cols; rows = n }
-
-let of_rows schema tuples = of_relation (Relation.create schema tuples)
-let of_csv_string ?schema text = of_relation (Csv.read_string ?schema text)
-let schema t = t.schema
-let rows t = t.rows
+let of_relation rel = rel
+let of_rows = Relation.create
+let of_csv_string ?schema text = Csv.read_string ?schema text
+let schema = Relation.schema
+let rows = Relation.cardinality
 
 let row t i =
-  if i < 0 || i >= t.rows then invalid_arg "Batch.row: index out of bounds";
-  Array.map (fun col -> col.(i)) t.cols
+  if i < 0 || i >= rows t then invalid_arg "Batch.row: index out of bounds";
+  Relation.get t i
 
-let iter f t =
-  for i = 0 to t.rows - 1 do
-    f (row t i)
-  done
-
-let column t name =
-  Array.copy t.cols.(Schema.index t.schema name)
-
-let to_relation t =
-  Relation.of_array t.schema (Array.init t.rows (row t))
+let iter = Relation.iter
+let column = Relation.column_values
+let to_relation t = t

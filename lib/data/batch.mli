@@ -1,11 +1,10 @@
-(** Columnar append batches: the unit of streaming ingestion.
+(** Append batches: the unit of streaming ingestion.
 
-    A batch is a schema plus one value array per attribute (column-major
-    storage), validated on construction exactly like {!Relation.create}.
-    Batches are immutable from the outside and cheap to scan column-wise
-    (routing a batch through an FDD touches only the attributes the
-    diagram tests), while {!row}/{!iter} materialize row views for
-    per-tuple consumers. *)
+    A batch is a relation, validated on construction exactly like
+    {!Relation.create} and immutable from the outside. Nothing converts
+    it again: {!to_relation} returns the rows it was built with, so a
+    stream that keeps a batch's relation and the cache sweep that tests
+    its rows share one copy. *)
 
 type t
 
@@ -28,8 +27,10 @@ val row : t -> int -> Relation.tuple
 (** Materializes row [i] as a fresh tuple (schema order). *)
 
 val iter : (Relation.tuple -> unit) -> t -> unit
+(** The batch's own tuples, in order: read them, never write them. *)
 
 val column : t -> string -> Value.t array
 (** A defensive copy of one column. *)
 
 val to_relation : t -> Relation.t
+(** The batch's rows as a relation, without a copy. *)

@@ -87,7 +87,9 @@ let intersect a b =
   let hi = if compare_upper a.hi b.hi <= 0 then a.hi else b.hi in
   if nonempty lo hi then Some { lo; hi } else None
 
-let overlaps a b = Option.is_some (intersect a b)
+(* Both intervals are non-empty, so they meet iff each one's lower end
+   is below the other's upper end. *)
+let overlaps a b = nonempty a.lo b.hi && nonempty b.lo a.hi
 
 let subset a b =
   (* a ⊆ b: b's lower bound no stronger than a's, same for upper *)

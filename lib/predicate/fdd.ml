@@ -331,57 +331,106 @@ let rec dfs_order a b =
       let c = Int.compare x y in
       if c <> 0 then c else dfs_order a' b'
 
+(* Calls [leaf ids] once for every distinct non-empty leaf reachable
+   under the query's per-attribute constraints, depth first with edges
+   in order. Reachability under such constraints is a global property
+   of a node, so one visited mark per node id is sound even though a
+   node is shared across many paths. *)
+let walk qcs t leaf =
+  (* each attribute's constraint, as the option [constr] returns *)
+  let qcs = List.map (fun (a, c) -> (a, Some c)) qcs in
+  let rec constr attr = function
+    | [] -> None
+    | (a, c) :: rest -> if String.equal a attr then c else constr attr rest
+  in
+  let seen = Bytes.make t.mgr.next '\000' in
+  let rec go n =
+    if Bytes.unsafe_get seen n.id = '\000' then begin
+      Bytes.unsafe_set seen n.id '\001';
+      match n.node with
+      | Leaf [] -> ()
+      | Leaf ids -> leaf ids
+      | Num (attr, edges) -> (
+          match constr attr qcs with
+          | None -> Array.iter (fun (_, c) -> go c) edges
+          | Some (Cnum q) -> edges_over q edges
+          | Some (Cin _ | Cnot_in _) -> kind_error attr)
+      | Cat (attr, cases, default) -> (
+          match constr attr qcs with
+          | None ->
+              Array.iter (fun (_, c) -> go c) cases;
+              go default
+          | Some (Cin ss) ->
+              let covered = ref 0 in
+              Array.iter
+                (fun (l, c) ->
+                  if List.mem l ss then begin
+                    incr covered;
+                    go c
+                  end)
+                cases;
+              if !covered < List.length ss then go default
+          | Some (Cnot_in ss) ->
+              Array.iter (fun (l, c) -> if not (List.mem l ss) then go c) cases;
+              (* open string universe: a value outside cases ∪ ss
+                 always exists, so the default stays reachable *)
+              go default
+          | Some (Cnum _) -> kind_error attr)
+    end
+  (* The edges that meet [q]. They ascend and cover ℝ, so those that
+     lie wholly below [q] come first: a binary search skips them, and
+     the scan stops at the first edge past [q]. *)
+  and edges_over q edges =
+    let below k =
+      let iv = fst edges.(k) in
+      (not (I.overlaps iv q)) && I.compare_lo iv q < 0
+    in
+    let rec first lo hi =
+      if lo >= hi then lo
+      else
+        let mid = (lo + hi) / 2 in
+        if below mid then first (mid + 1) hi else first lo mid
+    in
+    let rec scan k =
+      if k < Array.length edges then begin
+        let iv, c = edges.(k) in
+        if I.overlaps iv q then begin
+          go c;
+          scan (k + 1)
+        end
+      end
+    in
+    scan (first 0 (Array.length edges))
+  in
+  go t.root
+
 let cells ?(query = Pred.tt) t =
   match pred_constraints query with
   | None -> []
   | Some qcs ->
-      (* Reachability under per-attribute query constraints is a global
-         property of a node, so the visited memo is sound even though a
-         node is shared across many paths. *)
-      let visited = Hashtbl.create 64 in
       let leaves = ref [] in
-      let rec go n =
-        if not (Hashtbl.mem visited n.id) then begin
-          Hashtbl.add visited n.id ();
-          match n.node with
-          | Leaf [] -> ()
-          | Leaf ids -> leaves := ids :: !leaves
-          | Num (attr, edges) -> (
-              match List.assoc_opt attr qcs with
-              | None -> Array.iter (fun (_, c) -> go c) edges
-              | Some (Cnum q) ->
-                  Array.iter (fun (iv, c) -> if I.overlaps iv q then go c) edges
-              | Some (Cin _ | Cnot_in _) -> kind_error attr)
-          | Cat (attr, cases, default) -> (
-              match List.assoc_opt attr qcs with
-              | None ->
-                  Array.iter (fun (_, c) -> go c) cases;
-                  go default
-              | Some (Cin ss) ->
-                  let covered = ref 0 in
-                  Array.iter
-                    (fun (l, c) ->
-                      if List.mem l ss then begin
-                        incr covered;
-                        go c
-                      end)
-                    cases;
-                  if !covered < List.length ss then go default
-              | Some (Cnot_in ss) ->
-                  Array.iter
-                    (fun (l, c) -> if not (List.mem l ss) then go c)
-                    cases;
-                  (* open string universe: a value outside cases ∪ ss
-                     always exists, so the default stays reachable *)
-                  go default
-              | Some (Cnum _) -> kind_error attr)
-        end
-      in
-      go t.root;
+      walk qcs t (fun ids -> leaves := ids :: !leaves);
       List.sort dfs_order !leaves
 
-let active_pcs ?query t =
-  List.fold_left (fun acc ids -> union_ids acc ids) [] (cells ?query t)
+(* The union of the reachable cells' active sets, marked per PC as the
+   walk meets each leaf: no cell list, no sort, no merge. *)
+let active_pcs ?(query = Pred.tt) t =
+  match pred_constraints query with
+  | None -> []
+  | Some qcs ->
+      let active = Array.make t.n_preds false in
+      let rec mark = function
+        | [] -> ()
+        | j :: rest ->
+            active.(j) <- true;
+            mark rest
+      in
+      walk qcs t mark;
+      let acc = ref [] in
+      for j = t.n_preds - 1 downto 0 do
+        if active.(j) then acc := j :: !acc
+      done;
+      !acc
 
 (* ---- Row routing ---------------------------------------------------- *)
 

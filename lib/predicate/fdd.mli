@@ -35,7 +35,8 @@ val active_pcs : ?query:Pred.t -> compiled -> int list
     over-approximates the set of PCs whose frequency budget a bound for
     [query] can depend on — the basis of the server cache's delta-scoped
     invalidation (a batch consuming only PCs outside this set cannot
-    change the query's answer). *)
+    change the query's answer). One walk of the diagram marks the
+    indices; no cell list is built. *)
 
 val route : compiled -> Pc_data.Schema.t -> Pc_data.Relation.tuple -> int list
 (** Active set of the cell hosting the row: one O(attrs) walk instead

@@ -17,35 +17,65 @@ let c_row_tests = Counter.make "cache.invalidate_row_tests"
 
 type meta = { pcs : int list; where_ : Pred.t; missing_only : bool }
 
-(* An entry's selection compiled against a batch schema. [ranges] is
-   [None] when some atom cannot be evaluated there (attribute absent or
-   of the wrong kind), otherwise the column and interval of every
-   numeric atom that can rule a row out (a full-line atom admits every
-   value, NaN included, so it is left out). [test] is the row test,
-   {!Pred.compile}'s. *)
-type compiled = {
-  ranges : (int * I.t) array option;
+(* An entry's selection compiled for one schema. [evaluable] is false
+   when some atom cannot be evaluated there (attribute absent or of the
+   wrong kind). Otherwise numeric atom [k] that can rule a row out (a
+   full-line atom admits every value, NaN included, so it is left out)
+   reads column [cols.(k)], and a batch's non-NaN values in that column
+   can meet it only if their hull [lo, hi] has [hi >= top.(k)] and
+   [lo <= bottom.(k)] (see [top_of]). [test] is {!Pred.compile}'s row
+   test. *)
+type sel = {
   test : Pc_data.Relation.tuple -> bool;
+  evaluable : bool;
+  cols : int array;
+  top : float array;
+  bottom : float array;
 }
 
+let unknown =
+  { test = (fun _ -> true); evaluable = false; cols = [||]; top = [||]; bottom = [||] }
+
+(* The flat layout one sweep reads: the PCs as an array, the selection
+   compiled for the cache's schema. [slot] is the entry's index in
+   [t.live], -1 once it is gone. *)
 type entry = {
+  key : string;
   value : string;
-  bytes : int;  (* key + value, the footprint both caps account *)
   stamp : int;
   meta : meta option;
-  mutable compiled : (Schema.t * compiled) option;
-      (* memo of [compile] for the last batch schema swept, written
-         under the lock *)
+  pcs : int array;
+  mutable sel : sel;
+  mutable fronts : string list;  (* front keys that lead here *)
+  mutable bytes : int;  (* key + value + front keys: what the byte cap counts *)
+  mutable slot : int;
 }
+
+let dummy =
+  {
+    key = "";
+    value = "";
+    stamp = -1;
+    meta = None;
+    pcs = [||];
+    sel = unknown;
+    fronts = [];
+    bytes = 0;
+    slot = -1;
+  }
 
 type t = {
   capacity : int;
   capacity_bytes : int;
-  tbl : (string, entry) Hashtbl.t;
+  tbl : (string, entry) Hashtbl.t;  (* canonical key -> entry *)
+  fronts : (string, entry) Hashtbl.t;  (* front key -> entry *)
+  mutable live : entry array;  (* every entry, in slots [0, n) *)
+  mutable n : int;
   order : (string * int) Queue.t;
       (* insertion order with stamps: an entry removed by [invalidate]
          and later re-stored leaves a stale (key, old_stamp) pair behind,
-         which eviction recognizes and skips *)
+         which eviction recognizes and skips. The queue holds keys, not
+         entries, so a removed entry's reply dies young. *)
   mutable total_bytes : int;
   mutable next_stamp : int;
   mutable version : int;
@@ -55,6 +85,9 @@ type t = {
          a superseded snapshot must not be stored after the
          invalidation for the superseding batch already swept — it
          would be served byte-identical at the new version. *)
+  mutable schema : Schema.t option;
+      (* the schema every entry's [sel] is compiled for: the last batch
+         schema swept *)
   mu : Mutex.t;
 }
 
@@ -63,55 +96,63 @@ let create ?(capacity = 1024) ?(capacity_bytes = 64 * 1024 * 1024) () =
     capacity = max 1 capacity;
     capacity_bytes = max 1 capacity_bytes;
     tbl = Hashtbl.create 64;
+    fronts = Hashtbl.create 64;
+    live = Array.make 64 dummy;
+    n = 0;
     order = Queue.create ();
     total_bytes = 0;
     next_stamp = 0;
     version = 0;
+    schema = None;
     mu = Mutex.create ();
   }
 
-let find t key =
-  Mutex.lock t.mu;
-  let r = Hashtbl.find_opt t.tbl key in
-  Mutex.unlock t.mu;
-  match r with
-  | Some e ->
-      Counter.incr c_hits;
-      Some e.value
-  | None ->
-      Counter.incr c_misses;
-      None
+(* The lock is held by every function below down to [invalidate]. *)
 
-(* Drop the oldest live entries while either cap is exceeded. Must be
-   called with the lock held. *)
+let add_live t e =
+  if t.n = Array.length t.live then begin
+    let live = Array.make (2 * t.n) dummy in
+    Array.blit t.live 0 live 0 t.n;
+    t.live <- live
+  end;
+  t.live.(t.n) <- e;
+  e.slot <- t.n;
+  t.n <- t.n + 1
+
+(* Drop [e] and its front keys; the last slot moves into its place. *)
+let remove t e =
+  Hashtbl.remove t.tbl e.key;
+  List.iter (Hashtbl.remove t.fronts) e.fronts;
+  t.total_bytes <- t.total_bytes - e.bytes;
+  let last = t.live.(t.n - 1) in
+  t.live.(e.slot) <- last;
+  last.slot <- e.slot;
+  t.live.(t.n - 1) <- dummy;
+  t.n <- t.n - 1;
+  e.slot <- -1
+
+(* Drop the oldest live entries while either cap is exceeded. *)
 let evict_over_caps t =
-  while
-    Hashtbl.length t.tbl > t.capacity || t.total_bytes > t.capacity_bytes
-  do
-    match Queue.take_opt t.order with
-    | None ->
-        (* caps exceeded with an empty queue cannot happen: every live
-           entry has a queue pair; bail rather than spin *)
-        t.total_bytes <- 0;
-        Hashtbl.reset t.tbl
-    | Some (key, stamp) -> (
-        match Hashtbl.find_opt t.tbl key with
-        | Some e when e.stamp = stamp ->
-            Hashtbl.remove t.tbl key;
-            t.total_bytes <- t.total_bytes - e.bytes;
-            Counter.incr c_evictions
-        | _ -> () (* stale pair from an invalidated entry *))
+  while t.n > t.capacity || t.total_bytes > t.capacity_bytes do
+    (* every live entry is queued, and a cap is only exceeded while
+       some entry lives *)
+    let key, stamp = Queue.take t.order in
+    match Hashtbl.find_opt t.tbl key with
+    | Some e when e.stamp = stamp ->
+        remove t e;
+        Counter.incr c_evictions
+    | _ -> () (* stale pair from an invalidated entry *)
   done
 
 (* Stale (key, stamp) pairs left behind by [invalidate] are normally
-   drained by [evict_over_caps] — but only while a cap is exceeded.
+   drained by [evict_over_caps], but only while a cap is exceeded.
    Under steady store→invalidate churn the table stays small and the
    queue would grow for the life of the server, so whenever it bloats
-   past twice the live-entry count we rebuild it from the live pairs.
-   Amortized O(1) per queue push; must be called with the lock held. *)
+   past twice the live-entry count it is rebuilt from the live pairs.
+   Amortized O(1) per queue push. *)
 let compact_if_bloated t =
   let qlen = Queue.length t.order in
-  if qlen > 64 && qlen > 2 * Hashtbl.length t.tbl then begin
+  if qlen > 64 && qlen > 2 * t.n then begin
     let live = Queue.create () in
     Queue.iter
       (fun ((key, stamp) as pair) ->
@@ -123,24 +164,57 @@ let compact_if_bloated t =
     Queue.transfer live t.order
   end
 
-let store t ?meta ?version key value =
-  Mutex.lock t.mu;
-  let fresh =
-    match version with None -> true | Some v -> v >= t.version
-  in
-  if not fresh then Counter.incr c_stale_stores
-  else if not (Hashtbl.mem t.tbl key) then begin
-    let bytes = String.length key + String.length value in
-    let stamp = t.next_stamp in
-    t.next_stamp <- stamp + 1;
-    Hashtbl.add t.tbl key { value; bytes; stamp; meta; compiled = None };
-    Queue.push (key, stamp) t.order;
-    t.total_bytes <- t.total_bytes + bytes;
-    evict_over_caps t
-  end;
-  Mutex.unlock t.mu
+(* Make [front] lead to [e], counting its bytes. *)
+let link t e = function
+  | Some front when not (Hashtbl.mem t.fronts front) ->
+      Hashtbl.add t.fronts front e;
+      e.fronts <- front :: e.fronts;
+      let b = String.length front in
+      e.bytes <- e.bytes + b;
+      t.total_bytes <- t.total_bytes + b;
+      evict_over_caps t
+  | _ -> ()
 
-let compile schema (where_ : Pred.t) : compiled =
+let find t ?front key =
+  Mutex.lock t.mu;
+  let r =
+    match Hashtbl.find_opt t.tbl key with
+    | Some e ->
+        link t e front;
+        Some e.value
+    | None -> None
+  in
+  Mutex.unlock t.mu;
+  Counter.incr (if Option.is_some r then c_hits else c_misses);
+  r
+
+let find_front t front =
+  Mutex.lock t.mu;
+  let r = Hashtbl.find_opt t.fronts front in
+  Mutex.unlock t.mu;
+  match r with
+  | Some e ->
+      Counter.incr c_hits;
+      Some e.value
+  | None -> None
+
+(* [hi >= top_of iv.lo] iff a non-NaN [hi] clears [iv]'s lower end, and
+   [lo <= bottom_of iv.hi] iff a non-NaN [lo] clears its upper end. An
+   open end becomes the next float inward; an end no value clears
+   becomes NaN, which every comparison fails. *)
+let top_of = function
+  | I.Neg_inf -> Float.neg_infinity
+  | I.Closed l -> l
+  | I.Open l -> if l = Float.infinity then Float.nan else Float.succ l
+  | I.Pos_inf -> Float.nan
+
+let bottom_of = function
+  | I.Pos_inf -> Float.infinity
+  | I.Closed u -> u
+  | I.Open u -> if u = Float.neg_infinity then Float.nan else Float.pred u
+  | I.Neg_inf -> Float.nan
+
+let compile schema (where_ : Pred.t) =
   let test = Pred.compile schema where_ in
   let exception Unevaluable in
   let column a kind =
@@ -159,19 +233,72 @@ let compile schema (where_ : Pred.t) : compiled =
             None)
       where_
   with
-  | atoms -> { ranges = Some (Array.of_list atoms); test }
-  | exception Unevaluable -> { ranges = None; test }
+  | ranges ->
+      let ranges = Array.of_list ranges in
+      {
+        test;
+        evaluable = true;
+        cols = Array.map fst ranges;
+        top = Array.map (fun (_, iv) -> top_of iv.I.lo) ranges;
+        bottom = Array.map (fun (_, iv) -> bottom_of iv.I.hi) ranges;
+      }
+  | exception Unevaluable -> { unknown with test }
 
-let compiled_against schema e where_ =
-  match e.compiled with
-  | Some (s, c) when s == schema || Schema.equal s schema -> c
+(* Only an entry whose reply reads the certain side tests batch rows. *)
+let compile_entry t e =
+  match (e.meta, t.schema) with
+  | Some m, Some schema when not m.missing_only -> e.sel <- compile schema m.where_
+  | _ -> ()
+
+let store t ?meta ?version ?front key value =
+  Mutex.lock t.mu;
+  let fresh =
+    match version with None -> true | Some v -> v >= t.version
+  in
+  (if not fresh then Counter.incr c_stale_stores
+   else
+     match Hashtbl.find_opt t.tbl key with
+     | Some e -> link t e front
+     | None ->
+         let e =
+           {
+             key;
+             value;
+             stamp = t.next_stamp;
+             meta;
+             pcs =
+               (match meta with
+               | Some m -> Array.of_list m.pcs
+               | None -> [||]);
+             sel = unknown;
+             fronts = [];
+             bytes = String.length key + String.length value;
+             slot = -1;
+           }
+         in
+         compile_entry t e;
+         Hashtbl.add t.tbl key e;
+         add_live t e;
+         t.next_stamp <- t.next_stamp + 1;
+         Queue.push (key, e.stamp) t.order;
+         t.total_bytes <- t.total_bytes + e.bytes;
+         link t e front;
+         evict_over_caps t);
+  Mutex.unlock t.mu
+
+(* Sweep with rows of [schema]: recompile every entry unless they are
+   compiled for it already (always, once a stream's schema is set). *)
+let adopt t schema =
+  match t.schema with
+  | Some s when s == schema || Schema.equal s schema -> ()
   | _ ->
-      let c = compile schema where_ in
-      e.compiled <- Some (schema, c);
-      c
+      t.schema <- Some schema;
+      for i = 0 to t.n - 1 do
+        compile_entry t t.live.(i)
+      done
 
 (* The batch's per-column hulls: each numeric column's [min, max] over
-   its non-NaN values ([lo > hi] when it has none). [None] when some
+   its non-NaN values ([+inf, -inf] when it has none). [None] when some
    row does not fit the schema (too short, or a value of the wrong
    kind): an atom could then raise on that row, so no entry may skip
    the row test. *)
@@ -196,23 +323,22 @@ let hulls schema tuples =
     Some { lo; hi }
   else None
 
-(* No value in [lo, hi] lies in [iv] (a non-full interval, which holds
-   no NaN). Two convex sets meet iff the hull's top clears [iv]'s lower
-   end and its bottom clears [iv]'s upper end. *)
-let misses (iv : I.t) ~lo ~hi =
-  lo > hi
-  || not
-       ((match iv.I.lo with
-        | I.Neg_inf -> true
-        | I.Pos_inf -> false
-        | I.Closed l -> hi >= l
-        | I.Open l -> hi > l)
-       &&
-       match iv.I.hi with
-       | I.Pos_inf -> true
-       | I.Neg_inf -> false
-       | I.Closed u -> lo <= u
-       | I.Open u -> lo < u)
+(* Some numeric atom from [k] on misses its column's hull: every row
+   fails it. A column with no non-NaN value has [lo = +inf] and
+   [hi = -inf], which miss every atom here: an atom is not the full
+   line, so its [top] is above -inf or its [bottom] below +inf. *)
+let rec misses h s k =
+  k < Array.length s.cols
+  &&
+  let c = s.cols.(k) in
+  (not (h.hi.(c) >= s.top.(k) && h.lo.(c) <= s.bottom.(k))) || misses h s (k + 1)
+
+let rec reaches marked pcs k =
+  k < Array.length pcs
+  &&
+  let j = pcs.(k) in
+  (j >= 0 && j < Array.length marked && Array.unsafe_get marked j)
+  || reaches marked pcs (k + 1)
 
 (* The exact certain-side test: some batch row satisfies the selection.
    A row the predicate cannot be evaluated on (attribute absent or
@@ -225,68 +351,61 @@ let selects test tuples =
 
 (* Does the ingestion delta reach this entry? Missing side: consumption
    of a reachable PC. Certain side: a batch row inside the entry's
-   selection. The hull prefilter answers "no row" without the row test
-   when every atom can be evaluated and some numeric atom misses its
+   selection. The hull test answers "no row" without the row test when
+   every atom can be evaluated and some numeric atom misses its
    column's hull: every row then fails that atom, and none can raise,
-   so [selects] would have answered [false] too. *)
+   so [selects] would have answered [false] too. One pass over the
+   live slots; nothing is allocated per entry. *)
 let invalidate t ~version ~touched ~rows =
   let marked = Array.make (1 + List.fold_left max (-1) touched) false in
   List.iter (fun j -> if j >= 0 then marked.(j) <- true) touched;
-  let reaches pcs =
-    List.exists (fun j -> j >= 0 && j < Array.length marked && marked.(j)) pcs
+  let hulls =
+    match rows with
+    | Some (schema, tuples) -> hulls schema tuples
+    | None -> None
   in
-  let batch =
-    Option.map (fun (schema, tuples) -> (schema, tuples, hulls schema tuples)) rows
-  in
-  let row_tests = ref 0 in
-  let affected e =
-    match e.meta with
-    | None -> true
-    | Some m -> (
-        reaches m.pcs
-        || (not m.missing_only)
-           &&
-           match batch with
-           | None -> false
-           | Some (schema, tuples, hulls) ->
-               let c = compiled_against schema e m.where_ in
-               let skip =
-                 match (hulls, c.ranges) with
-                 | Some h, Some atoms ->
-                     Array.exists
-                       (fun (i, iv) -> misses iv ~lo:h.lo.(i) ~hi:h.hi.(i))
-                       atoms
-                 | _ -> false
-               in
-               (not skip)
-               && begin
-                    incr row_tests;
-                    selects c.test tuples
-                  end)
-  in
+  let evicted = ref 0 and row_tests = ref 0 in
   Mutex.lock t.mu;
   if version > t.version then t.version <- version;
-  let victims =
-    Hashtbl.fold
-      (fun key e acc -> if affected e then (key, e.bytes) :: acc else acc)
-      t.tbl []
-  in
-  List.iter
-    (fun (key, bytes) ->
-      Hashtbl.remove t.tbl key;
-      t.total_bytes <- t.total_bytes - bytes;
-      Counter.incr c_invalidations)
-    victims;
+  Option.iter (fun (schema, _) -> adopt t schema) rows;
+  for i = t.n - 1 downto 0 do
+    let e = t.live.(i) in
+    let affected =
+      match e.meta with
+      | None -> true
+      | Some m -> (
+          reaches marked e.pcs 0
+          || (not m.missing_only)
+             &&
+             match rows with
+             | None -> false
+             | Some (_, tuples) ->
+                 let s = e.sel in
+                 (not
+                    (s.evaluable
+                    && match hulls with Some h -> misses h s 0 | None -> false))
+                 && begin
+                      incr row_tests;
+                      selects s.test tuples
+                    end)
+    in
+    (* slots above [i] are swept, so the one [remove] moves down is too *)
+    if affected then begin
+      remove t e;
+      incr evicted
+    end
+  done;
   compact_if_bloated t;
   Mutex.unlock t.mu;
+  Counter.add c_invalidations !evicted;
   Counter.add c_row_tests !row_tests;
   if Pc_obs.Trace.enabled () then
     Pc_obs.Trace.add_attr "row_tests" (string_of_int !row_tests);
-  List.length victims
+  !evicted
 
 let size t =
   Mutex.lock t.mu;
-  let n = Hashtbl.length t.tbl in
+  let n = t.n in
   Mutex.unlock t.mu;
   n
 
@@ -324,17 +443,14 @@ let digest_set set ~csv =
   in
   Digest.to_hex (Digest.string body)
 
-let key ~digest ~(query : Q.t) ~missing_only ~timeout_ms =
-  let buf = Buffer.create 128 in
+let add_part buf (query : Q.t) =
   let add = Buffer.add_string buf in
-  add digest;
   let agg name a =
     add name;
     Buffer.add_char buf '(';
     Pred.add_quoted buf a;
     Buffer.add_char buf ')'
   in
-  add "|";
   (match query.Q.agg with
   | Q.Count -> add "count"
   | Q.Sum a -> agg "sum" a
@@ -342,9 +458,33 @@ let key ~digest ~(query : Q.t) ~missing_only ~timeout_ms =
   | Q.Min a -> agg "min" a
   | Q.Max a -> agg "max" a);
   add "|";
-  Pred.add_canonical_key buf query.Q.where_;
-  add (if missing_only then "|m=true|t=" else "|m=false|t=");
-  (match timeout_ms with
-  | None -> add "-"
-  | Some ms -> Pc_util.Float_text.add_hex buf ms);
+  Pred.add_canonical_key buf query.Q.where_
+
+let add_flags buf ~missing_only ~timeout_ms =
+  Buffer.add_string buf (if missing_only then "|m=true|t=" else "|m=false|t=");
+  match timeout_ms with
+  | None -> Buffer.add_char buf '-'
+  | Some ms -> Pc_util.Float_text.add_hex buf ms
+
+let query_part query =
+  let buf = Buffer.create 96 in
+  add_part buf query;
+  Buffer.contents buf
+
+let key_of_part ~digest part ~missing_only ~timeout_ms =
+  let buf = Buffer.create (String.length digest + String.length part + 32) in
+  Buffer.add_string buf digest;
+  Buffer.add_char buf '|';
+  Buffer.add_string buf part;
+  add_flags buf ~missing_only ~timeout_ms;
+  Buffer.contents buf
+
+let key ~digest ~query ~missing_only ~timeout_ms =
+  key_of_part ~digest (query_part query) ~missing_only ~timeout_ms
+
+let front_key ~text ~missing_only ~timeout_ms =
+  let buf = Buffer.create (String.length text + 32) in
+  add_flags buf ~missing_only ~timeout_ms;
+  Buffer.add_char buf '|';
+  Buffer.add_string buf text;
   Buffer.contents buf

@@ -11,12 +11,12 @@
     ingestion instead uses {!invalidate} for {e delta-scoped} eviction.
 
     Thread-safe; bounded by {e both} entry count and total byte size
-    with FIFO eviction (large replies can no longer pin unbounded
-    memory behind the entry cap). Hits and misses feed the global
+    (key, value and front keys) with FIFO eviction (large replies can
+    no longer pin unbounded memory behind the entry cap). Hits and misses feed the global
     [cache.hits] / [cache.misses] counters; capacity-driven evictions
     feed [cache.evictions] and delta-scoped ones [cache.invalidations].
     [cache.invalidate_row_tests] counts the entries an {!invalidate}
-    sweep had to test row by row (see the prefilter below).
+    sweep had to test row by row (see the flat sweep below).
 
     {2 Delta-scoped invalidation}
 
@@ -38,32 +38,47 @@
     constraint system restricted to the entry's reachable cells and its
     certain selection are both unchanged.
 
-    {3 The hull prefilter}
+    {3 The flat sweep}
 
     The certain-side test is exact: it evaluates the entry's selection
     on every batch row, and an atom that raises (attribute absent from
     the batch schema, or of the wrong kind) counts as a match. Most
-    entries are skipped before it. Once per batch the sweep computes
-    each numeric column's [\[min, max\]] hull over the rows, NaN
-    excluded. Once per entry and batch schema (memoised in the entry)
-    it compiles the selection to the column and interval of each
-    numeric atom, or to "cannot be evaluated". An entry skips the row
-    test iff every atom can be evaluated and some numeric atom's
-    interval misses its column's hull. The answer is the same: every
-    row fails that atom, no atom can raise, so no row satisfies the
-    conjunction. A full-line atom never rules a row out (it admits
-    NaN), so it never skips one. A batch with a row that does not fit
-    its schema (too short, or a value of the wrong kind) disables the
-    prefilter, since an atom could raise on that row. The test
-    [test/test_ingest.ml] checks the victims against the row sweep,
-    kept in [test/oracle/cache_sweep.ml].
+    entries are skipped before it. Each entry keeps a flat layout, built
+    by {!store}: its reachable PCs as an int array, and its selection
+    compiled for the cache's schema (the last batch schema swept; a
+    stream has one) to "cannot be evaluated" or to the column and the
+    unboxed bounds of each numeric atom. A sweep with rows of another
+    schema recompiles every entry first. Once per batch the sweep
+    computes each numeric column's [\[min, max\]] hull over the rows,
+    NaN excluded; then one pass over the entries tests each PC against
+    the touched mask and each numeric atom against its column's hull,
+    allocating nothing per entry. An entry skips the row test iff every
+    atom can be evaluated and some numeric atom's interval misses its
+    column's hull. The answer is the same: every row fails that atom,
+    no atom can raise, so no row satisfies the conjunction. A full-line
+    atom never rules a row out (it admits NaN), so it never skips one.
+    A batch with a row that does not fit its schema (too short, or a
+    value of the wrong kind) disables the hull test, since an atom could
+    raise on that row. [test/test_ingest.ml] checks the victims against
+    the row sweep ([test/oracle/cache_sweep.ml]), and
+    [test/test_server.ml] against the per-entry hull test this pass
+    replaced ([test/oracle/cache_hull.ml]).
 
     There is no PC → entries index and no grouping of entries by
-    selection. The missing-side test is a lookup per reachable PC, but
-    the certain side still has to visit every entry, and after the
-    prefilter that visit is a few float comparisons. On the benchmark's
-    ingest workload the roughly 145 cached selections are all distinct,
-    so grouping would save nothing.
+    selection. On the benchmark's ingest workload the roughly 145
+    cached selections are all distinct, so grouping would save nothing.
+
+    {2 The front index}
+
+    A request's {!front_key} (its raw query text and flags) leads to
+    the entry its canonical {!key} found or stored, so a text the cache
+    has answered before hits without a parse: {!find_front} is checked
+    first, and {!find} and {!store} link the front key on the way. Equal
+    front keys parse to equal keys within one cache, so a front hit
+    returns the bytes the canonical hit would. Front keys go with their
+    entry on eviction and invalidation and count in the byte cap. A
+    request moves [cache.hits] or [cache.misses] exactly once: a front
+    miss counts nothing.
 
     {2 Version fencing}
 
@@ -90,15 +105,23 @@ type meta = {
 val create : ?capacity:int -> ?capacity_bytes:int -> unit -> t
 (** Defaults: 1024 entries, 64 MiB of key+value bytes. *)
 
-val find : t -> string -> string option
-(** Counts a hit or a miss. *)
+val find : t -> ?front:string -> string -> string option
+(** Counts a hit or a miss. On a hit, [front] (a {!front_key}) is
+    linked to the entry found. *)
 
-val store : t -> ?meta:meta -> ?version:int -> string -> string -> unit
+val find_front : t -> string -> string option
+(** The reply the {!front_key} leads to: counts a hit when there is
+    one, and nothing otherwise (the caller then parses the request and
+    asks {!find}, which counts). *)
+
+val store :
+  t -> ?meta:meta -> ?version:int -> ?front:string -> string -> string -> unit
 (** Insert unless present; evicts oldest entries while either cap is
     exceeded. [version] is the stream version the reply's snapshot was
     pinned at: the store is silently dropped when an {!invalidate} for
     a later version has already swept (the reply is stale by
-    construction). Omitting [version] stores unconditionally. *)
+    construction). Omitting [version] stores unconditionally. [front]
+    is linked to the entry stored, or to the one already present. *)
 
 val invalidate :
   t ->
@@ -138,6 +161,26 @@ val key :
   missing_only:bool ->
   timeout_ms:float option ->
   string
-(** The cache key. [timeout_ms] participates because it clips the
-    request budget, which can change the reply's degradation path —
-    two requests differing only in timeout must not share an entry. *)
+(** The cache key: [key_of_part ~digest (query_part query)].
+    [timeout_ms] participates because it clips the request budget,
+    which can change the reply's degradation path — two requests
+    differing only in timeout must not share an entry. *)
+
+val query_part : Pc_query.Query.t -> string
+(** The aggregate-and-predicate part of a key, in canonical form. *)
+
+val key_of_part :
+  digest:string ->
+  string ->
+  missing_only:bool ->
+  timeout_ms:float option ->
+  string
+(** A key from its {!query_part}: a request that needs two keys of one
+    query (the reply's and its incremental engine's) builds the part
+    once. *)
+
+val front_key :
+  text:string -> missing_only:bool -> timeout_ms:float option -> string
+(** The front key of a request: its raw query text and the flags that
+    take part in {!key}. Within one cache (one dataset), equal front
+    keys parse to equal keys. *)

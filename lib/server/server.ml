@@ -247,10 +247,11 @@ let handle_load t r v =
             r ))
 
 (* Re-bound [query] on the dataset's engine, built on first use; both
-   are charged to the request's [budget]. *)
-let warm_rebound ds query ~budget ~consumed =
+   are charged to the request's [budget]. [part] is the query's
+   {!Cache.query_part}. *)
+let warm_rebound ds query ~part ~budget ~consumed =
   let ekey =
-    Cache.key ~digest:"engine" ~query ~missing_only:false ~timeout_ms:None
+    Cache.key_of_part ~digest:"engine" part ~missing_only:false ~timeout_ms:None
   in
   Mutex.protect ds.engines_mu (fun () ->
       let eng =
@@ -310,7 +311,7 @@ let request_budget t level timeout_ms =
 (* A cache miss: admit, compute on one pinned snapshot, and store the
    reply when it is reusable. The request holds an in-flight slot for
    its whole compute. *)
-let compute_bound t ds r query ~ckey ~timeout_ms ~missing_only =
+let compute_bound t ds r query ~part ~ckey ~front ~timeout_ms ~missing_only =
   let inflight = Atomic.fetch_and_add t.inflight 1 in
   Fun.protect
     ~finally:(fun () -> Atomic.decr t.inflight)
@@ -340,7 +341,7 @@ let compute_bound t ds r query ~ckey ~timeout_ms ~missing_only =
           Some
             (fun budget ->
               let a =
-                warm_rebound ds query ~budget ~consumed:st.Stream.consumed
+                warm_rebound ds query ~part ~budget ~consumed:st.Stream.consumed
               in
               incremental := Option.is_some a;
               a)
@@ -391,7 +392,7 @@ let compute_bound t ds r query ~ckey ~timeout_ms ~missing_only =
           }
         in
         let text = J.to_string reply in
-        Cache.store ds.cache ~meta ~version:st.Stream.version ckey text;
+        Cache.store ds.cache ~meta ~version:st.Stream.version ~front ckey text;
         (Rtext text, r)
       end
       else (Rjson reply, r))
@@ -401,36 +402,43 @@ let handle_bound t r v =
   | None -> fail r "bad-request" "bound: missing string field \"query\""
   | Some qtext ->
       with_dataset t r v (fun _ ds r ->
-          match Pc_parse.Query_parser.parse qtext with
-          | exception Failure msg -> fail r "parse-error" msg
-          | query -> (
-              let timeout_ms = num_field v "timeout_ms" in
-              let missing_only =
-                Option.value (bool_field v "missing_only") ~default:false
-              in
-              (* Cache lookup happens before admission: a hit costs no
-                 compute, so it must not occupy an in-flight slot or be
-                 crushed by load it does not add to. *)
-              let ckey =
-                Cache.key ~digest:ds.digest ~query ~missing_only ~timeout_ms
-              in
-              match Cache.find ds.cache ckey with
-              | Some text -> (Rtext text, { r with T.cache = W.Hit })
-              | None -> (
-                  let r = { r with T.cache = W.Miss } in
-                  (* The certain rows are read by attribute name: a
-                     query the certain schema cannot answer is the
-                     client's error, not a solver exception. *)
-                  match
-                    match Stream.schema ds.stream with
-                    | Some schema when not missing_only ->
-                        Q.check_schema schema query
-                    | _ -> Ok ()
-                  with
-                  | Error msg -> fail r "bad-request" msg
-                  | Ok () ->
-                      compute_bound t ds r query ~ckey ~timeout_ms
-                        ~missing_only)))
+          let timeout_ms = num_field v "timeout_ms" in
+          let missing_only =
+            Option.value (bool_field v "missing_only") ~default:false
+          in
+          (* Cache lookup happens before admission: a hit costs no
+             compute, so it must not occupy an in-flight slot or be
+             crushed by load it does not add to. A text this cache has
+             answered before hits without a parse. *)
+          let front = Cache.front_key ~text:qtext ~missing_only ~timeout_ms in
+          match Cache.find_front ds.cache front with
+          | Some text -> (Rtext text, { r with T.cache = W.Hit })
+          | None -> (
+              match Pc_parse.Query_parser.parse qtext with
+              | exception Failure msg -> fail r "parse-error" msg
+              | query -> (
+                  let part = Cache.query_part query in
+                  let ckey =
+                    Cache.key_of_part ~digest:ds.digest part ~missing_only
+                      ~timeout_ms
+                  in
+                  match Cache.find ds.cache ~front ckey with
+                  | Some text -> (Rtext text, { r with T.cache = W.Hit })
+                  | None -> (
+                      let r = { r with T.cache = W.Miss } in
+                      (* The certain rows are read by attribute name: a
+                         query the certain schema cannot answer is the
+                         client's error, not a solver exception. *)
+                      match
+                        match Stream.schema ds.stream with
+                        | Some schema when not missing_only ->
+                            Q.check_schema schema query
+                        | _ -> Ok ()
+                      with
+                      | Error msg -> fail r "bad-request" msg
+                      | Ok () ->
+                          compute_bound t ds r query ~part ~ckey ~front
+                            ~timeout_ms ~missing_only))))
 
 (* ------------------------------------------------------------------ *)
 (* Streaming ingestion ops                                             *)

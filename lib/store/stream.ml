@@ -20,7 +20,9 @@ type snapshot = {
   residual : Pc_set.t;
 }
 
-type entry = { id : int; batch : Batch.t; delta : int array }
+(* [rel] is the batch's relation: a retraction rebuilds the certain
+   side from the kept ones. *)
+type entry = { id : int; rel : Relation.t; delta : int array }
 
 type state = {
   snap : snapshot;
@@ -40,20 +42,16 @@ type t = {
    missing-row budget: ku' = (ku − c)⁺ and kl' = (kl − c)⁺ clamped into
    [0, ku']. kl ≤ ku gives kl − c ≤ ku − c, so the clamp only fires when
    consumption exceeded ku (certain data outran the constraint estimate
-   — the residual stays well-formed and conservative). *)
+   — the residual stays well-formed and conservative). Only frequency
+   ranges change, so every residual shares the base set's flat table
+   and disjointness flag, built once for the stream's life. *)
 let residual_of set consumed =
-  Pc_set.make
-    (List.mapi
-       (fun j (pc : Pc.t) ->
-         let c = consumed.(j) in
-         if c = 0 then pc
-         else begin
-           let ku = max 0 (pc.Pc.freq_hi - c) in
-           let kl = min ku (max 0 (pc.Pc.freq_lo - c)) in
-           Pc.make ~name:pc.Pc.name ~pred:pc.Pc.pred ~values:pc.Pc.values
-             ~freq:(kl, ku) ()
-         end)
-       (Pc_set.pcs set))
+  Pc_set.map_freqs
+    (fun j (pc : Pc.t) ->
+      let c = consumed.(j) in
+      let ku = max 0 (pc.Pc.freq_hi - c) in
+      (min ku (max 0 (pc.Pc.freq_lo - c)), ku))
+    set
 
 let create ?certain ~fdd base_set =
   let n = Pc_set.size base_set in
@@ -83,13 +81,13 @@ let schema t =
   | None -> None
 
 let batches t =
-  List.map (fun e -> (e.id, Batch.rows e.batch)) (Atomic.get t.cell).entries
+  List.map (fun e -> (e.id, Relation.cardinality e.rel)) (Atomic.get t.cell).entries
 
 let find_batch t ~batch_id =
   List.find_opt
     (fun e -> e.id = batch_id)
     (Atomic.get t.cell).entries
-  |> Option.map (fun e -> e.batch)
+  |> Option.map (fun e -> Batch.of_relation e.rel)
 
 let batch_delta t batch =
   let n = Pc_set.size t.base_set in
@@ -161,7 +159,7 @@ let append ?(before_publish = ignore) t batch =
               in
               let id = t.next_id in
               t.next_id <- id + 1;
-              let entries = st.entries @ [ { id; batch; delta } ] in
+              let entries = st.entries @ [ { id; rel; delta } ] in
               let snap = make_snap t st ~certain ~consumed in
               let info =
                 {
@@ -189,10 +187,9 @@ let retract ?(before_publish = ignore) t ~batch_id =
           let certain =
             List.fold_left
               (fun acc e' ->
-                let rel = Batch.to_relation e'.batch in
                 match acc with
-                | None -> Some rel
-                | Some r -> Some (Relation.union r rel))
+                | None -> Some e'.rel
+                | Some r -> Some (Relation.union r e'.rel))
               t.base_certain entries
           in
           let snap = make_snap t st ~certain ~consumed in
@@ -200,7 +197,7 @@ let retract ?(before_publish = ignore) t ~batch_id =
             {
               batch_id;
               version = snap.version;
-              rows = Batch.rows e.batch;
+              rows = Relation.cardinality e.rel;
               touched = touched_of e.delta;
               delta = Array.map (fun d -> -d) e.delta;
             }

@@ -17,14 +17,18 @@
     whose missing-row budget it consumes. The {e residual} PC set
     replaces each frequency range [kl, ku] with
     [(kl − c)⁺ ∧ ku', ku' = (ku − c)⁺] for consumption [c] — the
-    constraint system the full bound path solves after ingestion. A
+    constraint system the full bound path solves after ingestion. It is
+    built with {!Pc_core.Pc_set.map_freqs}, so every snapshot's residual
+    shares the base set's flat table and disjointness flag, computed
+    once for the stream's life. A
     {!Pc_core.Incremental} engine takes the raw [consumed] vector
     instead and reaches the same system by pure bound changes on the
     program it built once.
 
     Retraction is by batch id and restores the budget: consumption is
     subtracted and the certain relation rebuilt from the base load plus
-    the surviving batches (arrival order). *)
+    the surviving batches (arrival order), whose relations the stream
+    kept at append. *)
 
 type info = {
   batch_id : int;

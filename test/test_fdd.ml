@@ -277,6 +277,60 @@ let prop_route_matches_eval =
           Fdd.route fdd schema row = expect)
         (List.init 20 Fun.id))
 
+(* [active_pcs] marks PCs in one walk; its definition is the sorted
+   union of the reachable cells' active sets. Queries conjoin up to
+   three random atoms, half of them points (so few cells are reachable
+   and some queries are unsatisfiable), and now and then use an
+   attribute at the wrong kind, which must raise the same error.
+   Without a kind clash the result must also be the PCs whose predicate
+   meets the query in one box: [cells] shares the walk, so only this
+   second check tests the walk itself. *)
+let prop_active_pcs_matches_cells =
+  QCheck.Test.make ~name:"active_pcs ≡ union of the cells' active sets"
+    ~count:500
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let rng = Pc_util.Rng.create seed in
+      let set = random_pc_set rng (1 + Pc_util.Rng.int rng 12) in
+      let fdd =
+        Fdd.compile (Array.of_list (List.map (fun pc -> pc.Pc.pred) (Pc_set.pcs set)))
+      in
+      let atom () =
+        let lo = Pc_util.Rng.uniform rng ~lo:(-10.) ~hi:100. in
+        let hi =
+          lo +. if Pc_util.Rng.bool rng then 0. else Pc_util.Rng.uniform rng ~lo:0. ~hi:50.
+        in
+        match Pc_util.Rng.int rng 8 with
+        | 0 -> Atom.between "utc" lo hi
+        | 1 -> Atom.Num_range ("price", I.make_exn (I.Open lo) (I.Open (hi +. 1.)))
+        | 2 -> Atom.at_least "price" lo
+        | 3 -> Atom.cat_eq "branch" (List.nth [ "a"; "b"; "zz" ] (Pc_util.Rng.int rng 3))
+        | 4 -> Atom.Cat_in ("branch", [ "a"; "c" ])
+        | 5 -> Atom.Cat_not_in ("branch", [ "b"; "d" ])
+        | 6 -> Atom.Cat_neq ("branch", "a")
+        | _ ->
+            if Pc_util.Rng.int rng 4 = 0 then Atom.cat_eq "utc" "x"
+            else Atom.between "other" lo hi
+      in
+      let query = List.init (Pc_util.Rng.int rng 4) (fun _ -> atom ()) in
+      let run f = match f () with v -> Ok v | exception Invalid_argument m -> Error m in
+      let defined () =
+        List.fold_left
+          (fun acc ids -> List.sort_uniq Int.compare (acc @ ids))
+          [] (Fdd.cells ~query fdd)
+      in
+      let meets () =
+        List.filter
+          (fun j ->
+            Option.is_some
+              (Pc_predicate.Box.of_pred (List.nth (Pc_set.pcs set) j).Pc.pred
+              |> Fun.flip Option.bind (fun b -> Pc_predicate.Box.add_pred b query)))
+          (List.init (Pc_set.size set) Fun.id)
+      in
+      let got = run (fun () -> Fdd.active_pcs ~query fdd) in
+      run defined = got
+      && match (got, run meets) with Ok a, Ok b -> a = b | _ -> true)
+
 let () =
   Alcotest.run "pc_fdd"
     [
@@ -298,6 +352,7 @@ let () =
         ] );
       ( "oracle",
         [
+          QCheck_alcotest.to_alcotest prop_active_pcs_matches_cells;
           QCheck_alcotest.to_alcotest prop_fdd_matches_dfs;
           QCheck_alcotest.to_alcotest prop_route_matches_eval;
         ] );

@@ -769,6 +769,95 @@ let prop_incremental_matches_scratch =
           done;
           !ok)
 
+(* A residual set built by [Pc_set.map_freqs] (as [Stream] builds every
+   snapshot's) answers bit for bit as [Pc_set.make] of the same PCs,
+   range, exactness, provenance and every stat but [elapsed], under the
+   default decomposition and the server's FDD one, on disjoint sets
+   (the greedy path) and overlapping ones, for all five aggregates. It
+   shares the base set's table, and so does a stream snapshot's
+   residual. *)
+let prop_residual_shares_table =
+  let module R = Pc_util.Rng in
+  let disjoint_set rng n =
+    Pc_set.make
+      (List.init n (fun i ->
+           let lo = 10. *. float_of_int i in
+           let kl = R.int rng 3 in
+           mk
+             ~name:(Printf.sprintf "d%d" i)
+             [ Atom.between "x" lo (lo +. 5. +. R.uniform rng ~lo:0. ~hi:4.) ]
+             [ ("v", I.closed (R.uniform rng ~lo:0. ~hi:20.) (R.uniform rng ~lo:30. ~hi:100.)) ]
+             (kl, kl + 1 + R.int rng 8)))
+  in
+  let same_outcome (a : Bounds.outcome) (b : Bounds.outcome) =
+    let bits = Int64.bits_of_float in
+    (match (a.Bounds.answer, b.Bounds.answer) with
+    | Bounds.Range x, Bounds.Range y ->
+        bits x.Range.lo = bits y.Range.lo
+        && bits x.Range.hi = bits y.Range.hi
+        && x.Range.lo_exact = y.Range.lo_exact
+        && x.Range.hi_exact = y.Range.hi_exact
+    | x, y -> x = y)
+    && { a.Bounds.stats with Bounds.elapsed = 0. }
+       = { b.Bounds.stats with Bounds.elapsed = 0. }
+  in
+  QCheck.Test.make ~name:"map_freqs residual ≡ Pc_set.make, sharing the table"
+    ~count:150
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let rng = R.create seed in
+      let n = 2 + R.int rng 6 in
+      let base =
+        if R.bool rng then disjoint_set rng n else random_overlap_set rng n
+      in
+      let fdd = compile_fdd base in
+      let consumed =
+        Array.init n (fun _ -> if R.int rng 3 = 0 then 0 else R.int rng 10)
+      in
+      let residual =
+        Pc_set.map_freqs
+          (fun j (pc : Pc.t) ->
+            let ku = max 0 (pc.Pc.freq_hi - consumed.(j)) in
+            (min ku (max 0 (pc.Pc.freq_lo - consumed.(j))), ku))
+          base
+      in
+      let fresh = Pc_set.make (Pc_set.pcs residual) in
+      let where_ =
+        let lo = R.uniform rng ~lo:(-5.) ~hi:40. in
+        [ Atom.between "x" lo (lo +. R.uniform rng ~lo:1. ~hi:60.) ]
+      in
+      let queries =
+        [
+          Q.count ~where_ ();
+          Q.sum ~where_ "v";
+          Q.avg ~where_ "v";
+          Q.min_ ~where_ "v";
+          Q.max_ ~where_ "v";
+        ]
+      in
+      let fdd_opts = { Bounds.default_opts with Bounds.strategy = Cells.Fdd } in
+      let agree q =
+        same_outcome
+          (Bounds.bound_budgeted residual q)
+          (Bounds.bound_budgeted fresh q)
+        && same_outcome
+             (Bounds.bound_budgeted ~opts:fdd_opts ~fdd residual q)
+             (Bounds.bound_budgeted ~opts:fdd_opts ~fdd fresh q)
+      in
+      let stream = Stream.create ~fdd base in
+      let batch =
+        Batch.of_rows schema_xyv
+          [ [| V.Num (R.uniform rng ~lo:0. ~hi:40.); V.Num 0.; V.Num 50. |] ]
+      in
+      let streamed =
+        match Stream.append stream batch with
+        | Ok (_, snap) -> snap.Stream.residual
+        | Error e -> Alcotest.failf "append: %s" e
+      in
+      List.for_all agree queries
+      && Pc_set.table residual == Pc_set.table base
+      && Pc_set.table streamed == Pc_set.table base)
+
 (* Random tables and batches: the hull-prefiltered [Cache.invalidate]
    evicts the same keys, and returns the same count, as the row sweep.
    Selections mix numeric and categorical atoms, including atoms on an
@@ -908,5 +997,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_incremental_matches_scratch;
           QCheck_alcotest.to_alcotest prop_invalidate_matches_sweep;
+          QCheck_alcotest.to_alcotest prop_residual_shares_table;
         ] );
     ]

@@ -666,6 +666,181 @@ let test_load_invalidates_cache () =
   C.close c;
   stop s
 
+(* A text the cache has answered hits through the front index with the
+   bytes of the canonical hit, and every request still moves exactly one
+   of cache.hits / cache.misses. *)
+let test_front_hit_same_bytes () =
+  let ((srv, _) as s) = start () in
+  let c = connect srv in
+  let line q =
+    Printf.sprintf {|{"op":"bound","query":%s}|} (J.to_string (J.Str q))
+  in
+  let spaced = "SELECT  SUM(price)   WHERE branch = 'Chicago'" in
+  let h0 = cache_hits () and m0 = cache_misses () in
+  let computed = raw_req c (line sum_query) in
+  let front_hit = raw_req c (line sum_query) in
+  let canonical_hit = raw_req c (line spaced) in
+  let front_hit' = raw_req c (line spaced) in
+  Alcotest.(check string) "front hit = computed" computed front_hit;
+  Alcotest.(check string) "canonical hit = computed" computed canonical_hit;
+  Alcotest.(check string) "second text's front hit" computed front_hit';
+  Alcotest.(check int) "one miss" 1 (cache_misses () - m0);
+  Alcotest.(check int) "three hits" 3 (cache_hits () - h0);
+  C.close c;
+  stop s
+
+(* Front keys live and die with their entry, and the byte cap counts
+   them. *)
+let test_front_keys_follow_entry () =
+  let module Cache = Pc_server.Cache in
+  let front text = Cache.front_key ~text ~missing_only:false ~timeout_ms:None in
+  let fa = front "SELECT COUNT(*)" and fb = front "SELECT  COUNT(*)" in
+  let meta = { Cache.pcs = [ 0 ]; where_ = Pc_predicate.Pred.tt; missing_only = true } in
+  let c = Cache.create () in
+  Cache.store c ~meta ~front:fa "k" "v";
+  Alcotest.(check (option string)) "canonical hit links b" (Some "v")
+    (Cache.find c ~front:fb "k");
+  Alcotest.(check int) "two texts, one entry" 1 (Cache.size c);
+  Alcotest.(check (option string)) "front a" (Some "v") (Cache.find_front c fa);
+  Alcotest.(check (option string)) "front b" (Some "v") (Cache.find_front c fb);
+  Alcotest.(check int) "bytes count front keys"
+    (String.length "k" + String.length "v" + String.length fa + String.length fb)
+    (Cache.bytes c);
+  Alcotest.(check int) "invalidated" 1
+    (Cache.invalidate c ~version:1 ~touched:[ 0 ] ~rows:None);
+  Alcotest.(check (option string)) "front a gone" None (Cache.find_front c fa);
+  Alcotest.(check (option string)) "front b gone" None (Cache.find_front c fb);
+  Alcotest.(check int) "no bytes left" 0 (Cache.bytes c);
+  (* cap eviction: the second entry pushes the first, fronts and all,
+     out; a front key that pushes its own entry over the cap goes with
+     it *)
+  let v = String.make 40 'x' in
+  let c = Cache.create ~capacity_bytes:100 () in
+  Cache.store c ~front:fa "k1" v;
+  Cache.store c ~front:fb "k2" v;
+  Alcotest.(check (option string)) "old front evicted" None (Cache.find_front c fa);
+  Alcotest.(check (option string)) "new front kept" (Some v) (Cache.find_front c fb);
+  Alcotest.(check int) "bytes after eviction"
+    (2 + 40 + String.length fb) (Cache.bytes c);
+  ignore (Cache.find c ~front:(front (String.make 80 ' ')) "k2");
+  Alcotest.(check int) "over-cap front evicts its entry" 0 (Cache.size c);
+  Alcotest.(check (option string)) "its fronts too" None (Cache.find_front c fb);
+  Alcotest.(check int) "nothing counted" 0 (Cache.bytes c)
+
+(* The flat sweep evicts exactly what the per-entry hull test it
+   replaced ([Cache_hull]) evicts, and sends exactly the same entries to
+   the row test. Selections mix numeric atoms (full
+   line, open, closed and infinite ends, -0.) with categorical ones, on
+   attributes the batch schema lacks or holds at the other kind; rows
+   carry NaN, ±inf and -0., some do not fit the schema, and some
+   batches are empty. Sweeps alternate two schemas, so compiled
+   layouts are rebuilt. *)
+let prop_flat_invalidate_matches_oracle =
+  let module Cache = Pc_server.Cache in
+  let module Schema = Pc_data.Schema in
+  let module V = Pc_data.Value in
+  let module I = Pc_interval.Interval in
+  let module Atom = Pc_predicate.Atom in
+  let module R = Pc_util.Rng in
+  let schemas =
+    [|
+      Schema.of_names
+        [ ("x", Schema.Numeric); ("y", Schema.Numeric); ("c", Schema.Categorical) ];
+      Schema.of_names
+        [ ("c", Schema.Categorical); ("x", Schema.Numeric); ("z", Schema.Numeric) ];
+    |]
+  in
+  let words = [| "a"; "b"; "c" |] in
+  let finite = [| -1.; -0.; 0.; 1.; 2. |] in
+  QCheck.Test.make ~name:"flat invalidate ≡ per-entry hull test" ~count:500
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let rng = R.create seed in
+      let pick a = R.choose rng a and one_in n = R.int rng n = 0 in
+      let subset () = List.filter (fun _ -> R.bool rng) [ 0; 1; 2; 3; 4 ] in
+      let interval () =
+        if one_in 6 then I.full
+        else
+          let v = pick finite and w = pick finite in
+          let lo = pick [| I.Neg_inf; I.Closed v; I.Open v |]
+          and hi = pick [| I.Pos_inf; I.Closed w; I.Open w |] in
+          Option.value (I.make lo hi) ~default:(I.point v)
+      in
+      let atom () =
+        let a = pick [| "x"; "y"; "z"; "c"; "absent" |] in
+        match R.int rng 6 with
+        | 0 | 1 | 2 -> Atom.Num_range (a, interval ())
+        | 3 -> Atom.Cat_eq (a, pick words)
+        | 4 -> Atom.Cat_neq (a, pick words)
+        | _ ->
+            let ws = List.filter (fun _ -> R.bool rng) (Array.to_list words) in
+            if R.bool rng then Atom.Cat_in (a, ws) else Atom.Cat_not_in (a, ws)
+      in
+      let meta () =
+        if one_in 8 then None
+        else
+          Some
+            {
+              Cache.pcs = subset ();
+              where_ = List.init (R.int rng 4) (fun _ -> atom ());
+              missing_only = one_in 5;
+            }
+      in
+      let value (a : Schema.attr) =
+        match a.Schema.kind with
+        | _ when one_in 40 -> if R.bool rng then V.Str "a" else V.Num 1.
+        | Schema.Numeric ->
+            V.Num
+              (match R.int rng 4 with
+              | 0 -> pick [| nan; infinity; neg_infinity; -0.; 0. |]
+              | 1 | 2 -> pick finite
+              | _ -> R.uniform rng ~lo:(-3.) ~hi:4.)
+        | Schema.Categorical -> V.Str (pick words)
+      in
+      let c = Cache.create () in
+      let live = ref [] and next = ref 0 in
+      let ok = ref true in
+      for version = 1 to 1 + R.int rng 5 do
+        for _ = 0 to R.int rng 8 do
+          let key = Printf.sprintf "k%d" !next and m = meta () in
+          incr next;
+          Cache.store c ?meta:m key "v";
+          live := (key, m) :: !live
+        done;
+        let touched = if one_in 3 then [] else subset () in
+        let rows =
+          if one_in 6 then None
+          else
+            let schema = schemas.(if one_in 3 then 1 else 0) in
+            let attrs = Array.of_list (Schema.attrs schema) in
+            Some
+              ( schema,
+                Array.init
+                  (if one_in 6 then 0 else 1 + R.int rng 4)
+                  (fun _ ->
+                    if one_in 40 then [| V.Str "a" |] else Array.map value attrs) )
+        in
+        let victims, kept =
+          List.partition (fun (_, m) -> Cache_hull.affected ~touched ~rows m) !live
+        in
+        let tested =
+          List.length
+            (List.filter (fun (_, m) -> Cache_hull.row_tested ~touched ~rows m) !live)
+        in
+        let row_tests = Pc_obs.Registry.Counter.make "cache.invalidate_row_tests" in
+        let t0 = Pc_obs.Registry.Counter.get row_tests in
+        let n = Cache.invalidate c ~version ~touched ~rows in
+        ok :=
+          !ok
+          && n = List.length victims
+          && Pc_obs.Registry.Counter.get row_tests - t0 = tested
+          && Cache.size c = List.length kept
+          && List.for_all (fun (k, _) -> Cache.find c k = None) victims
+          && List.for_all (fun (k, _) -> Cache.find c k <> None) kept;
+        live := kept
+      done;
+      !ok)
+
 (* ------------------------------- drain -------------------------------- *)
 
 let test_drain_flushes_artifacts () =
@@ -1390,6 +1565,9 @@ let () =
           tc "keys pinned" `Quick test_cache_keys_pinned;
           QCheck_alcotest.to_alcotest key_oracle_prop;
           tc "load invalidates" `Quick test_load_invalidates_cache;
+          tc "front hit is the canonical hit" `Quick test_front_hit_same_bytes;
+          tc "front keys follow their entry" `Quick test_front_keys_follow_entry;
+          QCheck_alcotest.to_alcotest prop_flat_invalidate_matches_oracle;
         ] );
       ("drain", [ tc "artifacts flushed" `Quick test_drain_flushes_artifacts ]);
       ( "chaos",
