@@ -962,45 +962,31 @@ let can_be_empty set (query : Q.t) =
    subject to the ladder. *)
 let combined_answer ~ctx set ~certain (query : Q.t) =
   let opts = ctx.opts in
-  let certain_sel = Q.selection certain query in
-  let c_count = float_of_int (Pc_data.Relation.cardinality certain_sel) in
+  (* the certain side folded in place: no selection or column copy *)
+  let n, acc = Q.fold certain query in
+  let c_count = float_of_int n in
   match query.Q.agg with
   | Q.Count -> (
       match missing_answer ~ctx set query with
       | Range r -> Range (Range.shift r c_count)
       | (Empty | Infeasible) as a -> a)
-  | Q.Sum a -> (
-      let c_sum =
-        if c_count = 0. then 0.
-        else Pc_util.Stat.sum (Pc_data.Relation.column certain_sel a)
-      in
+  | Q.Sum _ -> (
       match missing_answer ~ctx set query with
-      | Range r -> Range (Range.shift r c_sum)
+      | Range r -> Range (Range.shift r acc)
       | (Empty | Infeasible) as ans -> ans)
-  | Q.Avg a -> (
-      let c_sum =
-        if c_count = 0. then 0.
-        else Pc_util.Stat.sum (Pc_data.Relation.column certain_sel a)
-      in
+  | Q.Avg _ ->
       with_floor ~ctx
         (fun () ->
           if use_greedy_path ~opts set then
-            Greedy.bound ~opts set query ~c_count ~c_sum
+            Greedy.bound ~opts set query ~c_count ~c_sum:acc
           else
             match prepare ~ctx set query with
             | Error ans -> ans
-            | Ok prep -> avg_bounds ~ctx prep ~c_count ~c_sum)
-        (fun () -> Trivial.bound set query ~c_count ~c_sum))
-  | Q.Min a | Q.Max a -> (
+            | Ok prep -> avg_bounds ~ctx prep ~c_count ~c_sum:acc)
+        (fun () -> Trivial.bound set query ~c_count ~c_sum:acc)
+  | Q.Min _ | Q.Max _ -> (
       let is_max = match query.Q.agg with Q.Max _ -> true | _ -> false in
-      let certain_extreme =
-        if c_count = 0. then None
-        else begin
-          let col = Pc_data.Relation.column certain_sel a in
-          Some
-            (if is_max then Pc_util.Stat.maximum col else Pc_util.Stat.minimum col)
-        end
-      in
+      let certain_extreme = if n = 0 then None else Some acc in
       let missing = missing_answer ~ctx set query in
       match (missing, certain_extreme) with
       | Infeasible, _ -> Infeasible

@@ -1,120 +1,203 @@
-(* Record-splitting CSV parser: handles quoted fields containing commas,
-   escaped quotes, and newlines inside quotes. *)
+(* CSV reader: quoted fields may hold commas, escaped quotes ([""])
+   and newlines; a CR outside quotes is dropped; blank records are
+   skipped. One pass over the text: a plain field is one [String.sub],
+   and each record goes straight into its tuple. *)
 
-type state = { buf : Buffer.t; mutable fields : string list; mutable in_quotes : bool }
+let unterminated = "Csv: unterminated quote"
 
-let parse_records text =
-  let st = { buf = Buffer.create 64; fields = []; in_quotes = false } in
-  let records = ref [] in
-  let flush_field () =
-    st.fields <- Buffer.contents st.buf :: st.fields;
-    Buffer.clear st.buf
-  in
-  let flush_record () =
-    flush_field ();
-    records := List.rev st.fields :: !records;
-    st.fields <- []
-  in
+type scanner = {
+  text : string;
+  buf : Buffer.t;  (* a field with a quote or a CR *)
+  mutable pos : int;
+  mutable fields : string array;  (* the record's fields, [0, nf) *)
+  mutable nf : int;
+}
+
+(* The field at [s.pos]; leaves [pos] on the comma, newline or end of
+   text that ends it. *)
+let field s =
+  let text = s.text in
   let n = String.length text in
-  let i = ref 0 in
-  while !i < n do
-    let c = text.[!i] in
-    if st.in_quotes then begin
-      if c = '"' then
-        if !i + 1 < n && text.[!i + 1] = '"' then begin
-          Buffer.add_char st.buf '"';
-          incr i
-        end
-        else st.in_quotes <- false
-      else Buffer.add_char st.buf c
-    end
-    else begin
-      match c with
-      | '"' -> st.in_quotes <- true
-      | ',' -> flush_field ()
-      | '\n' -> flush_record ()
-      | '\r' -> ()
-      | c -> Buffer.add_char st.buf c
-    end;
-    incr i
-  done;
-  if st.in_quotes then failwith "Csv: unterminated quote";
-  if Buffer.length st.buf > 0 || st.fields <> [] then flush_record ();
-  (* drop fully-empty trailing records *)
-  List.rev !records |> List.filter (function [ "" ] | [] -> false | _ -> true)
+  let start = s.pos in
+  let rec plain i =
+    if i < n then
+      match String.unsafe_get text i with
+      | ',' | '\n' | '"' | '\r' -> i
+      | _ -> plain (i + 1)
+    else i
+  in
+  let i = plain start in
+  if i = n || String.unsafe_get text i = ',' || String.unsafe_get text i = '\n' then begin
+    s.pos <- i;
+    String.sub text start (i - start)
+  end
+  else begin
+    let buf = s.buf in
+    Buffer.clear buf;
+    Buffer.add_substring buf text start (i - start);
+    let rec outside i =
+      if i = n then i
+      else
+        match String.unsafe_get text i with
+        | ',' | '\n' -> i
+        | '"' -> inside (i + 1)
+        | '\r' -> outside (i + 1)
+        | c ->
+            Buffer.add_char buf c;
+            outside (i + 1)
+    and inside i =
+      if i = n then failwith unterminated
+      else
+        match String.unsafe_get text i with
+        | '"' when i + 1 < n && String.unsafe_get text (i + 1) = '"' ->
+            Buffer.add_char buf '"';
+            inside (i + 2)
+        | '"' -> outside (i + 1)
+        | c ->
+            Buffer.add_char buf c;
+            inside (i + 1)
+    in
+    s.pos <- outside i;
+    Buffer.contents buf
+  end
 
-let infer_schema header rows =
+let push s f =
+  if s.nf = Array.length s.fields then begin
+    let a = Array.make (2 * s.nf) "" in
+    Array.blit s.fields 0 a 0 s.nf;
+    s.fields <- a
+  end;
+  s.fields.(s.nf) <- f;
+  s.nf <- s.nf + 1
+
+(* The next record that is not blank (a single empty field) into
+   [s.fields]; [false] at the end of the text. *)
+let rec next s =
+  s.pos < String.length s.text
+  && begin
+       s.nf <- 0;
+       let rec fields () =
+         push s (field s);
+         let at_comma = s.pos < String.length s.text && s.text.[s.pos] = ',' in
+         s.pos <- s.pos + 1;
+         if at_comma then fields ()
+       in
+       fields ();
+       (not (s.nf = 1 && s.fields.(0) = "")) || next s
+     end
+
+let number ~lineno ~schema i field =
+  match float_of_string_opt (String.trim field) with
+  | Some x when Float.is_finite x -> Value.Num x
+  | Some _ ->
+      (* NaN/±inf would silently poison every bound computed
+         downstream; reject at the door *)
+      failwith
+        (Printf.sprintf "Csv: record %d column %S: non-finite numeric value %S"
+           (lineno + 2) (List.nth (Schema.names schema) i) field)
+  | None ->
+      failwith
+        (Printf.sprintf "Csv: record %d field %d: %S is not numeric" (lineno + 2)
+           (i + 1) field)
+
+let check_arity ~lineno ~arity nf =
+  if nf <> arity then
+    failwith
+      (Printf.sprintf "Csv: record %d has %d fields, expected %d" (lineno + 2) nf
+         arity)
+
+(* A column is numeric when it has a non-empty field and every
+   non-empty field parses as a float once trimmed; fields past the
+   header's width are ignored. *)
+let infer_schema header (rows : Value.t array array) =
   let ncols = List.length header in
   let numeric = Array.make ncols true in
   let nonempty = Array.make ncols false in
-  List.iter
+  Array.iter
     (fun row ->
-      List.iteri
-        (fun i field ->
-          if i < ncols && field <> "" then begin
+      for i = 0 to min ncols (Array.length row) - 1 do
+        match row.(i) with
+        | Value.Str "" | Value.Num _ -> ()
+        | Value.Str field ->
             nonempty.(i) <- true;
             if Option.is_none (float_of_string_opt (String.trim field)) then
               numeric.(i) <- false
-          end)
-        row)
+      done)
     rows;
   Schema.of_names
     (List.mapi
        (fun i name ->
-         let kind =
-           if numeric.(i) && nonempty.(i) then Schema.Numeric
-           else Schema.Categorical
-         in
-         (name, kind))
+         (name, if numeric.(i) && nonempty.(i) then Schema.Numeric else Schema.Categorical))
        header)
 
+let read ?schema text =
+  let s = { text; buf = Buffer.create 16; pos = 0; fields = Array.make 8 ""; nf = 0 } in
+  if not (next s) then failwith "Csv: empty input";
+  let header = List.init s.nf (fun i -> String.trim s.fields.(i)) in
+  let rows = ref (Array.make 16 [||]) and count = ref 0 in
+  let add row =
+    if !count = Array.length !rows then begin
+      let a = Array.make (2 * !count) [||] in
+      Array.blit !rows 0 a 0 !count;
+      rows := a
+    end;
+    !rows.(!count) <- row;
+    incr count
+  in
+  let kinds schema = Array.of_list (List.map (fun (a : Schema.attr) -> a.kind) (Schema.attrs schema)) in
+  match schema with
+  | Some schema ->
+      if header <> Schema.names schema then
+        invalid_arg "Csv.read_string: header does not match schema";
+      let kinds = kinds schema in
+      let arity = Array.length kinds in
+      while next s do
+        let lineno = !count in
+        check_arity ~lineno ~arity s.nf;
+        add
+          (Array.init arity (fun i ->
+               let field = s.fields.(i) in
+               match kinds.(i) with
+               | Schema.Numeric -> number ~lineno ~schema i field
+               | Schema.Categorical -> Value.Str field))
+      done;
+      Relation.adopt schema (Array.sub !rows 0 !count)
+  | None ->
+      while next s do
+        add (Array.init s.nf (fun i -> Value.Str s.fields.(i)))
+      done;
+      let rows = Array.sub !rows 0 !count in
+      let schema = infer_schema header rows in
+      let kinds = kinds schema in
+      let arity = Array.length kinds in
+      Array.iteri
+        (fun lineno row ->
+          check_arity ~lineno ~arity (Array.length row);
+          Array.iteri
+            (fun i kind ->
+              match (kind, row.(i)) with
+              | Schema.Numeric, Value.Str field -> row.(i) <- number ~lineno ~schema i field
+              | _ -> ())
+            kinds)
+        rows;
+      Relation.adopt schema rows
+
+(* Each quote outside a quoted run opens one and each inside closes it,
+   except an escaped [""], whose two quotes leave the state as it was:
+   the text ends inside quotes iff it holds an odd number of quotes. *)
+let odd_quotes text =
+  let rec go i odd =
+    match String.index_from_opt text i '"' with
+    | Some j -> go (j + 1) (not odd)
+    | None -> odd
+  in
+  go 0 false
+
+(* An unterminated quote is reported before any other fault of the
+   text, wherever the reader stopped: [read] meets it only at the end
+   of the text. *)
 let read_string ?schema text =
-  match parse_records text with
-  | [] -> failwith "Csv: empty input"
-  | header :: rows ->
-      let schema =
-        match schema with
-        | Some s ->
-            if List.map String.trim header <> Schema.names s then
-              invalid_arg "Csv.read_string: header does not match schema";
-            s
-        | None -> infer_schema (List.map String.trim header) rows
-      in
-      let kinds = Array.of_list (List.map (fun (a : Schema.attr) -> a.kind) (Schema.attrs schema)) in
-      let names = Array.of_list (Schema.names schema) in
-      let arity = Schema.arity schema in
-      let tuples =
-        List.mapi
-          (fun lineno row ->
-            if List.length row <> arity then
-              failwith
-                (Printf.sprintf "Csv: record %d has %d fields, expected %d"
-                   (lineno + 2) (List.length row) arity);
-            Array.of_list
-              (List.mapi
-                 (fun i field ->
-                   match kinds.(i) with
-                   | Schema.Numeric -> (
-                       match float_of_string_opt (String.trim field) with
-                       | Some x when Float.is_finite x -> Value.Num x
-                       | Some _ ->
-                           (* NaN/±inf would silently poison every bound
-                              computed downstream; reject at the door *)
-                           failwith
-                             (Printf.sprintf
-                                "Csv: record %d column %S: non-finite numeric \
-                                 value %S"
-                                (lineno + 2) names.(i) field)
-                       | None ->
-                           failwith
-                             (Printf.sprintf
-                                "Csv: record %d field %d: %S is not numeric"
-                                (lineno + 2) (i + 1) field))
-                   | Schema.Categorical -> Value.Str field)
-                 row))
-          rows
-      in
-      Relation.create schema tuples
+  try read ?schema text with _ when odd_quotes text -> failwith unterminated
 
 let read_file ?schema path =
   let ic = open_in_bin path in

@@ -31,6 +31,7 @@ let of_array schema rows =
   make schema (Array.map Array.copy rows)
 
 let create schema rows = of_array schema (Array.of_list rows)
+let adopt = make
 let schema t = t.schema
 let cardinality t = Array.length t.rows
 let is_empty t = cardinality t = 0

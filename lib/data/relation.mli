@@ -22,6 +22,12 @@ val create : Schema.t -> tuple list -> t
 (** Validates every tuple against the schema (arity and kinds). *)
 
 val of_array : Schema.t -> tuple array -> t
+
+val adopt : Schema.t -> tuple array -> t
+(** The relation of [rows] themselves: no check and no copy. The caller
+    built every tuple to fit the schema and gives up the array and its
+    tuples: it never reads or writes them again. *)
+
 val schema : t -> Schema.t
 val cardinality : t -> int
 val is_empty : t -> bool

@@ -199,20 +199,27 @@ let parse s =
 
 let validate s = Result.map ignore (parse s)
 
+(* Runs of bytes that need no escape are copied with one
+   [add_substring] each. *)
 let escape_to buf str =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
+  let n = String.length str in
+  let start = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get str i in
+    if c = '"' || c = '\\' || Char.code c < 0x20 then begin
+      Buffer.add_substring buf str !start (i - !start);
+      start := i + 1;
       match c with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
       | '\r' -> Buffer.add_string buf "\\r"
       | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    str;
+      | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+    end
+  done;
+  Buffer.add_substring buf str !start (n - !start);
   Buffer.add_char buf '"'
 
 let to_string v =
@@ -221,8 +228,8 @@ let to_string v =
     | Null -> Buffer.add_string buf "null"
     | Bool b -> Buffer.add_string buf (if b then "true" else "false")
     | Num f ->
-        Buffer.add_string buf
-          (if Float.is_finite f then Pc_util.Float_text.to_string f else "null")
+        if Float.is_finite f then Pc_util.Float_text.add buf f
+        else Buffer.add_string buf "null"
     | Str str -> escape_to buf str
     | Arr vs ->
         Buffer.add_char buf '[';

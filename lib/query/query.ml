@@ -47,47 +47,68 @@ let selection rel t =
   Relation.filter (Pred.compile (Relation.schema rel) t.where_) rel
 
 (* Rows are scanned in blocks of [block] (a buffer that stays in the
-   minor heap) in row order, and the aggregate folded over each block's
-   matches by [Stat.sum_rows], [min_rows] and [max_rows], so every
-   answer is bit-identical to [Stat]'s over the selection's column. An aggregated
-   attribute that is absent or categorical raises as [Relation.column]
-   of the selection would, after the whole selection is tested. *)
+   minor heap; shorter for a shorter relation) in row order, and the
+   aggregate folded over each block's matches by [Stat.sum_rows],
+   [min_rows] and [max_rows], so every answer is bit-identical to
+   [Stat]'s over the selection's column. An aggregated attribute that
+   is absent or categorical raises as [Relation.column] of the
+   selection would, after the whole selection is tested. *)
 let block = 256
 
-let eval rel t =
+let numeric schema a =
   let module S = Pc_data.Schema in
-  let schema = Relation.schema rel in
+  S.mem schema a && S.kind schema a = S.Numeric
+
+let init t = match t.agg with Min _ -> infinity | Max _ -> neg_infinity | _ -> 0.
+
+(* The fold for an aggregated attribute [attr] that is numeric (or no
+   attribute at all). *)
+let scan rel t attr =
   let n = Relation.cardinality rel in
-  let is_sum = match t.agg with Sum _ -> true | _ -> false in
+  let matches = Pred.scanner rel t.where_ in
+  let xs = match attr with Some a -> Relation.numbers rel a | None -> [||] in
+  let len = max 1 (min block n) in
+  let rows = Array.make len 0 in
+  let count = ref 0 in
+  let acc = ref (init t) in
+  let from = ref 0 in
+  while !from < n do
+    let k = matches !from rows in
+    (match t.agg with
+    | Count -> ()
+    | Sum _ | Avg _ -> acc := Pc_util.Stat.sum_rows !acc xs rows k
+    | Min _ -> acc := Pc_util.Stat.min_rows !acc xs rows k
+    | Max _ -> acc := Pc_util.Stat.max_rows !acc xs rows k);
+    count := !count + k;
+    from := !from + len
+  done;
+  (!count, !acc)
+
+let fold rel t =
   match agg_attr t with
-  | Some a when not (S.mem schema a && S.kind schema a = S.Numeric) ->
+  | Some a when not (numeric (Relation.schema rel) a) ->
       let sel = selection rel t in
+      if not (Relation.is_empty sel) then ignore (Relation.column sel a);
+      (* past [column], the selection is empty *)
+      (0, init t)
+  | attr -> scan rel t attr
+
+let eval rel t =
+  match agg_attr t with
+  | Some a when not (numeric (Relation.schema rel) a) ->
+      let sel = selection rel t in
+      let is_sum = match t.agg with Sum _ -> true | _ -> false in
       if is_sum || not (Relation.is_empty sel) then ignore (Relation.column sel a);
       (* past [column], the selection is empty *)
       if is_sum then Some 0. else None
   | attr -> (
-      let scan = Pred.scanner rel t.where_ in
-      let xs = match attr with Some a -> Relation.numbers rel a | None -> [||] in
-      let rows = Array.make block 0 in
-      let count = ref 0 in
-      let acc = ref (match t.agg with Min _ -> infinity | Max _ -> neg_infinity | _ -> 0.) in
-      let from = ref 0 in
-      while !from < n do
-        let k = scan !from rows in
-        (match t.agg with
-        | Count -> ()
-        | Sum _ | Avg _ -> acc := Pc_util.Stat.sum_rows !acc xs rows k
-        | Min _ -> acc := Pc_util.Stat.min_rows !acc xs rows k
-        | Max _ -> acc := Pc_util.Stat.max_rows !acc xs rows k);
-        count := !count + k;
-        from := !from + block
-      done;
+      let count, acc = scan rel t attr in
       match t.agg with
-      | Count -> Some (float_of_int !count)
-      | Sum _ -> Some !acc
-      | _ when !count = 0 -> None
-      | Avg _ -> Some (!acc /. float_of_int !count)
-      | Min _ | Max _ -> Some !acc)
+      | Count -> Some (float_of_int count)
+      | Sum _ -> Some acc
+      | _ when count = 0 -> None
+      | Avg _ -> Some (acc /. float_of_int count)
+      | Min _ | Max _ -> Some acc)
 
 let eval_group_by rel t attr =
   let sel = selection rel t in

@@ -26,6 +26,17 @@ val eval : Pc_data.Relation.t -> t -> float option
 (** Ground-truth evaluation. COUNT and SUM of an empty selection are [0.];
     AVG/MIN/MAX of an empty selection are [None]. *)
 
+val fold : Pc_data.Relation.t -> t -> int * float
+(** [fold rel q] is the number of rows of [rel] that satisfy [q]'s WHERE
+    clause and the fold of the aggregated attribute over them in row
+    order: the sum for SUM and AVG (from [0.]), the minimum for MIN
+    (from [infinity]), the maximum for MAX (from [neg_infinity]), and
+    [0.] for COUNT. Bit-identical to {!Pc_util.Stat}'s [sum], [minimum]
+    and [maximum] over [Relation.column (selection rel q) a], with no
+    selection or column built. The column is read only when some row is
+    selected: an aggregated attribute that is absent or categorical
+    raises as that [Relation.column] would, and only then. *)
+
 val eval_group_by :
   Pc_data.Relation.t -> t -> string -> (Pc_data.Value.t * float option) list
 (** One result per group, in first-occurrence order. *)

@@ -14,8 +14,12 @@ let c_evictions = Counter.make "cache.evictions"
 let c_invalidations = Counter.make "cache.invalidations"
 let c_stale_stores = Counter.make "cache.stale_stores"
 let c_row_tests = Counter.make "cache.invalidate_row_tests"
+let c_refills = Counter.make "cache.refills"
 
 type meta = { pcs : int list; where_ : Pred.t; missing_only : bool }
+
+type refill = { query : Q.t; part : string; key : string; meta : meta option }
+type front = Hit of string | Refill of refill | Absent
 
 (* An entry's selection compiled for one schema. [evaluable] is false
    when some atom cannot be evaluated there (attribute absent or of the
@@ -37,14 +41,19 @@ let unknown =
   { test = (fun _ -> true); evaluable = false; cols = [||]; top = [||]; bottom = [||] }
 
 (* The flat layout one sweep reads: the PCs as an array, the selection
-   compiled for the cache's schema. [slot] is the entry's index in
-   [t.live], -1 once it is gone. *)
+   compiled for the cache's schema. [parsed] is the query the key was
+   built from and its part, when the store gave them: an invalidation
+   then empties the entry ([filled] false, [value] "") and keeps the
+   rest for a refill. [slot] is the entry's index in [t.live], -1 once
+   it is gone. *)
 type entry = {
   key : string;
-  value : string;
+  mutable value : string;
+  mutable filled : bool;
   stamp : int;
-  meta : meta option;
-  pcs : int array;
+  mutable meta : meta option;
+  mutable parsed : (Q.t * string) option;
+  mutable pcs : int array;
   mutable sel : sel;
   mutable fronts : string list;  (* front keys that lead here *)
   mutable bytes : int;  (* key + value + front keys: what the byte cap counts *)
@@ -55,8 +64,10 @@ let dummy =
   {
     key = "";
     value = "";
+    filled = false;
     stamp = -1;
     meta = None;
+    parsed = None;
     pcs = [||];
     sel = unknown;
     fronts = [];
@@ -131,6 +142,15 @@ let remove t e =
   t.n <- t.n - 1;
   e.slot <- -1
 
+(* Drop [e]'s reply and keep the rest: key, front keys, the parsed
+   query and the flat layout. *)
+let empty t e =
+  let b = String.length e.value in
+  e.bytes <- e.bytes - b;
+  t.total_bytes <- t.total_bytes - b;
+  e.value <- "";
+  e.filled <- false
+
 (* Drop the oldest live entries while either cap is exceeded. *)
 let evict_over_caps t =
   while t.n > t.capacity || t.total_bytes > t.capacity_bytes do
@@ -179,10 +199,10 @@ let find t ?front key =
   Mutex.lock t.mu;
   let r =
     match Hashtbl.find_opt t.tbl key with
-    | Some e ->
+    | Some e when e.filled ->
         link t e front;
         Some e.value
-    | None -> None
+    | _ -> None
   in
   Mutex.unlock t.mu;
   Counter.incr (if Option.is_some r then c_hits else c_misses);
@@ -190,13 +210,21 @@ let find t ?front key =
 
 let find_front t front =
   Mutex.lock t.mu;
-  let r = Hashtbl.find_opt t.fronts front in
+  let r =
+    match Hashtbl.find_opt t.fronts front with
+    | Some e when e.filled -> Hit e.value
+    | Some { parsed = Some (query, part); key; meta; _ } ->
+        Refill { query; part; key; meta }
+    | _ -> Absent
+  in
   Mutex.unlock t.mu;
-  match r with
-  | Some e ->
-      Counter.incr c_hits;
-      Some e.value
-  | None -> None
+  (match r with
+  | Hit _ -> Counter.incr c_hits
+  | Refill _ ->
+      Counter.incr c_misses;
+      Counter.incr c_refills
+  | Absent -> ());
+  r
 
 (* [hi >= top_of iv.lo] iff a non-NaN [hi] clears [iv]'s lower end, and
    [lo <= bottom_of iv.hi] iff a non-NaN [lo] clears its upper end. An
@@ -250,7 +278,25 @@ let compile_entry t e =
   | Some m, Some schema when not m.missing_only -> e.sel <- compile schema m.where_
   | _ -> ()
 
-let store t ?meta ?version ?front key value =
+let set_meta t e meta =
+  e.meta <- meta;
+  e.pcs <- (match meta with Some m -> Array.of_list m.pcs | None -> [||]);
+  e.sel <- unknown;
+  compile_entry t e
+
+(* Put [value] back into the emptied [e]. Its layout is kept when the
+   store brings the meta it already holds (a refill passes it back). *)
+let fill t e ?meta ?parsed value =
+  if not (match (meta, e.meta) with Some m, Some m' -> m == m' | _ -> false) then
+    set_meta t e meta;
+  if Option.is_some parsed then e.parsed <- parsed;
+  e.value <- value;
+  e.filled <- true;
+  let b = String.length value in
+  e.bytes <- e.bytes + b;
+  t.total_bytes <- t.total_bytes + b
+
+let store t ?meta ?version ?front ?parsed key value =
   Mutex.lock t.mu;
   let fresh =
     match version with None -> true | Some v -> v >= t.version
@@ -258,25 +304,27 @@ let store t ?meta ?version ?front key value =
   (if not fresh then Counter.incr c_stale_stores
    else
      match Hashtbl.find_opt t.tbl key with
-     | Some e -> link t e front
+     | Some e ->
+         if not e.filled then fill t e ?meta ?parsed value;
+         link t e front;
+         evict_over_caps t
      | None ->
          let e =
            {
              key;
              value;
+             filled = true;
              stamp = t.next_stamp;
-             meta;
-             pcs =
-               (match meta with
-               | Some m -> Array.of_list m.pcs
-               | None -> [||]);
+             meta = None;
+             parsed;
+             pcs = [||];
              sel = unknown;
              fronts = [];
              bytes = String.length key + String.length value;
              slot = -1;
            }
          in
-         compile_entry t e;
+         set_meta t e meta;
          Hashtbl.add t.tbl key e;
          add_live t e;
          t.next_stamp <- t.next_stamp + 1;
@@ -371,6 +419,8 @@ let invalidate t ~version ~touched ~rows =
   for i = t.n - 1 downto 0 do
     let e = t.live.(i) in
     let affected =
+      e.filled
+      &&
       match e.meta with
       | None -> true
       | Some m -> (
@@ -391,7 +441,7 @@ let invalidate t ~version ~touched ~rows =
     in
     (* slots above [i] are swept, so the one [remove] moves down is too *)
     if affected then begin
-      remove t e;
+      if Option.is_some e.parsed then empty t e else remove t e;
       incr evicted
     end
   done;

@@ -12,11 +12,14 @@
 
     Thread-safe; bounded by {e both} entry count and total byte size
     (key, value and front keys) with FIFO eviction (large replies can
-    no longer pin unbounded memory behind the entry cap). Hits and misses feed the global
-    [cache.hits] / [cache.misses] counters; capacity-driven evictions
-    feed [cache.evictions] and delta-scoped ones [cache.invalidations].
-    [cache.invalidate_row_tests] counts the entries an {!invalidate}
-    sweep had to test row by row (see the flat sweep below).
+    no longer pin unbounded memory behind the entry cap). Emptied
+    entries (see the refill below) count against both caps. Hits and
+    misses feed the global [cache.hits] / [cache.misses] counters;
+    capacity-driven evictions feed [cache.evictions] and delta-scoped
+    ones [cache.invalidations]. [cache.invalidate_row_tests] counts the
+    entries an {!invalidate} sweep had to test row by row (see the flat
+    sweep below), and [cache.refills] the misses that reached an
+    emptied entry through its front key.
 
     {2 Delta-scoped invalidation}
 
@@ -37,6 +40,15 @@
     touching neither side leave the entry byte-valid: the residual
     constraint system restricted to the entry's reachable cells and its
     certain selection are both unchanged.
+
+    An invalidation drops a reply, not what its text derived. An entry
+    stored with [~parsed] is {e emptied}: its reply goes, and its key,
+    front keys, parsed query, key part, reachable PCs and compiled
+    selection stay. An entry stored without it has nothing a later
+    request could reuse and is removed. An emptied entry never answers:
+    {!find} misses on it, {!find_front} returns a {!Refill}, and a sweep
+    passes over it (it counts as no eviction). The next {!store} under
+    its key fills it in place.
 
     {3 The flat sweep}
 
@@ -75,10 +87,20 @@
     has answered before hits without a parse: {!find_front} is checked
     first, and {!find} and {!store} link the front key on the way. Equal
     front keys parse to equal keys within one cache, so a front hit
-    returns the bytes the canonical hit would. Front keys go with their
-    entry on eviction and invalidation and count in the byte cap. A
-    request moves [cache.hits] or [cache.misses] exactly once: a front
-    miss counts nothing.
+    returns the bytes the canonical hit would. Front keys stay with an
+    emptied entry, go with an entry that is removed (by the caps, or by
+    an invalidation when it was stored without [~parsed]) and count in
+    the byte cap. A request moves [cache.hits] or [cache.misses] exactly
+    once: a {!Hit} counts a hit, a {!Refill} a miss (so the caller does
+    not ask {!find}), and {!Absent} nothing.
+
+    A {!Refill} carries what the request would otherwise derive again:
+    the parsed query, its {!query_part}, the canonical key and the meta.
+    The server skips the parse, the key and the reachable-PC walk, runs
+    every other check a miss runs (the certain schema, admission, the
+    snapshot pin) and stores with the same meta, which refills the
+    entry without rebuilding its flat layout; the store is fenced by
+    version like any other.
 
     {2 Version fencing}
 
@@ -102,6 +124,19 @@ type meta = {
   missing_only : bool;
 }
 
+type refill = {
+  query : Pc_query.Query.t;
+  part : string;  (** {!query_part} of [query] *)
+  key : string;  (** the canonical key *)
+  meta : meta option;  (** the meta the entry was stored with *)
+}
+
+(** What a {!front_key} leads to. *)
+type front =
+  | Hit of string  (** the cached reply *)
+  | Refill of refill  (** an emptied entry stored with [~parsed] *)
+  | Absent  (** nothing: parse the request and ask {!find} *)
+
 val create : ?capacity:int -> ?capacity_bytes:int -> unit -> t
 (** Defaults: 1024 entries, 64 MiB of key+value bytes. *)
 
@@ -109,19 +144,32 @@ val find : t -> ?front:string -> string -> string option
 (** Counts a hit or a miss. On a hit, [front] (a {!front_key}) is
     linked to the entry found. *)
 
-val find_front : t -> string -> string option
-(** The reply the {!front_key} leads to: counts a hit when there is
-    one, and nothing otherwise (the caller then parses the request and
-    asks {!find}, which counts). *)
+val find_front : t -> string -> front
+(** What the {!front_key} leads to. Counts a hit for a {!Hit}, a miss
+    and a refill for a {!Refill}, and nothing for {!Absent} (the caller
+    then parses the request and asks {!find}, which counts). An emptied
+    entry stored without [~parsed] reads {!Absent}. *)
 
 val store :
-  t -> ?meta:meta -> ?version:int -> ?front:string -> string -> string -> unit
-(** Insert unless present; evicts oldest entries while either cap is
-    exceeded. [version] is the stream version the reply's snapshot was
-    pinned at: the store is silently dropped when an {!invalidate} for
-    a later version has already swept (the reply is stale by
-    construction). Omitting [version] stores unconditionally. [front]
-    is linked to the entry stored, or to the one already present. *)
+  t ->
+  ?meta:meta ->
+  ?version:int ->
+  ?front:string ->
+  ?parsed:Pc_query.Query.t * string ->
+  string ->
+  string ->
+  unit
+(** Insert unless a reply is present, and fill an emptied entry in
+    place; evicts oldest entries while either cap is exceeded.
+    [version] is the stream version the reply's snapshot was pinned
+    at: the store is silently dropped when an {!invalidate} for a later
+    version has already swept (the reply is stale by construction).
+    Omitting [version] stores unconditionally. [front] is linked to the
+    entry stored, or to the one already present. [parsed] is the query
+    the key was built from and its {!query_part}: an entry stored with
+    it is emptied, not removed, by {!invalidate}. A fill keeps the
+    entry's layout when [meta] is physically the meta it holds (the one
+    a {!Refill} returned) and rebuilds it otherwise. *)
 
 val invalidate :
   t ->
@@ -129,7 +177,8 @@ val invalidate :
   touched:int list ->
   rows:(Pc_data.Schema.t * Pc_data.Relation.tuple array) option ->
   int
-(** Evict every entry an ingestion delta could have affected: [touched]
+(** Evict every reply an ingestion delta could have affected (empty its
+    entry when it was stored with [~parsed], remove it otherwise): [touched]
     are the PC indices whose consumption changed, [rows] the batch's
     certain rows (for selection-predicate tests; [None] means no
     certain-side change, as when the rows are unavailable the caller
@@ -143,7 +192,11 @@ val invalidate :
     span (the server's [ingest.append] / [ingest.retract] span). *)
 
 val size : t -> int
+(** Entries, emptied ones included: what the entry cap counts. *)
+
 val bytes : t -> int
+(** Key, reply and front-key bytes of every entry: what the byte cap
+    counts. *)
 
 val queue_length : t -> int
 (** Length of the internal FIFO bookkeeping queue. Exposed for tests:

@@ -207,7 +207,9 @@ let stats_value (s : Bounds.stats) =
       ("sat_calls", J.Num (float_of_int s.Bounds.sat_calls));
       ("nodes", J.Num (float_of_int s.Bounds.milp_nodes));
       ("iters", J.Num (float_of_int s.Bounds.lp_iterations));
-      ("elapsed_ms", J.Num (s.Bounds.elapsed *. 1e3));
+      (* whole nanoseconds, so the number printer's short-decimal path
+         takes it *)
+      ("elapsed_ms", J.Num (Float.round (s.Bounds.elapsed *. 1e9) /. 1e6));
       ("deadline_hit", J.Bool s.Bounds.deadline_hit);
     ]
 
@@ -310,8 +312,9 @@ let request_budget t level timeout_ms =
 
 (* A cache miss: admit, compute on one pinned snapshot, and store the
    reply when it is reusable. The request holds an in-flight slot for
-   its whole compute. *)
-let compute_bound t ds r query ~part ~ckey ~front ~timeout_ms ~missing_only =
+   its whole compute. [meta] is the entry's kept meta on a refill and
+   [None] on a first miss, which derives it. *)
+let compute_bound t ds r query ~part ~ckey ~front ~timeout_ms ~missing_only ~meta =
   let inflight = Atomic.fetch_and_add t.inflight 1 in
   Fun.protect
     ~finally:(fun () -> Atomic.decr t.inflight)
@@ -384,18 +387,37 @@ let compute_bound t ds r query ~part ~ckey ~front ~timeout_ms ~missing_only =
          version. *)
       if level = Admission.Full && s.Bounds.provenance = Bounds.Exact then begin
         let meta =
-          {
-            Cache.pcs =
-              Pc_predicate.Fdd.active_pcs ~query:query.Q.where_ ds.fdd;
-            where_ = query.Q.where_;
-            missing_only;
-          }
+          match meta with
+          | Some m -> m
+          | None ->
+              {
+                Cache.pcs =
+                  Pc_predicate.Fdd.active_pcs ~query:query.Q.where_ ds.fdd;
+                where_ = query.Q.where_;
+                missing_only;
+              }
         in
         let text = J.to_string reply in
-        Cache.store ds.cache ~meta ~version:st.Stream.version ~front ckey text;
+        Cache.store ds.cache ~meta ~version:st.Stream.version ~front
+          ~parsed:(query, part) ckey text;
         (Rtext text, r)
       end
       else (Rjson reply, r))
+
+(* A miss, first or refill: the certain rows are read by attribute
+   name, so a query the certain schema cannot answer is the client's
+   error, not a solver exception. *)
+let miss t ds r query ~part ~ckey ~front ~timeout_ms ~missing_only ~meta =
+  let r = { r with T.cache = W.Miss } in
+  match
+    match Stream.schema ds.stream with
+    | Some schema when not missing_only -> Q.check_schema schema query
+    | _ -> Ok ()
+  with
+  | Error msg -> fail r "bad-request" msg
+  | Ok () ->
+      compute_bound t ds r query ~part ~ckey ~front ~timeout_ms ~missing_only
+        ~meta
 
 let handle_bound t r v =
   match str_field v "query" with
@@ -409,11 +431,15 @@ let handle_bound t r v =
           (* Cache lookup happens before admission: a hit costs no
              compute, so it must not occupy an in-flight slot or be
              crushed by load it does not add to. A text this cache has
-             answered before hits without a parse. *)
+             answered before hits, or refills its emptied entry,
+             without a parse. *)
           let front = Cache.front_key ~text:qtext ~missing_only ~timeout_ms in
           match Cache.find_front ds.cache front with
-          | Some text -> (Rtext text, { r with T.cache = W.Hit })
-          | None -> (
+          | Cache.Hit text -> (Rtext text, { r with T.cache = W.Hit })
+          | Cache.Refill f ->
+              miss t ds r f.Cache.query ~part:f.Cache.part ~ckey:f.Cache.key
+                ~front ~timeout_ms ~missing_only ~meta:f.Cache.meta
+          | Cache.Absent -> (
               match Pc_parse.Query_parser.parse qtext with
               | exception Failure msg -> fail r "parse-error" msg
               | query -> (
@@ -424,21 +450,9 @@ let handle_bound t r v =
                   in
                   match Cache.find ds.cache ~front ckey with
                   | Some text -> (Rtext text, { r with T.cache = W.Hit })
-                  | None -> (
-                      let r = { r with T.cache = W.Miss } in
-                      (* The certain rows are read by attribute name: a
-                         query the certain schema cannot answer is the
-                         client's error, not a solver exception. *)
-                      match
-                        match Stream.schema ds.stream with
-                        | Some schema when not missing_only ->
-                            Q.check_schema schema query
-                        | _ -> Ok ()
-                      with
-                      | Error msg -> fail r "bad-request" msg
-                      | Ok () ->
-                          compute_bound t ds r query ~part ~ckey ~front
-                            ~timeout_ms ~missing_only))))
+                  | None ->
+                      miss t ds r query ~part ~ckey ~front ~timeout_ms
+                        ~missing_only ~meta:None)))
 
 (* ------------------------------------------------------------------ *)
 (* Streaming ingestion ops                                             *)

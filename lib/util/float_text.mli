@@ -12,7 +12,17 @@ val to_string : float -> string
     anything else prints as the shortest of [%.15g], [%.16g] and
     [%.17g] that reads back bit-equal. Non-finite values print as
     [inf], [-inf] and [nan]; callers whose format cannot carry them
-    map them first. *)
+    map them first.
+
+    Two cases print without the C formatter: an integer through a
+    digit loop, and a short decimal [m / 10{^k}] ([|m| < 10{^15}],
+    [k >= 1], found by a division that must give back exactly the
+    double) as [%.15g] lays it out in fixed notation, since such a
+    decimal is what [%.15g] prints and it reads back. Everything else,
+    exponent notation included, takes the [snprintf] round trip. *)
+
+val add : Buffer.t -> float -> unit
+(** Append [to_string x] without building the string. *)
 
 val add_hex : Buffer.t -> float -> unit
 (** Append [x] in hexadecimal, byte for byte what [Printf.sprintf "%h"]

@@ -189,3 +189,54 @@ let parse s =
   | v, i when skip_ws i = n -> Ok v
   | _, i -> Error (Printf.sprintf "trailing garbage at offset %d" (skip_ws i))
   | exception Bad (i, msg) -> Error (Printf.sprintf "%s at offset %d" msg i)
+
+(* The printer as it stood before plain runs were copied whole and
+   numbers skipped the C formatter: one [Buffer.add_char] per plain
+   byte, [Printf] for control characters, numbers through
+   [Float_text_oracle]. *)
+let escape_to buf str =
+  Buffer.add_char buf '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    str;
+  Buffer.add_char buf '"'
+
+let to_string v =
+  let buf = Buffer.create 128 in
+  let rec go = function
+    | Null -> Buffer.add_string buf "null"
+    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+    | Num f ->
+        Buffer.add_string buf
+          (if Float.is_finite f then Float_text_oracle.to_string f else "null")
+    | Str str -> escape_to buf str
+    | Arr vs ->
+        Buffer.add_char buf '[';
+        List.iteri
+          (fun i v ->
+            if i > 0 then Buffer.add_char buf ',';
+            go v)
+          vs;
+        Buffer.add_char buf ']'
+    | Obj kvs ->
+        Buffer.add_char buf '{';
+        List.iteri
+          (fun i (k, v) ->
+            if i > 0 then Buffer.add_char buf ',';
+            escape_to buf k;
+            Buffer.add_char buf ':';
+            go v)
+          kvs;
+        Buffer.add_char buf '}'
+  in
+  go v;
+  Buffer.contents buf

@@ -203,6 +203,106 @@ let prop_csv_bit_exact =
            xs
            (List.init (List.length xs) Fun.id))
 
+(* The one-pass reader against the one it replaced (test/oracle/
+   csv_oracle.ml): random texts with padded and quoted fields (commas,
+   newlines, CRs and escaped quotes inside), CRs outside quotes, blank
+   lines, CRLF endings, numbers, words, non-finite and empty fields in
+   any column, wrong record widths and stray quotes, read with no
+   schema (kind inference) and with a schema that fits the header or
+   not. Each must give the same relation (kinds, and every value bit
+   for bit) or raise the same exception with the same message. *)
+let csv_text_gen =
+  let open QCheck.Gen in
+  let plain =
+    oneofl
+      [ "1"; " 2.5"; "-0"; "1e3 "; "0x1p3"; "nan"; "inf"; "-infinity"; ""; " "; "x";
+        "y z"; "Chicago"; "12abc"; "3,"; "_1" ]
+  in
+  let quoted =
+    map
+      (fun body -> "\"" ^ body ^ "\"")
+      (oneofl [ ""; "a,b"; "two\nlines"; "say \"\"hi\"\""; "4.5"; " 7 "; "cr\rin"; "\"\"" ])
+  in
+  let field =
+    frequency
+      [
+        (8, plain);
+        (2, quoted);
+        (1, map2 (fun a b -> a ^ b) plain quoted);
+        (1, map (fun f -> f ^ "\r") plain);
+        (1, return "\"");
+      ]
+  in
+  let names = oneofl [ "a"; " b"; "c "; "a" ] in
+  let record width = map (String.concat ",") (list_repeat width field) in
+  let line width =
+    frequency
+      [
+        (8, record width);
+        (1, (1 -- 4) >>= record);
+        (1, oneofl [ ""; "\r"; "\"\"" ]);
+      ]
+  in
+  (1 -- 3) >>= fun width ->
+  pair (list_repeat width names)
+    (list_size (0 -- 6) (line width))
+  >>= fun (header, lines) ->
+  map2
+    (fun eol trailing ->
+      String.concat eol (String.concat "," header :: lines) ^ if trailing then eol else "")
+    (oneofl [ "\n"; "\r\n" ]) bool
+
+let csv_schema_gen =
+  QCheck.Gen.(
+    opt
+      (map
+         (fun attrs -> Schema.of_names attrs)
+         (oneofl
+            [
+              [ ("a", Schema.Numeric) ];
+              [ ("a", Schema.Categorical) ];
+              [ ("a", Schema.Numeric); ("b", Schema.Categorical) ];
+              [ ("a", Schema.Categorical); ("b", Schema.Numeric) ];
+              [ ("a", Schema.Numeric); ("b", Schema.Numeric); ("c", Schema.Numeric) ];
+              [ ("a", Schema.Categorical); ("b", Schema.Categorical); ("c", Schema.Numeric) ];
+            ])))
+
+(* A relation as text: its kinds, and every value, numbers in hex. *)
+let relation_text rel =
+  let schema = Relation.schema rel in
+  String.concat ","
+    (List.map
+       (fun (a : Schema.attr) ->
+         a.Schema.name ^ if a.Schema.kind = Schema.Numeric then ":n" else ":c")
+       (Schema.attrs schema))
+  ^ "\n"
+  ^ String.concat "\n"
+      (Array.to_list
+         (Array.map
+            (fun row ->
+              String.concat ","
+                (Array.to_list
+                   (Array.map
+                      (function
+                        | Value.Num x -> Printf.sprintf "%h" x
+                        | Value.Str s -> Printf.sprintf "%S" s)
+                      row)))
+            (Relation.tuples rel)))
+
+let prop_csv_matches_oracle =
+  let outcome read =
+    match read () with
+    | rel -> "ok " ^ relation_text rel
+    | exception e -> "raised " ^ Printexc.to_string e
+  in
+  QCheck.Test.make ~name:"one-pass csv reader ≡ the oracle reader" ~count:3000
+    (QCheck.make
+       ~print:(fun (text, _) -> Printf.sprintf "%S" text)
+       (QCheck.Gen.pair csv_text_gen csv_schema_gen))
+    (fun (text, schema) ->
+      outcome (fun () -> Csv.read_string ?schema text)
+      = outcome (fun () -> Csv_oracle.read_string ?schema text))
+
 let () =
   Alcotest.run "pc_data"
     [
@@ -225,5 +325,6 @@ let () =
           tc "non-finite rejected" `Quick test_csv_nonfinite;
           QCheck_alcotest.to_alcotest prop_csv_roundtrip;
           QCheck_alcotest.to_alcotest prop_csv_bit_exact;
+          QCheck_alcotest.to_alcotest prop_csv_matches_oracle;
         ] );
     ]

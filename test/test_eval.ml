@@ -153,6 +153,33 @@ let prop_query_eval =
       let q = Q.make ~where_:p agg in
       outcome (fun () -> bits (Q.eval rel q)) = outcome (fun () -> bits (O.query_eval rel q)))
 
+(* The certain side of a bound as it was computed before [Query.fold]:
+   the selection, its count, and the aggregate's [Stat] over the
+   selection's column when some row is selected. *)
+let prop_query_fold =
+  QCheck.Test.make ~name:"Query.fold = selection, count and Stat, bit for bit" ~count:1000
+    (QCheck.make
+       ~print:(fun ((r, p), agg) -> print_case (r, p) ^ "\n" ^ Q.to_string (Q.make ~where_:p agg))
+       QCheck.Gen.(pair case_gen agg_gen))
+    (fun ((rel, p), agg) ->
+      let q = Q.make ~where_:p agg in
+      let reference () =
+        let sel = Relation.filter (O.pred_eval (Relation.schema rel) p) rel in
+        let n = Relation.cardinality sel in
+        let column a = Relation.column sel a in
+        ( n,
+          match agg with
+          | Q.Count -> 0.
+          | Q.Sum _ | Q.Avg _ when n = 0 -> 0.
+          | Q.Min _ when n = 0 -> infinity
+          | Q.Max _ when n = 0 -> neg_infinity
+          | Q.Sum a | Q.Avg a -> Pc_util.Stat.sum (column a)
+          | Q.Min a -> Pc_util.Stat.minimum (column a)
+          | Q.Max a -> Pc_util.Stat.maximum (column a) )
+      in
+      let bits (n, x) = (n, Int64.bits_of_float x) in
+      outcome (fun () -> bits (Q.fold rel q)) = outcome (fun () -> bits (reference ())))
+
 (* Numeric relations with ties and signed zeros; a categorical
    attribute rides along. A NaN makes both sides raise (its ranges have
    NaN ends), so it is rare enough that most cases answer. *)
@@ -239,5 +266,5 @@ let () =
         ] );
       ( "oracle",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_compile_rows; prop_compile_loose; prop_scanner; prop_query_eval; prop_rand_pcs ] );
+          [ prop_compile_rows; prop_compile_loose; prop_scanner; prop_query_eval; prop_query_fold; prop_rand_pcs ] );
     ]

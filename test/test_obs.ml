@@ -386,6 +386,58 @@ let json_oracle_prop =
     (QCheck.make ~print:(Printf.sprintf "%S") json_text_gen)
     (fun text -> Json.parse text = Json_oracle.parse text)
 
+(* The printer against the one it replaced (test/oracle/json_oracle.ml):
+   random values whose strings mix plain bytes, quotes, backslashes,
+   every control character and high bytes, and whose numbers mix
+   integers, short decimals, raw bit patterns and non-finite values.
+   Each must print to the same bytes. *)
+let json_value_gen =
+  let open QCheck.Gen in
+  let byte =
+    frequency
+      [
+        (6, map Char.chr (32 -- 126));
+        (2, map Char.chr (0 -- 31));
+        (1, oneofl [ '"'; '\\'; '\127'; '\xc3'; '\xff' ]);
+      ]
+  in
+  let str = string_size ~gen:byte (0 -- 12) in
+  let num =
+    frequency
+      [
+        (3, map Float.of_int (int_range (-1_000_000) 1_000_000));
+        (3, map2 (fun m k -> Float.of_int m /. (10. ** Float.of_int k)) (int_range (-99_999_999) 99_999_999) (0 -- 9));
+        (3, map Int64.float_of_bits ui64);
+        (1, oneofl [ nan; infinity; neg_infinity; -0.; 0.1 +. 0.2 ]);
+      ]
+  in
+  sized
+  @@ fix (fun self n ->
+         let leaf =
+           frequency
+             [
+               (3, map (fun s -> Json.Str s) str);
+               (3, map (fun x -> Json.Num x) num);
+               (1, oneofl [ Json.Null; Json.Bool true; Json.Bool false ]);
+             ]
+         in
+         if n <= 1 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun vs -> Json.Arr vs) (list_size (0 -- 4) (self (n / 3))));
+               ( 1,
+                 map
+                   (fun kvs -> Json.Obj kvs)
+                   (list_size (0 -- 4) (pair str (self (n / 3)))) );
+             ])
+
+let json_print_prop =
+  QCheck.Test.make ~name:"Json.to_string matches the oracle printer" ~count:3000
+    (QCheck.make ~print:Json_oracle.to_string json_value_gen)
+    (fun v -> Json.to_string v = Json_oracle.to_string v)
+
 let () =
   Alcotest.run "pc_obs"
     [
@@ -422,5 +474,6 @@ let () =
           Alcotest.test_case "validator" `Quick test_json_validator;
           QCheck_alcotest.to_alcotest json_num_prop;
           QCheck_alcotest.to_alcotest json_oracle_prop;
+          QCheck_alcotest.to_alcotest json_print_prop;
         ] );
     ]

@@ -76,6 +76,11 @@ let test_session () =
       | Some lo, Some hi -> Alcotest.(check bool) "lo<=hi" true (lo <= hi)
       | _ -> Alcotest.fail "range without lo/hi")
   | None -> Alcotest.fail "no answer");
+  (* the bound's time is reported in whole nanoseconds *)
+  (match Option.bind (J.member "stats" v) (fun s -> num s "elapsed_ms") with
+  | Some ms ->
+      Alcotest.(check (float 0.)) "elapsed_ms in whole ns" (Float.round (ms *. 1e6) /. 1e6) ms
+  | None -> Alcotest.fail "no elapsed_ms");
   let v = req c {|{"op":"stats"}|} in
   Alcotest.(check bool) "stats ok" true (ok v);
   Alcotest.(check bool) "requests counted" true
@@ -689,27 +694,60 @@ let test_front_hit_same_bytes () =
   C.close c;
   stop s
 
-(* Front keys live and die with their entry, and the byte cap counts
-   them. *)
+(* Front keys stay with an emptied entry, which refills in place, and
+   go with a removed one; the byte cap counts them. *)
 let test_front_keys_follow_entry () =
   let module Cache = Pc_server.Cache in
   let front text = Cache.front_key ~text ~missing_only:false ~timeout_ms:None in
+  let show = function
+    | Cache.Hit v -> "hit " ^ v
+    | Cache.Refill f -> "refill " ^ f.Cache.key ^ " " ^ f.Cache.part
+    | Cache.Absent -> "absent"
+  in
+  let looks c f = show (Cache.find_front c f) in
   let fa = front "SELECT COUNT(*)" and fb = front "SELECT  COUNT(*)" in
   let meta = { Cache.pcs = [ 0 ]; where_ = Pc_predicate.Pred.tt; missing_only = true } in
+  let query = Pc_query.Query.count () in
+  let part = Cache.query_part query in
   let c = Cache.create () in
-  Cache.store c ~meta ~front:fa "k" "v";
+  Cache.store c ~meta ~front:fa ~parsed:(query, part) "k" "v";
   Alcotest.(check (option string)) "canonical hit links b" (Some "v")
     (Cache.find c ~front:fb "k");
   Alcotest.(check int) "two texts, one entry" 1 (Cache.size c);
-  Alcotest.(check (option string)) "front a" (Some "v") (Cache.find_front c fa);
-  Alcotest.(check (option string)) "front b" (Some "v") (Cache.find_front c fb);
+  Alcotest.(check string) "front a" "hit v" (looks c fa);
+  Alcotest.(check string) "front b" "hit v" (looks c fb);
+  let fronts = String.length fa + String.length fb in
   Alcotest.(check int) "bytes count front keys"
-    (String.length "k" + String.length "v" + String.length fa + String.length fb)
+    (String.length "k" + String.length "v" + fronts)
     (Cache.bytes c);
   Alcotest.(check int) "invalidated" 1
     (Cache.invalidate c ~version:1 ~touched:[ 0 ] ~rows:None);
-  Alcotest.(check (option string)) "front a gone" None (Cache.find_front c fa);
-  Alcotest.(check (option string)) "front b gone" None (Cache.find_front c fb);
+  Alcotest.(check string) "front a refills" ("refill k " ^ part) (looks c fa);
+  Alcotest.(check string) "front b refills" ("refill k " ^ part) (looks c fb);
+  (match Cache.find_front c fa with
+  | Cache.Refill { Cache.meta = Some m; query = q; _ } ->
+      Alcotest.(check bool) "the kept meta and query" true (m == meta && q == query)
+  | _ -> Alcotest.fail "no refill");
+  Alcotest.(check (option string)) "an emptied entry never answers" None
+    (Cache.find c "k");
+  Alcotest.(check int) "the emptied entry stays" 1 (Cache.size c);
+  Alcotest.(check int) "its key and front keys stay counted"
+    (String.length "k" + fronts) (Cache.bytes c);
+  Alcotest.(check int) "a sweep passes over it" 0
+    (Cache.invalidate c ~version:2 ~touched:[ 0 ] ~rows:None);
+  Cache.store c ~meta ~version:2 ~front:fa ~parsed:(query, part) "k" "w";
+  Alcotest.(check string) "refilled in place" "hit w" (looks c fb);
+  Alcotest.(check int) "refilled bytes"
+    (String.length "k" + String.length "w" + fronts)
+    (Cache.bytes c);
+  (* stored without [~parsed]: nothing to keep, so the entry and its
+     front keys go *)
+  let c = Cache.create () in
+  Cache.store c ~meta ~front:fa "k" "v";
+  Alcotest.(check int) "removed" 1
+    (Cache.invalidate c ~version:1 ~touched:[ 0 ] ~rows:None);
+  Alcotest.(check string) "its front gone" "absent" (looks c fa);
+  Alcotest.(check int) "no entry left" 0 (Cache.size c);
   Alcotest.(check int) "no bytes left" 0 (Cache.bytes c);
   (* cap eviction: the second entry pushes the first, fronts and all,
      out; a front key that pushes its own entry over the cap goes with
@@ -718,13 +756,13 @@ let test_front_keys_follow_entry () =
   let c = Cache.create ~capacity_bytes:100 () in
   Cache.store c ~front:fa "k1" v;
   Cache.store c ~front:fb "k2" v;
-  Alcotest.(check (option string)) "old front evicted" None (Cache.find_front c fa);
-  Alcotest.(check (option string)) "new front kept" (Some v) (Cache.find_front c fb);
+  Alcotest.(check string) "old front evicted" "absent" (looks c fa);
+  Alcotest.(check string) "new front kept" ("hit " ^ v) (looks c fb);
   Alcotest.(check int) "bytes after eviction"
     (2 + 40 + String.length fb) (Cache.bytes c);
   ignore (Cache.find c ~front:(front (String.make 80 ' ')) "k2");
   Alcotest.(check int) "over-cap front evicts its entry" 0 (Cache.size c);
-  Alcotest.(check (option string)) "its fronts too" None (Cache.find_front c fb);
+  Alcotest.(check string) "its fronts too" "absent" (looks c fb);
   Alcotest.(check int) "nothing counted" 0 (Cache.bytes c)
 
 (* The flat sweep evicts exactly what the per-entry hull test it
@@ -840,6 +878,197 @@ let prop_flat_invalidate_matches_oracle =
         live := kept
       done;
       !ok)
+
+(* The refilling cache against a model of the remove-on-invalidate
+   cache it replaced. A random script asks texts (several texts share
+   one canonical key) through the server's protocol (the front lookup,
+   then on [Absent] the canonical [find], a store on every miss, now
+   and then pinned at a superseded version), makes bare canonical
+   [find]s, and sweeps with random touched PCs and batch rows. The
+   model answers each request by today's protocol: its front keys die
+   with their entry, so a re-asked text after a sweep misses at [find].
+   Caps do not bind. Every request gets the same reply or miss, every
+   sweep evicts the same number, the hit, miss and invalidation
+   counters move alike, and an emptied entry never answers. *)
+module Cache_model = struct
+  module Cache = Pc_server.Cache
+  module Schema = Pc_data.Schema
+  module V = Pc_data.Value
+  module Atom = Pc_predicate.Atom
+
+  let n_keys = 5
+  let n_texts = 10
+  let schema = Schema.of_names [ ("x", Schema.Numeric) ]
+  let key_of text = Printf.sprintf "k%d" (text mod n_keys)
+  let front text = Cache.front_key ~text:(Printf.sprintf "t%d" text) ~missing_only:false ~timeout_ms:None
+
+  (* one meta per key, shared by its texts, as one dataset's FDD gives *)
+  let metas =
+    Array.init n_keys (fun k ->
+        {
+          Cache.pcs = [ k mod 3 ];
+          where_ = [ Atom.between "x" (float_of_int k) (float_of_int (k + 2)) ];
+          missing_only = k = 4;
+        })
+
+  let query = Pc_query.Query.count ()
+
+  type op = Ask of int * bool | Find of int | Sweep of int list * float list option
+
+  let gen_op =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, map2 (fun t stale -> Ask (t, stale)) (0 -- (n_texts - 1)) (map (( = ) 0) (0 -- 7)));
+          (2, map (fun k -> Find k) (0 -- (n_keys - 1)));
+          ( 2,
+            map2
+              (fun touched rows -> Sweep (touched, rows))
+              (list_size (0 -- 2) (0 -- 2))
+              (opt (list_size (0 -- 3) (map float_of_int (-1 -- 7)))) );
+        ])
+
+  let show = function
+    | Ask (t, stale) -> Printf.sprintf "ask t%d%s" t (if stale then " stale" else "")
+    | Find k -> Printf.sprintf "find k%d" k
+    | Sweep (touched, rows) ->
+        Printf.sprintf "sweep [%s] %s"
+          (String.concat ";" (List.map string_of_int touched))
+          (match rows with
+          | None -> "-"
+          | Some xs -> String.concat ";" (List.map string_of_float xs))
+
+  let counter c = Pc_obs.Registry.Counter.(get (make c))
+
+  let run ops =
+    let c = Cache.create () in
+    (* the model: key -> (reply, meta), and front -> key *)
+    let entries = Hashtbl.create 8 and fronts = Hashtbl.create 8 in
+    let hits = ref 0 and misses = ref 0 and invalidations = ref 0 in
+    let version = ref 0 and next = ref 0 in
+    let h0 = counter "cache.hits" and m0 = counter "cache.misses"
+    and i0 = counter "cache.invalidations" in
+    let model_find ?front key =
+      match Hashtbl.find_opt entries key with
+      | Some (v, _) ->
+          incr hits;
+          Option.iter (fun f -> Hashtbl.replace fronts f key) front;
+          Some v
+      | None ->
+          incr misses;
+          None
+    in
+    let model_store ~version:v ~front key value meta =
+      if v >= !version then begin
+        if not (Hashtbl.mem entries key) then Hashtbl.replace entries key (value, meta);
+        Hashtbl.replace fronts front key
+      end
+    in
+    let ok = ref true in
+    let expect b = if not b then ok := false in
+    List.iter
+      (function
+        | Ask (text, stale) ->
+            let front = front text and key = key_of text in
+            let meta = metas.(text mod n_keys) in
+            (* the model: today's protocol *)
+            let model =
+              match Hashtbl.find_opt fronts front with
+              | Some k ->
+                  incr hits;
+                  Some (fst (Hashtbl.find entries k))
+              | None -> model_find ~front key
+            in
+            (* the cache: the server's protocol *)
+            let real =
+              match Cache.find_front c front with
+              | Cache.Hit v -> Some v
+              | Cache.Refill f ->
+                  expect
+                    (f.Cache.key = key
+                    && match f.Cache.meta with Some m -> m == meta | None -> false);
+                  None
+              | Cache.Absent -> Cache.find c ~front key
+            in
+            expect (real = model);
+            if model = None then begin
+              incr next;
+              let value = Printf.sprintf "r%d" !next in
+              let v = if stale then !version - 1 else !version in
+              Cache.store c ~meta ~version:v ~front ~parsed:(query, "part") key value;
+              model_store ~version:v ~front key value meta
+            end
+        | Find k ->
+            let key = key_of k in
+            expect (Cache.find c key = model_find key)
+        | Sweep (touched, rows) ->
+            incr version;
+            let rows =
+              Option.map
+                (fun xs -> (schema, Array.of_list (List.map (fun x -> [| V.Num x |]) xs)))
+                rows
+            in
+            let victims =
+              Hashtbl.fold
+                (fun k (_, m) acc ->
+                  if Cache_sweep.affected ~touched ~rows (Some m) then k :: acc else acc)
+                entries []
+            in
+            List.iter
+              (fun k ->
+                Hashtbl.remove entries k;
+                Hashtbl.filter_map_inplace
+                  (fun _ k' -> if k' = k then None else Some k')
+                  fronts)
+              victims;
+            invalidations := !invalidations + List.length victims;
+            expect (Cache.invalidate c ~version:!version ~touched ~rows = List.length victims))
+      ops;
+    !ok
+    && counter "cache.hits" - h0 = !hits
+    && counter "cache.misses" - m0 = !misses
+    && counter "cache.invalidations" - i0 = !invalidations
+end
+
+let prop_refill_matches_remove_model =
+  QCheck.Test.make ~name:"refilling cache ≡ remove-on-invalidate model" ~count:500
+    QCheck.(
+      make
+        ~print:(fun ops -> String.concat ", " (List.map Cache_model.show ops))
+        Gen.(list_size (0 -- 60) Cache_model.gen_op))
+    Cache_model.run
+
+(* With caps that bind, emptied entries count against them: after every
+   operation the cache holds at most [capacity] entries and
+   [capacity_bytes] bytes. *)
+let prop_refill_respects_caps =
+  let module Cache = Pc_server.Cache in
+  QCheck.Test.make ~name:"emptied entries stay under the caps" ~count:300
+    QCheck.(
+      make
+        Gen.(
+          triple (1 -- 4) (20 -- 120)
+            (list_size (0 -- 80)
+               (triple (0 -- 9) (0 -- 30) (map (( = ) 0) (0 -- 3))))))
+    (fun (capacity, capacity_bytes, ops) ->
+      let c = Cache.create ~capacity ~capacity_bytes () in
+      let version = ref 0 in
+      List.for_all
+        (fun (text, len, sweep) ->
+          (if sweep then begin
+             incr version;
+             ignore (Cache.invalidate c ~version:!version ~touched:[ 0 ] ~rows:None)
+           end
+           else
+             let front = Cache_model.front text and key = Cache_model.key_of text in
+             match Cache.find_front c front with
+             | Cache.Hit _ -> ()
+             | Cache.Refill _ | Cache.Absent ->
+                 Cache.store c ~meta:Cache_model.metas.(text mod Cache_model.n_keys)
+                   ~version:!version ~front ~parsed:(Cache_model.query, "part") key
+                   (String.make len 'v'));
+          Cache.size c <= capacity && Cache.bytes c <= capacity_bytes)
+        ops)
 
 (* ------------------------------- drain -------------------------------- *)
 
@@ -1568,6 +1797,8 @@ let () =
           tc "front hit is the canonical hit" `Quick test_front_hit_same_bytes;
           tc "front keys follow their entry" `Quick test_front_keys_follow_entry;
           QCheck_alcotest.to_alcotest prop_flat_invalidate_matches_oracle;
+          QCheck_alcotest.to_alcotest prop_refill_matches_remove_model;
+          QCheck_alcotest.to_alcotest prop_refill_respects_caps;
         ] );
       ("drain", [ tc "artifacts flushed" `Quick test_drain_flushes_artifacts ]);
       ( "chaos",

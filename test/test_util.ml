@@ -193,6 +193,50 @@ let float_text_prop =
     Doubles.arb (fun x ->
       Doubles.bit_equal x (float_of_string (Pc_util.Float_text.to_string x)))
 
+(* The printer against the one it replaced (test/oracle/
+   float_text_oracle.ml), byte for byte: the integer and short-decimal
+   paths, the switches between them and the [snprintf] round trip. *)
+let test_float_text_edges () =
+  let check x =
+    Alcotest.(check string)
+      (Printf.sprintf "%h" x) (Float_text_oracle.to_string x) (Pc_util.Float_text.to_string x)
+  in
+  let p53 = 0x1p53 in
+  List.iter
+    (fun x ->
+      check x;
+      check (-.x))
+    ([
+       0.; p53 -. 1.; p53; p53 +. 2.; 1e15; 1e16; 1e15 +. 1.; 1e15 -. 0.5; 1e14 +. 0.5;
+       99999999999999.9; 1e-4; 1e-5; 0.0001234; 0.00001234; 0.000099999; 1.5e-5;
+       0.1 +. 0.2; 0.1; 0.5; 123.456; 1. /. 3.; 2. /. 3.; 0.001; 1.001; 12.345678;
+       Float.max_float; Float.min_float; 4.9e-324; 2.2250738585072009e-308;
+       Float.pred 1e-4; Float.succ 1e-4; Float.pred 1e15; Float.succ 0.1;
+       0.123456789012345; 0.1234567890123456; 1.00000000000001; 9.99999999999999;
+       1e22; 1e23; 0.3e-3;
+     ]
+    @ List.init 140 (fun e -> ldexp 1. (e - 70))
+    @ List.init 12 (fun ns -> Float.round (float_of_int (ns * 997 * 1013)) /. 1e6))
+
+let float_text_oracle_prop =
+  let gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, map Int64.float_of_bits ui64);
+          ( 2,
+            map2
+              (fun m k -> float_of_int m /. (10. ** float_of_int k))
+              (int_range (-999_999_999_999_999) 999_999_999_999_999)
+              (0 -- 20) );
+          (1, map (fun ns -> float_of_int ns /. 1e6) (int_bound 1_000_000_000));
+        ]
+      |> map (fun x -> if Float.is_finite x then x else 0.5))
+  in
+  QCheck.Test.make ~name:"Float_text prints what the snprintf printer did" ~count:20_000
+    (QCheck.make ~print:(Printf.sprintf "%h") gen) (fun x ->
+      Pc_util.Float_text.to_string x = Float_text_oracle.to_string x)
+
 let () =
   Alcotest.run "pc_util"
     [
@@ -232,6 +276,8 @@ let () =
         [
           Alcotest.test_case "spelling" `Quick test_float_text_spelling;
           QCheck_alcotest.to_alcotest float_text_prop;
+          Alcotest.test_case "edges match the oracle" `Quick test_float_text_edges;
+          QCheck_alcotest.to_alcotest float_text_oracle_prop;
         ] );
       ("props", [ QCheck_alcotest.to_alcotest percentile_prop ]);
     ]

@@ -12,21 +12,29 @@
 
    Every request makes the library calls the server's handlers make,
    in their order: the request's JSON; for a bound, the front-index
-   lookup, and on a front miss the query parse, the key and the
-   canonical lookup, and on a miss the pinned snapshot, the bound (warm
-   engine first for COUNT/SUM), the reply's JSON, the reachable PCs and
-   the store; for an append, the batch parse and [Stream.append] with
-   the cache sweep as its publish hook; for a retract, the batch lookup
-   and [Stream.retract] with the same hook. Socket, connection thread,
-   admission and telemetry are left out.
+   lookup; on a refill (a re-asked text whose entry a batch emptied)
+   the schema check, the pinned snapshot, the bound (warm engine first
+   for COUNT/SUM), the reply's JSON and the store, with the parsed
+   query, key and reachable PCs the entry kept; on a front miss the
+   query parse, the key and the canonical lookup first, and on a miss
+   the same steps with the reachable PCs derived; for an append, the
+   batch parse and [Stream.append] with the cache sweep as its publish
+   hook; for a retract, the batch lookup and [Stream.retract] with the
+   same hook. Socket, connection thread, admission and telemetry are
+   left out.
 
    It prints the words the timed steps allocated in the minor heap and
    promoted out of it, per step, and per stage the calls per step, the
    mean and p50 microseconds per call, and the microseconds per step
    (mean x calls per step). [append], [retract], [hit] and the [miss]
-   rows are whole requests; [invalidate], [parse], [key] and
-   [active_pcs] are parts of them, timed where the request makes them.
-   [step] is a whole step.
+   rows are whole requests; [batch parse], [invalidate], [parse],
+   [key], [active_pcs], [bound], [reply] and [store] are parts of them,
+   timed where the request makes them. [(certain)] is the certain
+   side's fold inside [bound] ([Query.fold] on the pinned certain
+   rows), run once more beside each miss and kept out of the miss's
+   own time. [step] is a whole step. The last line counts the timed
+   steps' cache misses and refills: on this script every timed miss is
+   a refill.
 
    Off the tier-1 path:
      dune exec test/tools/ingest_stages.exe -- [--steps N] *)
@@ -38,10 +46,6 @@ module Cache = Pc_server.Cache
 module Stream = Pc_store.Stream
 module Fdd = Pc_predicate.Fdd
 module Rng = Pc_util.Rng
-
-(* The key calls of a bound request. *)
-let front_key = Cache.front_key
-let find_front = Cache.find_front
 
 let keys ~digest query =
   let part = Cache.query_part query in
@@ -140,6 +144,17 @@ let timed name f =
   record name (Int64.to_int (Int64.sub (Pc_util.Clock.now_ns ()) t0));
   v
 
+(* Nanoseconds spent on parts run again beside a request: [ask] takes
+   them out of the request's row. *)
+let aside = ref 0
+
+let timed_aside name f =
+  let t0 = Pc_util.Clock.now_ns () in
+  f ();
+  let ns = Int64.to_int (Int64.sub (Pc_util.Clock.now_ns ()) t0) in
+  record name ns;
+  aside := !aside + ns
+
 let answer_value = function
   | Bounds.Range r ->
       J.Obj
@@ -152,6 +167,30 @@ let answer_value = function
         ]
   | Bounds.Empty -> J.Obj [ ("kind", J.Str "empty") ]
   | Bounds.Infeasible -> J.Obj [ ("kind", J.Str "infeasible") ]
+
+(* The server's reply to a fully admitted bound. *)
+let reply (o : Bounds.outcome) ~incremental =
+  let s = o.Bounds.stats in
+  J.Obj
+    ([
+       ("ok", J.Bool true);
+       ("op", J.Str "bound");
+       ("answer", answer_value o.Bounds.answer);
+       ("provenance", J.Str (Bounds.provenance_name s.Bounds.provenance));
+       ("degraded", J.Bool (s.Bounds.provenance <> Bounds.Exact));
+       ("admission", J.Str "full");
+       ( "stats",
+         J.Obj
+           [
+             ("cells", J.Num (float_of_int s.Bounds.cells));
+             ("sat_calls", J.Num (float_of_int s.Bounds.sat_calls));
+             ("nodes", J.Num (float_of_int s.Bounds.milp_nodes));
+             ("iters", J.Num (float_of_int s.Bounds.lp_iterations));
+             ("elapsed_ms", J.Num (Float.round (s.Bounds.elapsed *. 1e9) /. 1e6));
+             ("deadline_hit", J.Bool s.Bounds.deadline_hit);
+           ] );
+     ]
+    @ if incremental then [ ("incremental", J.Bool true) ] else [])
 
 type ds = {
   set : Pc_core.Pc_set.t;
@@ -177,72 +216,73 @@ let agg_name (q : Q.t) =
   | Q.Min _ -> "MIN"
   | Q.Max _ -> "MAX"
 
+(* A miss, first or refill; returns its stage. *)
+let miss ds ~front query ~part ~ckey ~meta =
+  Option.iter (fun schema -> ignore (Q.check_schema schema query)) (Stream.schema ds.stream);
+  let st = Stream.snapshot ds.stream in
+  let budget = Pc_budget.Budget.start Pc_budget.Budget.unlimited_spec in
+  let incremental = ref false in
+  let warm =
+    if Pc_core.Incremental.supported query then
+      Some
+        (fun budget ->
+          let ekey = engine_key part in
+          let eng =
+            match Hashtbl.find_opt ds.engines ekey with
+            | Some e -> e
+            | None ->
+                if Hashtbl.length ds.engines >= 32 then Hashtbl.reset ds.engines;
+                let e = Pc_core.Incremental.create ~budget ~fdd:ds.fdd ds.set query in
+                Hashtbl.add ds.engines ekey e;
+                e
+          in
+          let a =
+            Option.bind eng (Pc_core.Incremental.rebound ~budget ~consumed:st.Stream.consumed)
+          in
+          incremental := Option.is_some a;
+          a)
+    else None
+  in
+  let o =
+    timed "  bound" (fun () ->
+        Bounds.bound_budgeted ~opts ~budget ?certain:st.Stream.certain ~fdd:ds.fdd ?warm
+          st.Stream.residual query)
+  in
+  timed_aside "  (certain)" (fun () ->
+      Option.iter (fun c -> ignore (Q.fold c query)) st.Stream.certain);
+  let text = timed "  reply" (fun () -> J.to_string (reply o ~incremental:!incremental)) in
+  if o.Bounds.stats.Bounds.provenance = Bounds.Exact then begin
+    let meta =
+      match meta with
+      | Some m -> m
+      | None ->
+          {
+            Cache.pcs =
+              timed "  active_pcs" (fun () -> Fdd.active_pcs ~query:query.Q.where_ ds.fdd);
+            where_ = query.Q.where_;
+            missing_only = false;
+          }
+    in
+    timed "  store" (fun () ->
+        Cache.store ds.cache ~meta ~version:st.Stream.version ~front ~parsed:(query, part)
+          ckey text)
+  end;
+  Printf.sprintf "%s miss %s" (if !incremental then "warm" else "cold") (agg_name query)
+
 (* One bound request; returns the stage its whole time belongs to. *)
 let bound ds line =
   let text = Option.get (Option.bind (field line "query") J.to_str) in
-  let front = front_key ~text ~missing_only:false ~timeout_ms:None in
-  match find_front ds.cache front with
-  | Some _ -> "hit"
-  | None -> (
+  let front = Cache.front_key ~text ~missing_only:false ~timeout_ms:None in
+  match Cache.find_front ds.cache front with
+  | Cache.Hit _ -> "hit"
+  | Cache.Refill f ->
+      miss ds ~front f.Cache.query ~part:f.Cache.part ~ckey:f.Cache.key ~meta:f.Cache.meta
+  | Cache.Absent -> (
       let query = timed "  parse" (fun () -> Pc_parse.Query_parser.parse text) in
       let part, ckey = timed "  key" (fun () -> keys ~digest:ds.digest query) in
       match Cache.find ds.cache ~front ckey with
       | Some _ -> "hit"
-      | None ->
-          Option.iter
-            (fun schema -> ignore (Q.check_schema schema query))
-            (Stream.schema ds.stream);
-          let st = Stream.snapshot ds.stream in
-          let budget = Pc_budget.Budget.start Pc_budget.Budget.unlimited_spec in
-          let incremental = ref false in
-          let warm =
-            if Pc_core.Incremental.supported query then
-              Some
-                (fun budget ->
-                  let ekey = engine_key part in
-                  let eng =
-                    match Hashtbl.find_opt ds.engines ekey with
-                    | Some e -> e
-                    | None ->
-                        if Hashtbl.length ds.engines >= 32 then Hashtbl.reset ds.engines;
-                        let e = Pc_core.Incremental.create ~budget ~fdd:ds.fdd ds.set query in
-                        Hashtbl.add ds.engines ekey e;
-                        e
-                  in
-                  let a =
-                    Option.bind eng
-                      (Pc_core.Incremental.rebound ~budget ~consumed:st.Stream.consumed)
-                  in
-                  incremental := Option.is_some a;
-                  a)
-            else None
-          in
-          let o =
-            Bounds.bound_budgeted ~opts ~budget ?certain:st.Stream.certain ~fdd:ds.fdd ?warm
-              st.Stream.residual query
-          in
-          let s = o.Bounds.stats in
-          let text =
-            J.to_string
-              (J.Obj
-                 [
-                   ("ok", J.Bool true);
-                   ("op", J.Str "bound");
-                   ("answer", answer_value o.Bounds.answer);
-                   ("provenance", J.Str (Bounds.provenance_name s.Bounds.provenance));
-                   ("cells", J.Num (float_of_int s.Bounds.cells));
-                   ("elapsed_ms", J.Num (s.Bounds.elapsed *. 1e3));
-                 ])
-          in
-          if s.Bounds.provenance = Bounds.Exact then begin
-            let pcs =
-              timed "  active_pcs" (fun () -> Fdd.active_pcs ~query:query.Q.where_ ds.fdd)
-            in
-            Cache.store ds.cache
-              ~meta:{ Cache.pcs; where_ = query.Q.where_; missing_only = false }
-              ~version:st.Stream.version ~front ckey text
-          end;
-          Printf.sprintf "%s miss %s" (if !incremental then "warm" else "cold") (agg_name query))
+      | None -> miss ds ~front query ~part ~ckey ~meta:None)
 
 let invalidate ds batch (info : Stream.info) =
   let rows =
@@ -281,6 +321,7 @@ let rank = function
   | "  batch parse" | "  invalidate" -> 2
   | "hit" -> 3
   | "  parse" | "  key" | "  active_pcs" -> 5
+  | "  bound" | "  (certain)" | "  reply" | "  store" -> 6
   | _ -> 4
 
 let () =
@@ -314,23 +355,30 @@ let () =
   Hashtbl.reset samples;
   order := [];
   let nq = Array.length qs in
+  let counter c = Pc_obs.Registry.Counter.(get (make c)) in
+  let misses0 = counter "cache.misses" and refills0 = counter "cache.refills" in
   let gc0 = Gc.quick_stat () in
   let ask i k =
     let line = qs.(((6 * i) + k) mod nq) in
+    let a0 = !aside in
     let t0 = Pc_util.Clock.now_ns () in
     let stage = bound ds line in
-    record stage (Int64.to_int (Int64.sub (Pc_util.Clock.now_ns ()) t0))
+    let ns = Int64.to_int (Int64.sub (Pc_util.Clock.now_ns ()) t0) in
+    record stage (ns - (!aside - a0))
   in
   for i = 0 to !steps - 1 do
-    timed "step" (fun () ->
-        timed "append" (fun () -> append ds live chunks.((3 + i) mod 4));
-        for k = 0 to 2 do
-          ask i k
-        done;
-        timed "retract" (fun () -> retract ds live);
-        for k = 3 to 5 do
-          ask i k
-        done)
+    let a0 = !aside in
+    let t0 = Pc_util.Clock.now_ns () in
+    timed "append" (fun () -> append ds live chunks.((3 + i) mod 4));
+    for k = 0 to 2 do
+      ask i k
+    done;
+    timed "retract" (fun () -> retract ds live);
+    for k = 3 to 5 do
+      ask i k
+    done;
+    let ns = Int64.to_int (Int64.sub (Pc_util.Clock.now_ns ()) t0) in
+    record "step" (ns - (!aside - a0))
   done;
   let steps = float_of_int !steps in
   let gc = Gc.quick_stat () in
@@ -351,4 +399,7 @@ let () =
         (mean *. per_step))
     (List.sort
        (fun a b -> compare (rank a, a) (rank b, b))
-       (List.rev !order))
+       (List.rev !order));
+  Printf.printf "cache misses %d, refills %d\n"
+    (counter "cache.misses" - misses0)
+    (counter "cache.refills" - refills0)
