@@ -105,13 +105,6 @@ let effective_kl qpred (pc : Pc.t) =
 (* Cell regions                                                        *)
 (* ------------------------------------------------------------------ *)
 
-type region = {
-  cols : string array;  (** the set's table columns *)
-  values : I.t array;  (** per column: the cell's [L_i(a), U_i(a)] *)
-  outside : Box_table.query option;
-      (** under [tighten]: the query, for attributes without a column *)
-}
-
 (* Where each cell's range of the aggregated attribute comes from: its
    column [k] of a region accumulator, or with [k < 0] one interval for
    every cell — [1] for COUNT and, for an attribute no PC mentions, the
@@ -122,39 +115,134 @@ let agg_source ~tighten tbl q (query : Q.t) =
   | None -> (-1, I.point 1.)
   | Some a -> (Box_table.col tbl a, if tighten then Box_table.outside q a else I.full)
 
-let region ~tighten set qpred active =
-  let tbl = Pc_set.table set in
-  let q = Box_table.query tbl qpred in
-  let values = Box_table.acc tbl and clip = Box_table.acc tbl in
-  if Box_table.cell tbl ~rows:(Pc_set.rows set) ~tighten q values clip active then
-    let cols = Box_table.cols tbl in
-    Some
-      {
-        cols;
-        values = Array.init (Array.length cols) (Box_table.get values);
-        outside = (if tighten then Some q else None);
-      }
-  else None
-
-let region_interval r attr =
-  let rec find k =
-    if k = Array.length r.cols then
-      match r.outside with None -> I.full | Some q -> Box_table.outside q attr
-    else if String.equal r.cols.(k) attr then r.values.(k)
-    else find (k + 1)
-  in
-  find 0
-
 type info = {
   active : int list;
   u : float;  (** max value of the aggregated attribute; +inf possible *)
   l : float;  (** min value; -inf possible *)
 }
 
+(* One info per inhabitable cell, in emission order: the decomposition
+   builds each cell's region on its way down ({!Cells.regions}). *)
+let regions ~ctx set q (query : Q.t) =
+  let opts = ctx.opts in
+  let tighten = opts.tighten in
+  let k, fixed = agg_source ~tighten (Pc_set.table set) q query in
+  let fu = I.hi_float fixed and fl = I.lo_float fixed in
+  let infos = ref [] in
+  let keep active values =
+    let info =
+      if k >= 0 then { active; u = Box_table.hi values k; l = Box_table.lo values k }
+      else { active; u = fu; l = fl }
+    in
+    infos := info :: !infos
+  in
+  let cstats =
+    Cells.regions ~budget:ctx.budget ?fdd:ctx.fdd ~strategy:opts.strategy ~tighten ~query:q
+      ~query_pred:query.Q.where_ set keep
+  in
+  (Array.of_list (List.rev !infos), cstats)
+
+(* ------------------------------------------------------------------ *)
+(* The allocation rows                                                 *)
+(* ------------------------------------------------------------------ *)
+
 (* How one PC's frequency range enters the program: not at all (no
    in-query cell), as the box of its only cell, or as rows over its
    cells plus a consumption column ([-1] when the program carries none). *)
 type cover = Uncovered | Single of int | Rows of int
+
+(* Equation 2's rows, laid out column by column. A PC covering several
+   cells has an upper row and, when its kl is positive, a lower row over
+   those cells and its consumption column, every coefficient 1. Rows
+   are numbered from the last such PC to the first, a lower row just
+   before its upper one, so a column that meets its PCs in descending
+   order lists its rows ascending. *)
+let layout_rows ~n_cells ~active ~kl ~ku ~consumption =
+  let n_pcs = Array.length kl in
+  let count = Array.make n_pcs 0 and first = Array.make n_pcs 0 in
+  let rec covers_of i = function
+    | [] -> ()
+    | j :: rest ->
+        count.(j) <- count.(j) + 1;
+        first.(j) <- i;
+        covers_of i rest
+  in
+  for i = n_cells - 1 downto 0 do
+    covers_of i (active i)
+  done;
+  let m = ref 0 in
+  for j = 0 to n_pcs - 1 do
+    if count.(j) >= 2 then m := !m + if kl.(j) > 0 then 2 else 1
+  done;
+  let m = !m in
+  let row_ops = Array.make m S.Le and row_rhs = Array.make m 0. in
+  (* a covering PC's upper row; its lower row is the one before *)
+  let hi_row = Array.make n_pcs (-1) in
+  let next_row = ref m and n_vars = ref n_cells in
+  let covers =
+    Array.init n_pcs (fun j ->
+        match count.(j) with
+        | 0 -> Uncovered
+        | 1 -> Single first.(j)
+        | _ ->
+            let r = !next_row - 1 in
+            hi_row.(j) <- r;
+            row_rhs.(r) <- float_of_int ku.(j);
+            next_row := r;
+            if kl.(j) > 0 then begin
+              row_ops.(r - 1) <- S.Ge;
+              row_rhs.(r - 1) <- float_of_int kl.(j);
+              next_row := r - 1
+            end;
+            if consumption then begin
+              incr n_vars;
+              Rows (!n_vars - 1)
+            end
+            else Rows (-1))
+  in
+  let n_vars = !n_vars in
+  let[@inline] entries j = if hi_row.(j) < 0 then 0 else if kl.(j) > 0 then 2 else 1 in
+  (* PC [j]'s entries: its rows in each of its cells and in its
+     consumption column *)
+  let nnz = ref 0 in
+  for j = 0 to n_pcs - 1 do
+    nnz := !nnz + (entries j * if consumption then count.(j) + 1 else count.(j))
+  done;
+  let nnz = !nnz in
+  let col_rows = Array.make (max 1 nnz) 0 in
+  (* as [Simplex.compile] lays out an empty matrix: one unused zero *)
+  let col_vals = if nnz = 0 then [| 0. |] else Array.make nnz 1. in
+  (* PC [j]'s rows at [pos], ascending *)
+  let put pos j =
+    let r = hi_row.(j) in
+    if r < 0 then pos
+    else if kl.(j) > 0 then begin
+      col_rows.(pos) <- r - 1;
+      col_rows.(pos + 1) <- r;
+      pos + 2
+    end
+    else begin
+      col_rows.(pos) <- r;
+      pos + 1
+    end
+  in
+  (* the active set ascends: put its PCs' rows from the last PC back *)
+  let rec put_desc pos = function [] -> pos | j :: rest -> put (put_desc pos rest) j in
+  let col_start = Array.make (n_vars + 1) 0 in
+  for i = 0 to n_cells - 1 do
+    col_start.(i + 1) <- put_desc col_start.(i) (active i)
+  done;
+  let w = ref n_cells in
+  for j = 0 to n_pcs - 1 do
+    if consumption && hi_row.(j) >= 0 then begin
+      col_start.(!w + 1) <- put col_start.(!w) j;
+      incr w
+    end
+  done;
+  (covers, { S.row_ops; row_rhs; col_start; col_rows; col_vals })
+
+let allocation_columns ~cells ~kl ~ku ~consumption =
+  snd (layout_rows ~n_cells:(Array.length cells) ~active:(Array.get cells) ~kl ~ku ~consumption)
 
 type prepared = {
   sub : Pc_set.t;
@@ -162,14 +250,12 @@ type prepared = {
           ones that can constrain in-region cells (exact reduction: a
           non-overlapping ψ is vacuously negated inside the region) *)
   infos : info array;
-  cons : S.constr list;
-      (** PC frequency constraints over cell variables, each row's cells
-          ascending (canonical, so compiling copies no row) *)
   lp : S.compiled Lazy.t;
-      (** [cons] compiled once, for every solve of this query: both sides,
-          every MILP node and every host test *)
+      (** the PC frequency rows over the cell variables, compiled once
+          for every solve of this query: both sides, every MILP node and
+          every host test *)
   any_row : S.compiled Lazy.t;
-      (** [cons] plus "some cell holds a row" ([Σ x ≥ 1]) *)
+      (** the same rows after "some cell holds a row" ([Σ x ≥ 1]) *)
   covers : cover array;  (** per PC of [sub] *)
   kl : int array;  (** per PC of [sub]: its effective lower bound *)
   v_lo : float array;
@@ -181,20 +267,6 @@ type prepared = {
 }
 
 exception Found_infeasible
-
-(* One info per inhabitable cell, its region built from the set's flat
-   table into two accumulators shared by every cell. *)
-let regions ~opts set q (query : Q.t) cells =
-  let tbl = Pc_set.table set and rows = Pc_set.rows set and tighten = opts.tighten in
-  let values = Box_table.acc tbl and clip = Box_table.acc tbl in
-  let k, fixed = agg_source ~tighten tbl q query in
-  List.filter_map
-    (fun active ->
-      if not (Box_table.cell tbl ~rows ~tighten q values clip active) then None
-      else if k >= 0 then Some { active; u = Box_table.hi values k; l = Box_table.lo values k }
-      else Some { active; u = I.hi_float fixed; l = I.lo_float fixed })
-    cells
-  |> Array.of_list
 
 (* Box every variable under per-PC consumption [consumed] (all zero on
    the cold path), as the residual PC set {[(kl−c)⁺ ∧ ku', ku' = (ku−c)⁺]}
@@ -255,61 +327,33 @@ let prepare ~ctx ?consumed set (query : Q.t) : (prepared, answer) result =
           (fun i -> Box_table.boxed tbl rows.(i) && Box_table.overlaps tbl q rows.(i))
           set
     in
-    let cells, cstats =
-      Cells.decompose ~budget:ctx.budget ?fdd:ctx.fdd ~strategy:opts.strategy
-        ~query_pred:qpred set
+    let infos, cstats =
+      (* the branch keeps the disabled path closure-free *)
+      if Trace.enabled () then
+        Trace.with_span ~name:"bound.regions" (fun () -> regions ~ctx set q query)
+      else regions ~ctx set q query
     in
     if cstats.Cells.admitted_unchecked > 0 then begin
       ctx.trace.early <- true;
       ctx.trace.admitted <- ctx.trace.admitted + cstats.Cells.admitted_unchecked
     end;
-    let infos =
-      (* the branch keeps the disabled path closure-free *)
-      if Trace.enabled () then
-        Trace.with_span ~name:"bound.regions" (fun () -> regions ~opts set q query cells)
-      else regions ~opts set q query cells
-    in
     let n_pcs = Pc_set.size set in
     let n_cells = Array.length infos in
-    (* each PC's covering cells, in ascending cell order *)
-    let covering = Array.make n_pcs [] in
-    for i = n_cells - 1 downto 0 do
-      List.iter (fun j -> covering.(j) <- i :: covering.(j)) infos.(i).active
-    done;
     let kl = Array.init n_pcs (fun j -> effective_kl qpred (Pc_set.get set j)) in
-    let n_vars = ref n_cells in
-    let cons = ref [] in
-    let covers =
-      Array.init n_pcs (fun j ->
-          match covering.(j) with
-          | [] -> Uncovered
-          | [ i ] -> Single i
-          | cells ->
-              let w = if Option.is_none consumed then -1 else (incr n_vars; !n_vars - 1) in
-              (* ascending: the cells, then the consumption column *)
-              let coeffs =
-                List.fold_right
-                  (fun i acc -> (i, 1.) :: acc)
-                  cells
-                  (if w >= 0 then [ (w, 1.) ] else [])
-              in
-              cons :=
-                S.c_le coeffs (float_of_int (Pc_set.get set j).Pc.freq_hi) :: !cons;
-              if kl.(j) > 0 then
-                cons := S.c_ge coeffs (float_of_int kl.(j)) :: !cons;
-              Rows w)
+    let ku = Array.init n_pcs (fun j -> (Pc_set.get set j).Pc.freq_hi) in
+    let covers, columns =
+      layout_rows ~n_cells
+        ~active:(fun i -> infos.(i).active)
+        ~kl ~ku ~consumption:(Option.is_some consumed)
     in
-    let n_vars = !n_vars and cons = !cons in
-    let compile constraints =
-      S.compile { S.n_vars; maximize = true; objective = []; constraints; var_bounds = [] }
-    in
+    let n_vars = Array.length columns.S.col_start - 1 in
     let prep =
       {
         sub = set;
         infos;
-        cons;
-        lp = lazy (compile cons);
-        any_row = lazy (compile (S.c_ge (List.init n_cells (fun i -> (i, 1.))) 1. :: cons));
+        lp = lazy (S.of_columns columns);
+        any_row =
+          lazy (S.of_columns (S.prepend_row columns ~coeffs:(Array.make n_cells 1.) S.Ge 1.));
         covers;
         kl;
         v_lo = Array.make n_vars 0.;
@@ -321,11 +365,6 @@ let prepare ~ctx ?consumed set (query : Q.t) : (prepared, answer) result =
     if not (rebox prep ~consumed ~lo:prep.v_lo ~hi:prep.v_hi) then raise Found_infeasible;
     Ok prep
   with Found_infeasible -> Error Infeasible
-
-(* Σ coeffs·x as a sparse objective; zero coefficients are dropped. *)
-let objective coeffs =
-  Array.to_list (Array.mapi (fun i c -> (i, c)) coeffs)
-  |> List.filter (fun (_, c) -> c <> 0.)
 
 (* The empty instance minimizes COUNT/SUM: no lower bound forces a row
    and no row can contribute a negative value. *)
@@ -1100,8 +1139,9 @@ type allocation = prepared
 type program = {
   alloc : allocation;
   cells : int;
-  hi : S.problem;
-  lo : S.problem option;
+  lp : S.compiled;
+  obj_hi : float array;
+  obj_lo : float array option;
 }
 
 let program ?(tighten = true) ?(budget = B.unlimited ()) ~fdd set (query : Q.t) =
@@ -1112,14 +1152,11 @@ let program ?(tighten = true) ?(budget = B.unlimited ()) ~fdd set (query : Q.t) 
   | Ok prep ->
       let lo_zero = empty_minimizes prep ~is_count:(Q.agg_attr query = None) in
       let finite f = Array.for_all (fun inf -> Float.is_finite (f inf)) prep.infos in
-      let problem maximize f =
-        {
-          S.n_vars = Array.length prep.v_hi;
-          maximize;
-          objective = objective (Array.map f prep.infos);
-          constraints = prep.cons;
-          var_bounds = [];
-        }
+      let n_cells = Array.length prep.infos in
+      (* dense, a zero coefficient read as [0.] *)
+      let objective f =
+        Array.init (Array.length prep.v_hi) (fun i ->
+            if i < n_cells && f prep.infos.(i) <> 0. then f prep.infos.(i) else 0.)
       in
       if not (finite (fun inf -> inf.u) && (lo_zero || finite (fun inf -> inf.l)))
       then None
@@ -1127,9 +1164,10 @@ let program ?(tighten = true) ?(budget = B.unlimited ()) ~fdd set (query : Q.t) 
         Some
           {
             alloc = prep;
-            cells = Array.length prep.infos;
-            hi = problem true (fun inf -> inf.u);
-            lo = (if lo_zero then None else Some (problem false (fun inf -> inf.l)));
+            cells = n_cells;
+            lp = Lazy.force prep.lp;
+            obj_hi = objective (fun inf -> inf.u);
+            obj_lo = (if lo_zero then None else Some (objective (fun inf -> inf.l)));
           }
 
 let rebox p = rebox p.alloc

@@ -143,28 +143,35 @@ val can_be_empty : Pc_set.t -> Pc_query.Query.t -> bool
     (paper §4.1): per value attribute, the intersection of the active
     PCs' ν ranges, the paper's [\[L_i(a), U_i(a)\]]. Under [tighten] it
     is also clipped by the box of the query predicate and the active
-    predicates. {!bound} builds one region per cell on the PC set's flat
-    table ({!Pc_set.table}, {!Box_table}), into two accumulators reused
-    across the cells of one query, and reads from it both whether the
-    cell is inhabitable and the aggregated attribute's range. The result
-    is bit-identical to folding the intervals and boxes one by one: the
-    table's meet keeps [Interval.intersect]'s tie rules. *)
+    predicates. {!bound} reads each cell's region off the decomposition
+    ({!Cells.regions}), on the PC set's flat table ({!Pc_set.table},
+    {!Box_table}): whether the cell is inhabitable and the aggregated
+    attribute's range. The result is bit-identical to folding the
+    intervals and boxes one by one: the table's meet keeps
+    [Interval.intersect]'s tie rules. *)
 
-type region
+(** {2 The allocation rows}
 
-val region :
-  tighten:bool -> Pc_set.t -> Pc_predicate.Pred.t -> int list -> region option
-(** [region ~tighten set qpred active] is the region of the cell whose
-    active PCs are the indices [active] of [set], within the query
-    predicate [qpred]. [None] when no row can live there: some value
-    attribute's range is empty or, under [tighten], the cell's box is
-    (a cell [Cells.Early_stop] admitted without a check can be). *)
+    Equation 2's frequency rows go to the simplex in its own
+    column-major layout ({!Pc_lp.Simplex.of_columns}), with no row list
+    in between. *)
 
-val region_interval : region -> string -> Pc_interval.Interval.t
-(** The range of one attribute over the cell's rows: [\[L_i(a), U_i(a)\]].
-    An attribute no active PC constrains is [Interval.full], clipped by
-    the cell's box under [tighten] (for an attribute no predicate of the
-    set mentions either, that is the query's range). *)
+val allocation_columns :
+  cells:int list array ->
+  kl:int array ->
+  ku:int array ->
+  consumption:bool ->
+  Pc_lp.Simplex.columns
+(** The rows of the program over cell variables [0, Array.length cells)
+    whose cell [i] has the ascending active set [cells.(i)], for PCs
+    with effective lower bounds [kl] and upper bounds [ku]. A PC that
+    covers two or more cells has an upper row (≤ ku) and, when its kl
+    is positive, a lower row (≥ kl) over its cells and, with
+    [consumption], its own consumption column, numbered after the cells
+    in PC order; every coefficient is 1. Rows are numbered from the last
+    such PC to the first, a lower row just before its upper one: the
+    order in which the row list this replaced was built. A PC covering
+    one cell enters only through that cell's box. *)
 
 (** {2 The greedy path}
 
@@ -214,10 +221,12 @@ type allocation
 type program = {
   alloc : allocation;
   cells : int;  (** in-query inhabitable cells: variables [0, cells) *)
-  hi : Pc_lp.Simplex.problem;
-      (** maximize Σ u_i x_i; its variables are the cells, then the
-          consumption columns; [var_bounds] is empty (see {!rebox}) *)
-  lo : Pc_lp.Simplex.problem option;
+  lp : Pc_lp.Simplex.compiled;
+      (** the rows, compiled once; the variables are the cells, then the
+          consumption columns. The engine that owns the program is its
+          only user. *)
+  obj_hi : float array;  (** dense: maximize Σ u_i x_i *)
+  obj_lo : float array option;
       (** minimize Σ l_i x_i over the same rows; [None] when the empty
           instance minimizes *)
 }
@@ -238,8 +247,9 @@ val program :
 
 val rebox :
   program -> consumed:int array -> lo:float array -> hi:float array -> bool
-(** Fill the dense variable boxes [lo], [hi] (length [hi.n_vars]) for
-    per-PC consumption [consumed] (length = PC-set size): each PC covering
-    several cells has a consumption column pinned to [min(c, ku)]; a PC
-    covering one cell bounds it to [[(kl−c)⁺, (ku−c)⁺]]. [false] when
-    some box is empty: no instance is consistent with the constraints. *)
+(** Fill the dense variable boxes [lo], [hi] (length
+    [Array.length obj_hi]) for per-PC consumption [consumed] (length =
+    PC-set size): each PC covering several cells has a consumption
+    column pinned to [min(c, ku)]; a PC covering one cell bounds it to
+    [[(kl−c)⁺, (ku−c)⁺]]. [false] when some box is empty: no instance is
+    consistent with the constraints. *)

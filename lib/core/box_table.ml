@@ -3,6 +3,7 @@ module Box = Pc_predicate.Box
 module Atom = Pc_predicate.Atom
 module Pred = Pc_predicate.Pred
 module Sat = Pc_predicate.Sat
+module Fdd = Pc_predicate.Fdd
 
 (* Intervals stored unboxed: interval [i] is [lo.(i)], [hi.(i)], with bit
    0 of [fl.[i]] set when the lower end is open and bit 1 when the upper
@@ -13,12 +14,6 @@ type block = { lo : float array; hi : float array; fl : Bytes.t }
 (* [n] copies of [Interval.full] *)
 let block n =
   { lo = Array.make n neg_infinity; hi = Array.make n infinity; fl = Bytes.make n '\003' }
-
-let reset b =
-  let n = Array.length b.lo in
-  Array.fill b.lo 0 n neg_infinity;
-  Array.fill b.hi 0 n infinity;
-  Bytes.fill b.fl 0 n '\003'
 
 (* A loop, not three C blits: rows are a few columns wide. *)
 let blit src si dst di n =
@@ -73,6 +68,20 @@ let meet_range d di s si n =
     meet d (di + k) s (si + k)
   done
 
+(* [d.(i) <- a.(ia) ∩ s.(j)], [a] the accumulator: [meet] on a copy of
+   [a.(ia)], in one pass. *)
+let[@inline] meet_into d i a ia s j =
+  let f = flags a ia and g = flags s j in
+  let x = s.lo.(j) and y = a.lo.(ia) in
+  let take = x > y || (x = y && g land 1 <> 0 && f land 1 = 0) in
+  d.lo.(i) <- (if take then x else y);
+  let f = if take then f land 2 lor (g land 1) else f in
+  let x = s.hi.(j) and y = a.hi.(ia) in
+  let take = x < y || (x = y && g land 2 <> 0 && f land 2 = 0) in
+  d.hi.(i) <- (if take then x else y);
+  let f = if take then f land 1 lor (g land 2) else f in
+  Bytes.unsafe_set d.fl i (Char.unsafe_chr f)
+
 let[@inline] nonempty b i =
   if flags b i land 3 <> 0 then b.lo.(i) < b.hi.(i) else b.lo.(i) <= b.hi.(i)
 
@@ -120,6 +129,9 @@ type compiled = {
 type t = {
   cols : string array;
   width : int;
+  hcols : int array;
+      (** the columns some predicate ranges over, ascending: a hull row
+          is full on every other column *)
   boxed : bool array;
   hull : block;  (** row [r], column [k] at [r * width + k] *)
   nu : block;
@@ -130,6 +142,23 @@ type t = {
   preds : Pred.t array;
   compiled : compiled option Atomic.t;
       (** computed once; racing threads compute the same value *)
+  leaf_memo : leaf_memo option Atomic.t;
+      (** the FDD leaves' rows for the last diagram and row map seen *)
+}
+
+(* One hash-consed FDD leaf's rows, met once: its active PCs' ν rows
+   and hull rows (on the hull columns) in ascending order from full,
+   whether every one of them is satisfiable, and how many carry
+   categorical atoms. *)
+and leaf = { l_nu : block; l_hull : block; l_boxed : bool; l_cats : int }
+
+(* Per leaf id of [diagram], a fill-once slot; [memo_rows] is the row
+   map the active sets were read through. Racing threads fill a slot
+   with the same rows. *)
+and leaf_memo = {
+  diagram : Fdd.compiled;
+  memo_rows : int array;
+  leaves : leaf option Atomic.t array;
 }
 
 let is_cat = function Atom.Num_range _ -> false | _ -> true
@@ -149,6 +178,9 @@ let make (pcs : Pc.t array) =
          (num_attrs @ List.concat_map Pc.value_attrs (Array.to_list pcs)))
   in
   let width = Array.length cols in
+  let hcols =
+    Array.of_list (List.filter (fun k -> List.mem cols.(k) num_attrs) (List.init width Fun.id))
+  in
   let hull = block (n * width) and nu = block (n * width) in
   Array.iteri
     (fun r (pc : Pc.t) ->
@@ -164,6 +196,7 @@ let make (pcs : Pc.t array) =
   {
     cols;
     width;
+    hcols;
     boxed = Array.map Option.is_some boxes;
     hull;
     nu;
@@ -173,6 +206,7 @@ let make (pcs : Pc.t array) =
     cat_attrs;
     preds;
     compiled = Atomic.make None;
+    leaf_memo = Atomic.make None;
   }
 
 let cached slot compute =
@@ -189,7 +223,7 @@ let compile t =
   let fattrs = Array.of_list t.num_attrs in
   let fw = Array.length fattrs in
   let rec index names a c = if String.equal names.(c) a then c else index names a (c + 1) in
-  let fcols = Array.map (fun a -> index t.cols a 0) fattrs in
+  let fcols = t.hcols in
   let fhull = block (n * fw) in
   for r = 0 to n - 1 do
     Array.iteri (fun c k -> blit t.hull ((r * t.width) + k) fhull ((r * fw) + c) 1) fcols
@@ -270,12 +304,6 @@ let acc t = block t.width
 let lo (b : acc) k = b.lo.(k)
 let hi (b : acc) k = b.hi.(k)
 
-let rec meet_rows d src w rows = function
-  | [] -> ()
-  | j :: rest ->
-      meet_range d 0 src (rows.(j) * w) w;
-      meet_rows d src w rows rest
-
 let rec all_boxed t rows = function
   | [] -> true
   | j :: rest -> t.boxed.(rows.(j)) && all_boxed t rows rest
@@ -294,25 +322,167 @@ let rec cat_fold t rows box = function
           | None -> false
           | Some box -> cat_fold t rows box rest))
 
-let cell t ~rows ~tighten q values clip active =
+(* Level [d] holds the meets of the [d] PCs chosen so far, in the order
+   they were chosen: a ν row from full and, under [tighten], a clip row
+   from the query. A step down writes level [d + 1] from level [d] and
+   one PC's rows; a step that chooses nothing writes nothing. Meeting
+   keeps the first strongest end in fold order, so a level equals the
+   per-cell fold of the same rows, [-0.] against [0.] included. Meeting
+   a full interval changes nothing, so a clip row only holds the columns
+   hulls range over ([hcols]); on every other column the clip is the
+   query's range, which a leaf meets only where it is not full
+   ([qcols]), and which is never empty when the query box is not. *)
+type regions = {
+  rt : t;
+  rrows : int array;
+  tighten : bool;
+  rq : query;
+  fw : int;  (** hull columns *)
+  qcols : int array;  (** the other columns where the query is not full *)
+  lnu : block;  (** level [d], column [k] at [d * width + k] *)
+  lclip : block;  (** level [d], hull column [c] at [d * fw + c] *)
+  lboxed : Bytes.t;  (** ['\001'] when every PC chosen up to level [d] is satisfiable *)
+  lcats : int array;  (** sides with categorical atoms: the query and the chosen PCs *)
+  values : acc;
+  clip : block;  (** a leaf's clip row on the FDD path *)
+  mutable memo : leaf_memo option;
+}
+
+let regions t ~rows ~tighten q ~depth =
+  let w = t.width and fw = Array.length t.hcols and m = depth + 1 in
+  let lclip = block (if tighten then m * fw else 0) in
+  let qcols =
+    if not tighten then [||]
+    else begin
+      Array.iteri (fun c k -> blit q.q k lclip c 1) t.hcols;
+      let full k = q.q.lo.(k) = neg_infinity && q.q.hi.(k) = infinity in
+      Array.of_list
+        (List.filter
+           (fun k -> not (Array.mem k t.hcols || full k))
+           (List.init w Fun.id))
+    end
+  in
+  let lcats = Array.make m 0 in
+  lcats.(0) <- (if none q.q_cats then 0 else 1);
+  {
+    rt = t;
+    rrows = rows;
+    tighten;
+    rq = q;
+    fw;
+    qcols;
+    lnu = block (m * w);
+    lclip;
+    lboxed = Bytes.make m '\001';
+    lcats;
+    values = block w;
+    clip = block (if tighten then fw else 0);
+    memo = None;
+  }
+
+let values g = g.values
+
+let down g d r =
+  let t = g.rt in
   let w = t.width in
-  reset values;
-  meet_rows values t.nu w rows active;
-  if not tighten then all_nonempty values 0 w
+  let o = d * w and s = r * w in
+  for k = 0 to w - 1 do
+    meet_into g.lnu (o + w + k) g.lnu (o + k) t.nu (s + k)
+  done;
+  if g.tighten then begin
+    let fw = g.fw in
+    let o = d * fw in
+    for c = 0 to fw - 1 do
+      meet_into g.lclip (o + fw + c) g.lclip (o + c) t.hull (s + t.hcols.(c))
+    done
+  end;
+  Bytes.unsafe_set g.lboxed (d + 1)
+    (if t.boxed.(r) then Bytes.unsafe_get g.lboxed d else '\000');
+  g.lcats.(d + 1) <- (if none t.cats.(r) then g.lcats.(d) else g.lcats.(d) + 1)
+
+(* The tests of a cell whose ν meet is in [g.values] and, under
+   [tighten], whose clip row is [clip] from [co]: every range non-empty
+   or, under [tighten], a query box, satisfiable active PCs, a non-empty
+   clip, consistent categorical atoms (folded only when two sides have
+   any) and a non-empty ν meet clipped. *)
+let settle g clip co ~boxed ~cats active =
+  let t = g.rt in
+  if not g.tighten then all_nonempty g.values 0 t.width
   else
-    Option.is_some q.box
-    && all_boxed t rows active
+    Option.is_some g.rq.box
+    && boxed
+    && all_nonempty clip co g.fw
+    && (cats < 2 || cat_fold t g.rrows g.rq.q_cat_box active)
     && begin
-         blit q.q 0 clip 0 w;
-         meet_rows clip t.hull w rows active;
-         all_nonempty clip 0 w
+         for c = 0 to g.fw - 1 do
+           meet g.values t.hcols.(c) clip (co + c)
+         done;
+         for i = 0 to Array.length g.qcols - 1 do
+           let k = g.qcols.(i) in
+           meet g.values k g.rq.q k
+         done;
+         all_nonempty g.values 0 t.width
        end
-    && (cat_sides t rows (if none q.q_cats then 0 else 1) active < 2
-       || cat_fold t rows q.q_cat_box active)
-    && begin
-         meet_range values 0 clip 0 w;
-         all_nonempty values 0 w
-       end
+
+let leaf g d active =
+  let w = g.rt.width in
+  blit g.lnu (d * w) g.values 0 w;
+  settle g g.lclip (d * g.fw)
+    ~boxed:(Bytes.unsafe_get g.lboxed d <> '\000')
+    ~cats:g.lcats.(d) active
+
+let memo g fdd =
+  match g.memo with
+  | Some m when m.diagram == fdd -> m
+  | _ ->
+      let t = g.rt in
+      let m =
+        match Atomic.get t.leaf_memo with
+        | Some m when m.diagram == fdd && m.memo_rows == g.rrows -> m
+        | _ ->
+            let m =
+              {
+                diagram = fdd;
+                memo_rows = g.rrows;
+                leaves = Array.init (Fdd.n_nodes fdd) (fun _ -> Atomic.make None);
+              }
+            in
+            Atomic.set t.leaf_memo (Some m);
+            m
+      in
+      g.memo <- Some m;
+      m
+
+let make_leaf t rows active =
+  let w = t.width and fw = Array.length t.hcols in
+  let l_nu = block w and l_hull = block fw in
+  List.iter
+    (fun j ->
+      let r = rows.(j) in
+      meet_range l_nu 0 t.nu (r * w) w;
+      Array.iteri (fun c k -> meet l_hull c t.hull ((r * w) + k)) t.hcols)
+    active;
+  { l_nu; l_hull; l_boxed = all_boxed t rows active; l_cats = cat_sides t rows 0 active }
+
+let fdd_leaf g fdd id active =
+  let slot = (memo g fdd).leaves.(id) in
+  let l =
+    match Atomic.get slot with
+    | Some l -> l
+    | None ->
+        let l = make_leaf g.rt g.rrows active in
+        Atomic.set slot (Some l);
+        l
+  in
+  let t = g.rt in
+  blit l.l_nu 0 g.values 0 t.width;
+  if g.tighten then
+    for c = 0 to g.fw - 1 do
+      meet_into g.clip c g.rq.q t.hcols.(c) l.l_hull c
+    done;
+  settle g g.clip 0 ~boxed:l.l_boxed
+    ~cats:(if none g.rq.q_cats then l.l_cats else l.l_cats + 1)
+    active
 
 let single t ~tighten q values clip r =
   let w = t.width in

@@ -8,7 +8,7 @@
     open flags, with [Neg_inf]/[Pos_inf] as open infinities.
 
     Every per-query box test of {!Bounds} runs on it without allocating:
-    query overlap, pairwise disjointness and the meet that builds a
+    query overlap, pairwise disjointness and the meets that build a
     cell's region. Categorical atoms stay in a residual categorical-only
     {!Pc_predicate.Box.t} per PC and per query, conjoined after the flat
     test and skipped when at most one side has any.
@@ -71,8 +71,9 @@ val outside : query -> string -> Pc_interval.Interval.t
 (** {2 Regions} *)
 
 type acc
-(** One interval per column, overwritten by each region build: allocate
-    two per query and reuse them. *)
+(** One interval per column, overwritten by each region build: {!single}
+    fills two allocated per query, and a {!regions} value owns its
+    own. *)
 
 val acc : t -> acc
 
@@ -84,13 +85,48 @@ val lo : acc -> int -> float
 
 val hi : acc -> int -> float
 
-val cell : t -> rows:int array -> tighten:bool -> query -> acc -> acc -> int list -> bool
-(** [cell t ~rows ~tighten q values clip active]: the region of the cell
-    whose active PCs are the indices [active] (mapped to table rows by
-    [rows]) within [q]. [values] receives, per column, the meet of the
-    active ν ranges, under [tighten] then met with the cell's box (the
-    query, then each active predicate, in order, built in [clip]).
-    [false] when no row can live there: some range or the box is empty. *)
+(** {3 Regions along a decomposition}
+
+    A cell's region is the meet of its active PCs' ν rows and, under
+    [tighten], of the query with their hull rows. {!Cells} builds it as
+    it decomposes: level [d] of a {!regions} value holds the meets of
+    the [d] PCs chosen so far, so a step down meets one PC's rows and a
+    cell costs one pass over the columns, not one per active PC. *)
+
+type regions
+(** Per-decomposition state, with its own accumulators: not shared
+    across threads. *)
+
+val regions : t -> rows:int array -> tighten:bool -> query -> depth:int -> regions
+(** Levels [0] to [depth] over the set whose PC [i] is table row
+    [rows.(i)]; level [0] chooses nothing (ν full, the clip row the
+    query). *)
+
+val down : regions -> int -> int -> unit
+(** [down g d r]: level [d + 1] is level [d] met with table row [r]'s ν
+    row and, under [tighten], its hull row. *)
+
+val leaf : regions -> int -> int list -> bool
+(** [leaf g d active]: the region of the cell whose ascending active set
+    [active] was met into level [d], into {!values}. Per column: the
+    meet of the active ν ranges, under [tighten] then met with the
+    cell's box (the query, then each active predicate, in order).
+    [false] when no row can live there: some range or the box is empty,
+    an active predicate is unsatisfiable, or the categorical atoms
+    clash (a cell admitted unchecked can be any of these). The result is
+    bit-identical to meeting the rows cell by cell, [-0.] included. *)
+
+val fdd_leaf : regions -> Pc_predicate.Fdd.compiled -> int -> int list -> bool
+(** [fdd_leaf g fdd id active]: as {!leaf} for the cell at leaf [id] of
+    [fdd] (compiled from the set), whose active set is [active]. The
+    leaf's ν meet and hull meet are computed once and kept in the table,
+    in a fill-once slot per leaf, for as long as the table sees the same
+    diagram and row map: sets that share the table ({!Pc_set.map_freqs})
+    share them, and a set with other ν ranges has its own table. The
+    query is the accumulator its hull meet is met into. *)
+
+val values : regions -> acc
+(** The region of the last {!leaf} or {!fdd_leaf} that returned [true]. *)
 
 val single : t -> tighten:bool -> query -> acc -> acc -> int -> bool
 (** [single t ~tighten q values clip r]: row [r] as a cell of its own,

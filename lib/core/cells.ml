@@ -59,7 +59,10 @@ type budgeted = {
           live witness certifies satisfiability for free and only
           witness-dead levels pay for a search. [false] on proven
           unsatisfiability. *)
-  emit : int list list ref -> int list -> unit;
+  admit : unit -> unit;
+      (** charge one emitted cell: raises past the cell cap or the
+          deadline *)
+  emitted : int ref;
   admitted : int ref;
   witness_hits : int ref;
       (** decisions certified by a live cached witness, i.e. answered
@@ -107,7 +110,8 @@ let budgeted budget =
     end
     else solve_charged f l
   in
-  let emit cells cell =
+  let emitted = ref 0 in
+  let admit () =
     (match budget with
     | None -> ()
     | Some b ->
@@ -123,26 +127,35 @@ let budgeted budget =
         raise (B.Exhausted B.Cells)
       end
     end;
-    cells := cell :: !cells
+    incr emitted
   in
-  { tally; check; decide; emit; admitted; witness_hits }
+  { tally; check; decide; admit; emitted; admitted; witness_hits }
 
-let naive bg set base =
-  let n = Pc_set.size set in
+(* Where the cells go: [emit x active] charges and hands on a cell
+   whose ascending active set is [active]. With region levels, [x] is
+   the level its PCs were met into (the FDD path: its leaf id), and the
+   cell is handed on with its region when that is inhabitable. *)
+type sink = { levels : Box_table.regions option; emit : int -> int list -> unit }
+
+let down sink d r = match sink.levels with Some g -> Box_table.down g d r | None -> ()
+
+let naive bg set base sink =
+  let n = Pc_set.size set and rows = Pc_set.rows set in
   guard_enumeration n;
   let pred i = (Pc_set.get set i).Pc.pred in
   let pos = Array.init n (fun i -> Cnf.of_pred (pred i))
   and neg = Array.init n (fun i -> Cnf.of_neg_pred (pred i)) in
-  let cells = ref [] in
   for mask = 1 to (1 lsl n) - 1 do
     let expr = ref base in
     for i = n - 1 downto 0 do
       expr := Cnf.conj (if mask land (1 lsl i) <> 0 then pos.(i) else neg.(i)) !expr
     done;
-    if bg.check !expr then
-      bg.emit cells (List.filter (fun i -> mask land (1 lsl i) <> 0) (List.init n Fun.id))
-  done;
-  List.rev !cells
+    if bg.check !expr then begin
+      let active = List.filter (fun i -> mask land (1 lsl i) <> 0) (List.init n Fun.id) in
+      List.iteri (fun d i -> down sink d rows.(i)) active;
+      sink.emit (List.length active) active
+    end
+  done
 
 (* Depth-first over predicate indices on one frame stack of the set's
    box table ({!Box_table.frames}): level [i] holds the solved form of
@@ -159,32 +172,34 @@ let naive bg set base =
    is admitted unchecked (Optimization 4, [Early_stop k]: false
    positives only relax the optimization problem); [k <= 0] skips the
    query check too. *)
-let dfs bg tbl rows ~eager ~rewrite ~k qpred =
+let dfs bg tbl rows ~eager ~rewrite ~k query sink =
   let n = Array.length rows in
-  let cells = ref [] in
-  let emit = function
+  (* [d] PCs chosen, [active] holds them descending *)
+  let emit d = function
     | [] -> () (* closure excludes the all-negative region *)
-    | active -> bg.emit cells (List.rev active)
+    | active -> sink.emit d (List.rev active)
   in
   (* beyond the verified prefix: admit both branches blindly *)
-  let rec go_blind i active =
-    if i = n then emit active
+  let rec go_blind i d active =
+    if i = n then emit d active
     else begin
-      go_blind (i + 1) (i :: active);
-      go_blind (i + 1) active
+      down sink d rows.(i);
+      go_blind (i + 1) (d + 1) (i :: active);
+      go_blind (i + 1) d active
     end
   in
   let f = Box_table.frames tbl ~depth:n in
-  let rec go i active =
-    if i = n then emit active
-    else if i >= k then go_blind i active
+  let rec go i d active =
+    if i = n then emit d active
+    else if i >= k then go_blind i d active
     else begin
       let r = rows.(i) in
       let pos_sat =
         Box_table.assume_row f bg.tally i r
         && bg.decide ~eager f (i + 1)
         && begin
-             go (i + 1) (i :: active);
+             down sink d r;
+             go (i + 1) (d + 1) (i :: active);
              true
            end
       in
@@ -193,14 +208,11 @@ let dfs bg tbl rows ~eager ~rewrite ~k qpred =
       if
         Box_table.assume_neg f bg.tally i r
         && ((rewrite && not pos_sat) || bg.decide ~eager f (i + 1))
-      then go (i + 1) active
+      then go (i + 1) d active
     end
   in
-  if k <= 0 then go_blind 0 []
-  else if
-    Box_table.start f bg.tally (Box_table.query tbl qpred) && bg.decide ~eager f 0
-  then go 0 [];
-  List.rev !cells
+  if k <= 0 then go_blind 0 0 []
+  else if Box_table.start f bg.tally (query ()) && bg.decide ~eager f 0 then go 0 0 []
 
 let compile set =
   Pc_predicate.Fdd.compile
@@ -210,15 +222,12 @@ let compile set =
    decision diagram (or reuse a precompiled one) and read the satisfiable
    cells straight off the reachable leaves — zero solver searches. The
    leaves come out in the DFS's order, which the qcheck oracle property
-   pins down. *)
-let fdd_path bg ?budget ~fdd set query_pred =
+   pins down; [emit] gets each with its leaf id. *)
+let fdd_path ?budget fdd query_pred emit =
   (match budget with
   | Some b when B.out_of_time b -> raise (B.Exhausted B.Deadline)
   | _ -> ());
-  let compiled = if Pc_predicate.Fdd.n_preds fdd = Pc_set.size set then fdd else compile set in
-  let cells = ref [] in
-  List.iter (bg.emit cells) (Pc_predicate.Fdd.cells ~query:query_pred compiled);
-  List.rev !cells
+  List.iter (fun (id, active) -> emit id active) (Pc_predicate.Fdd.leaves ~query:query_pred fdd)
 
 (* Compile-once memo for the Fdd strategy: one slot keyed on the set's
    physical identity. Predicates inside a [Pc_set.t] are immutable, so a
@@ -238,61 +247,103 @@ let fdd_for set =
       Atomic.set fdd_memo (Some (set, f));
       f
 
-let decompose_run ?budget ?fdd ~strategy ~query_pred set =
+(* Where a decomposition's cells end up: handed on as they are, or, per
+   cell whose region (under [tighten], within the query) is
+   inhabitable, with that region. *)
+type keep =
+  | Cells of (int list -> unit)
+  | Regions of bool * Box_table.query * (int list -> Box_table.acc -> unit)
+
+let decompose_run ?budget ?fdd ~strategy ~query_pred set keep =
   let tbl = Pc_set.table set and rows = Pc_set.rows set in
   let n = Array.length rows in
   let t0 = Pc_util.Clock.now () in
   let bg = budgeted budget in
+  (* [leaf g x active] finishes a cell's region on the levels [g] *)
+  let sink ~depth leaf =
+    match keep with
+    | Cells f ->
+        {
+          levels = None;
+          emit =
+            (fun _ active ->
+              bg.admit ();
+              f active);
+        }
+    | Regions (tighten, q, f) ->
+        let g = Box_table.regions tbl ~rows ~tighten q ~depth in
+        {
+          levels = Some g;
+          emit =
+            (fun x active ->
+              bg.admit ();
+              if leaf g x active then f active (Box_table.values g));
+        }
+  in
+  let query () =
+    match keep with Regions (_, q, _) -> q | Cells _ -> Box_table.query tbl query_pred
+  in
+  let dfs ~eager ~rewrite ~k =
+    dfs bg tbl rows ~eager ~rewrite ~k query (sink ~depth:n Box_table.leaf)
+  in
   let run () =
     match strategy with
-    | Naive -> naive bg set (Cnf.of_pred query_pred)
-    | Dfs -> dfs bg tbl rows ~eager:true ~rewrite:false ~k:max_int query_pred
-    | Dfs_rewrite -> dfs bg tbl rows ~eager:false ~rewrite:true ~k:max_int query_pred
+    | Naive -> naive bg set (Cnf.of_pred query_pred) (sink ~depth:n Box_table.leaf)
+    | Dfs -> dfs ~eager:true ~rewrite:false ~k:max_int
+    | Dfs_rewrite -> dfs ~eager:false ~rewrite:true ~k:max_int
     | Early_stop k ->
         if n - k > max_enum_bits then guard_enumeration n;
-        dfs bg tbl rows ~eager:true ~rewrite:true ~k query_pred
+        dfs ~eager:true ~rewrite:true ~k
     | Fdd ->
         let fdd = match fdd with Some f -> f | None -> fdd_for set in
-        fdd_path bg ?budget ~fdd set query_pred
+        let compiled = if Pc_predicate.Fdd.n_preds fdd = Pc_set.size set then fdd else compile set in
+        let sink = sink ~depth:0 (fun g id active -> Box_table.fdd_leaf g compiled id active) in
+        fdd_path ?budget compiled query_pred sink.emit
   in
-  let cells =
-    match run () with
-    | cells -> cells
-    | exception e ->
-        let bt = Printexc.get_raw_backtrace () in
-        Sat.flush bg.tally;
-        Printexc.raise_with_backtrace e bt
-  in
+  (match run () with
+  | () -> ()
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Sat.flush bg.tally;
+      Printexc.raise_with_backtrace e bt);
   Sat.flush bg.tally;
   let elapsed = Pc_util.Clock.elapsed_s ~since:t0 in
-  let n_cells = List.length cells in
+  let n_cells = !(bg.emitted) in
   Counter.add c_cells n_cells;
   Counter.add c_witness_hits !(bg.witness_hits);
   Counter.add c_admitted !(bg.admitted);
-  ( cells,
-    {
-      sat_calls = bg.tally.Sat.searches;
-      atom_ops = bg.tally.Sat.ops;
-      n_cells;
-      admitted_unchecked = !(bg.admitted);
-      witness_hits = !(bg.witness_hits);
-      elapsed;
-    } )
+  {
+    sat_calls = bg.tally.Sat.searches;
+    atom_ops = bg.tally.Sat.ops;
+    n_cells;
+    admitted_unchecked = !(bg.admitted);
+    witness_hits = !(bg.witness_hits);
+    elapsed;
+  }
 
-let decompose ?budget ?fdd ?(strategy = Dfs_rewrite) ?(query_pred = Pred.tt)
-    set =
+let traced strategy run =
   Counter.incr c_decompositions;
   (* the branch keeps the disabled path closure-free *)
   if Trace.enabled () then
     Trace.with_span ~name:"decompose"
       ~attrs:[ ("strategy", strategy_name strategy) ]
       (fun () ->
-        let ((_, stats) as r) =
-          decompose_run ?budget ?fdd ~strategy ~query_pred set
-        in
+        let stats = run () in
         Trace.add_attr "cells" (string_of_int stats.n_cells);
         Trace.add_attr "sat_calls" (string_of_int stats.sat_calls);
         Trace.add_attr "witness_hits" (string_of_int stats.witness_hits);
         Trace.add_attr "atom_ops" (string_of_int stats.atom_ops);
-        r)
-  else decompose_run ?budget ?fdd ~strategy ~query_pred set
+        stats)
+  else run ()
+
+let decompose ?budget ?fdd ?(strategy = Dfs_rewrite) ?(query_pred = Pred.tt) set =
+  let cells = ref [] in
+  let stats =
+    traced strategy (fun () ->
+        decompose_run ?budget ?fdd ~strategy ~query_pred set (Cells (fun c -> cells := c :: !cells)))
+  in
+  (List.rev !cells, stats)
+
+let regions ?budget ?fdd ?(strategy = Dfs_rewrite) ~tighten ~query ~query_pred set keep =
+  traced strategy (fun () ->
+      decompose_run ?budget ?fdd ~strategy ~query_pred set (Regions (tighten, query, keep)))

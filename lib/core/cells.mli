@@ -31,7 +31,12 @@
     clause, and a cached witness certifies most branches without any
     search (≈O(depth) atom work per path). [Dfs_rewrite] exploits this
     fully; plain [Dfs] keeps its eager one-search-per-extension
-    accounting so Figure 7's strategy comparison stays meaningful. *)
+    accounting so Figure 7's strategy comparison stays meaningful.
+
+    {!regions} builds each cell's region (§4.1's [L_i(a), U_i(a)]) on
+    the way: each DFS level carries the meet of its chosen PCs' rows, so
+    a cell costs one pass over the table's columns instead of one per
+    active PC; the [Fdd] strategy reads each leaf's meets from a memo. *)
 
 type strategy = Naive | Dfs | Dfs_rewrite | Early_stop of int | Fdd
 
@@ -75,3 +80,24 @@ val decompose :
     use one attribute as both kinds. *)
 
 val strategy_name : strategy -> string
+
+val regions :
+  ?budget:Pc_budget.Budget.t ->
+  ?fdd:Pc_predicate.Fdd.compiled ->
+  ?strategy:strategy ->
+  tighten:bool ->
+  query:Box_table.query ->
+  query_pred:Pc_predicate.Pred.t ->
+  Pc_set.t ->
+  (int list -> Box_table.acc -> unit) ->
+  stats
+(** [regions ~tighten ~query ~query_pred set keep]: {!decompose}, with
+    each cell's region built on the way down ({!Box_table.regions}):
+    [keep active region] is called, in emission order, for each cell
+    whose region is inhabitable. [region] is overwritten by the next
+    cell. [query] is [Box_table.query (Pc_set.table set)
+    query_pred]. The DFS strategies meet one PC's rows per positive step
+    and [Naive] meets each cell's from level 0; [Fdd] reads each leaf's
+    meets from the table's per-leaf memo ({!Box_table.fdd_leaf}). The
+    same cells are emitted and charged, with the same stats, as by
+    {!decompose}; cells that fail the region tests are dropped after. *)

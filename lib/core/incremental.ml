@@ -32,13 +32,13 @@ let create ?tighten ?budget ~fdd set (query : Q.t) =
     Option.map
       (fun program ->
         Counter.incr c_engines;
-        let n_vars = program.Bounds.hi.S.n_vars in
+        let n_vars = Array.length program.Bounds.obj_hi in
         {
           n_pcs;
           program;
-          lp = S.compile program.Bounds.hi;
-          obj_hi = S.objective_vector program.Bounds.hi;
-          obj_lo = Option.map S.objective_vector program.Bounds.lo;
+          lp = program.Bounds.lp;
+          obj_hi = program.Bounds.obj_hi;
+          obj_lo = program.Bounds.obj_lo;
           lo_vec = Array.make n_vars 0.;
           hi_vec = Array.make n_vars infinity;
           snap_hi = None;

@@ -86,19 +86,42 @@ let rec next s =
        (not (s.nf = 1 && s.fields.(0) = "")) || next s
      end
 
+(* A field of 1 to 15 ASCII digits after an optional ['-'] is an
+   integer below 10^15, exact as a float, and [float_of_string] would
+   give the same float: read it with a digit loop. [nan] for any other
+   field. *)
+let integer field =
+  let n = String.length field in
+  let start = if n > 0 && String.unsafe_get field 0 = '-' then 1 else 0 in
+  if n - start < 1 || n - start > 15 then nan
+  else begin
+    let rec go i acc =
+      if i = n then acc
+      else
+        match String.unsafe_get field i with
+        | '0' .. '9' as c -> go (i + 1) ((acc * 10) + Char.code c - 48)
+        | _ -> -1
+    in
+    let m = go start 0 in
+    if m < 0 then nan else if start = 1 then -.float_of_int m else float_of_int m
+  end
+
 let number ~lineno ~schema i field =
-  match float_of_string_opt (String.trim field) with
-  | Some x when Float.is_finite x -> Value.Num x
-  | Some _ ->
-      (* NaN/±inf would silently poison every bound computed
-         downstream; reject at the door *)
-      failwith
-        (Printf.sprintf "Csv: record %d column %S: non-finite numeric value %S"
-           (lineno + 2) (List.nth (Schema.names schema) i) field)
-  | None ->
-      failwith
-        (Printf.sprintf "Csv: record %d field %d: %S is not numeric" (lineno + 2)
-           (i + 1) field)
+  let x = integer field in
+  if x = x then Value.Num x
+  else
+    match float_of_string_opt (String.trim field) with
+    | Some x when Float.is_finite x -> Value.Num x
+    | Some _ ->
+        (* NaN/±inf would silently poison every bound computed
+           downstream; reject at the door *)
+        failwith
+          (Printf.sprintf "Csv: record %d column %S: non-finite numeric value %S"
+             (lineno + 2) (List.nth (Schema.names schema) i) field)
+    | None ->
+        failwith
+          (Printf.sprintf "Csv: record %d field %d: %S is not numeric" (lineno + 2)
+             (i + 1) field)
 
 let check_arity ~lineno ~arity nf =
   if nf <> arity then
@@ -120,8 +143,8 @@ let infer_schema header (rows : Value.t array array) =
         | Value.Str "" | Value.Num _ -> ()
         | Value.Str field ->
             nonempty.(i) <- true;
-            if Option.is_none (float_of_string_opt (String.trim field)) then
-              numeric.(i) <- false
+            if Float.is_nan (integer field) && Option.is_none (float_of_string_opt (String.trim field))
+            then numeric.(i) <- false
       done)
     rows;
   Schema.of_names

@@ -4,9 +4,10 @@
    [compile] validates a problem, canonicalizes its rows and lays out
    the problem matrix in CSC form (structural columns from the rows, one
    ±1 slack singleton per inequality row, one ±1 artificial singleton
-   per row). The same value owns the solver's workspace: the basis and
-   statuses, the basic values, the work vectors, the candidate arrays
-   and the eta file. Every solve takes its own objective and variable
+   per row); [of_columns] takes the structural columns as given, and
+   both finish in [finish]. The same value owns the solver's workspace:
+   the basis and statuses, the basic values, the work vectors, the
+   candidate arrays and the eta file. Every solve takes its own objective and variable
    boxes and resets that workspace instead of allocating one, so a solve
    pays for its pivots and little else.
 
@@ -207,6 +208,24 @@ let wclear x =
   done;
   x.npat <- 0
 
+(* ---- Column-major programs: the input of {!of_columns} and the
+   structural part of a compiled value. ---- *)
+
+type columns = {
+  row_ops : relop array;
+  row_rhs : float array;
+  col_start : int array;
+  col_rows : int array;
+  col_vals : float array;
+}
+
+type layout = {
+  structural : columns;
+  single_rows : int array;
+  single_vals : float array;
+  slack_cols : int array;
+}
+
 (* ---- The compiled row set and its workspace. ---- *)
 
 type vstat = Vbasic | Vlower | Vupper
@@ -269,81 +288,23 @@ type compiled = {
   mutable refacts : int;
 }
 
-let compile p =
-  let nv = p.n_vars in
-  if nv < 0 then invalid_arg "Simplex: negative n_vars";
-  check_terms nv p.objective;
-  (* One pass over the rows: validate, canonicalize, and count each
-     structural column's entries. *)
-  let m = List.length p.constraints in
-  let coeffs = Array.make m [] and rhs = Array.make m 0. and ops = Array.make m Eq in
-  let counts = Array.make (nv + 1) 0 in
-  let rec count d = function
-    | [] -> ()
-    | (j, _) :: rest ->
-        counts.(j) <- counts.(j) + d;
-        count d rest
-  in
-  (* validates and counts a row in one walk; true when it is canonical *)
-  let rec scan prev canonical = function
-    | [] -> canonical
-    | (j, c) :: rest ->
-        if j < 0 || j >= nv then invalid_arg "Simplex: variable index out of range";
-        if not (Float.is_finite c) then invalid_arg "Simplex: non-finite coefficient";
-        counts.(j) <- counts.(j) + 1;
-        scan j (canonical && j > prev && c <> 0.) rest
-  in
-  let n_slack = ref 0 in
-  List.iteri
-    (fun i c ->
-      let row =
-        if scan min_int true c.coeffs then c.coeffs
-        else begin
-          let row = canon_coeffs c.coeffs in
-          if row != c.coeffs then begin
-            count (-1) c.coeffs;
-            count 1 row
-          end;
-          row
-        end
-      in
-      if not (Float.is_finite c.rhs) then invalid_arg "Simplex: non-finite rhs";
-      coeffs.(i) <- row;
-      rhs.(i) <- c.rhs;
-      ops.(i) <- c.op;
-      match c.op with Le | Ge -> incr n_slack | Eq -> ())
-    p.constraints;
-  check_bounds nv p.var_bounds;
-  let n = nv + !n_slack + m in
-  let art_start = nv + !n_slack in
-  let colp = Array.make (nv + 1) 0 in
-  for j = 0 to nv - 1 do
-    colp.(j + 1) <- colp.(j) + counts.(j)
-  done;
-  let nnz = colp.(nv) in
-  let rowi = Array.make (Stdlib.max 1 nnz) 0 in
-  let avals = Array.make (Stdlib.max 1 nnz) 0. in
+(* The rest of a compiled value once its structural columns are laid
+   out: one slack singleton per inequality row and one artificial
+   singleton per row, numbered in row order, and the workspace. Both
+   entry points, {!compile} and {!of_columns}, end here. *)
+let finish ~nv ~ops ~rhs ~colp ~rowi ~avals =
+  let m = Array.length ops in
+  let n_slack = Array.fold_left (fun k op -> if op = Eq then k else k + 1) 0 ops in
+  let n = nv + n_slack + m in
+  let art_start = nv + n_slack in
   (* Slack and artificial columns are singletons, kept beside the CSC
      arrays: a mid-size program's CSC then stays small enough for the
      minor heap. *)
   let srow = Array.make (Stdlib.max 1 (n - nv)) 0 in
   let sval = Array.make (Stdlib.max 1 (n - nv)) 1. in
-  (* Rows are laid down in order, so each column lists its rows
-     ascending. *)
-  let cursor = Array.sub colp 0 (Stdlib.max 1 nv) in
   let slack_col = Array.make m (-1) in
-  let rec put_row i = function
-    | [] -> ()
-    | (j, v) :: rest ->
-        let s = cursor.(j) in
-        rowi.(s) <- i;
-        avals.(s) <- v;
-        cursor.(j) <- s + 1;
-        put_row i rest
-  in
   let next_slack = ref nv in
   for i = 0 to m - 1 do
-    put_row i coeffs.(i);
     (match ops.(i) with
     | Le | Ge ->
         let k = !next_slack - nv in
@@ -407,6 +368,134 @@ let compile p =
     btran_ns = 0;
     eta_entries = 0;
     refacts = 0;
+  }
+
+let compile p =
+  let nv = p.n_vars in
+  if nv < 0 then invalid_arg "Simplex: negative n_vars";
+  check_terms nv p.objective;
+  (* One pass over the rows: validate, canonicalize, and count each
+     structural column's entries. *)
+  let m = List.length p.constraints in
+  let coeffs = Array.make m [] and rhs = Array.make m 0. and ops = Array.make m Eq in
+  let counts = Array.make (nv + 1) 0 in
+  let rec count d = function
+    | [] -> ()
+    | (j, _) :: rest ->
+        counts.(j) <- counts.(j) + d;
+        count d rest
+  in
+  (* validates and counts a row in one walk; true when it is canonical *)
+  let rec scan prev canonical = function
+    | [] -> canonical
+    | (j, c) :: rest ->
+        if j < 0 || j >= nv then invalid_arg "Simplex: variable index out of range";
+        if not (Float.is_finite c) then invalid_arg "Simplex: non-finite coefficient";
+        counts.(j) <- counts.(j) + 1;
+        scan j (canonical && j > prev && c <> 0.) rest
+  in
+  List.iteri
+    (fun i c ->
+      let row =
+        if scan min_int true c.coeffs then c.coeffs
+        else begin
+          let row = canon_coeffs c.coeffs in
+          if row != c.coeffs then begin
+            count (-1) c.coeffs;
+            count 1 row
+          end;
+          row
+        end
+      in
+      if not (Float.is_finite c.rhs) then invalid_arg "Simplex: non-finite rhs";
+      coeffs.(i) <- row;
+      rhs.(i) <- c.rhs;
+      ops.(i) <- c.op)
+    p.constraints;
+  check_bounds nv p.var_bounds;
+  let colp = Array.make (nv + 1) 0 in
+  for j = 0 to nv - 1 do
+    colp.(j + 1) <- colp.(j) + counts.(j)
+  done;
+  let nnz = colp.(nv) in
+  let rowi = Array.make (Stdlib.max 1 nnz) 0 in
+  let avals = Array.make (Stdlib.max 1 nnz) 0. in
+  (* Rows are laid down in order, so each column lists its rows
+     ascending. *)
+  let cursor = Array.sub colp 0 (Stdlib.max 1 nv) in
+  let rec put_row i = function
+    | [] -> ()
+    | (j, v) :: rest ->
+        let s = cursor.(j) in
+        rowi.(s) <- i;
+        avals.(s) <- v;
+        cursor.(j) <- s + 1;
+        put_row i rest
+  in
+  for i = 0 to m - 1 do
+    put_row i coeffs.(i)
+  done;
+  finish ~nv ~ops ~rhs ~colp ~rowi ~avals
+
+let of_columns c =
+  let nv = Array.length c.col_start - 1 and m = Array.length c.row_ops in
+  if nv < 0 || c.col_start.(0) <> 0 then invalid_arg "Simplex: bad column starts";
+  if Array.length c.row_rhs <> m then invalid_arg "Simplex: row_rhs must have one entry per row";
+  Array.iter (fun b -> if not (Float.is_finite b) then invalid_arg "Simplex: non-finite rhs") c.row_rhs;
+  let nnz = c.col_start.(nv) in
+  if nnz > Array.length c.col_rows || nnz > Array.length c.col_vals then
+    invalid_arg "Simplex: column arrays shorter than their starts";
+  for j = 0 to nv - 1 do
+    let s0 = c.col_start.(j) and s1 = c.col_start.(j + 1) in
+    if s1 < s0 then invalid_arg "Simplex: bad column starts";
+    for s = s0 to s1 - 1 do
+      let i = c.col_rows.(s) and v = c.col_vals.(s) in
+      if i < 0 || i >= m then invalid_arg "Simplex: row index out of range";
+      if s > s0 && i <= c.col_rows.(s - 1) then invalid_arg "Simplex: column rows must ascend";
+      (* [v -. v] is [0.] exactly when [v] is finite *)
+      if v = 0. || v -. v <> 0. then invalid_arg "Simplex: zero or non-finite coefficient"
+    done
+  done;
+  finish ~nv ~ops:c.row_ops ~rhs:c.row_rhs ~colp:c.col_start ~rowi:c.col_rows ~avals:c.col_vals
+
+let prepend_row c ~coeffs op rhs =
+  let nv = Array.length c.col_start - 1 in
+  if Array.length coeffs > nv then invalid_arg "Simplex: more coefficients than columns";
+  let lead j = j < Array.length coeffs && coeffs.(j) <> 0. in
+  let added = ref 0 in
+  for j = 0 to Array.length coeffs - 1 do
+    if lead j then incr added
+  done;
+  let nnz = c.col_start.(nv) + !added in
+  let col_start = Array.make (nv + 1) 0 in
+  let col_rows = Array.make (Stdlib.max 1 nnz) 0 in
+  let col_vals = Array.make (Stdlib.max 1 nnz) 0. in
+  let d = ref 0 in
+  for j = 0 to nv - 1 do
+    if lead j then begin
+      col_rows.(!d) <- 0;
+      col_vals.(!d) <- coeffs.(j);
+      incr d
+    end;
+    for s = c.col_start.(j) to c.col_start.(j + 1) - 1 do
+      col_rows.(!d) <- c.col_rows.(s) + 1;
+      col_vals.(!d) <- c.col_vals.(s);
+      incr d
+    done;
+    col_start.(j + 1) <- !d
+  done;
+  let m = Array.length c.row_ops in
+  let row_ops = Array.make (m + 1) op and row_rhs = Array.make (m + 1) rhs in
+  Array.blit c.row_ops 0 row_ops 1 m;
+  Array.blit c.row_rhs 0 row_rhs 1 m;
+  { row_ops; row_rhs; col_start; col_rows; col_vals }
+
+let layout t =
+  {
+    structural = { row_ops = t.ops; row_rhs = t.rhs; col_start = t.colp; col_rows = t.rowi; col_vals = t.avals };
+    single_rows = t.srow;
+    single_vals = t.sval;
+    slack_cols = t.slack_col;
   }
 
 (* Load one solve's objective and boxes into the workspace and reset

@@ -15,7 +15,10 @@
     number of solves over the same rows, each with its own objective and
     variable boxes: {!solve_compiled} cold, {!solve_compiled_from} warm
     from a {!snapshot}. The [problem]-taking {!solve}, {!solve_snapshot}
-    and {!solve_from} are compile-then-solve wrappers.
+    and {!solve_from} are compile-then-solve wrappers. A caller that
+    knows its matrix column by column skips the row lists: {!of_columns}
+    takes the CSC arrays as they are and finishes the layout through the
+    same code as {!compile}.
 
     {b Workspace ownership.} A compiled value owns the solver's
     workspace — basis, statuses, basic values, work vectors, candidate
@@ -135,6 +138,47 @@ val compile : problem -> compiled
     bounds) — caller bugs, not hard instances. Only [n_vars] and
     [constraints] are kept; every solve supplies its objective and
     boxes. *)
+
+(** {2 Column-major programs}
+
+    A row set given straight in the compiled layout, for a caller that
+    knows its columns and would otherwise build [constr] lists only for
+    {!compile} to flatten. {!compile} lays its rows out into the same
+    arrays and finishes through the same code. *)
+
+type columns = {
+  row_ops : relop array;  (** one per row *)
+  row_rhs : float array;  (** one per row *)
+  col_start : int array;
+      (** length [n_vars + 1], from [0], non-decreasing: column [j]'s
+          entries are [col_start.(j)] to [col_start.(j + 1) - 1] *)
+  col_rows : int array;  (** each entry's row; strictly ascending within a column *)
+  col_vals : float array;  (** each entry's coefficient: finite, non-zero *)
+}
+
+val of_columns : columns -> compiled
+(** Validate [columns] and finish their layout. The compiled value takes
+    the arrays over: do not mutate them afterwards. Raises
+    [Invalid_argument] on malformed input, as {!compile}. Equal to
+    {!compile} of the same rows, array for array. *)
+
+val prepend_row : columns -> coeffs:float array -> relop -> float -> columns
+(** [prepend_row c ~coeffs op rhs]: [c] with a new first row
+    [Σ coeffs.(j)·x_j op rhs] over the leading [Array.length coeffs]
+    columns (zeros skipped), every other row moved down by one. [c] is
+    not changed. *)
+
+type layout = {
+  structural : columns;
+  single_rows : int array;  (** per slack, then artificial column: its row *)
+  single_vals : float array;  (** ... and its coefficient *)
+  slack_cols : int array;  (** per row: its slack column, [-1] for an equality *)
+}
+
+val layout : compiled -> layout
+(** The compiled arrays, shared with the compiled value (read them right
+    after compiling; a solve stamps the artificials' coefficients). For
+    tests that compare the two entry points. *)
 
 val objective_vector : problem -> float array
 (** [problem.objective] as a dense, canonical vector of length

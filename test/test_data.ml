@@ -207,7 +207,9 @@ let prop_csv_bit_exact =
    csv_oracle.ml): random texts with padded and quoted fields (commas,
    newlines, CRs and escaped quotes inside), CRs outside quotes, blank
    lines, CRLF endings, numbers, words, non-finite and empty fields in
-   any column, wrong record widths and stray quotes, read with no
+   any column, wrong record widths and stray quotes, digit strings (up
+   to 17 digits, so both sides of the reader's 15-digit integer path,
+   with signs, leading zeros, [_] separators and hex), read with no
    schema (kind inference) and with a schema that fits the header or
    not. Each must give the same relation (kinds, and every value bit
    for bit) or raise the same exception with the same message. *)
@@ -218,6 +220,21 @@ let csv_text_gen =
       [ "1"; " 2.5"; "-0"; "1e3 "; "0x1p3"; "nan"; "inf"; "-infinity"; ""; " "; "x";
         "y z"; "Chicago"; "12abc"; "3,"; "_1" ]
   in
+  let digits =
+    let run = map (String.concat "") (list_size (1 -- 17) (map string_of_int (0 -- 9))) in
+    oneof
+      [
+        run;
+        map (fun d -> "-" ^ d) run;
+        map (fun d -> "+" ^ d) run;
+        map (fun d -> "00" ^ d) run;
+        map (fun d -> "-0" ^ d) run;
+        map (fun d -> d ^ "_0") run;
+        map (fun d -> "0x" ^ d) run;
+        oneofl [ "0"; "-0"; "-"; "--1"; "000000000000000"; "999999999999999"; "1000000000000000";
+                 "-9999999999999999"; "12345678901234567" ];
+      ]
+  in
   let quoted =
     map
       (fun body -> "\"" ^ body ^ "\"")
@@ -227,6 +244,7 @@ let csv_text_gen =
     frequency
       [
         (8, plain);
+        (4, digits);
         (2, quoted);
         (1, map2 (fun a b -> a ^ b) plain quoted);
         (1, map (fun f -> f ^ "\r") plain);

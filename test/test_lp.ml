@@ -820,6 +820,128 @@ let test_deadline_stop () =
   | S.Optimal _ | S.Infeasible | S.Unbounded ->
       Alcotest.fail "expected Stopped under an expired deadline"
 
+(* ---- Column-major programs ---- *)
+
+(* Random allocation structures: 1–7 PCs, 0–9 cells each with a
+   non-empty ascending active set, frequency bounds with kl > 0 on about
+   half the PCs, with and without consumption columns. *)
+let alloc_gen =
+  QCheck.Gen.(
+    int_range 1 7 >>= fun n_pcs ->
+    int_range 0 9 >>= fun n_cells ->
+    list_repeat n_cells (list_repeat n_pcs bool) >>= fun masks ->
+    list_repeat n_pcs (pair (int_range 0 3) (int_range 0 6)) >>= fun freqs ->
+    bool >>= fun consumption ->
+    let active mask =
+      match List.filteri (fun j _ -> List.nth mask j) (List.init n_pcs Fun.id) with
+      | [] -> [ 0 ]
+      | active -> active
+    in
+    let cells = Array.of_list (List.map active masks) in
+    let kl = Array.of_list (List.map (fun (lo, hi) -> if lo mod 2 = 0 then 0 else min lo hi) freqs) in
+    let ku = Array.of_list (List.map (fun (lo, hi) -> max lo hi) freqs) in
+    return (cells, kl, ku, consumption))
+
+let alloc_arb =
+  QCheck.make
+    ~print:(fun (cells, kl, ku, consumption) ->
+      Printf.sprintf "cells=[%s] kl=[%s] ku=[%s] consumption=%b"
+        (String.concat "; "
+           (Array.to_list (Array.map (fun c -> String.concat "," (List.map string_of_int c)) cells)))
+        (String.concat "," (Array.to_list (Array.map string_of_int kl)))
+        (String.concat "," (Array.to_list (Array.map string_of_int ku)))
+        consumption)
+    alloc_gen
+
+let same_layout a b =
+  let a = S.layout a and b = S.layout b in
+  let c = a.S.structural and d = b.S.structural in
+  c.S.row_ops = d.S.row_ops
+  && Array.for_all2 (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y) c.S.row_rhs d.S.row_rhs
+  && c.S.col_start = d.S.col_start
+  && c.S.col_rows = d.S.col_rows
+  && Array.for_all2 (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y) c.S.col_vals d.S.col_vals
+  && a.S.single_rows = b.S.single_rows
+  && a.S.single_vals = b.S.single_vals
+  && a.S.slack_cols = b.S.slack_cols
+
+let bits_equal x y = Array.for_all2 (fun a b -> Int64.bits_of_float a = Int64.bits_of_float b) x y
+
+let pivots_now () =
+  let get k = Pc_obs.Registry.Counter.(get (make k)) in
+  get "lp.pivots" + get "lp.dual_pivots" + get "lp.phase1_pivots"
+
+(* One solve of each compiled value under the same objective and boxes:
+   the same outcome, bit for bit, after the same number of pivots. *)
+let same_solve rng a b n_vars =
+  let objective =
+    Array.init n_vars (fun _ -> if Random.State.bool rng then 0. else float_of_int (Random.State.int rng 9 - 3))
+  in
+  let lo = Array.init n_vars (fun _ -> float_of_int (Random.State.int rng 2)) in
+  let hi = Array.map (fun l -> if Random.State.bool rng then infinity else l +. float_of_int (Random.State.int rng 4)) lo in
+  let maximize = Random.State.bool rng in
+  let solve t =
+    let before = pivots_now () in
+    let r, _ = S.solve_compiled t ~maximize ~objective ~bounds:(lo, hi) in
+    (r, pivots_now () - before)
+  in
+  let ra, pa = solve a and rb, pb = solve b in
+  pa = pb
+  &&
+  match (ra, rb) with
+  | S.Optimal x, S.Optimal y ->
+      Int64.bits_of_float x.S.objective_value = Int64.bits_of_float y.S.objective_value
+      && bits_equal x.S.values y.S.values
+      && bits_equal x.S.duals y.S.duals
+      && bits_equal x.S.reduced_costs y.S.reduced_costs
+  | S.Infeasible, S.Infeasible | S.Unbounded, S.Unbounded -> true
+  | S.Stopped x, S.Stopped y -> x.S.reason = y.S.reason && x.S.iterations = y.S.iterations
+  | _ -> false
+
+(* [Bounds.allocation_columns] through [of_columns] against the row
+   lists [Bounds.prepare] built before, through [compile]: equal
+   compiled arrays, and equal solves; the same with the any-row row
+   ([prepend_row] against the list with [Σ x ≥ 1] in front). *)
+let prop_columns_match_lists =
+  QCheck.Test.make ~name:"allocation columns compile like the row lists" ~count:400 alloc_arb
+    (fun (cells, kl, ku, consumption) ->
+      let columns = Pc_core.Bounds.allocation_columns ~cells ~kl ~ku ~consumption in
+      let n_vars, rows = Alloc_list.rows ~cells ~kl ~ku ~consumption in
+      let n_cells = Array.length cells in
+      let listed constraints =
+        S.compile { S.n_vars; maximize = true; objective = []; constraints; var_bounds = [] }
+      in
+      let rng = Random.State.make [| n_vars; List.length rows; n_cells |] in
+      let fresh = S.of_columns columns and old = listed rows in
+      let any = S.of_columns (S.prepend_row columns ~coeffs:(Array.make n_cells 1.) S.Ge 1.)
+      and old_any = listed (Alloc_list.any_row ~n_cells rows) in
+      Array.length columns.S.col_start = n_vars + 1
+      && same_layout fresh old && same_layout any old_any
+      && same_solve rng fresh old n_vars
+      && same_solve rng any old_any n_vars)
+
+let test_columns_validation () =
+  let ok = { S.row_ops = [| S.Le |]; row_rhs = [| 1. |]; col_start = [| 0; 1 |]; col_rows = [| 0 |]; col_vals = [| 1. |] } in
+  ignore (S.of_columns ok);
+  let bad label c =
+    match S.of_columns c with
+    | _ -> Alcotest.failf "%s: accepted" label
+    | exception Invalid_argument _ -> ()
+  in
+  bad "row out of range" { ok with S.col_rows = [| 1 |] };
+  bad "zero coefficient" { ok with S.col_vals = [| 0. |] };
+  bad "non-finite rhs" { ok with S.row_rhs = [| infinity |] };
+  bad "rows per column" { ok with S.row_rhs = [| 1.; 2. |] };
+  bad "short arrays" { ok with S.col_start = [| 0; 2 |] };
+  bad "descending rows"
+    {
+      S.row_ops = [| S.Le; S.Le |];
+      row_rhs = [| 1.; 1. |];
+      col_start = [| 0; 2 |];
+      col_rows = [| 1; 0 |];
+      col_vals = [| 1.; 1. |];
+    }
+
 let () =
   Alcotest.run "pc_lp"
     [
@@ -853,5 +975,10 @@ let () =
           QCheck_alcotest.to_alcotest prop_oracle_dense_vs_sparse;
           QCheck_alcotest.to_alcotest prop_duals_certify;
           QCheck_alcotest.to_alcotest prop_workspace_reuse;
+        ] );
+      ( "columns",
+        [
+          QCheck_alcotest.to_alcotest prop_columns_match_lists;
+          tc "validation" `Quick test_columns_validation;
         ] );
     ]

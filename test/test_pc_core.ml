@@ -666,7 +666,9 @@ let same_interval a b =
   && bits (I.lo_float a) = bits (I.lo_float b)
   && bits (I.hi_float a) = bits (I.hi_float b)
 
-(* [Bounds.region] against the per-(cell × attribute) reference: the
+(* The per-cell region build ([Cell_region.region], the oracle the
+   decomposition's regions are checked against) against the per-(cell ×
+   attribute) reference: the
    same cells are inhabitable, and each attribute's range, [z] included,
    is bit-identical. Checked on the set and on a [Pc_set.filter] subset
    (whose cached ν rows must follow its own indices). *)
@@ -687,20 +689,119 @@ let prop_region_matches_reference =
         List.for_all
           (fun active ->
             let inhabitable = Cell_region.cell_inhabitable ~tighten set qpred active in
-            match Bounds.region ~tighten set qpred active with
+            match Cell_region.region ~tighten set qpred active with
             | None -> not inhabitable
             | Some r ->
                 inhabitable
                 && List.for_all
                      (fun a ->
                        match Cell_region.cell_value_interval ~tighten set qpred active a with
-                       | Some iv -> same_interval iv (Bounds.region_interval r a)
+                       | Some iv -> same_interval iv (Cell_region.region_interval r a)
                        | None -> false)
                      [ "v"; "w"; "z"; "t" ])
           cells
       in
       let keep = Array.init (Pc_set.size set) (fun _ -> R.int rng 3 > 0) in
       agrees set && agrees (Pc_set.filter (Array.get keep) set))
+
+(* The regions the decomposition builds on its way down
+   ([Cells.regions], the bound path's) against the per-cell build
+   ([Cell_region.region]): the same cells kept, in the same order, each
+   column's interval bit for bit, and the same stats as [Cells.decompose]
+   but the time. Every strategy, [tighten] on and off, half the runs
+   under a SAT budget of 0 to 2 searches (which runs dry and admits the
+   rest unchecked), with queries that also range over an attribute only
+   a ν names, on the set and on a [Pc_set.filter] subset. *)
+let prop_fused_regions_match_oracle =
+  QCheck.Test.make ~name:"decomposition regions match the per-cell build" ~count:400
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let rng = R.create seed in
+      let set = region_set rng in
+      (* the query may also range over [w], which no predicate does *)
+      let qpred =
+        region_pred rng @ if R.bool rng then [ Atom.Num_range ("w", region_iv rng) ] else []
+      in
+      let tighten = R.bool rng in
+      let strategy =
+        R.choose rng
+          [| Cells.Naive; Cells.Dfs; Cells.Dfs_rewrite; Cells.Early_stop (R.int rng 3); Cells.Fdd |]
+      in
+      let sat_calls = if R.bool rng then Some (R.int rng 3) else None in
+      let budget () =
+        Option.map (fun n -> Pc_budget.Budget.start (Pc_budget.Budget.spec ~sat_calls:n ())) sat_calls
+      in
+      let agrees set =
+        let cells, stats = Cells.decompose ?budget:(budget ()) ~strategy ~query_pred:qpred set in
+        let tbl = Pc_set.table set in
+        let width = Array.length (Box_table.cols tbl) in
+        let kept = ref [] in
+        let fused_stats =
+          Cells.regions ?budget:(budget ()) ~strategy ~tighten ~query:(Box_table.query tbl qpred)
+            ~query_pred:qpred set (fun active values ->
+              kept := (active, Array.init width (Box_table.get values)) :: !kept)
+        in
+        let expected =
+          List.filter_map
+            (fun active ->
+              Option.map
+                (fun r ->
+                  ( active,
+                    Array.map (Cell_region.region_interval r) (Box_table.cols tbl) ))
+                (Cell_region.region ~tighten set qpred active))
+            cells
+        in
+        { fused_stats with Cells.elapsed = 0. } = { stats with Cells.elapsed = 0. }
+        && List.length expected = List.length !kept
+        && List.for_all2
+             (fun (a, r) (a', r') -> a = a' && Array.for_all2 same_interval r r')
+             expected (List.rev !kept)
+      in
+      let keep = Array.init (Pc_set.size set) (fun _ -> R.int rng 3 > 0) in
+      agrees set && agrees (Pc_set.filter (Array.get keep) set))
+
+(* One diagram shared by two sets with the same predicates and
+   different ν: each set's FDD regions are its own, also when the sets
+   alternate, and a [map_freqs] set shares its parent's. *)
+let test_shared_diagram_own_regions () =
+  let pred lo hi = [ Atom.between "t" lo hi ] in
+  let make v =
+    Pc_set.make
+      [
+        mk ~name:"a" (pred 0. 10.) [ ("v", I.closed 0. v) ] (0, 5);
+        mk ~name:"b" (pred 5. 15.) [ ("v", I.closed 1. (v +. 1.)) ] (0, 5);
+        mk ~name:"c" (pred 8. 20.) [ ("v", I.closed (-1.) (2. *. v)) ] (0, 5);
+      ]
+  in
+  let one = make 10. and two = make 100. in
+  let fdd = Pc_predicate.Fdd.compile (Array.of_list (List.map (fun (pc : Pc.t) -> pc.Pc.pred) (Pc_set.pcs one))) in
+  let qpred = [ Atom.between "t" 2. 18. ] in
+  let check label set =
+    let tbl = Pc_set.table set in
+    let got = ref [] in
+    ignore
+      (Cells.regions ~strategy:Cells.Fdd ~fdd ~tighten:true ~query:(Box_table.query tbl qpred)
+         ~query_pred:qpred set (fun active values ->
+           got := (active, Box_table.get values (Box_table.col tbl "v")) :: !got));
+    let got = List.rev !got in
+    let cells, _ = Cells.decompose ~strategy:Cells.Dfs_rewrite ~query_pred:qpred set in
+    Alcotest.(check int) (label ^ ": every cell kept") (List.length cells) (List.length got);
+    List.iter2
+      (fun active (active', v) ->
+        Alcotest.(check (list int)) (label ^ ": same cell") active active';
+        match Cell_region.region ~tighten:true set qpred active with
+        | None -> Alcotest.fail (label ^ ": the oracle drops a kept cell")
+        | Some r ->
+            Alcotest.(check bool)
+              (label ^ ": v's range is the set's own")
+              true
+              (same_interval (Cell_region.region_interval r "v") v))
+      cells got
+  in
+  check "first" one;
+  check "second" two;
+  check "first again" one;
+  check "map_freqs" (Pc_set.map_freqs (fun _ pc -> (0, pc.Pc.freq_hi + 1)) two)
 
 module Box = Pc_predicate.Box
 
@@ -1062,6 +1163,8 @@ let () =
       ( "regions",
         [
           QCheck_alcotest.to_alcotest prop_region_matches_reference;
+          QCheck_alcotest.to_alcotest prop_fused_regions_match_oracle;
+          tc "one diagram, two sets' regions" `Quick test_shared_diagram_own_regions;
           QCheck_alcotest.to_alcotest prop_flat_overlap_matches_box;
           QCheck_alcotest.to_alcotest prop_greedy_matches_box_oracle;
           tc "query kind clash raises" `Quick test_kind_clash_raises;
