@@ -3,7 +3,6 @@ module Box = Pc_predicate.Box
 module Atom = Pc_predicate.Atom
 module Pred = Pc_predicate.Pred
 module Sat = Pc_predicate.Sat
-module Fdd = Pc_predicate.Fdd
 
 (* Intervals stored unboxed: interval [i] is [lo.(i)], [hi.(i)], with bit
    0 of [fl.[i]] set when the lower end is open and bit 1 when the upper
@@ -142,23 +141,6 @@ type t = {
   preds : Pred.t array;
   compiled : compiled option Atomic.t;
       (** computed once; racing threads compute the same value *)
-  leaf_memo : leaf_memo option Atomic.t;
-      (** the FDD leaves' rows for the last diagram and row map seen *)
-}
-
-(* One hash-consed FDD leaf's rows, met once: its active PCs' ν rows
-   and hull rows (on the hull columns) in ascending order from full,
-   whether every one of them is satisfiable, and how many carry
-   categorical atoms. *)
-and leaf = { l_nu : block; l_hull : block; l_boxed : bool; l_cats : int }
-
-(* Per leaf id of [diagram], a fill-once slot; [memo_rows] is the row
-   map the active sets were read through. Racing threads fill a slot
-   with the same rows. *)
-and leaf_memo = {
-  diagram : Fdd.compiled;
-  memo_rows : int array;
-  leaves : leaf option Atomic.t array;
 }
 
 let is_cat = function Atom.Num_range _ -> false | _ -> true
@@ -206,7 +188,6 @@ let make (pcs : Pc.t array) =
     cat_attrs;
     preds;
     compiled = Atomic.make None;
-    leaf_memo = Atomic.make None;
   }
 
 let cached slot compute =
@@ -304,14 +285,6 @@ let acc t = block t.width
 let lo (b : acc) k = b.lo.(k)
 let hi (b : acc) k = b.hi.(k)
 
-let rec all_boxed t rows = function
-  | [] -> true
-  | j :: rest -> t.boxed.(rows.(j)) && all_boxed t rows rest
-
-let rec cat_sides t rows n = function
-  | [] -> n
-  | j :: rest -> cat_sides t rows (if none t.cats.(rows.(j)) then n else n + 1) rest
-
 let rec cat_fold t rows box = function
   | [] -> true
   | j :: rest -> (
@@ -344,8 +317,6 @@ type regions = {
   lboxed : Bytes.t;  (** ['\001'] when every PC chosen up to level [d] is satisfiable *)
   lcats : int array;  (** sides with categorical atoms: the query and the chosen PCs *)
   values : acc;
-  clip : block;  (** a leaf's clip row on the FDD path *)
-  mutable memo : leaf_memo option;
 }
 
 let regions t ~rows ~tighten q ~depth =
@@ -376,8 +347,6 @@ let regions t ~rows ~tighten q ~depth =
     lboxed = Bytes.make m '\001';
     lcats;
     values = block w;
-    clip = block (if tighten then fw else 0);
-    memo = None;
   }
 
 let values g = g.values
@@ -400,89 +369,31 @@ let down g d r =
     (if t.boxed.(r) then Bytes.unsafe_get g.lboxed d else '\000');
   g.lcats.(d + 1) <- (if none t.cats.(r) then g.lcats.(d) else g.lcats.(d) + 1)
 
-(* The tests of a cell whose ν meet is in [g.values] and, under
-   [tighten], whose clip row is [clip] from [co]: every range non-empty
-   or, under [tighten], a query box, satisfiable active PCs, a non-empty
-   clip, consistent categorical atoms (folded only when two sides have
-   any) and a non-empty ν meet clipped. *)
-let settle g clip co ~boxed ~cats active =
+(* The cell met into level [d]: its ν row, then, under [tighten], the
+   tests every range non-empty skips: a query box, satisfiable active
+   PCs, a non-empty clip, consistent categorical atoms (folded only when
+   two sides have any) and a non-empty ν meet clipped. *)
+let leaf g d active =
   let t = g.rt in
-  if not g.tighten then all_nonempty g.values 0 t.width
+  let w = t.width and fw = g.fw in
+  blit g.lnu (d * w) g.values 0 w;
+  if not g.tighten then all_nonempty g.values 0 w
   else
+    let co = d * fw in
     Option.is_some g.rq.box
-    && boxed
-    && all_nonempty clip co g.fw
-    && (cats < 2 || cat_fold t g.rrows g.rq.q_cat_box active)
+    && Bytes.unsafe_get g.lboxed d <> '\000'
+    && all_nonempty g.lclip co fw
+    && (g.lcats.(d) < 2 || cat_fold t g.rrows g.rq.q_cat_box active)
     && begin
-         for c = 0 to g.fw - 1 do
-           meet g.values t.hcols.(c) clip (co + c)
+         for c = 0 to fw - 1 do
+           meet g.values t.hcols.(c) g.lclip (co + c)
          done;
          for i = 0 to Array.length g.qcols - 1 do
            let k = g.qcols.(i) in
            meet g.values k g.rq.q k
          done;
-         all_nonempty g.values 0 t.width
+         all_nonempty g.values 0 w
        end
-
-let leaf g d active =
-  let w = g.rt.width in
-  blit g.lnu (d * w) g.values 0 w;
-  settle g g.lclip (d * g.fw)
-    ~boxed:(Bytes.unsafe_get g.lboxed d <> '\000')
-    ~cats:g.lcats.(d) active
-
-let memo g fdd =
-  match g.memo with
-  | Some m when m.diagram == fdd -> m
-  | _ ->
-      let t = g.rt in
-      let m =
-        match Atomic.get t.leaf_memo with
-        | Some m when m.diagram == fdd && m.memo_rows == g.rrows -> m
-        | _ ->
-            let m =
-              {
-                diagram = fdd;
-                memo_rows = g.rrows;
-                leaves = Array.init (Fdd.n_nodes fdd) (fun _ -> Atomic.make None);
-              }
-            in
-            Atomic.set t.leaf_memo (Some m);
-            m
-      in
-      g.memo <- Some m;
-      m
-
-let make_leaf t rows active =
-  let w = t.width and fw = Array.length t.hcols in
-  let l_nu = block w and l_hull = block fw in
-  List.iter
-    (fun j ->
-      let r = rows.(j) in
-      meet_range l_nu 0 t.nu (r * w) w;
-      Array.iteri (fun c k -> meet l_hull c t.hull ((r * w) + k)) t.hcols)
-    active;
-  { l_nu; l_hull; l_boxed = all_boxed t rows active; l_cats = cat_sides t rows 0 active }
-
-let fdd_leaf g fdd id active =
-  let slot = (memo g fdd).leaves.(id) in
-  let l =
-    match Atomic.get slot with
-    | Some l -> l
-    | None ->
-        let l = make_leaf g.rt g.rrows active in
-        Atomic.set slot (Some l);
-        l
-  in
-  let t = g.rt in
-  blit l.l_nu 0 g.values 0 t.width;
-  if g.tighten then
-    for c = 0 to g.fw - 1 do
-      meet_into g.clip c g.rq.q t.hcols.(c) l.l_hull c
-    done;
-  settle g g.clip 0 ~boxed:l.l_boxed
-    ~cats:(if none g.rq.q_cats then l.l_cats else l.l_cats + 1)
-    active
 
 let single t ~tighten q values clip r =
   let w = t.width in

@@ -116,17 +116,8 @@ val leaf : regions -> int -> int list -> bool
     clash (a cell admitted unchecked can be any of these). The result is
     bit-identical to meeting the rows cell by cell, [-0.] included. *)
 
-val fdd_leaf : regions -> Pc_predicate.Fdd.compiled -> int -> int list -> bool
-(** [fdd_leaf g fdd id active]: as {!leaf} for the cell at leaf [id] of
-    [fdd] (compiled from the set), whose active set is [active]. The
-    leaf's ν meet and hull meet are computed once and kept in the table,
-    in a fill-once slot per leaf, for as long as the table sees the same
-    diagram and row map: sets that share the table ({!Pc_set.map_freqs})
-    share them, and a set with other ν ranges has its own table. The
-    query is the accumulator its hull meet is met into. *)
-
 val values : regions -> acc
-(** The region of the last {!leaf} or {!fdd_leaf} that returned [true]. *)
+(** The region of the last {!leaf} that returned [true]. *)
 
 val single : t -> tighten:bool -> query -> acc -> acc -> int -> bool
 (** [single t ~tighten q values clip r]: row [r] as a cell of its own,

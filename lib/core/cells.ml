@@ -131,13 +131,21 @@ let budgeted budget =
   in
   { tally; check; decide; admit; emitted; admitted; witness_hits }
 
-(* Where the cells go: [emit x active] charges and hands on a cell
-   whose ascending active set is [active]. With region levels, [x] is
-   the level its PCs were met into (the FDD path: its leaf id), and the
-   cell is handed on with its region when that is inhabitable. *)
+(* Where the cells go: [emit d active] charges and hands on a cell
+   whose ascending active set is [active]. With region levels, [d] is
+   the level its PCs were met into, and the cell is handed on with its
+   region when that is inhabitable. *)
 type sink = { levels : Box_table.regions option; emit : int -> int list -> unit }
 
 let down sink d r = match sink.levels with Some g -> Box_table.down g d r | None -> ()
+
+(* A cell whose PCs no walk has met yet ([Naive], [Fdd]): met into the
+   levels from level 0, then emitted. *)
+let emit_met sink rows active =
+  (match sink.levels with
+  | Some g -> List.iteri (fun d i -> Box_table.down g d rows.(i)) active
+  | None -> ());
+  sink.emit (List.length active) active
 
 let naive bg set base sink =
   let n = Pc_set.size set and rows = Pc_set.rows set in
@@ -151,9 +159,7 @@ let naive bg set base sink =
       expr := Cnf.conj (if mask land (1 lsl i) <> 0 then pos.(i) else neg.(i)) !expr
     done;
     if bg.check !expr then begin
-      let active = List.filter (fun i -> mask land (1 lsl i) <> 0) (List.init n Fun.id) in
-      List.iteri (fun d i -> down sink d rows.(i)) active;
-      sink.emit (List.length active) active
+      emit_met sink rows (List.filter (fun i -> mask land (1 lsl i) <> 0) (List.init n Fun.id))
     end
   done
 
@@ -222,12 +228,12 @@ let compile set =
    decision diagram (or reuse a precompiled one) and read the satisfiable
    cells straight off the reachable leaves — zero solver searches. The
    leaves come out in the DFS's order, which the qcheck oracle property
-   pins down; [emit] gets each with its leaf id. *)
+   pins down. *)
 let fdd_path ?budget fdd query_pred emit =
   (match budget with
   | Some b when B.out_of_time b -> raise (B.Exhausted B.Deadline)
   | _ -> ());
-  List.iter (fun (id, active) -> emit id active) (Pc_predicate.Fdd.leaves ~query:query_pred fdd)
+  List.iter emit (Pc_predicate.Fdd.cells ~query:query_pred fdd)
 
 (* Compile-once memo for the Fdd strategy: one slot keyed on the set's
    physical identity. Predicates inside a [Pc_set.t] are immutable, so a
@@ -259,8 +265,7 @@ let decompose_run ?budget ?fdd ~strategy ~query_pred set keep =
   let n = Array.length rows in
   let t0 = Pc_util.Clock.now () in
   let bg = budgeted budget in
-  (* [leaf g x active] finishes a cell's region on the levels [g] *)
-  let sink ~depth leaf =
+  let sink =
     match keep with
     | Cells f ->
         {
@@ -271,24 +276,22 @@ let decompose_run ?budget ?fdd ~strategy ~query_pred set keep =
               f active);
         }
     | Regions (tighten, q, f) ->
-        let g = Box_table.regions tbl ~rows ~tighten q ~depth in
+        let g = Box_table.regions tbl ~rows ~tighten q ~depth:n in
         {
           levels = Some g;
           emit =
-            (fun x active ->
+            (fun d active ->
               bg.admit ();
-              if leaf g x active then f active (Box_table.values g));
+              if Box_table.leaf g d active then f active (Box_table.values g));
         }
   in
   let query () =
     match keep with Regions (_, q, _) -> q | Cells _ -> Box_table.query tbl query_pred
   in
-  let dfs ~eager ~rewrite ~k =
-    dfs bg tbl rows ~eager ~rewrite ~k query (sink ~depth:n Box_table.leaf)
-  in
+  let dfs ~eager ~rewrite ~k = dfs bg tbl rows ~eager ~rewrite ~k query sink in
   let run () =
     match strategy with
-    | Naive -> naive bg set (Cnf.of_pred query_pred) (sink ~depth:n Box_table.leaf)
+    | Naive -> naive bg set (Cnf.of_pred query_pred) sink
     | Dfs -> dfs ~eager:true ~rewrite:false ~k:max_int
     | Dfs_rewrite -> dfs ~eager:false ~rewrite:true ~k:max_int
     | Early_stop k ->
@@ -297,8 +300,7 @@ let decompose_run ?budget ?fdd ~strategy ~query_pred set keep =
     | Fdd ->
         let fdd = match fdd with Some f -> f | None -> fdd_for set in
         let compiled = if Pc_predicate.Fdd.n_preds fdd = Pc_set.size set then fdd else compile set in
-        let sink = sink ~depth:0 (fun g id active -> Box_table.fdd_leaf g compiled id active) in
-        fdd_path ?budget compiled query_pred sink.emit
+        fdd_path ?budget compiled query_pred (emit_met sink rows)
   in
   (match run () with
   | () -> ()

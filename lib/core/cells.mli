@@ -36,7 +36,7 @@
     {!regions} builds each cell's region (§4.1's [L_i(a), U_i(a)]) on
     the way: each DFS level carries the meet of its chosen PCs' rows, so
     a cell costs one pass over the table's columns instead of one per
-    active PC; the [Fdd] strategy reads each leaf's meets from a memo. *)
+    active PC. *)
 
 type strategy = Naive | Dfs | Dfs_rewrite | Early_stop of int | Fdd
 
@@ -96,8 +96,8 @@ val regions :
     [keep active region] is called, in emission order, for each cell
     whose region is inhabitable. [region] is overwritten by the next
     cell. [query] is [Box_table.query (Pc_set.table set)
-    query_pred]. The DFS strategies meet one PC's rows per positive step
-    and [Naive] meets each cell's from level 0; [Fdd] reads each leaf's
-    meets from the table's per-leaf memo ({!Box_table.fdd_leaf}). The
-    same cells are emitted and charged, with the same stats, as by
-    {!decompose}; cells that fail the region tests are dropped after. *)
+    query_pred]. The DFS strategies meet one PC's rows per positive step;
+    [Naive] and [Fdd], which walk no shared prefix, meet each cell's
+    rows from level 0. The same cells are emitted and charged, with the
+    same stats, as by {!decompose}; cells that fail the region tests are
+    dropped after. *)

@@ -219,13 +219,6 @@ type columns = {
   col_vals : float array;
 }
 
-type layout = {
-  structural : columns;
-  single_rows : int array;
-  single_vals : float array;
-  slack_cols : int array;
-}
-
 (* ---- The compiled row set and its workspace. ---- *)
 
 type vstat = Vbasic | Vlower | Vupper
@@ -489,14 +482,6 @@ let prepend_row c ~coeffs op rhs =
   Array.blit c.row_ops 0 row_ops 1 m;
   Array.blit c.row_rhs 0 row_rhs 1 m;
   { row_ops; row_rhs; col_start; col_rows; col_vals }
-
-let layout t =
-  {
-    structural = { row_ops = t.ops; row_rhs = t.rhs; col_start = t.colp; col_rows = t.rowi; col_vals = t.avals };
-    single_rows = t.srow;
-    single_vals = t.sval;
-    slack_cols = t.slack_col;
-  }
 
 (* Load one solve's objective and boxes into the workspace and reset
    everything a previous solve left behind. Returns the objective's sign
@@ -1603,3 +1588,20 @@ let feasible ?budget p =
   | Optimal _ -> true
   | Infeasible -> false
   | Unbounded | Stopped _ -> true
+
+module For_tests = struct
+  type layout = {
+    structural : columns;
+    single_rows : int array;
+    single_vals : float array;
+    slack_cols : int array;
+  }
+
+  let layout t =
+    {
+      structural = { row_ops = t.ops; row_rhs = t.rhs; col_start = t.colp; col_rows = t.rowi; col_vals = t.avals };
+      single_rows = t.srow;
+      single_vals = t.sval;
+      slack_cols = t.slack_col;
+    }
+end

@@ -168,18 +168,6 @@ val prepend_row : columns -> coeffs:float array -> relop -> float -> columns
     columns (zeros skipped), every other row moved down by one. [c] is
     not changed. *)
 
-type layout = {
-  structural : columns;
-  single_rows : int array;  (** per slack, then artificial column: its row *)
-  single_vals : float array;  (** ... and its coefficient *)
-  slack_cols : int array;  (** per row: its slack column, [-1] for an equality *)
-}
-
-val layout : compiled -> layout
-(** The compiled arrays, shared with the compiled value (read them right
-    after compiling; a solve stamps the artificials' coefficients). For
-    tests that compare the two entry points. *)
-
 val objective_vector : problem -> float array
 (** [problem.objective] as a dense, canonical vector of length
     [n_vars] — the per-solve form {!solve_compiled} takes. *)
@@ -254,3 +242,19 @@ val feasible : ?budget:Pc_budget.Budget.t -> problem -> bool
 val c_le : (int * float) list -> float -> constr
 val c_ge : (int * float) list -> float -> constr
 val c_eq : (int * float) list -> float -> constr
+
+(**/**)
+
+(** The compiled arrays, shared with the compiled value: read them right
+    after compiling, since a solve stamps the artificials' coefficients.
+    Only for tests that compare {!of_columns} with {!compile}. *)
+module For_tests : sig
+  type layout = {
+    structural : columns;
+    single_rows : int array;  (** per slack, then artificial column: its row *)
+    single_vals : float array;  (** ... and its coefficient *)
+    slack_cols : int array;  (** per row: its slack column, [-1] for an equality *)
+  }
+
+  val layout : compiled -> layout
+end

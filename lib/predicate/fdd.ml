@@ -331,7 +331,7 @@ let rec dfs_order a b =
       let c = Int.compare x y in
       if c <> 0 then c else dfs_order a' b'
 
-(* Calls [leaf id ids] once for every distinct non-empty leaf reachable
+(* Calls [leaf ids] once for every distinct non-empty leaf reachable
    under the query's per-attribute constraints, depth first with edges
    in order. Reachability under such constraints is a global property
    of a node, so one visited mark per node id is sound even though a
@@ -349,7 +349,7 @@ let walk qcs t leaf =
       Bytes.unsafe_set seen n.id '\001';
       match n.node with
       | Leaf [] -> ()
-      | Leaf ids -> leaf n.id ids
+      | Leaf ids -> leaf ids
       | Num (attr, edges) -> (
           match constr attr qcs with
           | None -> Array.iter (fun (_, c) -> go c) edges
@@ -404,15 +404,13 @@ let walk qcs t leaf =
   in
   go t.root
 
-let leaves ?(query = Pred.tt) t =
+let cells ?(query = Pred.tt) t =
   match pred_constraints query with
   | None -> []
   | Some qcs ->
       let leaves = ref [] in
-      walk qcs t (fun id ids -> leaves := (id, ids) :: !leaves);
-      List.sort (fun (_, a) (_, b) -> dfs_order a b) !leaves
-
-let cells ?query t = List.map snd (leaves ?query t)
+      walk qcs t (fun ids -> leaves := ids :: !leaves);
+      List.sort dfs_order !leaves
 
 (* The union of the reachable cells' active sets, marked per PC as the
    walk meets each leaf: no cell list, no sort, no merge. *)
@@ -427,7 +425,7 @@ let active_pcs ?(query = Pred.tt) t =
             active.(j) <- true;
             mark rest
       in
-      walk qcs t (fun _ ids -> mark ids);
+      walk qcs t mark;
       let acc = ref [] in
       for j = t.n_preds - 1 downto 0 do
         if active.(j) then acc := j :: !acc

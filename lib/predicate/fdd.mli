@@ -29,10 +29,6 @@ val cells : ?query:Pred.t -> compiled -> int list list
     decomposer (positive branch first). [query] must be satisfiable per
     attribute or the result is [[]]. *)
 
-val leaves : ?query:Pred.t -> compiled -> (int * int list) list
-(** {!cells} with each cell's leaf: its node id, below {!n_nodes}, the
-    same for every query that reaches it. *)
-
 val active_pcs : ?query:Pred.t -> compiled -> int list
 (** Sorted union of the active sets of {!cells} under [query]: every
     predicate index that appears in some reachable non-empty leaf. This

@@ -854,16 +854,17 @@ let alloc_arb =
     alloc_gen
 
 let same_layout a b =
-  let a = S.layout a and b = S.layout b in
-  let c = a.S.structural and d = b.S.structural in
+  let module L = S.For_tests in
+  let a = L.layout a and b = L.layout b in
+  let c = a.L.structural and d = b.L.structural in
   c.S.row_ops = d.S.row_ops
   && Array.for_all2 (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y) c.S.row_rhs d.S.row_rhs
   && c.S.col_start = d.S.col_start
   && c.S.col_rows = d.S.col_rows
   && Array.for_all2 (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y) c.S.col_vals d.S.col_vals
-  && a.S.single_rows = b.S.single_rows
-  && a.S.single_vals = b.S.single_vals
-  && a.S.slack_cols = b.S.slack_cols
+  && a.L.single_rows = b.L.single_rows
+  && a.L.single_vals = b.L.single_vals
+  && a.L.slack_cols = b.L.slack_cols
 
 let bits_equal x y = Array.for_all2 (fun a b -> Int64.bits_of_float a = Int64.bits_of_float b) x y
 
