@@ -66,8 +66,6 @@ let start spec =
 
 let unlimited () = start unlimited_spec
 
-let limits t = t.spec
-
 (* First writer wins: once dead on some resource, stay dead on it. *)
 let mark_dead t resource =
   if Atomic.compare_and_set t.dead None (Some resource) then begin
@@ -166,8 +164,3 @@ let snapshot (t : t) =
     (Nodes, Atomic.get t.nodes);
     (Iterations, Atomic.get t.iters);
   ]
-
-let pp_usage ppf u =
-  Format.fprintf ppf "cells=%d sat=%d nodes=%d iters=%d%s" u.cells u.sat_calls
-    u.nodes u.iters
-    (if u.deadline_hit then " deadline-hit" else "")

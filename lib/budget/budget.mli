@@ -64,8 +64,6 @@ val unlimited : unit -> t
 (** [start unlimited_spec]: counters are still tracked, nothing is ever
     exhausted. *)
 
-val limits : t -> spec
-
 (* -------- consumption (used by the solvers) -------- *)
 
 val take_cell : t -> bool
@@ -117,5 +115,3 @@ val snapshot : t -> (resource * int) list
     fixed order ([Cells]; [Sat_calls]; [Nodes]; [Iterations]) — the
     machine-readable face of {!usage} for [--metrics] reporting. Same
     consistency caveat as {!usage}. *)
-
-val pp_usage : Format.formatter -> usage -> unit

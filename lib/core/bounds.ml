@@ -950,9 +950,6 @@ let missing_bound_exn ~ctx set (query : Q.t) =
           | Q.Max _ -> extremal ~ctx prep ~is_max:true
           | Q.Min _ -> extremal ~ctx prep ~is_max:false))
 
-let is_decompose_guard msg =
-  String.length msg >= 16 && String.sub msg 0 16 = "Cells.decompose:"
-
 (* Run [f]; when the budget starves it (or the configured strategy cannot
    even enumerate), step down to the trivial rung instead of raising.
    Each rung gets its own span so a trace shows exactly where a query
@@ -979,7 +976,7 @@ let with_floor ~ctx f floor =
   try run () with
   | B.Exhausted r -> fall ("exhausted:" ^ B.resource_name r)
   | Degrade -> fall "starved"
-  | Invalid_argument msg when is_decompose_guard msg -> fall "enumeration-guard"
+  | Cells.Enumeration_guard _ -> fall "enumeration-guard"
   | Pc_fault.Fault.Injected site ->
       (* an injected SAT/solver failure degrades exactly like budget
          exhaustion; the floor below is solver-free, so it cannot be

@@ -33,13 +33,9 @@ let strategy_name = function
 
 let max_enum_bits = 24
 
-let guard_enumeration n =
-  if n > max_enum_bits then
-    invalid_arg
-      (Printf.sprintf
-         "Cells.decompose: exhaustive strategy on %d constraints would \
-          enumerate 2^%d cells"
-         n n)
+exception Enumeration_guard of int
+
+let guard_enumeration n = if n > max_enum_bits then raise (Enumeration_guard n)
 
 (* Budget adapter shared by all strategies. [check]/[decide] answer
    "satisfiable" without consulting the solver once the SAT budget or

@@ -58,6 +58,10 @@ type stats = {
   elapsed : float;  (** wall-clock seconds (monotonic) *)
 }
 
+exception Enumeration_guard of int
+(** [Naive] or [Early_stop] would enumerate more than 2²⁴ cells over
+    this many PCs; the caller is expected to degrade as on exhaustion. *)
+
 val decompose :
   ?budget:Pc_budget.Budget.t ->
   ?fdd:Pc_predicate.Fdd.compiled ->
@@ -74,10 +78,10 @@ val decompose :
     cells unchecked (bounded by an internal ceiling); exhausting the cell
     cap or the deadline raises {!Pc_budget.Budget.Exhausted} — past those
     there is no sound way to keep enumerating, and the caller is expected
-    to degrade to a decomposition-free bound. Raises [Invalid_argument]
+    to degrade to a decomposition-free bound. Raises {!Enumeration_guard}
     when [Naive] or [Early_stop] would enumerate more than 2²⁴ cells, and
-    [Box]'s when the set's predicates (building its table) or the query
-    use one attribute as both kinds. *)
+    [Box]'s [Invalid_argument] when the set's predicates (building its
+    table) or the query use one attribute as both kinds. *)
 
 val strategy_name : strategy -> string
 

@@ -1,10 +1,5 @@
 module I = Pc_interval.Interval
 
-let attr_sigmas rel ~attrs ~scale =
-  List.map
-    (fun a -> (a, scale *. Pc_util.Stat.stddev (Pc_data.Relation.column rel a)))
-    attrs
-
 let corrupt_endpoint rng sigma = function
   | I.Neg_inf -> I.Neg_inf
   | I.Pos_inf -> I.Pos_inf

@@ -14,11 +14,6 @@ val corrupt_values :
     the noise inverts them, so the results are still well-formed PCs.
     Attributes absent from [sigma] are left untouched. *)
 
-val attr_sigmas :
-  Pc_data.Relation.t -> attrs:string list -> scale:float -> (string * float) list
-(** Per-attribute noise levels: [scale] × the attribute's standard
-    deviation on the relation ("k SD noise" in the paper's figure). *)
-
 val corrupt_values_systematic :
   Pc_util.Rng.t -> sigma:(string * float) list -> Pc.t list -> Pc.t list
 (** Like {!corrupt_values} but with a *systematic* component: one shared

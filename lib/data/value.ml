@@ -7,8 +7,6 @@ let as_num = function
   | Num x -> x
   | Str s -> invalid_arg (Printf.sprintf "Value.as_num: %S is not numeric" s)
 
-let as_num_opt = function Num x -> Some x | Str _ -> None
-
 let as_str = function
   | Str s -> s
   | Num x -> invalid_arg (Printf.sprintf "Value.as_str: %g is not a string" x)

@@ -11,8 +11,6 @@ val str : string -> t
 val as_num : t -> float
 (** Raises [Invalid_argument] on a [Str]. *)
 
-val as_num_opt : t -> float option
-
 val as_str : t -> string
 (** Raises [Invalid_argument] on a [Num]. *)
 

@@ -84,11 +84,3 @@ let product_bound ~weights cover =
         acc *. (w ** c)
       end)
     1. cover
-
-let integral_cover hg =
-  let weights =
-    List.map
-      (fun (r : Hypergraph.rel) -> (r.Hypergraph.name, Float.exp 1.))
-      (Hypergraph.rels hg)
-  in
-  solve ~weights hg

@@ -25,7 +25,3 @@ val solve :
 
 val product_bound : weights:(string * float) list -> cover -> float
 (** [Π wᵢ^cᵢ]. *)
-
-val integral_cover : Hypergraph.t -> cover option
-(** Classic (integral-relaxation-free) reference: the LP solution with all
-    weights equal, i.e. the minimum fractional edge cover number ρ*. *)

@@ -41,8 +41,6 @@ let sum_upper_b ?opts ?budget t ~attr =
 
 let count_upper ?opts ?budget t = (count_upper_b ?opts ?budget t).value
 
-let sum_upper ?opts ?budget t ~attr = (sum_upper_b ?opts ?budget t ~attr).value
-
 let hypergraph_of tables =
   Hypergraph.make
     (List.map

@@ -41,15 +41,6 @@ val count_upper :
   ?opts:Pc_core.Bounds.opts -> ?budget:Pc_budget.Budget.t -> table -> float
 (** COUNT upper bound of one table's missing partition. *)
 
-val sum_upper :
-  ?opts:Pc_core.Bounds.opts ->
-  ?budget:Pc_budget.Budget.t ->
-  table ->
-  attr:string ->
-  float
-(** SUM(attr) upper bound of one table's missing partition (clamped below
-    at 0, as required by the GWE weight non-negativity). *)
-
 val count_bound :
   ?opts:Pc_core.Bounds.opts ->
   ?budget:Pc_budget.Budget.t ->

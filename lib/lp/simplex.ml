@@ -1564,16 +1564,10 @@ let solve_compiled_from ?budget t ~snapshot ~maximize ~objective ~bounds =
     observed (fun () -> run_from ?budget t ~snapshot ~maximize ~objective ~bounds)
   else run_from ?budget t ~snapshot ~maximize ~objective ~bounds
 
-let solve_snapshot ?budget ?bounds p =
-  let t = compile p in
-  let bounds = match bounds with Some b -> b | None -> bounds_of_problem p in
-  solve_compiled ?budget t ~maximize:p.maximize ~objective:(objective_vector p) ~bounds
-
-let solve ?budget p = fst (solve_snapshot ?budget p)
-
-let solve_from ?budget ~snapshot ~bounds p =
-  solve_compiled_from ?budget (compile p) ~snapshot ~maximize:p.maximize
-    ~objective:(objective_vector p) ~bounds
+let solve ?budget p =
+  fst
+    (solve_compiled ?budget (compile p) ~maximize:p.maximize
+       ~objective:(objective_vector p) ~bounds:(bounds_of_problem p))
 
 let check_solution p sol =
   let t = compile p in
@@ -1582,12 +1576,6 @@ let check_solution p sol =
       ~bounds:(bounds_of_problem p)
   in
   check t ~sign sol
-
-let feasible ?budget p =
-  match solve ?budget { p with objective = []; maximize = true } with
-  | Optimal _ -> true
-  | Infeasible -> false
-  | Unbounded | Stopped _ -> true
 
 module For_tests = struct
   type layout = {

@@ -14,8 +14,8 @@
     slack and artificial columns. A {!compiled} value then serves any
     number of solves over the same rows, each with its own objective and
     variable boxes: {!solve_compiled} cold, {!solve_compiled_from} warm
-    from a {!snapshot}. The [problem]-taking {!solve}, {!solve_snapshot}
-    and {!solve_from} are compile-then-solve wrappers. A caller that
+    from a {!snapshot}. The [problem]-taking {!solve} is a
+    compile-then-solve wrapper. A caller that
     knows its matrix column by column skips the row lists: {!of_columns}
     takes the CSC arrays as they are and finishes the layout through the
     same code as {!compile}.
@@ -209,33 +209,12 @@ val solve_compiled_from :
 val solve : ?budget:Pc_budget.Budget.t -> problem -> outcome
 (** [compile] then a cold solve under [problem]'s objective and boxes. *)
 
-val solve_snapshot :
-  ?budget:Pc_budget.Budget.t ->
-  ?bounds:float array * float array ->
-  problem ->
-  outcome * snapshot option
-(** Like {!solve}, additionally returning the snapshot. [bounds], when
-    given, {e replaces} [problem.var_bounds]. *)
-
-val solve_from :
-  ?budget:Pc_budget.Budget.t ->
-  snapshot:snapshot ->
-  bounds:float array * float array ->
-  problem ->
-  outcome * snapshot option
-(** [compile] then {!solve_compiled_from}. *)
-
 val check_solution : problem -> solution -> (unit, string) result
 (** Post-solve self-check: every constraint satisfied, every variable
     within its box, and the objective consistent with a recomputation from
     [values], within {!Pc_util.Float_eps} tolerances scaled by row
     magnitude. [solve] runs this on every optimal answer and degrades to
     [Stopped (Numeric _)] when it fails. *)
-
-val feasible : ?budget:Pc_budget.Budget.t -> problem -> bool
-(** Phase-1 feasibility only. A [Stopped] phase 1 answers [true]
-    (unknown treated as feasible — the direction that can only loosen a
-    bound built on it). *)
 
 (** Constraint construction helpers. *)
 

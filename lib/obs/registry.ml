@@ -150,11 +150,6 @@ let counters () =
 let histograms () =
   List.filter_map (function _, H h -> Some h | _, C _ -> None) (instruments ())
 
-let reset_values () =
-  List.iter
-    (function _, C c -> Counter.clear c | _, H h -> Histogram.clear h)
-    (instruments ())
-
 let dump_text () =
   let b = Buffer.create 512 in
   Buffer.add_string b "metrics:\n";

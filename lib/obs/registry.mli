@@ -89,9 +89,6 @@ val counters : unit -> (string * int) list
 val histograms : unit -> Histogram.t list
 (** All registered histograms, sorted by name. *)
 
-val reset_values : unit -> unit
-(** Zero every counter and histogram (registration is kept). *)
-
 val dump_text : unit -> string
 (** Human-readable dump: a [metrics:] block with one ["  name value"]
     line per counter, then a [histograms:] block with count and

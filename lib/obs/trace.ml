@@ -69,9 +69,6 @@ let add_attr k v =
 
 let spans () = List.sort (fun a b -> Int64.compare a.t0_ns b.t0_ns) !out
 
-let span_names () =
-  List.sort_uniq String.compare (List.map (fun sp -> sp.name) (spans ()))
-
 let totals_by_name () =
   let tbl = Hashtbl.create 16 in
   List.iter

@@ -48,9 +48,6 @@ val add_attr : string -> string -> unit
 val spans : unit -> span list
 (** Completed spans, sorted by start time. *)
 
-val span_names : unit -> string list
-(** Sorted, de-duplicated span names — the span {e set} of the trace. *)
-
 val totals_by_name : unit -> (string * int * int64) list
 (** Per-name aggregate [(name, count, total_ns)], sorted by total
     descending — the data behind {!summary} and the bench's per-phase

@@ -18,7 +18,7 @@ let c_refills = Counter.make "cache.refills"
 
 type meta = { pcs : int list; where_ : Pred.t; missing_only : bool }
 
-type refill = { query : Q.t; part : string; key : string; meta : meta option }
+type refill = { query : Q.t; part : string; key : string; meta : meta }
 type front = Hit of string | Refill of refill | Absent
 
 (* An entry's selection compiled for one schema. [evaluable] is false
@@ -51,7 +51,7 @@ type entry = {
   mutable value : string;
   mutable filled : bool;
   stamp : int;
-  mutable meta : meta option;
+  mutable meta : meta;
   mutable parsed : (Q.t * string) option;
   mutable pcs : int array;
   mutable sel : sel;
@@ -66,7 +66,7 @@ let dummy =
     value = "";
     filled = false;
     stamp = -1;
-    meta = None;
+    meta = { pcs = []; where_ = []; missing_only = true };
     parsed = None;
     pcs = [||];
     sel = unknown;
@@ -274,21 +274,20 @@ let compile schema (where_ : Pred.t) =
 
 (* Only an entry whose reply reads the certain side tests batch rows. *)
 let compile_entry t e =
-  match (e.meta, t.schema) with
-  | Some m, Some schema when not m.missing_only -> e.sel <- compile schema m.where_
+  match t.schema with
+  | Some schema when not e.meta.missing_only -> e.sel <- compile schema e.meta.where_
   | _ -> ()
 
 let set_meta t e meta =
   e.meta <- meta;
-  e.pcs <- (match meta with Some m -> Array.of_list m.pcs | None -> [||]);
+  e.pcs <- Array.of_list meta.pcs;
   e.sel <- unknown;
   compile_entry t e
 
 (* Put [value] back into the emptied [e]. Its layout is kept when the
    store brings the meta it already holds (a refill passes it back). *)
-let fill t e ?meta ?parsed value =
-  if not (match (meta, e.meta) with Some m, Some m' -> m == m' | _ -> false) then
-    set_meta t e meta;
+let fill t e ~meta ?parsed value =
+  if meta != e.meta then set_meta t e meta;
   if Option.is_some parsed then e.parsed <- parsed;
   e.value <- value;
   e.filled <- true;
@@ -296,16 +295,13 @@ let fill t e ?meta ?parsed value =
   e.bytes <- e.bytes + b;
   t.total_bytes <- t.total_bytes + b
 
-let store t ?meta ?version ?front ?parsed key value =
+let store t ~meta ~version ?front ?parsed key value =
   Mutex.lock t.mu;
-  let fresh =
-    match version with None -> true | Some v -> v >= t.version
-  in
-  (if not fresh then Counter.incr c_stale_stores
+  (if version < t.version then Counter.incr c_stale_stores
    else
      match Hashtbl.find_opt t.tbl key with
      | Some e ->
-         if not e.filled then fill t e ?meta ?parsed value;
+         if not e.filled then fill t e ~meta ?parsed value;
          link t e front;
          evict_over_caps t
      | None ->
@@ -315,7 +311,7 @@ let store t ?meta ?version ?front ?parsed key value =
              value;
              filled = true;
              stamp = t.next_stamp;
-             meta = None;
+             meta;
              parsed;
              pcs = [||];
              sel = unknown;
@@ -420,24 +416,20 @@ let invalidate t ~version ~touched ~rows =
     let e = t.live.(i) in
     let affected =
       e.filled
-      &&
-      match e.meta with
-      | None -> true
-      | Some m -> (
-          reaches marked e.pcs 0
-          || (not m.missing_only)
-             &&
-             match rows with
-             | None -> false
-             | Some (_, tuples) ->
-                 let s = e.sel in
-                 (not
-                    (s.evaluable
-                    && match hulls with Some h -> misses h s 0 | None -> false))
-                 && begin
-                      incr row_tests;
-                      selects s.test tuples
-                    end)
+      && (reaches marked e.pcs 0
+         || (not e.meta.missing_only)
+            &&
+            match rows with
+            | None -> false
+            | Some (_, tuples) ->
+                let s = e.sel in
+                (not
+                   (s.evaluable
+                   && match hulls with Some h -> misses h s 0 | None -> false))
+                && begin
+                     incr row_tests;
+                     selects s.test tuples
+                   end)
     in
     (* slots above [i] are swept, so the one [remove] moves down is too *)
     if affected then begin

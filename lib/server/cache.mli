@@ -23,10 +23,9 @@
 
     {2 Delta-scoped invalidation}
 
-    Each entry may carry {!meta}: the PC indices its query's FDD leaves
-    can reach and its selection predicate. The server stores every
-    entry with it. An ingestion batch evicts an entry iff it could have
-    changed that entry's reply:
+    Each entry carries {!meta}: the PC indices its query's FDD leaves
+    can reach and its selection predicate. An ingestion batch evicts an
+    entry iff it could have changed that entry's reply:
 
     - {e missing side}: the batch consumed budget of a PC in the
       entry's reachable set (consumption tightens every cell that PC
@@ -35,11 +34,9 @@
       predicate (the certain aggregate shifts) — skipped for
       [missing_only] entries, whose replies ignore the certain side.
 
-    An entry stored without metadata (only tests and oracles store
-    such entries) is conservatively evicted by every batch. Batches
-    touching neither side leave the entry byte-valid: the residual
-    constraint system restricted to the entry's reachable cells and its
-    certain selection are both unchanged.
+    Batches touching neither side leave the entry byte-valid: the
+    residual constraint system restricted to the entry's reachable cells
+    and its certain selection are both unchanged.
 
     An invalidation drops a reply, not what its text derived. An entry
     stored with [~parsed] is {e emptied}: its reply goes, and its key,
@@ -128,7 +125,7 @@ type refill = {
   query : Pc_query.Query.t;
   part : string;  (** {!query_part} of [query] *)
   key : string;  (** the canonical key *)
-  meta : meta option;  (** the meta the entry was stored with *)
+  meta : meta;  (** the meta the entry was stored with *)
 }
 
 (** What a {!front_key} leads to. *)
@@ -152,8 +149,8 @@ val find_front : t -> string -> front
 
 val store :
   t ->
-  ?meta:meta ->
-  ?version:int ->
+  meta:meta ->
+  version:int ->
   ?front:string ->
   ?parsed:Pc_query.Query.t * string ->
   string ->
@@ -164,12 +161,12 @@ val store :
     [version] is the stream version the reply's snapshot was pinned
     at: the store is silently dropped when an {!invalidate} for a later
     version has already swept (the reply is stale by construction).
-    Omitting [version] stores unconditionally. [front] is linked to the
-    entry stored, or to the one already present. [parsed] is the query
-    the key was built from and its {!query_part}: an entry stored with
-    it is emptied, not removed, by {!invalidate}. A fill keeps the
-    entry's layout when [meta] is physically the meta it holds (the one
-    a {!Refill} returned) and rebuilds it otherwise. *)
+    [front] is linked to the entry stored, or to the one already
+    present. [parsed] is the query the key was built from and its
+    {!query_part}: an entry stored with it is emptied, not removed, by
+    {!invalidate}. A fill keeps the entry's layout when [meta] is
+    physically the meta it holds (the one a {!Refill} returned) and
+    rebuilds it otherwise. *)
 
 val invalidate :
   t ->

@@ -438,7 +438,7 @@ let handle_bound t r v =
           | Cache.Hit text -> (Rtext text, { r with T.cache = W.Hit })
           | Cache.Refill f ->
               miss t ds r f.Cache.query ~part:f.Cache.part ~ckey:f.Cache.key
-                ~front ~timeout_ms ~missing_only ~meta:f.Cache.meta
+                ~front ~timeout_ms ~missing_only ~meta:(Some f.Cache.meta)
           | Cache.Absent -> (
               match Pc_parse.Query_parser.parse qtext with
               | exception Failure msg -> fail r "parse-error" msg

@@ -5,10 +5,7 @@ let approx_eq ?(eps = eps) a b =
   diff <= eps || diff <= eps *. Float.max (Float.abs a) (Float.abs b)
 
 let leq ?(eps = eps) a b = a <= b +. eps
-let geq ?(eps = eps) a b = a >= b -. eps
 let lt ?(eps = eps) a b = a < b -. eps
-let gt ?(eps = eps) a b = a > b +. eps
-let is_zero ?eps x = approx_eq ?eps x 0.
 let is_integer ?(eps = eps) x = Float.abs (x -. Float.round x) <= eps
 
 let round_to_int x =

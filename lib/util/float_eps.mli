@@ -14,17 +14,8 @@ val approx_eq : ?eps:float -> float -> float -> bool
 val leq : ?eps:float -> float -> float -> bool
 (** [leq a b] is [a <= b + eps] (tolerant less-or-equal). *)
 
-val geq : ?eps:float -> float -> float -> bool
-(** [geq a b] is [a >= b - eps]. *)
-
 val lt : ?eps:float -> float -> float -> bool
 (** Strict less-than with tolerance: [a < b - eps]. *)
-
-val gt : ?eps:float -> float -> float -> bool
-(** Strict greater-than with tolerance: [a > b + eps]. *)
-
-val is_zero : ?eps:float -> float -> bool
-(** [is_zero x] is [approx_eq x 0.]. *)
 
 val is_integer : ?eps:float -> float -> bool
 (** True when [x] is within [eps] of its nearest integer. *)

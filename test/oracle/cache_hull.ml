@@ -75,25 +75,21 @@ let selects test tuples =
 
 type verdict = Affected | Kept | Row_test of bool
 
-let verdict ~touched ~rows = function
-  | None -> Affected
-  | Some (m : Cache.meta) -> (
-      if List.exists (fun j -> j >= 0 && List.mem j m.pcs) touched then Affected
-      else if m.missing_only then Kept
-      else
-        match rows with
-        | None -> Kept
-        | Some (schema, tuples) ->
-            let c = compile schema m.where_ in
-            let skip =
-              match (hulls schema tuples, c.ranges) with
-              | Some h, Some atoms ->
-                  Array.exists
-                    (fun (i, iv) -> misses iv ~lo:h.lo.(i) ~hi:h.hi.(i))
-                    atoms
-              | _ -> false
-            in
-            if skip then Kept else Row_test (selects c.test tuples))
+let verdict ~touched ~rows (m : Cache.meta) =
+  if List.exists (fun j -> j >= 0 && List.mem j m.pcs) touched then Affected
+  else if m.missing_only then Kept
+  else
+    match rows with
+    | None -> Kept
+    | Some (schema, tuples) ->
+        let c = compile schema m.where_ in
+        let skip =
+          match (hulls schema tuples, c.ranges) with
+          | Some h, Some atoms ->
+              Array.exists (fun (i, iv) -> misses iv ~lo:h.lo.(i) ~hi:h.hi.(i)) atoms
+          | _ -> false
+        in
+        if skip then Kept else Row_test (selects c.test tuples)
 
 let affected ~touched ~rows m =
   match verdict ~touched ~rows m with

@@ -12,18 +12,17 @@
 val affected :
   touched:int list ->
   rows:(Pc_data.Schema.t * Pc_data.Relation.tuple array) option ->
-  Pc_server.Cache.meta option ->
+  Pc_server.Cache.meta ->
   bool
 (** Missing side: [touched] meets the entry's reachable PCs. Certain
     side (skipped for [missing_only] entries): no numeric atom misses
     its column's hull, and some row satisfies the selection or
-    evaluating it raises. An entry without metadata is always
-    affected. *)
+    evaluating it raises. *)
 
 val row_tested :
   touched:int list ->
   rows:(Pc_data.Schema.t * Pc_data.Relation.tuple array) option ->
-  Pc_server.Cache.meta option ->
+  Pc_server.Cache.meta ->
   bool
 (** The entry reaches the exact row test: no touched PC reaches it, it
     reads the certain side, the batch has rows, and no numeric atom

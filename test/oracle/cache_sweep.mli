@@ -9,9 +9,8 @@
 val affected :
   touched:int list ->
   rows:(Pc_data.Schema.t * Pc_data.Relation.tuple array) option ->
-  Pc_server.Cache.meta option ->
+  Pc_server.Cache.meta ->
   bool
 (** Missing side: [touched] meets the entry's reachable PCs. Certain
     side (skipped for [missing_only] entries): some row satisfies the
-    selection, or evaluating it raises. An entry without metadata is
-    always affected. *)
+    selection, or evaluating it raises. *)

@@ -90,12 +90,7 @@ open State
 let max_enum_bits = 24
 
 let guard_enumeration n =
-  if n > max_enum_bits then
-    invalid_arg
-      (Printf.sprintf
-         "Cells.decompose: exhaustive strategy on %d constraints would \
-          enumerate 2^%d cells"
-         n n)
+  if n > max_enum_bits then raise (Pc_core.Cells.Enumeration_guard n)
 
 type budgeted = {
   decide : eager:bool -> state -> state option;

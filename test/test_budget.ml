@@ -137,6 +137,44 @@ let test_expired_deadline_trivial () =
     o.Bounds.stats.Bounds.deadline_hit;
   check_contains_exact (range_of o.Bounds.answer)
 
+(* 25 PCs that all cover utc in [24, 30]: [Naive] and [Early_stop 0]
+   would enumerate 2^25 cells, past [Cells]' guard. (A disjoint set
+   would take the greedy path and never decompose.) One row at utc 27
+   holds every PC. *)
+let guarded =
+  Pc_set.make
+    (List.init 25 (fun i ->
+         let lo = float_of_int i in
+         mk ~name:(Printf.sprintf "g%d" i)
+           [ Atom.between "utc" lo (lo +. 30.) ]
+           [ ("price", I.closed 0. 100.) ]
+           (1, 10)))
+
+let test_guard_steps_to_trivial strategy () =
+  let schema =
+    Pc_data.Schema.of_names
+      [ ("utc", Pc_data.Schema.Numeric); ("price", Pc_data.Schema.Numeric) ]
+  in
+  let instance = Pc_data.Relation.create schema [ [| Pc_data.Value.Num 27.; Num 50. |] ] in
+  Alcotest.(check bool) "the instance holds every PC" true (Pc_set.holds instance guarded);
+  let truth = Option.get (Q.eval instance count) in
+  Pc_obs.Trace.set_enabled true;
+  Pc_obs.Trace.reset ();
+  let opts = { Bounds.default_opts with Bounds.strategy } in
+  let o = Bounds.bound_budgeted ~opts guarded count in
+  let causes =
+    List.filter_map
+      (fun (sp : Pc_obs.Trace.span) ->
+        if sp.name = "rung.trivial" then List.assoc_opt "cause" sp.attrs else None)
+      (Pc_obs.Trace.spans ())
+  in
+  Pc_obs.Trace.set_enabled false;
+  Alcotest.(check (list string)) "trivial rung's cause" [ "enumeration-guard" ] causes;
+  Alcotest.(check (list string)) "rungs" [ "exact"; "trivial" ]
+    (List.map Bounds.provenance_name o.Bounds.stats.Bounds.rungs);
+  Alcotest.(check bool) "the range contains the truth" true
+    (Range.contains (range_of o.Bounds.answer) truth)
+
 let test_crushed_never_raises_any_agg () =
   let queries =
     [
@@ -353,6 +391,10 @@ let () =
           tc "zero nodes -> relaxed" `Quick test_zero_nodes_relaxed;
           tc "zero sat -> early stop" `Quick test_zero_sat_early_stopped;
           tc "expired deadline -> trivial" `Quick test_expired_deadline_trivial;
+          tc "naive past the guard -> trivial" `Quick
+            (test_guard_steps_to_trivial Cells.Naive);
+          tc "early stop 0 past the guard -> trivial" `Quick
+            (test_guard_steps_to_trivial (Cells.Early_stop 0));
           tc "crushed budgets never raise" `Quick test_crushed_never_raises_any_agg;
           tc "witness audit" `Quick test_audit_passes;
           tc "join bound degrades soundly" `Quick test_join_bound_degrades_soundly;

@@ -1,5 +1,5 @@
-(* Tests for the extension modules: GROUP-BY bounding, dirty-row analysis,
-   bound explanation, and the PC+sampling hybrid. *)
+(* Tests for the extension modules: GROUP-BY bounding, bound
+   explanation, and the PC+sampling hybrid. *)
 
 module Q = Pc_query.Query
 module Atom = Pc_predicate.Atom
@@ -98,159 +98,6 @@ let test_group_by_consistency () =
       Alcotest.(check bool) "groups cover the total" true
         (group_hi_sum >= r.Range.hi -. 1e-6)
   | _ -> Alcotest.fail "expected range"
-
-(* ------------------------------ dirty ------------------------------- *)
-
-let dirty_rel =
-  Pc_data.Relation.create schema
-    [
-      row 1. "Chicago" 10.;
-      row 2. "Chicago" 20.;
-      row 3. "New York" 30.;
-      row 10. "Trenton" 100.;
-    ]
-
-let dirty_range = function
-  | Pc_dirty.Dirty.Range r -> r
-  | Pc_dirty.Dirty.Empty -> Alcotest.fail "unexpected Empty"
-  | Pc_dirty.Dirty.Inconsistent -> Alcotest.fail "unexpected Inconsistent"
-
-let test_dirty_no_annotations_exact () =
-  List.iter
-    (fun (q, expected) ->
-      let r = dirty_range (Pc_dirty.Dirty.bound dirty_rel [] q) in
-      check_float "lo exact" expected r.Range.lo;
-      check_float "hi exact" expected r.Range.hi)
-    [
-      (Q.sum "price", 160.);
-      (Q.count (), 4.);
-      (Q.avg "price", 40.);
-      (Q.min_ "price", 10.);
-      (Q.max_ "price", 100.);
-    ]
-
-let test_dirty_additive_sum () =
-  let ann = [ Pc_dirty.Dirty.annotation ~attr:"price" (Pc_dirty.Dirty.Additive 5.) ] in
-  let r = dirty_range (Pc_dirty.Dirty.bound dirty_rel ann (Q.sum "price")) in
-  check_float "sum lo" (160. -. 20.) r.Range.lo;
-  check_float "sum hi" (160. +. 20.) r.Range.hi
-
-let test_dirty_predicate_scoped () =
-  (* only Chicago prices are suspect *)
-  let ann =
-    [
-      Pc_dirty.Dirty.annotation
-        ~pred:[ Atom.cat_eq "branch" "Chicago" ]
-        ~attr:"price" (Pc_dirty.Dirty.Additive 10.);
-    ]
-  in
-  let r = dirty_range (Pc_dirty.Dirty.bound dirty_rel ann (Q.sum "price")) in
-  check_float "only chicago moves" (160. -. 20.) r.Range.lo;
-  check_float "only chicago moves hi" (160. +. 20.) r.Range.hi
-
-let test_dirty_uncertain_predicate_attr () =
-  (* utc is uncertain by ±2: row at utc=3 may or may not fall in [0, 2.5] *)
-  let ann = [ Pc_dirty.Dirty.annotation ~attr:"utc" (Pc_dirty.Dirty.Additive 2.) ] in
-  let q = Q.count ~where_:[ Atom.between "utc" 0. 2.5 ] () in
-  let r = dirty_range (Pc_dirty.Dirty.bound dirty_rel ann q) in
-  (* rows 1 and 2: may (intervals [-1,3], [0,4] straddle 2.5? both inside?
-     [−1,3] ⊄ [0,2.5] but overlaps; [0,4] overlaps; row 3: [1,5] overlaps;
-     row 10: [8,12] disjoint -> No. So 0 must, 3 may. *)
-  check_float "count lo" 0. r.Range.lo;
-  check_float "count hi" 3. r.Range.hi
-
-let test_dirty_relative_and_absolute () =
-  let ann_rel =
-    [ Pc_dirty.Dirty.annotation ~attr:"price" (Pc_dirty.Dirty.Relative 0.1) ]
-  in
-  let r = dirty_range (Pc_dirty.Dirty.bound dirty_rel ann_rel (Q.max_ "price")) in
-  check_float "max hi with 10% slack" 110. r.Range.hi;
-  let ann_abs =
-    [
-      Pc_dirty.Dirty.annotation ~attr:"price"
-        (Pc_dirty.Dirty.Absolute (I.closed 0. 50.));
-    ]
-  in
-  let r = dirty_range (Pc_dirty.Dirty.bound dirty_rel ann_abs (Q.max_ "price")) in
-  check_float "absolute replaces recorded" 50. r.Range.hi
-
-let test_dirty_inconsistent () =
-  let ann =
-    [
-      Pc_dirty.Dirty.annotation ~attr:"price"
-        (Pc_dirty.Dirty.Absolute (I.closed 0. 10.));
-      Pc_dirty.Dirty.annotation ~attr:"price"
-        (Pc_dirty.Dirty.Absolute (I.closed 500. 600.));
-    ]
-  in
-  Alcotest.(check bool) "conflicting annotations" true
-    (Pc_dirty.Dirty.bound dirty_rel ann (Q.sum "price") = Pc_dirty.Dirty.Inconsistent)
-
-let test_dirty_avg_with_mays () =
-  (* price uncertain ±10 on a query selecting price >= 25: row 30 is may
-     in [20,40]; row 100 must in [90,110]; rows 10,20 may ([0,20],[10,30]):
-     row 10 -> [0,20] vs >=25: no. row 20 -> [10,30] overlaps -> may with
-     contribution clipped to [25,30]. *)
-  let ann = [ Pc_dirty.Dirty.annotation ~attr:"price" (Pc_dirty.Dirty.Additive 10.) ] in
-  let q = Q.avg ~where_:[ Atom.at_least "price" 25. ] "price" in
-  let r = dirty_range (Pc_dirty.Dirty.bound dirty_rel ann q) in
-  (* max avg: must row at 110; adding mays (40, 30) lowers it -> 110 *)
-  check_float "avg hi" 110. r.Range.hi;
-  (* min avg: must row at 90; add mays at their clipped lows 25,25:
-     (90+25+25)/3 = 46.666... *)
-  check_float "avg lo" ((90. +. 25. +. 25.) /. 3.) r.Range.lo
-
-let test_dirty_empty () =
-  let q = Q.avg ~where_:[ Atom.at_least "price" 1e6 ] "price" in
-  Alcotest.(check bool) "empty" true
-    (Pc_dirty.Dirty.bound dirty_rel [] q = Pc_dirty.Dirty.Empty)
-
-(* Soundness: random repairs stay inside the dirty bound. *)
-let prop_dirty_sound =
-  QCheck.Test.make ~name:"random repairs stay inside dirty bounds" ~count:120
-    QCheck.(int_bound 100_000) (fun seed ->
-      let rng = Pc_util.Rng.create seed in
-      let n = 5 + Pc_util.Rng.int rng 20 in
-      let rel =
-        Pc_data.Relation.create schema
-          (List.init n (fun i ->
-               row (float_of_int i)
-                 (if i mod 2 = 0 then "Chicago" else "New York")
-                 (Pc_util.Rng.uniform rng ~lo:0. ~hi:100.)))
-      in
-      let delta = Pc_util.Rng.uniform rng ~lo:0. ~hi:20. in
-      let ann =
-        [ Pc_dirty.Dirty.annotation ~attr:"price" (Pc_dirty.Dirty.Additive delta) ]
-      in
-      let lo_q = Pc_util.Rng.uniform rng ~lo:0. ~hi:80. in
-      let q =
-        match Pc_util.Rng.int rng 5 with
-        | 0 -> Q.count ~where_:[ Atom.at_least "price" lo_q ] ()
-        | 1 -> Q.sum ~where_:[ Atom.at_least "price" lo_q ] "price"
-        | 2 -> Q.avg ~where_:[ Atom.at_least "price" lo_q ] "price"
-        | 3 -> Q.min_ ~where_:[ Atom.at_least "price" lo_q ] "price"
-        | _ -> Q.max_ ~where_:[ Atom.at_least "price" lo_q ] "price"
-      in
-      let answer = Pc_dirty.Dirty.bound rel ann q in
-      (* build a random repair: perturb each price within ±delta *)
-      let repair =
-        Pc_data.Relation.of_array schema
-          (Array.map
-             (fun r ->
-               let r = Array.copy r in
-               (match r.(2) with
-               | V.Num p ->
-                   r.(2) <- V.Num (p +. Pc_util.Rng.uniform rng ~lo:(-.delta) ~hi:delta)
-               | V.Str _ -> ());
-               r)
-             (Pc_data.Relation.tuples rel))
-      in
-      match (answer, Q.eval repair q) with
-      | Pc_dirty.Dirty.Inconsistent, _ -> false
-      | Pc_dirty.Dirty.Empty, None -> true
-      | Pc_dirty.Dirty.Empty, Some _ -> false
-      | Pc_dirty.Dirty.Range _, None -> true
-      | Pc_dirty.Dirty.Range r, Some truth -> Range.contains r truth)
 
 (* ------------------------------ explain ----------------------------- *)
 
@@ -395,18 +242,6 @@ let () =
           tc "residual group" `Quick test_group_by_residual;
           tc "validation" `Quick test_group_by_validation;
           tc "covers the total" `Quick test_group_by_consistency;
-        ] );
-      ( "dirty",
-        [
-          tc "no annotations = exact" `Quick test_dirty_no_annotations_exact;
-          tc "additive sum" `Quick test_dirty_additive_sum;
-          tc "predicate-scoped" `Quick test_dirty_predicate_scoped;
-          tc "uncertain predicate attr" `Quick test_dirty_uncertain_predicate_attr;
-          tc "relative/absolute" `Quick test_dirty_relative_and_absolute;
-          tc "inconsistent" `Quick test_dirty_inconsistent;
-          tc "avg with mays" `Quick test_dirty_avg_with_mays;
-          tc "empty" `Quick test_dirty_empty;
-          QCheck_alcotest.to_alcotest prop_dirty_sound;
         ] );
       ( "explain",
         [

@@ -153,14 +153,17 @@ let test_stream_schema_mismatch () =
 
 let evictions () = Pc_obs.Registry.Counter.(get (make "cache.evictions"))
 
+(* The meta of an entry that every batch touching PC 0 evicts. *)
+let pc0 = { Cache.pcs = [ 0 ]; where_ = []; missing_only = true }
+
 let test_cache_byte_cap () =
   Pc_obs.Registry.set_enabled true;
   let c = Cache.create ~capacity:1024 ~capacity_bytes:256 () in
   let before = evictions () in
   let big = String.make 100 'x' in
-  Cache.store c "k0" big;
-  Cache.store c "k1" big;
-  Cache.store c "k2" big;
+  Cache.store c ~meta:pc0 ~version:0 "k0" big;
+  Cache.store c ~meta:pc0 ~version:0 "k1" big;
+  Cache.store c ~meta:pc0 ~version:0 "k2" big;
   (* three ~102-byte entries exceed 256 bytes: FIFO drops the oldest *)
   Alcotest.(check bool) "bytes under cap" true (Cache.bytes c <= 256);
   Alcotest.(check int) "oldest-out" 2 (Cache.size c);
@@ -175,24 +178,21 @@ let test_cache_delta_invalidation () =
   in
   let chicago = [ Atom.cat_eq "branch" "Chicago" ] in
   let ny = [ Atom.cat_eq "branch" "New York" ] in
-  Cache.store c ~meta:(meta [ 0 ] chicago) "q_pc" "r_pc";
-  Cache.store c ~meta:(meta [ 1 ] chicago) "q_row" "r_row";
-  Cache.store c ~meta:(meta [ 1 ] ny) "q_safe" "r_safe";
-  Cache.store c ~meta:(meta ~missing_only:true [ 1 ] chicago) "q_miss" "r_miss";
-  Cache.store c "q_bare" "r_bare";
+  Cache.store c ~meta:(meta [ 0 ] chicago) ~version:0 "q_pc" "r_pc";
+  Cache.store c ~meta:(meta [ 1 ] chicago) ~version:0 "q_row" "r_row";
+  Cache.store c ~meta:(meta [ 1 ] ny) ~version:0 "q_safe" "r_safe";
+  Cache.store c ~meta:(meta ~missing_only:true [ 1 ] chicago) ~version:0 "q_miss" "r_miss";
   let schema =
     Schema.of_names [ ("branch", Schema.Categorical); ("price", Schema.Numeric) ]
   in
   let rows = Some (schema, [| [| V.Str "Chicago"; V.Num 50. |] |]) in
   (* the batch consumed PC 0 and its row is a Chicago row: the PC-scoped
-     entry, the selection-matching entry, and the no-meta entry go; the
-     New-York entry and the missing-only entry (certain side invisible
-     to it) survive *)
+     entry and the selection-matching entry go; the New-York entry and
+     the missing-only entry (certain side invisible to it) survive *)
   let n = Cache.invalidate c ~version:1 ~touched:[ 0 ] ~rows in
-  Alcotest.(check int) "three evictions" 3 n;
+  Alcotest.(check int) "two evictions" 2 n;
   Alcotest.(check (option string)) "pc overlap evicted" None (Cache.find c "q_pc");
   Alcotest.(check (option string)) "row match evicted" None (Cache.find c "q_row");
-  Alcotest.(check (option string)) "no-meta evicted" None (Cache.find c "q_bare");
   Alcotest.(check (option string)) "disjoint entry survives" (Some "r_safe")
     (Cache.find c "q_safe");
   Alcotest.(check (option string)) "missing-only ignores certain rows"
@@ -215,11 +215,11 @@ let low_price = Atom.between "price" 0. 1.
 
 let sweep_evicts where_ rows =
   Cache_sweep.affected ~touched:[] ~rows
-    (Some { Cache.pcs = [ 1 ]; where_; missing_only = false })
+    { Cache.pcs = [ 1 ]; where_; missing_only = false }
 
 let evicted_by where_ rows =
   let c = Cache.create () in
-  Cache.store c ~meta:{ Cache.pcs = [ 1 ]; where_; missing_only = false } "q" "r";
+  Cache.store c ~meta:{ Cache.pcs = [ 1 ]; where_; missing_only = false } ~version:0 "q" "r";
   ignore (Cache.invalidate c ~version:1 ~touched:[] ~rows);
   Cache.find c "q" = None
 
@@ -254,7 +254,7 @@ let test_cache_hull_miss_keeps_hit () =
   in
   let c = Cache.create () in
   let where_ = [ Atom.between "price" 0. 10. ] in
-  Cache.store c ~meta:{ Cache.pcs = [ 1 ]; where_; missing_only = false } "q" "r";
+  Cache.store c ~meta:{ Cache.pcs = [ 1 ]; where_; missing_only = false } ~version:0 "q" "r";
   let before = row_tests () in
   let n =
     Cache.invalidate c ~version:1 ~touched:[ 0 ] ~rows:(price_rows [ 50.; 60. ])
@@ -270,24 +270,20 @@ let test_cache_hull_miss_keeps_hit () =
    version advanced by [invalidate]. *)
 let test_cache_version_fence () =
   let c = Cache.create () in
-  Cache.store c ~version:0 "q_v0" "r_v0";
+  Cache.store c ~meta:pc0 ~version:0 "q_v0" "r_v0";
   Alcotest.(check (option string)) "fresh store lands" (Some "r_v0")
     (Cache.find c "q_v0");
-  (* a batch publishes version 1 and sweeps (no meta: everything goes) *)
-  ignore (Cache.invalidate c ~version:1 ~touched:[] ~rows:None);
+  (* a batch consumes PC 0, publishes version 1 and sweeps *)
+  ignore (Cache.invalidate c ~version:1 ~touched:[ 0 ] ~rows:None);
   Alcotest.(check (option string)) "swept" None (Cache.find c "q_v0");
   (* the in-flight reply pinned at version 0 arrives late: dropped *)
-  Cache.store c ~version:0 "q_stale" "r_stale";
+  Cache.store c ~meta:pc0 ~version:0 "q_stale" "r_stale";
   Alcotest.(check (option string)) "stale store fenced" None
     (Cache.find c "q_stale");
   (* a reply pinned at the published version stores normally *)
-  Cache.store c ~version:1 "q_v1" "r_v1";
+  Cache.store c ~meta:pc0 ~version:1 "q_v1" "r_v1";
   Alcotest.(check (option string)) "current store lands" (Some "r_v1")
-    (Cache.find c "q_v1");
-  (* version-less stores (no streaming in play) are unconditional *)
-  Cache.store c "q_bare" "r_bare";
-  Alcotest.(check (option string)) "unversioned store lands" (Some "r_bare")
-    (Cache.find c "q_bare")
+    (Cache.find c "q_v1")
 
 (* Steady store→invalidate churn keeps the table under both caps, so
    capacity eviction never runs — the bookkeeping queue must be
@@ -295,8 +291,8 @@ let test_cache_version_fence () =
 let test_cache_queue_compaction () =
   let c = Cache.create () in
   for i = 1 to 10_000 do
-    Cache.store c (Printf.sprintf "k%d" i) "v";
-    ignore (Cache.invalidate c ~version:i ~touched:[] ~rows:None)
+    Cache.store c ~meta:pc0 ~version:(i - 1) (Printf.sprintf "k%d" i) "v";
+    ignore (Cache.invalidate c ~version:i ~touched:[ 0 ] ~rows:None)
   done;
   Alcotest.(check int) "table empty" 0 (Cache.size c);
   Alcotest.(check bool)
@@ -900,14 +896,11 @@ let prop_invalidate_matches_sweep =
             if R.bool rng then Atom.Cat_in (a, ws) else Atom.Cat_not_in (a, ws)
       in
       let meta () =
-        if one_in 8 then None
-        else
-          Some
-            {
-              Cache.pcs = subset ();
-              where_ = List.init (R.int rng 4) (fun _ -> atom ());
-              missing_only = one_in 5;
-            }
+        {
+          Cache.pcs = subset ();
+          where_ = List.init (R.int rng 4) (fun _ -> atom ());
+          missing_only = one_in 5;
+        }
       in
       let value (a : Schema.attr) =
         match a.Schema.kind with
@@ -927,7 +920,7 @@ let prop_invalidate_matches_sweep =
         for _ = 0 to R.int rng 8 do
           let key = Printf.sprintf "k%d" !next and m = meta () in
           incr next;
-          Cache.store c ?meta:m key "v";
+          Cache.store c ~meta:m ~version:(version - 1) key "v";
           live := (key, m) :: !live
         done;
         let touched = if one_in 3 then [] else subset () in

@@ -65,11 +65,9 @@ let test_infeasible () =
       var_bounds = [];
     }
   in
-  (match S.solve p with
+  match S.solve p with
   | S.Infeasible -> ()
-  | S.Optimal _ | S.Unbounded | S.Stopped _ ->
-      Alcotest.fail "expected infeasible");
-  Alcotest.(check bool) "feasible fn" false (S.feasible p)
+  | S.Optimal _ | S.Unbounded | S.Stopped _ -> Alcotest.fail "expected infeasible"
 
 let test_unbounded () =
   let p =
@@ -359,7 +357,7 @@ let test_empty_box_infeasible () =
   | S.Optimal _ | S.Unbounded | S.Stopped _ ->
       Alcotest.fail "expected Infeasible on an empty box"
 
-(* --- warm starts: solve_from matches a cold solve under the new box --- *)
+(* --- warm starts: a warm solve matches a cold one under the new box --- *)
 
 let chain_problem =
   {
@@ -375,10 +373,15 @@ let chain_problem =
     var_bounds = [];
   }
 
-let test_solve_from_matches_cold () =
+let test_warm_matches_cold () =
+  let lp = S.compile chain_problem and objective = S.objective_vector chain_problem in
+  let cold bounds = S.solve_compiled lp ~maximize:true ~objective ~bounds in
+  let warm snapshot bounds =
+    S.solve_compiled_from lp ~snapshot ~maximize:true ~objective ~bounds
+  in
   let lo = [| 0.; 0.; 0. |] and hi = [| infinity; infinity; infinity |] in
   let snap =
-    match S.solve_snapshot ~bounds:(lo, hi) chain_problem with
+    match cold (lo, hi) with
     | S.Optimal _, Some snap -> snap
     | _ -> Alcotest.fail "root solve failed"
   in
@@ -392,8 +395,8 @@ let test_solve_from_matches_cold () =
   in
   List.iter
     (fun (lo, hi) ->
-      let warm, _ = S.solve_from ~snapshot:snap ~bounds:(lo, hi) chain_problem in
-      let cold, _ = S.solve_snapshot ~bounds:(lo, hi) chain_problem in
+      let warm, _ = warm snap (lo, hi) in
+      let cold, _ = cold (lo, hi) in
       match (warm, cold) with
       | S.Optimal w, S.Optimal c ->
           check_float "warm = cold objective" c.S.objective_value
@@ -402,11 +405,7 @@ let test_solve_from_matches_cold () =
       | _ -> Alcotest.fail "warm and cold outcomes disagree")
     boxes;
   (* tightening into an empty feasible region is certified infeasible *)
-  let warm_inf, _ =
-    S.solve_from ~snapshot:snap
-      ~bounds:([| 10.; 0.; 0. |], [| infinity; infinity; infinity |])
-      chain_problem
-  in
+  let warm_inf, _ = warm snap ([| 10.; 0.; 0. |], [| infinity; infinity; infinity |]) in
   match warm_inf with
   | S.Infeasible -> ()
   | _ -> Alcotest.fail "expected Infeasible from the warm path"
@@ -441,15 +440,19 @@ let test_warm_chain_reuse () =
       var_bounds = [];
     }
   in
+  let lp = S.compile p and objective = S.objective_vector p in
   let lo = Array.make n 0. and hi = Array.make n 10. in
+  let cold () =
+    S.solve_compiled lp ~maximize:true ~objective ~bounds:(Array.copy lo, Array.copy hi)
+  in
   let cold_at () =
-    match S.solve_snapshot ~bounds:(Array.copy lo, Array.copy hi) p with
+    match cold () with
     | S.Optimal s, _ -> s
     | _ -> Alcotest.fail "cold solve failed"
   in
   let snap =
     ref
-      (match S.solve_snapshot ~bounds:(Array.copy lo, Array.copy hi) p with
+      (match cold () with
       | S.Optimal _, Some snap -> snap
       | _ -> Alcotest.fail "root solve failed")
   in
@@ -461,7 +464,8 @@ let test_warm_chain_reuse () =
     done;
     let warm, dw =
       counting (fun () ->
-          S.solve_from ~snapshot:!snap ~bounds:(Array.copy lo, Array.copy hi) p)
+          S.solve_compiled_from lp ~snapshot:!snap ~maximize:true ~objective
+            ~bounds:(Array.copy lo, Array.copy hi))
     in
     (match warm with
     | S.Optimal s, Some snap' ->
@@ -483,7 +487,7 @@ let test_warm_chain_reuse () =
     true
     (!warm_pivots * 2 < !cold_pivots)
 
-let test_solve_from_shape_fallback () =
+let test_warm_shape_fallback () =
   (* a snapshot from a different problem shape must fall back to a cold
      solve — and still return the right answer *)
   let other =
@@ -496,7 +500,10 @@ let test_solve_from_shape_fallback () =
     }
   in
   let snap =
-    match S.solve_snapshot other with
+    match
+      S.solve_compiled (S.compile other) ~maximize:true
+        ~objective:(S.objective_vector other) ~bounds:(S.bounds_of_problem other)
+    with
     | S.Optimal _, Some snap -> snap
     | _ -> Alcotest.fail "setup solve failed"
   in
@@ -504,9 +511,9 @@ let test_solve_from_shape_fallback () =
   let fb = C.make "lp.warm_fallbacks" in
   let before = C.get fb in
   let outcome, _ =
-    S.solve_from ~snapshot:snap
+    S.solve_compiled_from (S.compile chain_problem) ~snapshot:snap ~maximize:true
+      ~objective:(S.objective_vector chain_problem)
       ~bounds:([| 0.; 0.; 0. |], [| infinity; infinity; infinity |])
-      chain_problem
   in
   (match outcome with
   | S.Optimal s ->
@@ -738,7 +745,11 @@ let test_allocation_ceiling () =
     w
   in
   let reused = words (fun () -> S.solve_compiled lp ~maximize:true ~objective ~bounds) in
-  let fresh = words (fun () -> S.solve_snapshot p) in
+  let fresh =
+    words (fun () ->
+        S.solve_compiled (S.compile p) ~maximize:true ~objective:(S.objective_vector p)
+          ~bounds:(S.bounds_of_problem p))
+  in
   Pc_obs.Registry.set_enabled was;
   Alcotest.(check bool)
     (Printf.sprintf "solve on a compiled value: %.0f minor words <= 1000" reused)
@@ -805,9 +816,7 @@ let test_budget_stop () =
   | S.Stopped _ -> Alcotest.fail "wrong stop reason"
   | S.Optimal _ | S.Infeasible | S.Unbounded ->
       Alcotest.fail "expected Stopped under a zero-pivot budget");
-  Alcotest.(check bool) "budget is dead" true (Pc_budget.Budget.is_dead b);
-  (* unknown feasibility is treated as feasible *)
-  Alcotest.(check bool) "feasible on stop" true (S.feasible ~budget:b p)
+  Alcotest.(check bool) "budget is dead" true (Pc_budget.Budget.is_dead b)
 
 let test_deadline_stop () =
   let b = Pc_budget.Budget.start (Pc_budget.Budget.spec ~timeout:0. ()) in
@@ -962,10 +971,10 @@ let () =
           tc "duplicate indices" `Quick test_duplicate_indices;
           tc "variable bounds" `Quick test_var_bounds;
           tc "empty box infeasible" `Quick test_empty_box_infeasible;
-          tc "solve_from matches cold" `Quick test_solve_from_matches_cold;
+          tc "solve_from matches cold" `Quick test_warm_matches_cold;
           tc "warm reuse across a tightening chain" `Quick
             test_warm_chain_reuse;
-          tc "solve_from shape fallback" `Quick test_solve_from_shape_fallback;
+          tc "solve_from shape fallback" `Quick test_warm_shape_fallback;
           tc "eta growth forces refactorization" `Quick test_eta_refactorization;
           tc "allocation ceiling" `Quick test_allocation_ceiling;
         ] );

@@ -710,7 +710,7 @@ let test_front_keys_follow_entry () =
   let query = Pc_query.Query.count () in
   let part = Cache.query_part query in
   let c = Cache.create () in
-  Cache.store c ~meta ~front:fa ~parsed:(query, part) "k" "v";
+  Cache.store c ~meta ~version:0 ~front:fa ~parsed:(query, part) "k" "v";
   Alcotest.(check (option string)) "canonical hit links b" (Some "v")
     (Cache.find c ~front:fb "k");
   Alcotest.(check int) "two texts, one entry" 1 (Cache.size c);
@@ -725,7 +725,7 @@ let test_front_keys_follow_entry () =
   Alcotest.(check string) "front a refills" ("refill k " ^ part) (looks c fa);
   Alcotest.(check string) "front b refills" ("refill k " ^ part) (looks c fb);
   (match Cache.find_front c fa with
-  | Cache.Refill { Cache.meta = Some m; query = q; _ } ->
+  | Cache.Refill { Cache.meta = m; query = q; _ } ->
       Alcotest.(check bool) "the kept meta and query" true (m == meta && q == query)
   | _ -> Alcotest.fail "no refill");
   Alcotest.(check (option string)) "an emptied entry never answers" None
@@ -743,7 +743,7 @@ let test_front_keys_follow_entry () =
   (* stored without [~parsed]: nothing to keep, so the entry and its
      front keys go *)
   let c = Cache.create () in
-  Cache.store c ~meta ~front:fa "k" "v";
+  Cache.store c ~meta ~version:0 ~front:fa "k" "v";
   Alcotest.(check int) "removed" 1
     (Cache.invalidate c ~version:1 ~touched:[ 0 ] ~rows:None);
   Alcotest.(check string) "its front gone" "absent" (looks c fa);
@@ -754,8 +754,8 @@ let test_front_keys_follow_entry () =
      it *)
   let v = String.make 40 'x' in
   let c = Cache.create ~capacity_bytes:100 () in
-  Cache.store c ~front:fa "k1" v;
-  Cache.store c ~front:fb "k2" v;
+  Cache.store c ~meta ~version:0 ~front:fa "k1" v;
+  Cache.store c ~meta ~version:0 ~front:fb "k2" v;
   Alcotest.(check string) "old front evicted" "absent" (looks c fa);
   Alcotest.(check string) "new front kept" ("hit " ^ v) (looks c fb);
   Alcotest.(check int) "bytes after eviction"
@@ -815,14 +815,11 @@ let prop_flat_invalidate_matches_oracle =
             if R.bool rng then Atom.Cat_in (a, ws) else Atom.Cat_not_in (a, ws)
       in
       let meta () =
-        if one_in 8 then None
-        else
-          Some
-            {
-              Cache.pcs = subset ();
-              where_ = List.init (R.int rng 4) (fun _ -> atom ());
-              missing_only = one_in 5;
-            }
+        {
+          Cache.pcs = subset ();
+          where_ = List.init (R.int rng 4) (fun _ -> atom ());
+          missing_only = one_in 5;
+        }
       in
       let value (a : Schema.attr) =
         match a.Schema.kind with
@@ -842,7 +839,7 @@ let prop_flat_invalidate_matches_oracle =
         for _ = 0 to R.int rng 8 do
           let key = Printf.sprintf "k%d" !next and m = meta () in
           incr next;
-          Cache.store c ?meta:m key "v";
+          Cache.store c ~meta:m ~version:(version - 1) key "v";
           live := (key, m) :: !live
         done;
         let touched = if one_in 3 then [] else subset () in
@@ -984,9 +981,7 @@ module Cache_model = struct
               match Cache.find_front c front with
               | Cache.Hit v -> Some v
               | Cache.Refill f ->
-                  expect
-                    (f.Cache.key = key
-                    && match f.Cache.meta with Some m -> m == meta | None -> false);
+                  expect (f.Cache.key = key && f.Cache.meta == meta);
                   None
               | Cache.Absent -> Cache.find c ~front key
             in
@@ -1011,7 +1006,7 @@ module Cache_model = struct
             let victims =
               Hashtbl.fold
                 (fun k (_, m) acc ->
-                  if Cache_sweep.affected ~touched ~rows (Some m) then k :: acc else acc)
+                  if Cache_sweep.affected ~touched ~rows m then k :: acc else acc)
                 entries []
             in
             List.iter

@@ -276,7 +276,7 @@ let bound ds line =
   match Cache.find_front ds.cache front with
   | Cache.Hit _ -> "hit"
   | Cache.Refill f ->
-      miss ds ~front f.Cache.query ~part:f.Cache.part ~ckey:f.Cache.key ~meta:f.Cache.meta
+      miss ds ~front f.Cache.query ~part:f.Cache.part ~ckey:f.Cache.key ~meta:(Some f.Cache.meta)
   | Cache.Absent -> (
       let query = timed "  parse" (fun () -> Pc_parse.Query_parser.parse text) in
       let part, ckey = timed "  key" (fun () -> keys ~digest:ds.digest query) in

@@ -133,7 +133,12 @@ let () =
   let key i = Cache.key ~digest ~query:queries.(i) ~missing_only:false ~timeout_ms:None in
   let keys = Array.init n key in
   let cache = Cache.create () in
-  Array.iteri (fun i k -> Cache.store cache k replies.(i)) keys;
+  Array.iteri
+    (fun i k ->
+      let where_ = queries.(i).Pc_query.Query.where_ in
+      let meta = { Cache.pcs = []; where_; missing_only = false } in
+      Cache.store cache ~meta ~version:0 k replies.(i))
+    keys;
   let a, b = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   let reader = Net.reader b in
   let sink = Bytes.create 65536 in
