@@ -134,9 +134,6 @@ val bound_with_certain :
     partition and combines it with the missing-data range (§6.2's
     partial-ground-truth protocol). *)
 
-val can_be_empty : Pc_set.t -> Pc_query.Query.t -> bool
-(** No frequency lower bound forces a row into the query region. *)
-
 (** {2 Cell regions}
 
     What the allocation program knows about the rows of one cell

@@ -46,8 +46,8 @@ type stats = {
       (** atom-level box operations performed by the solver — the
           machine-level measure of decomposition effort. Both counts are
           this decomposition's own; they are added to
-          {!Pc_predicate.Sat.calls} and {!Pc_predicate.Sat.atom_ops} once
-          it ends. *)
+          {!Pc_predicate.Sat.calls} and the [sat.atom_ops] counter once it
+          ends. *)
   n_cells : int;  (** satisfiable (or admitted) cells *)
   admitted_unchecked : int;
       (** cells admitted without a solver check after the budget's

@@ -83,5 +83,3 @@ let pp ppf t =
   Format.fprintf ppf "@[<h>%s: %a => %a, (%d, %d)@]" t.name Pred.pp t.pred
     (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf " AND ") pp_value)
     t.values t.freq_lo t.freq_hi
-
-let to_string t = Format.asprintf "%a" pp t

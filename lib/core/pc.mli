@@ -26,9 +26,6 @@ val value_interval : t -> string -> Pc_interval.Interval.t
 
 val value_attrs : t -> string list
 
-val matching : Pc_data.Relation.t -> t -> Pc_data.Relation.t
-(** Rows satisfying ψ. *)
-
 val holds : Pc_data.Relation.t -> t -> bool
 (** [R |= π]: constraints are efficiently testable on historical data
     (paper §1, desideratum 1). *)
@@ -37,4 +34,3 @@ val violations : Pc_data.Relation.t -> t -> string list
 (** Human-readable reasons why [holds] fails; empty when it holds. *)
 
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

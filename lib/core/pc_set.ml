@@ -40,7 +40,6 @@ let fresh ?table arr rows =
   { arr; rows; disjoint = Atomic.make None; table = Atomic.make table }
 
 let own arr = fresh arr (Array.init (Array.length arr) Fun.id)
-let of_array arr = own (Array.copy arr)
 let make pcs = own (Array.of_list pcs)
 let pcs t = Array.to_list t.arr
 let size t = Array.length t.arr

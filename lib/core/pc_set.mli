@@ -3,7 +3,6 @@
 type t
 
 val make : Pc.t list -> t
-val of_array : Pc.t array -> t
 val pcs : t -> Pc.t list
 val size : t -> int
 val get : t -> int -> Pc.t

@@ -6,9 +6,6 @@ type attr = { name : string; kind : kind }
 
 type t
 
-val make : attr list -> t
-(** Raises [Invalid_argument] on duplicate attribute names. *)
-
 val of_names : (string * kind) list -> t
 val attrs : t -> attr list
 val arity : t -> int

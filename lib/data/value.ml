@@ -11,12 +11,6 @@ let as_str = function
   | Str s -> s
   | Num x -> invalid_arg (Printf.sprintf "Value.as_str: %g is not a string" x)
 
-let equal a b =
-  match (a, b) with
-  | Num x, Num y -> Float.equal x y
-  | Str x, Str y -> String.equal x y
-  | Num _, Str _ | Str _, Num _ -> false
-
 let compare a b =
   match (a, b) with
   | Num x, Num y -> Float.compare x y

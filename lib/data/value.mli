@@ -14,8 +14,6 @@ val as_num : t -> float
 val as_str : t -> string
 (** Raises [Invalid_argument] on a [Num]. *)
 
-val equal : t -> t -> bool
-
 val compare : t -> t -> int
 (** Numbers order before strings; numbers by [Float.compare], strings
     lexicographically. *)

@@ -40,7 +40,6 @@ type site =
   | Sock_close  (** client socket shut down before the reply *)
 
 val site_name : site -> string
-val all_sites : site list
 
 exception Injected of site
 (** Raised by {!point} when the site fires. Never escapes

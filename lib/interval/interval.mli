@@ -80,11 +80,6 @@ val refine : t list -> t list
     open/closed-ness, so [refine [\[0,10\]; \[10,20\]]] contains the
     singleton [\[10,10\]]. [refine \[\]] is [[full]]. *)
 
-val lo_value : t -> float option
-(** Finite lower endpoint value, [None] for [Neg_inf]. *)
-
-val hi_value : t -> float option
-
 val lo_float : t -> float
 (** Lower endpoint as a float, [neg_infinity] for [Neg_inf]. *)
 

@@ -15,12 +15,9 @@ val sensitivity_at :
   sizes:(string * float) list -> Hypergraph.t -> distance:float -> float
 (** S(k): the largest one-row impact at distance k. *)
 
-val result_bound : sizes:(string * float) list -> Hypergraph.t -> float
-(** Σ_{k=0}^{K-1} S(k) with K the total number of rows. *)
-
 val triangle_bound : n:float -> float
-(** Closed form of [result_bound] for the triangle query on three
-    relations of size [n]. *)
+(** Closed form of Σ_{k=0}^{K-1} S(k), K the total number of rows, for
+    the triangle query on three relations of size [n]. *)
 
 val chain_bound : n:float -> k:int -> float
-(** [result_bound] for the k-relation chain join with equal sizes. *)
+(** Σ_{k=0}^{K-1} S(k) for the k-relation chain join with equal sizes. *)

@@ -37,10 +37,6 @@ val table :
   Pc_core.Pc_set.t ->
   table
 
-val count_upper :
-  ?opts:Pc_core.Bounds.opts -> ?budget:Pc_budget.Budget.t -> table -> float
-(** COUNT upper bound of one table's missing partition. *)
-
 val count_bound :
   ?opts:Pc_core.Bounds.opts ->
   ?budget:Pc_budget.Budget.t ->
@@ -63,13 +59,6 @@ val sum_bound :
   float
 (** [sum_bound tables ~agg:(table_name, attr)] bounds SUM(attr) over the
     natural join, fixing the aggregate relation's cover coefficient to 1. *)
-
-val sum_bound_budgeted :
-  ?opts:Pc_core.Bounds.opts ->
-  ?budget:Pc_budget.Budget.t ->
-  table list ->
-  agg:string * string ->
-  bounded
 
 val naive_count_bound :
   ?opts:Pc_core.Bounds.opts -> ?budget:Pc_budget.Budget.t -> table list -> float

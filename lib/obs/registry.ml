@@ -47,7 +47,6 @@ module Counter = struct
   let add t n = if n <> 0 then ignore (Atomic.fetch_and_add t.value n)
   let get t = Atomic.get t.value
   let clear t = Atomic.set t.value 0
-  let name t = t.c_name
 end
 
 module Histogram = struct

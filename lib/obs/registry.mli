@@ -37,7 +37,6 @@ module Counter : sig
   val add : t -> int -> unit
   val get : t -> int
   val clear : t -> unit
-  val name : t -> string
 end
 
 module Histogram : sig

@@ -102,18 +102,3 @@ let to_chrome_json () =
       ]
   in
   Json.to_string (Json.Arr (List.map event (spans ()))) ^ "\n"
-
-let summary () =
-  let totals = totals_by_name () in
-  let b = Buffer.create 256 in
-  Buffer.add_string b "trace summary (total time per span, widest first):\n";
-  if totals = [] then Buffer.add_string b "  (no spans recorded)\n"
-  else
-    List.iter
-      (fun (name, count, total) ->
-        Buffer.add_string b
-          (Printf.sprintf "  %-28s %8d call%s %12.3f ms\n" name count
-             (if count = 1 then " " else "s")
-             (Int64.to_float total /. 1e6)))
-      totals;
-  Buffer.contents b

@@ -50,14 +50,9 @@ val spans : unit -> span list
 
 val totals_by_name : unit -> (string * int * int64) list
 (** Per-name aggregate [(name, count, total_ns)], sorted by total
-    descending — the data behind {!summary} and the bench's per-phase
-    totals. *)
+    descending — the data behind the bench's per-phase totals. *)
 
 val to_chrome_json : unit -> string
 (** The trace in Chrome [trace_event] JSON array format (["ph":"X"]
     complete events, microsecond timestamps): load in [chrome://tracing]
     or Perfetto. Always valid JSON, even with zero spans. *)
-
-val summary : unit -> string
-(** Human-readable flame-style summary: one line per span name with call
-    count and total time, widest first. *)

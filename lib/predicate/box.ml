@@ -126,42 +126,3 @@ let witness t =
            (a, Pc_data.Value.Str s))
   in
   nums @ cats
-
-let contains schema t row =
-  let num_ok =
-    SMap.for_all
-      (fun attr iv ->
-        match Pc_data.Schema.index_opt schema attr with
-        | None -> true
-        | Some i -> I.contains iv (Pc_data.Value.as_num row.(i)))
-      t.num
-  and cat_ok =
-    SMap.for_all
-      (fun attr c ->
-        match Pc_data.Schema.index_opt schema attr with
-        | None -> true
-        | Some i -> (
-            let v = Pc_data.Value.as_str row.(i) in
-            match c with
-            | CIn s -> SSet.mem v s
-            | CNot_in s -> not (SSet.mem v s)))
-      t.cat
-  in
-  num_ok && cat_ok
-
-let pp ppf t =
-  let items =
-    List.map
-      (fun (a, iv) -> Format.asprintf "%s in %a" a I.pp iv)
-      (SMap.bindings t.num)
-    @ List.map
-        (fun (a, c) ->
-          match c with
-          | CIn s ->
-              Format.asprintf "%s in {%s}" a (String.concat "," (SSet.elements s))
-          | CNot_in s ->
-              Format.asprintf "%s not in {%s}" a
-                (String.concat "," (SSet.elements s)))
-        (SMap.bindings t.cat)
-  in
-  Format.fprintf ppf "{%s}" (String.concat "; " items)

@@ -43,9 +43,3 @@ val cat_constraint : t -> string -> cat option
 val witness : t -> (string * Pc_data.Value.t) list
 (** One satisfying assignment for the constrained attributes. For an
     exclusion constraint over an open universe, invents a fresh string. *)
-
-val contains : Pc_data.Schema.t -> t -> Pc_data.Relation.tuple -> bool
-(** Tuple membership (attributes absent from the box are unconstrained).
-    Only attributes present in the schema are checked. *)
-
-val pp : Format.formatter -> t -> unit

@@ -11,7 +11,6 @@ type clause = Atom.t list
 type t = clause list
 (** Conjunction of clauses; [[]] is True. *)
 
-val tt : t
 val of_pred : Pred.t -> t
 val of_neg_pred : Pred.t -> t
 (** [of_neg_pred p] is [¬p] as CNF: one clause. The negation of the
@@ -19,4 +18,3 @@ val of_neg_pred : Pred.t -> t
 
 val conj : t -> t -> t
 val eval : Pc_data.Schema.t -> t -> Pc_data.Relation.tuple -> bool
-val pp : Format.formatter -> t -> unit

@@ -37,9 +37,6 @@ val scanner : Pc_data.Relation.t -> t -> int -> int array -> int
 val attrs : t -> string list
 (** Sorted distinct attribute names mentioned. *)
 
-val to_box : t -> Box.t option
-(** Solved form; [None] when the conjunction is unsatisfiable on its own. *)
-
 val satisfiable : t -> bool
 
 val implies_box : Box.t -> t -> bool

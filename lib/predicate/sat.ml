@@ -7,7 +7,6 @@ module Counter = Pc_obs.Registry.Counter
 let call_count = Counter.make "sat.calls"
 let atom_count = Counter.make "sat.atom_ops"
 let calls () = Counter.get call_count
-let atom_ops () = Counter.get atom_count
 
 let reset_calls () =
   Counter.clear call_count;

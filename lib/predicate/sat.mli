@@ -23,7 +23,7 @@ val tally : unit -> tally
 (** A zeroed tally. *)
 
 val flush : tally -> unit
-(** Add a tally to the global {!calls} and {!atom_ops}. *)
+(** Add a tally to the global {!calls} and the [sat.atom_ops] counter. *)
 
 val check : ?tally:tally -> ?box:Box.t -> Cnf.t -> bool
 (** [check cnf] decides satisfiability starting from [box]
@@ -39,11 +39,5 @@ val calls : unit -> int
 (** Number of solver searches ({!check}/{!solve}) since {!reset_calls},
     flushed tallies included. *)
 
-val atom_ops : unit -> int
-(** Number of atom-level box operations ([Box.add_atom] attempts) the
-    solver and flushed tallies have performed since {!reset_calls} — the
-    machine-level measure of solver effort used by the decomposition
-    benchmarks. *)
-
 val reset_calls : unit -> unit
-(** Reset both {!calls} and {!atom_ops}. *)
+(** Reset both {!calls} and the [sat.atom_ops] counter. *)

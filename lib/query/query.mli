@@ -44,5 +44,4 @@ val eval_group_by :
 val selection : Pc_data.Relation.t -> t -> Pc_data.Relation.t
 (** Rows satisfying the WHERE clause. *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

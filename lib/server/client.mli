@@ -16,9 +16,5 @@ val request : t -> string -> string option
     line. [None] when the server closed the connection instead of
     replying (e.g. a drained server or an injected socket fault). *)
 
-val send : t -> string -> unit
-(** Fire-and-forget write, for tests that tear the protocol on
-    purpose. Raises {!Net.Closed} if the connection is gone. *)
-
 val close : t -> unit
 (** Idempotent. *)

@@ -43,8 +43,6 @@ val request : id:int -> record
 val degraded : record -> bool
 (** The request computed an answer below the [Exact] rung. *)
 
-val record_json : record -> Pc_obs.Json.value
-
 (** Always-on bounded ring of the last [capacity] request records.
 
     Writers claim distinct slots with one [fetch_and_add], so concurrent
@@ -59,8 +57,6 @@ module Flight : sig
 
   val create : capacity:int -> t
   (** [capacity] is clamped to at least 1. *)
-
-  val capacity : t -> int
 
   val pushed : t -> int
   (** Total records ever pushed (≥ the number retained). *)

@@ -16,7 +16,6 @@ val fit :
     to 30. Raises [Invalid_argument] on an empty relation or non-numeric
     attributes. *)
 
-val n_components : t -> int
 val log_likelihood : t -> Pc_data.Relation.t -> float
 (** Mean per-row log density — used by tests to check EM improves fit. *)
 

@@ -4,8 +4,5 @@
     row count and value spread, answered through the PC bound machinery —
     so like PCs, histograms never fail when their contents are exact. *)
 
-val pcs :
-  Pc_data.Relation.t -> attrs:string list -> bins:int -> Pc_core.Pc_set.t
-
 val estimator :
   Pc_data.Relation.t -> attrs:string list -> bins:int -> Estimator.t

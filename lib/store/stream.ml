@@ -72,7 +72,6 @@ let create ?certain ~fdd base_set =
     next_id = 0;
   }
 
-let base_set t = t.base_set
 let snapshot t = (Atomic.get t.cell).snap
 
 let schema t =

@@ -61,8 +61,6 @@ val create :
     constraint set was fixed and therefore consume missing-row budget.
     [fdd] must be compiled from exactly the base set's predicates. *)
 
-val base_set : t -> Pc_core.Pc_set.t
-
 val schema : t -> Pc_data.Schema.t option
 (** Schema of the certain side, once known (from the base CSV or the
     first appended batch). *)

@@ -6,7 +6,5 @@
     Schema: port, date (day index), value (crossings) — numeric; measure
     (vehicle type) — categorical. *)
 
-val schema : Pc_data.Schema.t
-
 val generate : ?ports:int -> ?days:int -> Pc_util.Rng.t -> rows:int -> Pc_data.Relation.t
 (** [ports] defaults to 40, [days] to 365. *)

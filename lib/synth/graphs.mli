@@ -4,9 +4,6 @@
     chain join. Exact counts let tests verify that every bound dominates
     the truth. *)
 
-val edges_schema : string -> string -> Pc_data.Schema.t
-(** Two numeric attributes. *)
-
 val random_edges :
   Pc_util.Rng.t -> a:string -> b:string -> n:int -> vertices:int -> Pc_data.Relation.t
 (** [n] directed edges drawn uniformly (with possible repeats) over

@@ -7,7 +7,5 @@
     Schema: latitude, longitude, price, reviews (numeric); room_type
     (categorical). *)
 
-val schema : Pc_data.Schema.t
-
 val generate : ?clusters:int -> Pc_util.Rng.t -> rows:int -> Pc_data.Relation.t
 (** [clusters] defaults to 5 (the boroughs). *)

@@ -4,9 +4,6 @@
     All tolerance-sensitive comparisons go through this module so that the
     tolerance policy is defined in exactly one place. *)
 
-val eps : float
-(** Default absolute tolerance, [1e-9]. *)
-
 val approx_eq : ?eps:float -> float -> float -> bool
 (** [approx_eq a b] is true when [a] and [b] differ by at most [eps]
     absolutely, or relatively for large magnitudes. *)

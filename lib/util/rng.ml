@@ -2,10 +2,6 @@ type t = Random.State.t
 
 let create seed = Random.State.make [| seed; 0x9e3779b9; seed lxor 0x5bd1e995 |]
 
-let split t =
-  let a = Random.State.bits t and b = Random.State.bits t in
-  Random.State.make [| a; b; 0x85ebca6b |]
-
 let int t n = Random.State.int t n
 let float t x = Random.State.float t x
 
@@ -23,14 +19,6 @@ let gaussian t ~mu ~sigma =
       let u2 = Random.State.float t 1. in
       mu +. (sigma *. sqrt (-2. *. log u1) *. cos (2. *. Float.pi *. u2))
     end
-  in
-  draw ()
-
-let exponential t ~rate =
-  if rate <= 0. then invalid_arg "Rng.exponential: rate <= 0";
-  let rec draw () =
-    let u = Random.State.float t 1. in
-    if u <= 0. then draw () else -.log u /. rate
   in
   draw ()
 

@@ -10,9 +10,6 @@ type t
 val create : int -> t
 (** [create seed] builds a generator from an integer seed. *)
 
-val split : t -> t
-(** [split t] derives an independent generator; [t] advances. *)
-
 val int : t -> int -> int
 (** [int t n] is uniform in [0, n). Requires [n > 0]. *)
 
@@ -26,9 +23,6 @@ val bool : t -> bool
 
 val gaussian : t -> mu:float -> sigma:float -> float
 (** Normal sample via Box–Muller. *)
-
-val exponential : t -> rate:float -> float
-(** Exponential with the given rate. Requires [rate > 0]. *)
 
 val pareto : t -> scale:float -> shape:float -> float
 (** Pareto(scale, shape): heavy-tailed, support [scale, ∞). *)

@@ -38,11 +38,9 @@ val normal_quantile : float -> float
 (** [normal_quantile p] is the standard normal inverse CDF at [p] in
     (0, 1) (Acklam's rational approximation, |error| < 1.15e-9). *)
 
-val erf : float -> float
-(** Error function (Abramowitz & Stegun 7.1.26, |error| < 1.5e-7). *)
-
 val normal_cdf : float -> float
-(** Standard normal CDF via {!erf}. *)
+(** Standard normal CDF via the error function (Abramowitz & Stegun
+    7.1.26, |error| < 1.5e-7). *)
 
 val log_sum_exp : float array -> float
 (** Numerically stable [log (sum_i (exp xs.(i)))]. Returns [neg_infinity]

@@ -10,8 +10,6 @@ module Atom = Pc_predicate.Atom
 
 type config = { seed : int; scale : float; queries : int }
 
-let default_config = { seed = 42; scale = 1.; queries = 100 }
-
 let scaled cfg base = max 10 (int_of_float (float_of_int base *. cfg.scale))
 let fractions = [ 0.1; 0.3; 0.5; 0.7; 0.9 ]
 

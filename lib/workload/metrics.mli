@@ -33,8 +33,4 @@ type summary = {
       (** non-zero rung counts, [Exact] first *)
 }
 
-val is_failure : outcome -> bool
-(** Truth defined but missing from the interval (an abstention with
-    defined truth counts as a failure). *)
-
 val summarize : outcome list -> summary

@@ -971,10 +971,10 @@ let () =
           tc "duplicate indices" `Quick test_duplicate_indices;
           tc "variable bounds" `Quick test_var_bounds;
           tc "empty box infeasible" `Quick test_empty_box_infeasible;
-          tc "solve_from matches cold" `Quick test_warm_matches_cold;
+          tc "solve_compiled_from matches cold" `Quick test_warm_matches_cold;
           tc "warm reuse across a tightening chain" `Quick
             test_warm_chain_reuse;
-          tc "solve_from shape fallback" `Quick test_warm_shape_fallback;
+          tc "solve_compiled_from shape fallback" `Quick test_warm_shape_fallback;
           tc "eta growth forces refactorization" `Quick test_eta_refactorization;
           tc "allocation ceiling" `Quick test_allocation_ceiling;
         ] );
